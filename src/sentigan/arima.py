@@ -43,9 +43,7 @@ class ArimaModel:
     intercept: float
     ar_coeffs: np.ndarray
     ma_coeffs: np.ndarray
-    residual_variance: float
     tail_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    tail_residuals: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def to_dict(self):
         return {
@@ -53,9 +51,7 @@ class ArimaModel:
             "intercept": self.intercept,
             "ar_coeffs": np.asarray(self.ar_coeffs).tolist(),
             "ma_coeffs": np.asarray(self.ma_coeffs).tolist(),
-            "residual_variance": self.residual_variance,
             "tail_values": np.asarray(self.tail_values).tolist(),
-            "tail_residuals": np.asarray(self.tail_residuals).tolist(),
         }
 
     @classmethod
@@ -65,9 +61,7 @@ class ArimaModel:
             intercept=float(d["intercept"]),
             ar_coeffs=np.asarray(d["ar_coeffs"], dtype=float),
             ma_coeffs=np.asarray(d["ma_coeffs"], dtype=float),
-            residual_variance=float(d["residual_variance"]),
             tail_values=np.asarray(d["tail_values"], dtype=float),
-            tail_residuals=np.asarray(d["tail_residuals"], dtype=float),
         )
 
 
@@ -119,9 +113,9 @@ def _css_residuals(w, intercept, ar, ma):
 def _css(params, w, p, q):
     with np.errstate(over="ignore", invalid="ignore"):
         e = _css_residuals(w, params[0], params[1 : 1 + p], params[1 + p :])
-        if not np.all(np.isfinite(e)):
-            return 1e300
-        return float(e @ e)
+        sse = float(e @ e)
+    # an overflowing sum would hand the finite-difference gradient inf - inf
+    return sse if np.isfinite(sse) else 1e300
 
 
 def fit(train, order: ArimaOrder, max_iter: int = 500) -> ArimaModel:
@@ -134,11 +128,8 @@ def fit(train, order: ArimaOrder, max_iter: int = 500) -> ArimaModel:
     x0 = np.zeros(1 + p + q)
     if p == 0 and q == 0:
         # null model has a closed form: intercept = mean of differenced series
-        intercept = float(np.mean(w))
-        resid = w - intercept
-        return ArimaModel(order, intercept, np.empty(0), np.empty(0),
-                          float(resid @ resid) / len(resid),
-                          tail_values=y[-(d + 1):].copy(), tail_residuals=np.empty(0))
+        return ArimaModel(order, float(np.mean(w)), np.empty(0), np.empty(0),
+                          tail_values=y[-(d + 1):].copy())
     bounds = [(None, None)] + [(-0.99, 0.99)] * (p + q)
     result = minimize(
         _css, x0, args=(w, p, q), method="L-BFGS-B", bounds=bounds,
@@ -149,16 +140,10 @@ def fit(train, order: ArimaOrder, max_iter: int = 500) -> ArimaModel:
             f"CSS optimization failed for order ({p},{d},{q}): {result.message}; "
             f"|grad| = {np.linalg.norm(result.jac):.3e}"
         )
-    intercept = float(result.x[0])
-    ar = result.x[1 : 1 + p].copy()
-    ma = result.x[1 + p :].copy()
-    e = _css_residuals(w, intercept, ar, ma)
-    sigma2 = float(e @ e) / len(e)
     n_tail = max(p, q) + d + 1
     return ArimaModel(
-        order, intercept, ar, ma, sigma2,
+        order, float(result.x[0]), result.x[1 : 1 + p].copy(), result.x[1 + p :].copy(),
         tail_values=y[-n_tail:].copy(),
-        tail_residuals=e[-q:].copy() if q else np.empty(0),
     )
 
 

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import date as Date
 from datetime import datetime
 from pathlib import Path
@@ -94,15 +93,6 @@ def _select_models(name):
     return [name]
 
 
-def _map_assets(fn, assets, workers: int):
-    """Apply fn to each asset, optionally on a bounded worker pool. Results
-    come back in config order regardless of scheduling."""
-    if workers <= 1 or len(assets) <= 1:
-        return [fn(a) for a in assets]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, assets))
-
-
 def _write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -128,7 +118,10 @@ def _load_aligned_or_die(cfg, symbol):
     path = _aligned_path(cfg, symbol)
     if not path.exists():
         raise DataError(f"no aligned dataset for {symbol!r}; run ingest first")
-    return load_aligned(path)
+    try:
+        return load_aligned(path)
+    except (ValueError, KeyError) as e:  # truncated JSON or a missing key
+        raise DataError(f"{path}: corrupt aligned dataset: {e!r}") from e
 
 
 # ---------------------------------------------------------------- sentiment
@@ -193,7 +186,7 @@ def cmd_sentiment(cfg: RunConfig, asset_symbol=None) -> int:
 
 
 def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
-    def one(asset):
+    for asset in _select_assets(cfg, asset_symbol):
         with open(asset.ohlcv_path, newline="") as fh:
             series, load_report = load_ohlcv(fh, symbol=asset.symbol)
         series, repair_log = repair_missing(series)
@@ -208,12 +201,7 @@ def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
         )
         _write_text(cfg.output_dir / "sentiment" / f"{asset.symbol}.csv",
                     _sentiment_csv(daily))
-        return (asset.symbol, load_report.rows, len(repair_log), ignored)
-
-    for symbol, rows, repairs, ignored in _map_assets(
-        one, _select_assets(cfg, asset_symbol), cfg.workers
-    ):
-        print(f"{symbol}: {rows} rows, {repairs} repairs, "
+        print(f"{asset.symbol}: {load_report.rows} rows, {len(repair_log)} repairs, "
               f"{ignored} out-of-range sentiment days")
     return EXIT_OK
 
@@ -269,10 +257,8 @@ _TRAINERS = {"arima": _train_arima, "lstm": _train_lstm, "gan": _train_gan}
 
 def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
     models = _select_models(model_name)
-
-    def one(asset):
+    for asset in _select_assets(cfg, asset_symbol):
         aligned = _load_aligned_or_die(cfg, asset.symbol)
-        produced = []
         for model in models:
             try:
                 payload, log_csv = _TRAINERS[model](cfg, aligned)
@@ -282,13 +268,7 @@ def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
             if log_csv is not None:
                 _write_text(cfg.output_dir / "logs" / f"{asset.symbol}_{model}.csv",
                             log_csv)
-            produced.append(model)
-        return (asset.symbol, produced)
-
-    for symbol, produced in _map_assets(
-        one, _select_assets(cfg, asset_symbol), cfg.workers
-    ):
-        print(f"{symbol}: trained {', '.join(produced)}")
+        print(f"{asset.symbol}: trained {', '.join(models)}")
     return EXIT_OK
 
 
@@ -299,15 +279,18 @@ def _load_artifact(cfg, symbol, model):
     path = _artifact_path(cfg, symbol, model)
     if not path.exists():
         raise DataError(f"missing artifact for asset {symbol!r} model {model!r}")
-    payload = json.loads(path.read_text())
-    if payload.get("model") != model:
-        raise DataError(f"{path}: artifact is not a {model} model")
-    d = payload["artifact"]
-    if model == "arima":
-        return arima_mod.ArimaModel.from_dict(d)
-    if model == "lstm":
-        return LstmModel.from_dict(d)
-    return gan_mod.Generator.from_dict(d)
+    try:
+        payload = json.loads(path.read_text())
+        if payload.get("model") != model:
+            raise DataError(f"{path}: artifact is not a {model} model")
+        d = payload["artifact"]
+        if model == "arima":
+            return arima_mod.ArimaModel.from_dict(d)
+        if model == "lstm":
+            return LstmModel.from_dict(d)
+        return gan_mod.Generator.from_dict(d)
+    except (ValueError, KeyError) as e:  # truncated JSON or a missing key
+        raise DataError(f"{path}: corrupt {model} artifact: {e!r}") from e
 
 
 def audit_causality(report: ForecastReport, aligned, policy, window_length):
@@ -390,10 +373,9 @@ def _aggregate_from_metrics(cfg, csv_path) -> int:
 def cmd_evaluate(cfg: RunConfig, from_metrics=None, asset_symbol=None) -> int:
     if from_metrics is not None:
         return _aggregate_from_metrics(cfg, from_metrics)
-
-    def one(asset):
+    reports = []
+    for asset in _select_assets(cfg, asset_symbol):
         aligned = _load_aligned_or_die(cfg, asset.symbol)
-        out = []
         for model in MODEL_NAMES:
             artifact = _load_artifact(cfg, asset.symbol, model)
             policy = cfg.split_policies[model]
@@ -401,14 +383,7 @@ def cmd_evaluate(cfg: RunConfig, from_metrics=None, asset_symbol=None) -> int:
                               window_length=cfg.window_length)
             audit_causality(report, aligned, policy, cfg.window_length)
             _write_json(_report_path(cfg, asset.symbol, model), report.to_dict())
-            out.append(report)
-        return out
-
-    reports = [
-        r
-        for batch in _map_assets(one, _select_assets(cfg, asset_symbol), cfg.workers)
-        for r in batch
-    ]
+            reports.append(report)
     agg = aggregate(reports)
     _write_text(cfg.output_dir / "aggregate.csv", agg.to_csv())
     _print_summary(reports, agg)

@@ -63,7 +63,6 @@ class RunConfig:
     arima: dict = field(default_factory=lambda: dict(DEFAULT_ARIMA))
     lstm: dict = field(default_factory=lambda: dict(DEFAULT_LSTM))
     gan: dict = field(default_factory=lambda: dict(DEFAULT_GAN))
-    workers: int = 1
 
     def __post_init__(self):
         if not self.assets:
@@ -72,8 +71,6 @@ class RunConfig:
             raise UsageError("a seed is required (config key 'seed' or --seed)")
         if self.window_length < 1:
             raise UsageError(f"window_length must be >= 1, got {self.window_length}")
-        if self.workers < 1:
-            raise UsageError(f"workers must be >= 1, got {self.workers}")
         for model, policy in self.split_policies.items():
             if model not in DEFAULT_SPLITS:
                 raise UsageError(f"split policy for unknown model {model!r}")
@@ -141,5 +138,4 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         arima=_merged(DEFAULT_ARIMA, raw.get("arima")),
         lstm=_merged(DEFAULT_LSTM, raw.get("lstm")),
         gan=_merged(DEFAULT_GAN, raw.get("gan")),
-        workers=int(raw.get("workers", 1)),
     )

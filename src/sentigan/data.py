@@ -10,9 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import urllib.error
-import urllib.request
+import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 from pathlib import Path
@@ -107,9 +105,12 @@ def _parse_field(value, name, line_no):
     if value == "" or value.lower() in ("nan", "null", "na"):
         return None
     try:
-        return float(value)
+        parsed = float(value)
     except ValueError:
         raise DataError(f"line {line_no}: cannot parse {name}={value!r}") from None
+    if not math.isfinite(parsed):
+        raise DataError(f"line {line_no}: {name}={value!r} is not finite")
+    return parsed
 
 
 def _validate_bar(bar: Bar, line_no):
@@ -271,29 +272,6 @@ def split(items, policy: str):
     """Chronological train/test split; items must already be sorted in time."""
     boundary = split_boundary(len(items), policy)
     return items[:boundary], items[boundary:]
-
-
-def fetch_ohlcv(endpoint_template: str, symbol: str, start: Date, end: Date,
-                cache_dir=None) -> str:
-    """Fetch raw OHLCV CSV, caching to cache/<symbol>/<start>_<end>.csv.
-
-    A cache hit bypasses the network entirely."""
-    if cache_dir is None:
-        cache_dir = os.environ.get("SENTIGAN_CACHE_DIR", "cache")
-    path = Path(cache_dir) / symbol / f"{start.isoformat()}_{end.isoformat()}.csv"
-    if path.exists():
-        return path.read_text()
-    url = endpoint_template.format(symbol=symbol, start=start.isoformat(), end=end.isoformat())
-    try:
-        with urllib.request.urlopen(url) as resp:
-            payload = resp.read().decode("utf-8")
-    except urllib.error.HTTPError as e:
-        raise DataError(f"fetch failed for {symbol}: HTTP {e.code}") from e
-    except urllib.error.URLError as e:
-        raise DataError(f"fetch failed for {symbol}: {e.reason}") from e
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(payload)
-    return payload
 
 
 def save_aligned(aligned: AlignedDataset, path):

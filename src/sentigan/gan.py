@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLOSE_COLUMN, WindowSample, make_windows, split
+from .data import CLOSE_COLUMN, WindowSample
 from .errors import DataError, DimensionError, TrainingError, UsageError
 from .nn import DenseLayer, backward, build_mlp, flatten_grads, flatten_params, forward
 from .optim import AdamState, adam_step
@@ -310,20 +310,3 @@ def predict(gen: Generator, window: WindowSample) -> float:
     )
     out = generator_forward(gen, scaled)
     return float(scaler_inverse(gen.scaler, out[None, :])[0, CLOSE_COLUMN])
-
-
-def forecast_holdout(gen: Generator, aligned, window_length: int) -> list[dict]:
-    """Teacher-forced one-step forecasts over the final 20 observations.
-
-    Every prediction conditions on real history ending the day before its
-    target. Rows: {date, predicted, actual} on the price scale."""
-    windows = make_windows(aligned, window_length)
-    _, test_part = split(windows, "holdout_last_20")
-    return [
-        {
-            "date": w.target_date,
-            "predicted": predict(gen, w),
-            "actual": float(w.target[CLOSE_COLUMN]),
-        }
-        for w in test_part
-    ]

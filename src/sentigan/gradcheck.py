@@ -14,6 +14,10 @@ import numpy as np
 from . import nn
 
 SATURATION_LIMIT = 30.0
+# c in the roundoff floor c * eps * |L| / h of a central difference: each
+# loss evaluation carries a few ulps of |L|, and the difference of two is
+# divided by 2h (Nocedal & Wright, Numerical Optimization, section 8.1)
+ROUNDOFF_FACTOR = 4.0
 
 
 def numerical_gradient(f, arrays, h: float = 1e-5):
@@ -49,6 +53,13 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - n)[mask] / denom[mask]))
 
 
+def _mismatch(analytic, numeric, floor: float) -> float:
+    """relative_error, counting entries within `floor` of each other as exact."""
+    a = np.asarray(analytic, dtype=float)
+    n = np.asarray(numeric, dtype=float)
+    return relative_error(np.where(np.abs(a - n) <= floor, n, a), n)
+
+
 @dataclass
 class GradCheckReport:
     tolerance: float
@@ -61,8 +72,10 @@ class GradCheckReport:
 def finite_difference_check(layers, x, target, tolerance: float = 1e-4, h: float = 1e-5):
     """Compare backward() gradients of an MSE loss against central differences.
 
-    Layers whose pre-activations saturate a sigmoid/tanh are flagged in the
-    report instead of failing the check."""
+    Differences within the roundoff floor of the numeric estimate count as
+    matching, so tiny gradient entries cannot fail the check. Layers whose
+    pre-activations saturate a sigmoid/tanh are flagged in the report instead
+    of failing the check."""
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
 
@@ -74,12 +87,13 @@ def finite_difference_check(layers, x, target, tolerance: float = 1e-4, h: float
         o, _ = nn.forward(layers, x)
         return float(np.mean((o - target) ** 2))
 
+    floor = ROUNDOFF_FACTOR * np.finfo(float).eps * abs(loss()) / h
     report = GradCheckReport(tolerance=tolerance, max_rel_err=0.0)
     for i, layer in enumerate(layers):
         numeric = numerical_gradient(loss, [layer.weights, layer.bias], h=h)
         err = max(
-            relative_error(analytic[i][0], numeric[0]),
-            relative_error(analytic[i][1], numeric[1]),
+            _mismatch(analytic[i][0], numeric[0], floor),
+            _mismatch(analytic[i][1], numeric[1], floor),
         )
         saturated = layer.activation in ("sigmoid", "tanh") and bool(
             np.any(np.abs(caches[i][1]) > SATURATION_LIMIT)

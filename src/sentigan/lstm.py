@@ -108,13 +108,10 @@ class TrainSchedule:
             raise UsageError("patience values must be >= 1")
 
 
-def cell_forward(model: LstmModel, x, state):
-    """One LSTM step. x: (D,) or (B, D); state: (h, c) of matching shape."""
-    h, c = state
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.input_size:
-        raise DimensionError("LSTM input size", model.input_size, x.shape[-1])
-    g = model.gates
+def _step(g, x, h, c):
+    """The gate equations for one time step; g is LstmModel.gates.
+
+    Returns the gate activations (i, f, o, cand) and the new (c, h)."""
     i = _sigmoid(x @ g["input"]["w"].T + h @ g["input"]["u"].T + g["input"]["b"])
     f = _sigmoid(x @ g["forget"]["w"].T + h @ g["forget"]["u"].T + g["forget"]["b"])
     o = _sigmoid(x @ g["output"]["w"].T + h @ g["output"]["u"].T + g["output"]["b"])
@@ -123,6 +120,16 @@ def cell_forward(model: LstmModel, x, state):
     )
     c_new = f * c + i * cand
     h_new = o * np.tanh(c_new)
+    return i, f, o, cand, c_new, h_new
+
+
+def cell_forward(model: LstmModel, x, state):
+    """One LSTM step. x: (D,) or (B, D); state: (h, c) of matching shape."""
+    h, c = state
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != model.input_size:
+        raise DimensionError("LSTM input size", model.input_size, x.shape[-1])
+    *_, c_new, h_new = _step(model.gates, x, h, c)
     return h_new, c_new
 
 
@@ -131,18 +138,10 @@ def _forward_sequence(model, xs):
     b, length, _ = xs.shape
     h = np.zeros((b, model.hidden_size))
     c = np.zeros((b, model.hidden_size))
-    g = model.gates
     caches = []
     for t in range(length):
         x = xs[:, t, :]
-        i = _sigmoid(x @ g["input"]["w"].T + h @ g["input"]["u"].T + g["input"]["b"])
-        f = _sigmoid(x @ g["forget"]["w"].T + h @ g["forget"]["u"].T + g["forget"]["b"])
-        o = _sigmoid(x @ g["output"]["w"].T + h @ g["output"]["u"].T + g["output"]["b"])
-        cand = np.tanh(
-            x @ g["candidate"]["w"].T + h @ g["candidate"]["u"].T + g["candidate"]["b"]
-        )
-        c_new = f * c + i * cand
-        h_new = o * np.tanh(c_new)
+        i, f, o, cand, c_new, h_new = _step(model.gates, x, h, c)
         caches.append({"x": x, "h_prev": h, "c_prev": c, "i": i, "f": f, "o": o,
                        "cand": cand, "c": c_new})
         h, c = h_new, c_new

@@ -96,20 +96,10 @@ def build_mlp(rng, in_size, hidden, out_size, hidden_activation, out_activation)
     return layers
 
 
-def dense_forward(layer: DenseLayer, x):
-    """Single-layer forward; accepts a vector or a (batch, in) matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != layer.in_size:
-        raise DimensionError("dense input size", layer.in_size, x.shape[-1])
-    z = x @ layer.weights.T + layer.bias
-    out = activate(layer.activation, z)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("dense_forward produced non-finite output")
-    return out
-
-
 def forward(layers, x):
-    """Full network forward. Returns (output, caches); caches feed backward()."""
+    """Full network forward over a vector or a (batch, in) matrix.
+
+    Returns (output, caches); caches feed backward()."""
     a = np.asarray(x, dtype=float)
     caches = []
     for i, layer in enumerate(layers):

@@ -129,7 +129,12 @@ def test_fit_null_model_closed_form():
     y = rng.normal(5.0, 2.0, size=1000)
     model = arima.fit(y, ArimaOrder(0, 0, 0))
     assert model.intercept == pytest.approx(np.mean(y))
-    assert model.residual_variance == pytest.approx(np.var(y), rel=0.05)
+
+
+def test_css_overflowing_sum_is_capped():
+    # every residual is finite, but their sum of squares overflows
+    w = np.full(20, 1e160)
+    assert arima._css(np.zeros(1), w, 0, 0) == 1e300
 
 
 def test_fit_too_short_errors():
@@ -150,7 +155,7 @@ def test_random_walk_forecast_is_last_value_plus_drift():
 def test_ar1_forecast_recursion():
     model = arima.ArimaModel(
         ArimaOrder(1, 0, 0), intercept=0.5, ar_coeffs=np.array([0.7]),
-        ma_coeffs=np.empty(0), residual_variance=1.0,
+        ma_coeffs=np.empty(0),
     )
     history = np.array([1.0, 2.0, 3.0])
     assert arima.forecast_one_step(model, history) == pytest.approx(0.5 + 0.7 * 3.0)
@@ -170,7 +175,7 @@ def test_differencing_round_trip_d2():
     y = np.cumsum(np.cumsum(np.random.default_rng(3).normal(size=200)))
     model = arima.ArimaModel(
         ArimaOrder(0, 2, 0), intercept=0.0, ar_coeffs=np.empty(0),
-        ma_coeffs=np.empty(0), residual_variance=1.0,
+        ma_coeffs=np.empty(0),
     )
     forecast = arima.forecast_one_step(model, y)
     assert forecast == pytest.approx(2 * y[-1] - y[-2])
@@ -179,7 +184,7 @@ def test_differencing_round_trip_d2():
 def test_forecast_insufficient_history_errors():
     model = arima.ArimaModel(
         ArimaOrder(3, 1, 0), intercept=0.0, ar_coeffs=np.zeros(3),
-        ma_coeffs=np.empty(0), residual_variance=1.0,
+        ma_coeffs=np.empty(0),
     )
     with pytest.raises(UsageError):
         arima.forecast_one_step(model, np.array([1.0, 2.0]))
@@ -195,6 +200,11 @@ def test_model_json_round_trip():
     assert restored.order == model.order
     assert np.array_equal(restored.ar_coeffs, model.ar_coeffs)
     assert np.array_equal(restored.ma_coeffs, model.ma_coeffs)
-    assert restored.residual_variance == model.residual_variance
+    assert np.array_equal(restored.tail_values, model.tail_values)
     # forecasts from the restored model are identical
     assert arima.forecast_one_step(restored, y) == arima.forecast_one_step(model, y)
+    # artifacts written before the residual fields were dropped still load
+    legacy = dict(model.to_dict(), residual_variance=1.0, tail_residuals=[0.5])
+    old = arima.ArimaModel.from_dict(legacy)
+    assert np.array_equal(arima.rolling_forecasts(old, y, 380),
+                          arima.rolling_forecasts(model, y, 380))

@@ -209,6 +209,23 @@ def test_evaluate_missing_artifact_names_cell(pipeline, tmp_path, capsys):
     assert "AAA" in err and "arima" in err
 
 
+@pytest.mark.parametrize("damage", ["truncate", "drop_key"])
+@pytest.mark.parametrize("relpath", ["models/AAA_arima.json", "aligned/AAA.json"])
+def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, damage):
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    path = tmp_path / "out" / relpath
+    text = path.read_text()
+    if damage == "truncate":
+        path.write_text(text[: len(text) // 2])
+    else:
+        payload = json.loads(text)
+        payload.pop("artifact" if "models" in relpath else "features")
+        path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(pipeline)]) == cli.EXIT_DATA
+    assert str(path) in capsys.readouterr().err
+
+
 def test_evaluate_from_metrics_reproduces_published_aggregate(pipeline, tmp_path, capsys):
     rows = [
         ("Google", 16.62, 6.97, 13.42), ("Amazon", 20.87, 3.35, 7.05),
@@ -280,10 +297,10 @@ def test_plot_outputs(pipeline, tmp_path):
 # ---------------------------------------------------------------- workers
 
 
-def test_parallel_ingest_matches_serial(pipeline, tmp_path):
+def test_legacy_workers_key_is_ignored(pipeline, tmp_path):
     assert cli.main(["ingest", "--config", str(pipeline)]) == 0
-    serial = (tmp_path / "out" / "aligned" / "AAA.json").read_bytes()
-    parallel_cfg = tmp_path / "config_workers.yaml"
-    parallel_cfg.write_text(pipeline.read_text() + "workers: 4\n")
-    assert cli.main(["ingest", "--config", str(parallel_cfg)]) == 0
-    assert (tmp_path / "out" / "aligned" / "AAA.json").read_bytes() == serial
+    before = (tmp_path / "out" / "aligned" / "AAA.json").read_bytes()
+    legacy_cfg = tmp_path / "config_workers.yaml"
+    legacy_cfg.write_text(pipeline.read_text() + "workers: 4\n")
+    assert cli.main(["ingest", "--config", str(legacy_cfg)]) == 0
+    assert (tmp_path / "out" / "aligned" / "AAA.json").read_bytes() == before

@@ -1,7 +1,5 @@
 import io
-import threading
 from datetime import date
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -66,6 +64,14 @@ def test_load_reports_line_number_on_malformed_row():
     with pytest.raises(DataError) as e:
         D.load_ohlcv(csv_stream(["2024-01-02,10,12,9,11,11,1000", "garbage,x,y,z,a,b,c"]))
     assert "line 3" in str(e.value)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "Infinity", "1e999"])
+def test_load_rejects_non_finite_value_with_line_number(value):
+    rows = ["2024-01-02,10,12,9,11,11,1000", f"2024-01-03,10,{value},9,11,11,1000"]
+    with pytest.raises(DataError) as e:
+        D.load_ohlcv(csv_stream(rows))
+    assert "line 3" in str(e.value) and "high" in str(e.value)
 
 
 def test_load_rejects_bad_header():
@@ -233,59 +239,6 @@ def test_split_empty_partition_errors():
         D.split([1], "fraction_90_10")
     with pytest.raises(DataError):
         D.split(list(range(10)), "holdout_last_20")
-
-
-# ---------------------------------------------------------------- fetch
-
-
-class _StubHandler(BaseHTTPRequestHandler):
-    calls = []
-    payload = ""
-
-    def do_GET(self):
-        _StubHandler.calls.append(self.path)
-        if "MISSING" in self.path:
-            self.send_response(404)
-            self.end_headers()
-            return
-        body = _StubHandler.payload.encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def stub_server():
-    _StubHandler.calls = []
-    _StubHandler.payload = D.serialize_ohlcv(make_series(30))
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/ohlcv?s={{symbol}}&a={{start}}&b={{end}}"
-    server.shutdown()
-
-
-def test_fetch_round_trip_and_cache(stub_server, tmp_path):
-    start, end = date(2020, 1, 1), date(2020, 2, 1)
-    payload = D.fetch_ohlcv(stub_server, "TST", start, end, cache_dir=tmp_path)
-    series, _ = D.load_ohlcv(io.StringIO(payload), "TST")
-    assert len(series.bars) == 30
-    assert len(_StubHandler.calls) == 1
-    # second call served from cache: no new network hits
-    again = D.fetch_ohlcv(stub_server, "TST", start, end, cache_dir=tmp_path)
-    assert again == payload
-    assert len(_StubHandler.calls) == 1
-    assert (tmp_path / "TST" / "2020-01-01_2020-02-01.csv").exists()
-
-
-def test_fetch_http_error(stub_server, tmp_path):
-    with pytest.raises(DataError) as e:
-        D.fetch_ohlcv(stub_server, "MISSING", date(2020, 1, 1), date(2020, 2, 1), cache_dir=tmp_path)
-    assert "404" in str(e.value)
 
 
 # ---------------------------------------------------------------- serialization

@@ -7,6 +7,7 @@ from conftest import aligned_from_close
 from sentigan import gan
 from sentigan.data import CLOSE_COLUMN, WindowSample, make_windows, split
 from sentigan.errors import DataError, DimensionError, UsageError
+from sentigan.eval import evaluate
 from sentigan.gan import (
     Discriminator,
     GanSchedule,
@@ -319,12 +320,12 @@ def test_forecast_holdout_emits_20_causal_rows():
     train_part, _ = split(windows, "holdout_last_20")
     g, _, _ = gan.train(train_part, GanSchedule(epochs=1), seed=1,
                         gen_hidden=(8,), disc_hidden=(8,))
-    rows = gan.forecast_holdout(g, aligned, 6)
+    rows = evaluate("gan", g, aligned, "holdout_last_20", window_length=6).rows
     assert len(rows) == 20
-    assert [r["date"] for r in rows] == aligned.dates[-20:]
+    assert [day for day, _, _ in rows] == aligned.dates[-20:]
     closes = dict(zip(aligned.dates, aligned.features[:, CLOSE_COLUMN]))
-    for r in rows:
-        assert r["actual"] == closes[r["date"]]
+    for day, _, actual in rows:
+        assert actual == closes[day]
 
 
 def test_scaler_round_trip_on_actuals():
