@@ -12,24 +12,24 @@ import csv
 import io
 import json
 import sys
-from datetime import date as Date
 from datetime import datetime
 from pathlib import Path
 
 from . import arima as arima_mod
-from . import eval as eval_mod
 from . import gan as gan_mod
 from . import lstm as lstm_mod
-from .arima import ArimaOrder
 from .config import RunConfig, load_config
 from .data import (
     CLOSE_COLUMN,
     load_aligned,
     load_ohlcv,
     make_windows,
+    read_utf8,
     repair_missing,
     save_aligned,
     split_boundary,
+    utf8_lines,
+    write_atomic,
 )
 from .data import align as align_series
 from .errors import DataError, SentiganError, UsageError
@@ -93,13 +93,8 @@ def _select_models(name):
     return [name]
 
 
-def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _write_json(path: Path, payload):
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _aligned_path(cfg, symbol) -> Path:
@@ -127,23 +122,27 @@ def _load_aligned_or_die(cfg, symbol):
 # ---------------------------------------------------------------- sentiment
 
 
+def _csv_rows(path: Path, header: list[str]):
+    """(line number, row) for each non-blank row of a CSV file with `header`."""
+    reader = csv.reader(utf8_lines(path))
+    got = next(reader, None)
+    if got is None or [h.strip().lower() for h in got] != header:
+        raise DataError(f"{path}: expected header {','.join(header)!r}, got {got}")
+    for line_no, row in enumerate(reader, start=2):
+        if any(c.strip() for c in row):
+            yield line_no, row
+
+
 def _read_tweets(path: Path) -> list[SentimentRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["timestamp", "text"]:
-            raise DataError(f"{path}: expected header 'timestamp,text', got {header}")
-        records = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path} line {line_no}: expected 2 columns, got {len(row)}")
-            try:
-                stamp = datetime.fromisoformat(row[0].strip())
-            except ValueError:
-                raise DataError(f"{path} line {line_no}: bad timestamp {row[0]!r}") from None
-            records.append(SentimentRecord(timestamp=stamp, raw_text=row[1]))
+    records = []
+    for line_no, row in _csv_rows(path, ["timestamp", "text"]):
+        if len(row) != 2:
+            raise DataError(f"{path} line {line_no}: expected 2 columns, got {len(row)}")
+        try:
+            stamp = datetime.fromisoformat(row[0].strip())
+        except ValueError:
+            raise DataError(f"{path} line {line_no}: bad timestamp {row[0]!r}") from None
+        records.append(SentimentRecord(timestamp=stamp, raw_text=row[1]))
     return records
 
 
@@ -156,7 +155,7 @@ def _daily_sentiment(cfg, asset, trading_days):
         return [], 0
     if cfg.lexicon_path is None:
         raise UsageError("config has tweet files but no lexicon path")
-    lexicon, _ = load_lexicon(cfg.lexicon_path.read_text().splitlines())
+    lexicon, _ = load_lexicon(read_utf8(cfg.lexicon_path).splitlines())
     records = _read_tweets(asset.tweets_path)
     for r in records:
         r.compound = score_text(lexicon, r.raw_text)
@@ -172,12 +171,11 @@ def _sentiment_csv(daily) -> str:
 
 def cmd_sentiment(cfg: RunConfig, asset_symbol=None) -> int:
     for asset in _select_assets(cfg, asset_symbol):
-        with open(asset.ohlcv_path, newline="") as fh:
-            series, _ = load_ohlcv(fh, symbol=asset.symbol)
+        series, _ = load_ohlcv(utf8_lines(asset.ohlcv_path), symbol=asset.symbol)
         series, _ = repair_missing(series)
         daily, dropped = _daily_sentiment(cfg, asset, series.dates)
-        _write_text(cfg.output_dir / "sentiment" / f"{asset.symbol}.csv",
-                    _sentiment_csv(daily))
+        write_atomic(cfg.output_dir / "sentiment" / f"{asset.symbol}.csv",
+                     _sentiment_csv(daily))
         print(f"{asset.symbol}: {len(daily)} sentiment days, {dropped} records dropped")
     return EXIT_OK
 
@@ -187,20 +185,17 @@ def cmd_sentiment(cfg: RunConfig, asset_symbol=None) -> int:
 
 def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
     for asset in _select_assets(cfg, asset_symbol):
-        with open(asset.ohlcv_path, newline="") as fh:
-            series, load_report = load_ohlcv(fh, symbol=asset.symbol)
+        series, load_report = load_ohlcv(utf8_lines(asset.ohlcv_path), symbol=asset.symbol)
         series, repair_log = repair_missing(series)
         daily, _ = _daily_sentiment(cfg, asset, series.dates)
         aligned, ignored = align_series(series, daily)
-        target = _aligned_path(cfg, asset.symbol)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        save_aligned(aligned, target)
-        _write_text(
+        save_aligned(aligned, _aligned_path(cfg, asset.symbol))
+        write_atomic(
             cfg.output_dir / "repair" / f"{asset.symbol}.jsonl",
             "".join(json.dumps(e, sort_keys=True) + "\n" for e in repair_log),
         )
-        _write_text(cfg.output_dir / "sentiment" / f"{asset.symbol}.csv",
-                    _sentiment_csv(daily))
+        write_atomic(cfg.output_dir / "sentiment" / f"{asset.symbol}.csv",
+                     _sentiment_csv(daily))
         print(f"{asset.symbol}: {load_report.rows} rows, {len(repair_log)} repairs, "
               f"{ignored} out-of-range sentiment days")
     return EXIT_OK
@@ -266,8 +261,8 @@ def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
                 raise type(e)(f"{asset.symbol}/{model}: {e}") from e
             _write_json(_artifact_path(cfg, asset.symbol, model), payload)
             if log_csv is not None:
-                _write_text(cfg.output_dir / "logs" / f"{asset.symbol}_{model}.csv",
-                            log_csv)
+                write_atomic(cfg.output_dir / "logs" / f"{asset.symbol}_{model}.csv",
+                             log_csv)
         print(f"{asset.symbol}: trained {', '.join(models)}")
     return EXIT_OK
 
@@ -275,20 +270,20 @@ def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
 # ---------------------------------------------------------------- evaluate
 
 
+_ARTIFACT_TYPES = {"arima": arima_mod.ArimaModel, "lstm": LstmModel, "gan": gan_mod.Generator}
+
+
 def _load_artifact(cfg, symbol, model):
     path = _artifact_path(cfg, symbol, model)
     if not path.exists():
         raise DataError(f"missing artifact for asset {symbol!r} model {model!r}")
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(read_utf8(path))
+        if not isinstance(payload, dict) or not isinstance(payload.get("artifact", {}), dict):
+            raise DataError(f"{path}: corrupt {model} artifact: not a JSON object")
         if payload.get("model") != model:
             raise DataError(f"{path}: artifact is not a {model} model")
-        d = payload["artifact"]
-        if model == "arima":
-            return arima_mod.ArimaModel.from_dict(d)
-        if model == "lstm":
-            return LstmModel.from_dict(d)
-        return gan_mod.Generator.from_dict(d)
+        return _ARTIFACT_TYPES[model].from_dict(payload["artifact"])
     except (ValueError, KeyError) as e:  # truncated JSON or a missing key
         raise DataError(f"{path}: corrupt {model} artifact: {e!r}") from e
 
@@ -343,29 +338,22 @@ def _aggregate_from_metrics(cfg, csv_path) -> int:
     if not path.exists():
         raise DataError(f"metrics file not found: {path}")
     reports = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["symbol", "model", "rmse"]:
-            raise DataError(f"{path}: expected header 'symbol,model,rmse', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path} line {line_no}: expected 3 columns")
-            try:
-                rmse = float(row[2])
-            except ValueError:
-                raise DataError(f"{path} line {line_no}: bad rmse {row[2]!r}") from None
-            reports.append(
-                ForecastReport(
-                    row[0].strip(), row[1].strip().lower(), rows=[],
-                    metrics=MetricSet(mae=rmse, mse=rmse * rmse, rmse=rmse,
-                                      mape=None, mape_omitted=True),
-                )
+    for line_no, row in _csv_rows(path, ["symbol", "model", "rmse"]):
+        if len(row) != 3:
+            raise DataError(f"{path} line {line_no}: expected 3 columns")
+        try:
+            rmse = float(row[2])
+        except ValueError:
+            raise DataError(f"{path} line {line_no}: bad rmse {row[2]!r}") from None
+        reports.append(
+            ForecastReport(
+                row[0].strip(), row[1].strip().lower(), rows=[],
+                metrics=MetricSet(mae=rmse, mse=rmse * rmse, rmse=rmse,
+                                  mape=None, mape_omitted=True),
             )
+        )
     agg = aggregate(reports)
-    _write_text(cfg.output_dir / "aggregate.csv", agg.to_csv())
+    write_atomic(cfg.output_dir / "aggregate.csv", agg.to_csv())
     _print_summary([], agg)
     return EXIT_OK
 
@@ -385,7 +373,7 @@ def cmd_evaluate(cfg: RunConfig, from_metrics=None, asset_symbol=None) -> int:
             _write_json(_report_path(cfg, asset.symbol, model), report.to_dict())
             reports.append(report)
     agg = aggregate(reports)
-    _write_text(cfg.output_dir / "aggregate.csv", agg.to_csv())
+    write_atomic(cfg.output_dir / "aggregate.csv", agg.to_csv())
     _print_summary(reports, agg)
     return EXIT_OK
 
@@ -472,8 +460,8 @@ def cmd_plot(cfg: RunConfig, asset_symbol, model_name) -> int:
     if not report.rows:
         raise DataError(f"report {path} has no rows to plot")
     base = cfg.output_dir / "plots" / f"{asset_symbol}_{model}"
-    _write_text(base.with_suffix(".svg"), render_plot_svg(report))
-    _write_text(base.with_suffix(".csv"), render_plot_csv(report))
+    write_atomic(base.with_suffix(".svg"), render_plot_svg(report))
+    write_atomic(base.with_suffix(".csv"), render_plot_csv(report))
     print(f"wrote {base.with_suffix('.svg')} and {base.with_suffix('.csv')}")
     return EXIT_OK
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import yaml
 
-from .data import SPLIT_POLICIES
+from .data import SPLIT_POLICIES, read_utf8
 from .errors import DataError, UsageError
 
 DEFAULT_SPLITS = {
@@ -96,7 +96,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     if not path.exists():
         raise DataError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(read_utf8(path))
     except yaml.YAMLError as e:
         raise DataError(f"cannot parse config {path}: {e}") from e
     if not isinstance(raw, dict):

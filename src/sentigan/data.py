@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import date as Date
 from pathlib import Path
@@ -274,9 +275,45 @@ def split(items, policy: str):
     return items[:boundary], items[boundary:]
 
 
+def read_utf8(path) -> str:
+    """A file's UTF-8 text; other bytes are a DataError naming path and offset."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text (invalid byte at offset {e.start})") from None
+
+
+def utf8_lines(path):
+    """The lines of a UTF-8 file, read as open(path, newline="") reads them,
+    without holding the whole file; bad bytes raise as in read_utf8."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        read_utf8(path)  # raises the DataError that locates the bad byte
+        raise
+
+
+def write_atomic(path, text: str):
+    """Write text to a temporary file next to `path` (creating its directory),
+    then rename it over `path`: readers see the old or the new content, never
+    a part of it."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_aligned(aligned: AlignedDataset, path):
-    Path(path).write_text(json.dumps(aligned.to_dict(), sort_keys=True))
+    write_atomic(path, json.dumps(aligned.to_dict(), sort_keys=True))
 
 
 def load_aligned(path) -> AlignedDataset:
-    return AlignedDataset.from_dict(json.loads(Path(path).read_text()))
+    d = json.loads(read_utf8(path))
+    if not isinstance(d, dict):
+        raise DataError(f"{path}: corrupt aligned dataset: not a JSON object")
+    return AlignedDataset.from_dict(d)

@@ -167,16 +167,11 @@ def evaluate(model_name: str, artifact, aligned: AlignedDataset, policy: str,
     _check_chronological(aligned)
     if model_name == "arima":
         rows = _evaluate_arima(artifact, aligned, policy)
-    elif model_name == "lstm":
-        rows = _evaluate_windowed(
-            "lstm", lambda w: lstm_mod.predict(artifact, w), artifact.scaler,
-            "unit", aligned, policy, window_length,
-        )
     else:
-        rows = _evaluate_windowed(
-            "gan", lambda w: gan_mod.predict(artifact, w), artifact.scaler,
-            "signed", aligned, policy, window_length,
-        )
+        predict, mode = {"lstm": (lstm_mod.predict, "unit"),
+                         "gan": (gan_mod.predict, "signed")}[model_name]
+        rows = _evaluate_windowed(model_name, lambda w: predict(artifact, w),
+                                  artifact.scaler, mode, aligned, policy, window_length)
     preds = [r[1] for r in rows]
     actuals = [r[2] for r in rows]
     return ForecastReport(aligned.symbol, model_name, rows, metrics(preds, actuals))

@@ -4,19 +4,21 @@ The generator maps a flattened L-day window plus the day's sentiment score
 to the next-day six-attribute observation; the discriminator scores
 (candidate, window, sentiment) triples. Training alternates discriminator
 and generator Adam updates on the standard minimax objective, with the
-non-saturating generator form. No latent noise by default, so the trained
-generator is a deterministic conditional forecaster.
+non-saturating generator form. There is no latent noise input, so the
+trained generator is a deterministic conditional forecaster. Each network's
+parameters live in one flat vector `theta`, of which its layers' weights
+and biases are views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import CLOSE_COLUMN, WindowSample
 from .errors import DataError, DimensionError, TrainingError, UsageError
-from .nn import DenseLayer, backward, build_mlp, flatten_grads, flatten_params, forward
+from .nn import DenseLayer, backward, build_mlp, forward, pack
 from .optim import AdamState, adam_step
 from .scaling import ScalerParams, scaler_fit, scaler_inverse, scaler_transform
 
@@ -28,68 +30,45 @@ GEN_HIDDEN = (128, 64)
 DISC_HIDDEN = (64, 32)
 
 
-def _layers_to_dict(layers):
-    return [
-        {"weights": l.weights.tolist(), "bias": l.bias.tolist(),
-         "activation": l.activation}
-        for l in layers
-    ]
+@dataclass
+class _DenseNet:
+    window_length: int
+    layers: list
+    theta: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.theta = pack(self.layers)
+
+    def to_dict(self):
+        layers = [{"weights": l.weights.tolist(), "bias": l.bias.tolist(),
+                   "activation": l.activation} for l in self.layers]
+        return {"window_length": self.window_length, "layers": layers}
+
+    @classmethod
+    def from_dict(cls, d):
+        layers = [DenseLayer(e["weights"], e["bias"], e["activation"]) for e in d["layers"]]
+        return cls(window_length=d["window_length"], layers=layers)
 
 
-def _layers_from_dict(entries):
-    return [
-        DenseLayer(np.asarray(e["weights"], dtype=float),
-                   np.asarray(e["bias"], dtype=float), e["activation"])
-        for e in entries
-    ]
+class Discriminator(_DenseNet):
+    pass
 
 
 @dataclass
-class Generator:
-    window_length: int
-    layers: list
-    noise_dim: int = 0
+class Generator(_DenseNet):
     scaler: ScalerParams | None = None
 
-    def parameters(self):
-        return flatten_params(self.layers)
-
     def to_dict(self):
-        return {
-            "window_length": self.window_length,
-            "noise_dim": self.noise_dim,
-            "layers": _layers_to_dict(self.layers),
-            "scaler": self.scaler.to_dict() if self.scaler else None,
-        }
+        return {**super().to_dict(),
+                "scaler": self.scaler.to_dict() if self.scaler else None}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            window_length=d["window_length"],
-            layers=_layers_from_dict(d["layers"]),
-            noise_dim=d.get("noise_dim", 0),
-            scaler=ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None,
-        )
-
-
-@dataclass
-class Discriminator:
-    window_length: int
-    layers: list
-
-    def parameters(self):
-        return flatten_params(self.layers)
-
-    def to_dict(self):
-        return {
-            "window_length": self.window_length,
-            "layers": _layers_to_dict(self.layers),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(window_length=d["window_length"],
-                   layers=_layers_from_dict(d["layers"]))
+        # older artifacts also carry the size of a since-removed noise input
+        # (always 0), which is ignored
+        gen = super().from_dict(d)
+        gen.scaler = ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None
+        return gen
 
 
 @dataclass
@@ -109,11 +88,10 @@ class GanSchedule:
             raise UsageError("learning_rate and supervised_weight must be >= 0")
 
 
-def build_generator(rng, window_length: int, hidden=GEN_HIDDEN,
-                    noise_dim: int = 0) -> Generator:
-    in_size = window_length * N_FEATURES + 1 + noise_dim
+def build_generator(rng, window_length: int, hidden=GEN_HIDDEN) -> Generator:
+    in_size = window_length * N_FEATURES + 1
     layers = build_mlp(rng, in_size, hidden, N_FEATURES, "relu", "tanh")
-    return Generator(window_length=window_length, layers=layers, noise_dim=noise_dim)
+    return Generator(window_length=window_length, layers=layers)
 
 
 def build_discriminator(rng, window_length: int, hidden=DISC_HIDDEN) -> Discriminator:
@@ -127,8 +105,8 @@ def _check_scaled(values, what):
         raise DataError(f"{what} exceeds the (-1, 1) scaled range")
 
 
-def _gen_inputs(gen: Generator, histories, sentiments, noise=None):
-    """Flattened conditioning matrix (B, L*6 + 1 [+ noise]); inputs scaled."""
+def _gen_inputs(gen: Generator, histories, sentiments):
+    """Flattened conditioning matrix (B, L*6 + 1); inputs scaled."""
     histories = np.asarray(histories, dtype=float)
     sentiments = np.asarray(sentiments, dtype=float)
     if histories.ndim != 3 or histories.shape[1:] != (gen.window_length, N_FEATURES):
@@ -138,18 +116,13 @@ def _gen_inputs(gen: Generator, histories, sentiments, noise=None):
         )
     _check_scaled(histories, "window history")
     _check_scaled(sentiments, "sentiment")
-    cols = [histories.reshape(len(histories), -1), sentiments[:, None]]
-    if gen.noise_dim:
-        if noise is None:
-            raise UsageError(f"generator expects a noise input of dim {gen.noise_dim}")
-        cols.append(np.asarray(noise, dtype=float).reshape(len(histories), gen.noise_dim))
-    return np.concatenate(cols, axis=1)
+    return np.concatenate([histories.reshape(len(histories), -1), sentiments[:, None]],
+                          axis=1)
 
 
-def generator_forward(gen: Generator, window: WindowSample, noise=None):
+def generator_forward(gen: Generator, window: WindowSample):
     """Next-day scaled observation (6,) for one already-scaled window."""
-    x = _gen_inputs(gen, window.history[None, :, :], [window.sentiment],
-                    None if noise is None else np.asarray(noise)[None, :])
+    x = _gen_inputs(gen, window.history[None, :, :], [window.sentiment])
     out, _ = forward(gen.layers, x)
     return out[0]
 
@@ -182,27 +155,23 @@ def g_loss_value(fake_scores) -> float:
 
 def _discriminator_grads(disc, real_in, fake_in):
     """Gradients of the discriminator loss
-    -E[log D(real)] - E[log(1 - D(fake))] w.r.t. disc parameters."""
+    -E[log D(real)] - E[log(1 - D(fake))] w.r.t. disc.theta."""
     b = len(real_in)
     real_out, real_caches = forward(disc.layers, real_in)
     fake_out, fake_caches = forward(disc.layers, fake_in)
     r = np.clip(real_out, LOG_EPS, 1.0 - LOG_EPS)
     f = np.clip(fake_out, LOG_EPS, 1.0 - LOG_EPS)
-    grads_real, _ = backward(disc.layers, real_caches, -1.0 / (b * r))
-    grads_fake, _ = backward(disc.layers, fake_caches, 1.0 / (b * (1.0 - f)))
-    grads = [(dw_r + dw_f, db_r + db_f)
-             for (dw_r, db_r), (dw_f, db_f) in zip(grads_real, grads_fake)]
-    loss = d_loss_value(real_out, fake_out)
-    return loss, grads
+    g_real, _ = backward(disc.layers, real_caches, -1.0 / (b * r))
+    g_fake, _ = backward(disc.layers, fake_caches, 1.0 / (b * (1.0 - f)))
+    return d_loss_value(real_out, fake_out), g_real + g_fake
 
 
 def _generator_grads(gen, disc, gen_in, real_targets=None, supervised_weight=0.0):
     """Non-saturating generator loss -E[log D(G(cond), cond)] and its
-    gradients w.r.t. gen parameters; disc parameters are left untouched."""
+    gradient w.r.t. gen.theta; disc parameters are left untouched."""
     b = len(gen_in)
     fake, gen_caches = forward(gen.layers, gen_in)
-    cond = gen_in[:, : gen_in.shape[1] - gen.noise_dim] if gen.noise_dim else gen_in
-    disc_in = np.concatenate([fake, cond], axis=1)
+    disc_in = np.concatenate([fake, gen_in], axis=1)
     score, disc_caches = forward(disc.layers, disc_in)
     s = np.clip(score, LOG_EPS, 1.0 - LOG_EPS)
     _, grad_disc_in = backward(disc.layers, disc_caches, -1.0 / (b * s))
@@ -212,8 +181,8 @@ def _generator_grads(gen, disc, gen_in, real_targets=None, supervised_weight=0.0
         err = fake - real_targets
         loss += supervised_weight * float(np.mean(err * err))
         grad_fake = grad_fake + supervised_weight * 2.0 * err / err.size
-    grads, _ = backward(gen.layers, gen_caches, grad_fake)
-    return loss, grads, fake
+    grad, _ = backward(gen.layers, gen_caches, grad_fake)
+    return loss, grad, fake
 
 
 def train_step(gen, disc, batch, gen_adam, disc_adam, schedule: GanSchedule,
@@ -225,20 +194,19 @@ def train_step(gen, disc, batch, gen_adam, disc_adam, schedule: GanSchedule,
     targets = np.stack([s.target for s in batch])
     _check_scaled(targets, "target observation")
     gen_in = _gen_inputs(gen, histories, sentiments)
-    cond = gen_in
-    real_in = np.concatenate([targets, cond], axis=1)
+    real_in = np.concatenate([targets, gen_in], axis=1)
 
     d_loss = g_loss = float("nan")
     for _ in range(schedule.d_steps):
         fake, _ = forward(gen.layers, gen_in)
-        fake_in = np.concatenate([fake, cond], axis=1)
-        d_loss, d_grads = _discriminator_grads(disc, real_in, fake_in)
-        adam_step(disc_adam, disc.parameters(), flatten_grads(d_grads))
-    g_loss, g_grads, _ = _generator_grads(
+        fake_in = np.concatenate([fake, gen_in], axis=1)
+        d_loss, d_grad = _discriminator_grads(disc, real_in, fake_in)
+        adam_step(disc_adam, disc.theta, d_grad)
+    g_loss, g_grad, _ = _generator_grads(
         gen, disc, gen_in, real_targets=targets,
         supervised_weight=schedule.supervised_weight,
     )
-    adam_step(gen_adam, gen.parameters(), flatten_grads(g_grads))
+    adam_step(gen_adam, gen.theta, g_grad)
     if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
         where = "" if step_index is None else f" at step {step_index}"
         raise TrainingError(f"adversarial training diverged (NaN loss){where}")

@@ -20,26 +20,24 @@ SATURATION_LIMIT = 30.0
 ROUNDOFF_FACTOR = 4.0
 
 
-def numerical_gradient(f, arrays, h: float = 1e-5):
-    """Central-difference gradient of scalar f() w.r.t. each array, in place.
+def numerical_gradient(f, arr, h: float = 1e-5):
+    """Central-difference gradient of scalar f() w.r.t. the array arr, such
+    as a network's theta.
 
-    f must read the current contents of `arrays` each call (they are perturbed
-    entry by entry and restored)."""
-    grads = []
-    for arr in arrays:
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = f()
-            flat[i] = orig - h
-            down = f()
-            flat[i] = orig
-            gflat[i] = (up - down) / (2 * h)
-        grads.append(g)
-    return grads
+    f must read the current contents of `arr` each call (it is perturbed in
+    place entry by entry and restored)."""
+    g = np.zeros_like(arr)
+    flat = arr.ravel()
+    gflat = g.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = f()
+        flat[i] = orig - h
+        down = f()
+        flat[i] = orig
+        gflat[i] = (up - down) / (2 * h)
+    return g
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -81,7 +79,8 @@ def finite_difference_check(layers, x, target, tolerance: float = 1e-4, h: float
 
     out, caches = nn.forward(layers, x)
     grad_out = 2.0 * (out - target) / out.size
-    analytic, _ = nn.backward(layers, caches, grad_out)
+    grad, _ = nn.backward(layers, caches, grad_out)
+    analytic = nn.carve(grad, nn.layer_shapes(layers))
 
     def loss():
         o, _ = nn.forward(layers, x)
@@ -90,11 +89,8 @@ def finite_difference_check(layers, x, target, tolerance: float = 1e-4, h: float
     floor = ROUNDOFF_FACTOR * np.finfo(float).eps * abs(loss()) / h
     report = GradCheckReport(tolerance=tolerance, max_rel_err=0.0)
     for i, layer in enumerate(layers):
-        numeric = numerical_gradient(loss, [layer.weights, layer.bias], h=h)
-        err = max(
-            _mismatch(analytic[i][0], numeric[0], floor),
-            _mismatch(analytic[i][1], numeric[1], floor),
-        )
+        pairs = zip(analytic[2 * i : 2 * i + 2], (layer.weights, layer.bias))
+        err = max(_mismatch(a, numerical_gradient(loss, p, h=h), floor) for a, p in pairs)
         saturated = layer.activation in ("sigmoid", "tanh") and bool(
             np.any(np.abs(caches[i][1]) > SATURATION_LIMIT)
         )

@@ -14,10 +14,12 @@ import numpy as np
 
 from .data import CLOSE_COLUMN, WindowSample
 from .errors import DimensionError, TrainingError, UsageError
+from .nn import carve
 from .optim import AdamState, adam_step
 from .scaling import ScalerParams, scaler_fit, scaler_transform
 
 GATES = ("input", "forget", "output", "candidate")
+GATE_KEYS = ("w", "u", "b")
 
 
 def _sigmoid(z):
@@ -26,13 +28,38 @@ def _sigmoid(z):
 
 @dataclass
 class LstmModel:
+    """All parameters live in the flat vector `theta`: per gate, in GATES
+    order, input weights w (H, D), recurrent weights u (H, H) and bias b (H,),
+    then the head's (1, H) weights and (1,) bias. `gates[name][key]`,
+    `head_weights` and `head_bias` are views into `theta` (see `views_of`)."""
+
     hidden_size: int
     input_size: int
-    # per gate: input weights (H, D), recurrent weights (H, H), bias (H,)
-    gates: dict = field(default_factory=dict)
-    head_weights: np.ndarray | None = None  # (1, H)
-    head_bias: np.ndarray | None = None  # (1,)
+    gates: dict
+    head_weights: np.ndarray
+    head_bias: np.ndarray
     scaler: ScalerParams | None = None
+    theta: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        given = [self.gates[n][k] for n in GATES for k in GATE_KEYS]
+        given += [self.head_weights, self.head_bias]
+        shapes = [np.shape(a) for a in given]
+        if shapes != self._shapes():
+            raise DimensionError("LSTM parameter shapes", self._shapes(), shapes)
+        self.theta = np.concatenate([np.ravel(a) for a in given], dtype=float)
+        self.gates, self.head_weights, self.head_bias = self.views_of(self.theta)
+
+    def _shapes(self):
+        h, d = self.hidden_size, self.input_size
+        return [(h, d), (h, h), (h,)] * len(GATES) + [(1, h), (1,)]
+
+    def views_of(self, flat):
+        """(gates, head_weights, head_bias) views of theta or of its gradient."""
+        views = carve(flat, self._shapes())
+        gates = {name: dict(zip(GATE_KEYS, views[3 * j : 3 * j + 3]))
+                 for j, name in enumerate(GATES)}
+        return gates, views[-2], views[-1]
 
     @classmethod
     def initialize(cls, rng, hidden_size: int, input_size: int) -> "LstmModel":
@@ -40,13 +67,9 @@ class LstmModel:
             bound = np.sqrt(6.0 / (rows + cols))
             return rng.uniform(-bound, bound, size=(rows, cols))
 
-        gates = {}
-        for name in GATES:
-            gates[name] = {
-                "w": glorot(hidden_size, input_size),
-                "u": glorot(hidden_size, hidden_size),
-                "b": np.zeros(hidden_size),
-            }
+        gates = {name: {"w": glorot(hidden_size, input_size),
+                        "u": glorot(hidden_size, hidden_size),
+                        "b": np.zeros(hidden_size)} for name in GATES}
         return cls(
             hidden_size=hidden_size,
             input_size=input_size,
@@ -54,14 +77,6 @@ class LstmModel:
             head_weights=glorot(1, hidden_size),
             head_bias=np.zeros(1),
         )
-
-    def parameters(self) -> list:
-        out = []
-        for name in GATES:
-            g = self.gates[name]
-            out += [g["w"], g["u"], g["b"]]
-        out += [self.head_weights, self.head_bias]
-        return out
 
     def to_dict(self):
         return {
@@ -81,12 +96,9 @@ class LstmModel:
         return cls(
             hidden_size=d["hidden_size"],
             input_size=d["input_size"],
-            gates={
-                name: {k: np.asarray(v, dtype=float) for k, v in g.items()}
-                for name, g in d["gates"].items()
-            },
-            head_weights=np.asarray(d["head_weights"], dtype=float),
-            head_bias=np.asarray(d["head_bias"], dtype=float),
+            gates=d["gates"],
+            head_weights=d["head_weights"],
+            head_bias=d["head_bias"],
             scaler=ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None,
         )
 
@@ -152,13 +164,12 @@ def _forward_sequence(model, xs):
 def _backward_sequence(model, caches, final_h, grad_out):
     """BPTT through the cached sequence; grad_out is dL/d(head output), (B,).
 
-    Returns gradients in the order of model.parameters()."""
+    Returns dL/d(theta), one flat vector in theta's layout."""
     g = model.gates
-    grads = {name: {"w": np.zeros_like(g[name]["w"]),
-                    "u": np.zeros_like(g[name]["u"]),
-                    "b": np.zeros_like(g[name]["b"])} for name in GATES}
-    d_head_w = grad_out[:, None].T @ final_h  # (1, H)
-    d_head_b = np.array([grad_out.sum()])
+    grad = np.zeros_like(model.theta)
+    grads, d_head_w, d_head_b = model.views_of(grad)
+    d_head_w[...] = grad_out[:, None].T @ final_h
+    d_head_b[0] = grad_out.sum()
     dh = grad_out[:, None] * model.head_weights  # (B, H)
     dc = np.zeros_like(dh)
     for cache in reversed(caches):
@@ -181,11 +192,7 @@ def _backward_sequence(model, caches, final_h, grad_out):
         dh = (dzi @ g["input"]["u"] + dzf @ g["forget"]["u"]
               + dzo @ g["output"]["u"] + dzc @ g["candidate"]["u"])
         dc = dc * f
-    out = []
-    for name in GATES:
-        out += [grads[name]["w"], grads[name]["u"], grads[name]["b"]]
-    out += [d_head_w, d_head_b]
-    return out
+    return grad
 
 
 def sequence_loss(model, xs, targets):
@@ -229,11 +236,10 @@ def train(samples: list[WindowSample], schedule: TrainSchedule, seed: int,
     xs_train, y_train = _scale_windows(model.scaler, train_samples)
     xs_val, y_val = _scale_windows(model.scaler, val_samples)
 
-    params = model.parameters()
     adam = AdamState(learning_rate=schedule.learning_rate)
     lr = schedule.learning_rate
     best_val = np.inf
-    best_params = None
+    best_theta = None
     epochs_since_improvement = 0
     epochs_since_plateau_reset = 0
     for epoch in range(schedule.max_epochs):
@@ -246,8 +252,7 @@ def train(samples: list[WindowSample], schedule: TrainSchedule, seed: int,
             if not np.isfinite(loss):
                 raise TrainingError(f"training diverged (NaN loss) at epoch {epoch}")
             grad_out = 2.0 * err / len(yb)
-            grads = _backward_sequence(model, caches, final_h, grad_out)
-            adam_step(adam, params, grads)
+            adam_step(adam, model.theta, _backward_sequence(model, caches, final_h, grad_out))
             batch_losses.append(loss)
         val_loss = sequence_loss(model, xs_val, y_val)[0]
         log.append(
@@ -256,7 +261,7 @@ def train(samples: list[WindowSample], schedule: TrainSchedule, seed: int,
         )
         if val_loss < best_val:
             best_val = val_loss
-            best_params = [p.copy() for p in params]
+            best_theta = model.theta.copy()
             epochs_since_improvement = 0
             epochs_since_plateau_reset = 0
         else:
@@ -267,9 +272,8 @@ def train(samples: list[WindowSample], schedule: TrainSchedule, seed: int,
             if epochs_since_plateau_reset >= schedule.plateau_patience:
                 lr *= schedule.plateau_factor
                 epochs_since_plateau_reset = 0
-    if best_params is not None:
-        for p, best in zip(params, best_params):
-            p[...] = best
+    if best_theta is not None:
+        model.theta[...] = best_theta
     return model, log
 
 

@@ -1,12 +1,14 @@
 """Dense-network numerical core: layers, activations, reverse-mode gradients.
 
-Everything is float64 numpy. Networks are plain lists of DenseLayer; the
-forward pass returns the caches the backward pass needs, so there is no
-hidden state anywhere.
+Everything is float64 numpy. A network is a list of DenseLayer whose arrays
+can be views into one flat parameter vector (`pack`); `carve` lays out that
+vector and the flat gradient backward() returns alike. The forward pass
+returns the caches the backward pass needs, so there is no hidden state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +72,6 @@ class DenseLayer:
     def in_size(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def out_size(self) -> int:
-        return self.weights.shape[0]
-
 
 def init_layer(rng: np.random.Generator, fan_in: int, fan_out: int, activation: str) -> DenseLayer:
     """Seeded initialization: Glorot-uniform for saturating/identity units,
@@ -113,11 +111,40 @@ def forward(layers, x):
     return a, caches
 
 
+def carve(flat, shapes):
+    """Consecutive views into the 1-d array `flat`, one per shape, in order."""
+    views = []
+    start = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    if start != flat.size:
+        raise DimensionError("flat parameter vector size", start, flat.size)
+    return views
+
+
+def layer_shapes(layers):
+    """The parameter layout of a dense stack: W0, b0, W1, b1, ..."""
+    return [a.shape for layer in layers for a in (layer.weights, layer.bias)]
+
+
+def pack(layers):
+    """Copy the layers' weights and biases into one new 1-d vector, make them
+    views into it, and return the vector."""
+    theta = np.concatenate([a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
+    views = carve(theta, layer_shapes(layers))
+    for layer, w, b in zip(layers, views[0::2], views[1::2]):
+        layer.weights, layer.bias = w, b
+    return theta
+
+
 def backward(layers, caches, grad_out):
     """Reverse-mode gradients through a dense stack.
 
-    grad_out is dL/d(output) per sample. Returns ([(dW, db), ...], dL/d(input));
-    batched inputs accumulate parameter gradients by summation over the batch.
+    grad_out is dL/d(output) per sample. Returns (dL/d(parameters) as one
+    flat vector in the layout of layer_shapes, dL/d(input)); batched inputs
+    accumulate parameter gradients by summation over the batch.
     """
     if len(caches) != len(layers):
         raise UsageError(
@@ -125,33 +152,17 @@ def backward(layers, caches, grad_out):
             "run forward() on the same input first"
         )
     g = np.asarray(grad_out, dtype=float)
-    grads = [None] * len(layers)
+    grad = np.empty(sum(layer.weights.size + layer.bias.size for layer in layers))
+    views = carve(grad, layer_shapes(layers))
     for i in reversed(range(len(layers))):
         x_in, z = caches[i]
         gz = g * activate_grad(layers[i].activation, z)
+        dw, db = views[2 * i], views[2 * i + 1]
         if gz.ndim == 1:
-            dw = np.outer(gz, x_in)
-            db = gz.copy()
+            np.outer(gz, x_in, out=dw)
+            db[...] = gz
         else:
-            dw = gz.T @ x_in
-            db = gz.sum(axis=0)
-        grads[i] = (dw, db)
+            np.matmul(gz.T, x_in, out=dw)
+            gz.sum(axis=0, out=db)
         g = gz @ layers[i].weights
-    return grads, g
-
-
-def flatten_params(layers):
-    """[(W, b), ...] view of a network's parameters, in layer order."""
-    out = []
-    for layer in layers:
-        out.append(layer.weights)
-        out.append(layer.bias)
-    return out
-
-
-def flatten_grads(grads):
-    out = []
-    for dw, db in grads:
-        out.append(dw)
-        out.append(db)
-    return out
+    return grad, g

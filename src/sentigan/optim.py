@@ -1,8 +1,8 @@
-"""Adam optimizer with bias correction, operating in place on lists of arrays."""
+"""Adam optimizer with bias correction, one in-place update of a flat vector."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +16,8 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -26,33 +26,31 @@ class AdamState:
             raise TrainingError("Adam betas must lie in (0, 1)")
 
 
-def adam_step(state: AdamState, params, grads):
-    """One Adam update. params are mutated in place and also returned.
+def adam_step(state: AdamState, theta: np.ndarray, grad):
+    """One Adam update of the parameter vector theta, which is mutated in
+    place and also returned.
 
-    Moment buffers are allocated on first use and must keep matching shapes
+    Moment buffers are allocated on first use and must keep theta's shape
     afterwards.
     """
-    if len(params) != len(grads):
-        raise DimensionError("adam_step param/grad count", len(params), len(grads))
-    if not state.first_moment:
-        state.first_moment = [np.zeros_like(p) for p in params]
-        state.second_moment = [np.zeros_like(p) for p in params]
+    grad = np.asarray(grad, dtype=float)
+    if grad.shape != theta.shape:
+        raise DimensionError("adam_step gradient shape", theta.shape, grad.shape)
+    finite = np.isfinite(grad)
+    if not finite.all():
+        raise TrainingError(f"non-finite gradient at flat index {int(np.argmin(finite))}")
+    if state.first_moment is None:
+        state.first_moment = np.zeros_like(theta)
+        state.second_moment = np.zeros_like(theta)
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
-        g = np.asarray(g, dtype=float)
-        if g.shape != p.shape:
-            raise DimensionError(f"adam_step grad shape at index {i}", p.shape, g.shape)
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient at parameter index {i}")
-        m = state.first_moment[i]
-        v = state.second_moment[i]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return params
+    m, v = state.first_moment, state.second_moment
+    m *= b1
+    m += (1 - b1) * grad
+    v *= b2
+    v += (1 - b2) * grad * grad
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    theta -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    return theta

@@ -209,14 +209,21 @@ def test_evaluate_missing_artifact_names_cell(pipeline, tmp_path, capsys):
     assert "AAA" in err and "arima" in err
 
 
-@pytest.mark.parametrize("damage", ["truncate", "drop_key"])
-@pytest.mark.parametrize("relpath", ["models/AAA_arima.json", "aligned/AAA.json"])
+@pytest.mark.parametrize(("relpath", "damage"), [
+    (relpath, damage)
+    for relpath in ("aligned/AAA.json", "models/AAA_arima.json")
+    for damage in ("drop_key", "truncate", "not_object")
+] + [("models/AAA_arima.json", "artifact_not_object")])
 def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, damage):
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     path = tmp_path / "out" / relpath
     text = path.read_text()
     if damage == "truncate":
         path.write_text(text[: len(text) // 2])
+    elif damage == "not_object":
+        path.write_text("[]")
+    elif damage == "artifact_not_object":
+        path.write_text(json.dumps({"model": "arima", "artifact": []}))
     else:
         payload = json.loads(text)
         payload.pop("artifact" if "models" in relpath else "features")
@@ -224,6 +231,24 @@ def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, d
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", str(pipeline)]) == cli.EXIT_DATA
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["ohlcv", "tweets", "config", "lexicon"])
+def test_non_utf8_input_names_file_and_offset(pipeline, tmp_path, capsys, which):
+    if which == "lexicon":
+        path = tmp_path / "lexicon.txt"
+        path.write_bytes(LEXICON.read_bytes())
+        pipeline.write_text(pipeline.read_text().replace(str(LEXICON), str(path)))
+    else:
+        path = {"ohlcv": tmp_path / "AAA.csv", "tweets": tmp_path / "AAA_tweets.csv",
+                "config": pipeline}[which]
+    good = path.read_bytes()
+    path.write_bytes(good[:40] + b"\xff\xfe" + good[40:])
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(pipeline)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(path) in err and "offset 40" in err
 
 
 def test_evaluate_from_metrics_reproduces_published_aggregate(pipeline, tmp_path, capsys):

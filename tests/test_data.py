@@ -255,3 +255,33 @@ def test_aligned_save_load_round_trip(tmp_path):
     assert loaded.dates == aligned.dates
     assert np.array_equal(loaded.features, aligned.features)
     assert np.array_equal(loaded.sentiment, aligned.sentiment)
+
+
+def refuse_replace(src, dst):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("failure", ["encode", "replace"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, failure):
+    path = tmp_path / "out" / "report.json"
+    D.write_atomic(path, "old\n")
+    text = "new\n" * 1000
+    if failure == "encode":
+        text += "\udc80"  # a lone surrogate cannot be encoded: fails partway through
+    else:
+        monkeypatch.setattr(D.os, "replace", refuse_replace)
+    with pytest.raises((UnicodeEncodeError, OSError)):
+        D.write_atomic(path, text)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in path.parent.iterdir()] == ["report.json"]
+
+
+def test_save_aligned_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "aligned.json"
+    D.save_aligned(D.align(make_series(15), [])[0], path)
+    before = path.read_bytes()
+    monkeypatch.setattr(D.os, "replace", refuse_replace)
+    with pytest.raises(OSError):
+        D.save_aligned(D.align(make_series(10), [])[0], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["aligned.json"]

@@ -18,8 +18,8 @@ from sentigan.gan import (
     g_loss_value,
 )
 from sentigan.gradcheck import numerical_gradient, relative_error
-from sentigan.nn import flatten_grads, forward
-from sentigan.optim import AdamState
+from sentigan.nn import backward, forward
+from sentigan.optim import AdamState, adam_step
 
 
 def scaled_window(rng, length=6, sentiment=None):
@@ -32,9 +32,26 @@ def scaled_window(rng, length=6, sentiment=None):
 
 
 def zero_net(net):
-    for p in net.parameters():
-        p[...] = 0.0
+    net.theta[...] = 0.0
     return net
+
+
+# ---------------------------------------------------------------- parameters
+
+
+def test_every_layer_array_is_a_view_of_theta():
+    rng = np.random.default_rng(0)
+    g = build_generator(rng, 4, hidden=(8, 5))
+    d = build_discriminator(rng, 4, hidden=(6,))
+    nets = [g, d, Generator.from_dict(g.to_dict()), Discriminator.from_dict(d.to_dict())]
+    for net in nets:
+        arrays = [a for layer in net.layers for a in (layer.weights, layer.bias)]
+        assert net.theta.ndim == 1
+        assert net.theta.size == sum(a.size for a in arrays)
+        for a in arrays:
+            assert np.shares_memory(net.theta, a)
+    assert np.array_equal(nets[2].theta, g.theta)
+    assert np.array_equal(nets[3].theta, d.theta)
 
 
 # ---------------------------------------------------------------- generator
@@ -61,18 +78,6 @@ def test_generator_deterministic_without_noise():
     g = build_generator(rng, 5, hidden=(8,))
     w = scaled_window(rng, 5)
     assert np.array_equal(gan.generator_forward(g, w), gan.generator_forward(g, w))
-
-
-def test_generator_noise_channel():
-    rng = np.random.default_rng(3)
-    g = build_generator(rng, 4, hidden=(8,), noise_dim=2)
-    w = scaled_window(rng, 4)
-    with pytest.raises(UsageError):
-        gan.generator_forward(g, w)
-    z = np.array([0.3, -0.7])
-    assert np.array_equal(
-        gan.generator_forward(g, w, noise=z), gan.generator_forward(g, w, noise=z)
-    )
 
 
 def test_generator_scale_violation_errors():
@@ -131,14 +136,12 @@ def test_discriminator_candidate_gradient_matches_fd():
 
     x = np.concatenate([candidate, w.history.ravel(), [w.sentiment]])[None, :]
     out, caches = forward(d.layers, x)
-    from sentigan.nn import backward
-
     _, grad_in = backward(d.layers, caches, np.ones_like(out))
     analytic = grad_in[0, :6]
 
     numeric = numerical_gradient(
-        lambda: gan.discriminator_forward(d, candidate, w), [candidate], h=1e-6
-    )[0]
+        lambda: gan.discriminator_forward(d, candidate, w), candidate, h=1e-6
+    )
     assert relative_error(analytic, numeric) < 1e-4
 
 
@@ -182,19 +185,13 @@ def test_adversarial_gradients_match_finite_differences():
     fake, _ = forward(g.layers, gen_in)
     fake_in = np.concatenate([fake, gen_in], axis=1)
     _, analytic_d = gan._discriminator_grads(d, real_in, fake_in)
-    numeric_d = numerical_gradient(d_loss, d.parameters(), h=1e-6)
-    worst_d = max(
-        relative_error(a, n)
-        for a, n in zip(flatten_grads(analytic_d), numeric_d)
-    )
+    numeric_d = numerical_gradient(d_loss, d.theta, h=1e-6)
+    worst_d = relative_error(analytic_d, numeric_d)
     assert worst_d < 1e-4, worst_d
 
     _, analytic_g, _ = gan._generator_grads(g, d, gen_in)
-    numeric_g = numerical_gradient(g_loss, g.parameters(), h=1e-6)
-    worst_g = max(
-        relative_error(a, n)
-        for a, n in zip(flatten_grads(analytic_g), numeric_g)
-    )
+    numeric_g = numerical_gradient(g_loss, g.theta, h=1e-6)
+    worst_g = relative_error(analytic_g, numeric_g)
     assert worst_g < 1e-4, worst_g
 
 
@@ -211,14 +208,14 @@ def make_step_fixture(seed=11, length=4, batch=5):
 
 def test_zero_learning_rate_reports_losses_without_moving():
     g, d, batch = make_step_fixture()
-    before = [p.copy() for p in g.parameters() + d.parameters()]
+    before = [g.theta.copy(), d.theta.copy()]
     schedule = GanSchedule(learning_rate=0.0)
     d_loss, g_loss = gan.train_step(
         g, d, batch, AdamState(learning_rate=0.0), AdamState(learning_rate=0.0), schedule
     )
     assert np.isfinite(d_loss) and np.isfinite(g_loss)
-    for p, b in zip(g.parameters() + d.parameters(), before):
-        assert np.array_equal(p, b)
+    assert np.array_equal(g.theta, before[0])
+    assert np.array_equal(d.theta, before[1])
 
 
 def test_step_count_bookkeeping():
@@ -241,19 +238,15 @@ def test_updates_do_not_cross_networks():
     fake, _ = forward(g.layers, gen_in)
     fake_in = np.concatenate([fake, gen_in], axis=1)
 
-    gen_before = [p.copy() for p in g.parameters()]
-    _, d_grads = gan._discriminator_grads(d, real_in, fake_in)
-    from sentigan.optim import adam_step
+    gen_before = g.theta.copy()
+    _, d_grad = gan._discriminator_grads(d, real_in, fake_in)
+    adam_step(AdamState(learning_rate=0.01), d.theta, d_grad)
+    assert np.array_equal(g.theta, gen_before)
 
-    adam_step(AdamState(learning_rate=0.01), d.parameters(), flatten_grads(d_grads))
-    for p, b in zip(g.parameters(), gen_before):
-        assert np.array_equal(p, b)
-
-    disc_before = [p.copy() for p in d.parameters()]
-    _, g_grads, _ = gan._generator_grads(g, d, gen_in)
-    adam_step(AdamState(learning_rate=0.01), g.parameters(), flatten_grads(g_grads))
-    for p, b in zip(d.parameters(), disc_before):
-        assert np.array_equal(p, b)
+    disc_before = d.theta.copy()
+    _, g_grad, _ = gan._generator_grads(g, d, gen_in)
+    adam_step(AdamState(learning_rate=0.01), g.theta, g_grad)
+    assert np.array_equal(d.theta, disc_before)
 
 
 # ---------------------------------------------------------------- train
@@ -285,8 +278,8 @@ def test_train_determinism():
     schedule = GanSchedule(epochs=2)
     g1, d1, log1 = gan.train(windows, schedule, seed=3, gen_hidden=(8,), disc_hidden=(8,))
     g2, d2, log2 = gan.train(windows, schedule, seed=3, gen_hidden=(8,), disc_hidden=(8,))
-    for a, b in zip(g1.parameters() + d1.parameters(), g2.parameters() + d2.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(g1.theta, g2.theta)
+    assert np.array_equal(d1.theta, d2.theta)
     assert log1 == log2
 
 
@@ -360,8 +353,20 @@ def test_generator_json_round_trip():
     d2 = Discriminator.from_dict(d.to_dict())
     w = windows[-1]
     assert gan.predict(g2, w) == gan.predict(g, w)
-    for a, b in zip(d.parameters(), d2.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(d2.theta, d.theta)
+
+
+def test_generator_from_dict_ignores_legacy_noise_dim():
+    # artifacts written before the noise input was removed carry noise_dim: 0
+    aligned = jumpy_aligned(8, n=100)
+    windows = make_windows(aligned, 5)
+    g, _, _ = gan.train(windows[:-5], GanSchedule(epochs=1), seed=2,
+                        gen_hidden=(8,), disc_hidden=(8,))
+    legacy = {**g.to_dict(), "noise_dim": 0}
+    restored = Generator.from_dict(legacy)
+    assert "noise_dim" not in restored.to_dict()
+    assert restored.to_dict() == g.to_dict()
+    assert gan.predict(restored, windows[-1]) == gan.predict(g, windows[-1])
 
 
 # ---------------------------------------------------------------- schedule

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import aligned_from_close
 from sentigan import lstm
-from sentigan.data import CLOSE_COLUMN, make_windows
-from sentigan.errors import TrainingError, UsageError
+from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
+from sentigan.errors import DimensionError, TrainingError, UsageError
+from sentigan.eval import evaluate
 from sentigan.gradcheck import numerical_gradient, relative_error
 from sentigan.lstm import LstmModel, TrainSchedule, cell_forward
 
@@ -12,9 +13,34 @@ from sentigan.lstm import LstmModel, TrainSchedule, cell_forward
 def zero_model(hidden=3, inputs=2):
     rng = np.random.default_rng(0)
     model = LstmModel.initialize(rng, hidden, inputs)
-    for p in model.parameters():
-        p[...] = 0.0
+    model.theta[...] = 0.0
     return model
+
+
+def model_arrays(model):
+    return [g[k] for g in model.gates.values() for k in "wub"] + [
+        model.head_weights, model.head_bias]
+
+
+# ---------------------------------------------------------------- parameters
+
+
+def test_every_parameter_array_is_a_view_of_theta():
+    rng = np.random.default_rng(0)
+    model = LstmModel.initialize(rng, 3, 2)
+    restored = LstmModel.from_dict(model.to_dict())
+    for m in (model, restored):
+        assert m.theta.shape == (4 * (3 * 2 + 3 * 3 + 3) + 3 + 1,)
+        for a in model_arrays(m):
+            assert np.shares_memory(m.theta, a)
+    assert np.array_equal(restored.theta, model.theta)
+
+
+def test_from_dict_rejects_misshapen_gate():
+    d = LstmModel.initialize(np.random.default_rng(0), 3, 2).to_dict()
+    d["gates"]["forget"]["w"] = np.zeros((2, 3)).tolist()
+    with pytest.raises(DimensionError):
+        LstmModel.from_dict(d)
 
 
 # ---------------------------------------------------------------- cell
@@ -61,11 +87,10 @@ def test_bptt_matches_finite_differences(seed):
     loss, out, final_h, caches, err = lstm.sequence_loss(model, xs, targets)
     analytic = lstm._backward_sequence(model, caches, final_h, 2.0 * err / len(err))
 
-    params = model.parameters()
     numeric = numerical_gradient(
-        lambda: lstm.sequence_loss(model, xs, targets)[0], params, h=1e-5
+        lambda: lstm.sequence_loss(model, xs, targets)[0], model.theta, h=1e-5
     )
-    worst = max(relative_error(a, n) for a, n in zip(analytic, numeric))
+    worst = relative_error(analytic, numeric)
     assert worst < 1e-4, worst
 
 
@@ -89,9 +114,25 @@ def test_train_determinism():
     schedule = TrainSchedule(max_epochs=3)
     m1, log1 = lstm.train(windows, schedule, seed=11)
     m2, log2 = lstm.train(windows, schedule, seed=11)
-    for a, b in zip(m1.parameters(), m2.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(m1.theta, m2.theta)
     assert log1 == log2
+
+
+def test_sentiment_column_does_not_reach_the_lstm():
+    # the LSTM is numeric-only: two datasets that differ only in their
+    # sentiment column give the same artifact and the same forecasts
+    close = 50.0 + np.cumsum(np.random.default_rng(4).normal(0.0, 1.0, 90))
+    flat = aligned_from_close(close)
+    moody = aligned_from_close(close, sentiment=np.linspace(-1.0, 1.0, 90))
+    schedule = TrainSchedule(max_epochs=3, batch_size=8)
+    results = []
+    for aligned in (flat, moody):
+        windows = make_windows(aligned, 5)
+        boundary = split_boundary(len(windows), "fraction_70_30")
+        model, _ = lstm.train(windows[:boundary], schedule, seed=6, hidden_size=4)
+        report = evaluate("lstm", model, aligned, "fraction_70_30", window_length=5)
+        results.append((model.to_dict(), report.rows))
+    assert results[0] == results[1]
 
 
 def test_train_too_few_samples():

@@ -36,17 +36,17 @@ def test_backward_hand_chain_rule():
     layer = nn.DenseLayer(np.array([[1.0]]), np.zeros(1), "identity")
     out, caches = nn.forward([layer], np.array([2.0]))
     grad_out = 2.0 * (out - 0.0)
-    grads, _ = nn.backward([layer], caches, grad_out)
-    assert np.allclose(grads[0][0], [[8.0]])
+    grad, _ = nn.backward([layer], caches, grad_out)
+    assert np.allclose(grad, [8.0, 4.0])  # flat (dW, db)
 
 
 def test_backward_zero_loss_gradient():
     rng = np.random.default_rng(0)
     layers = nn.build_mlp(rng, 3, [4], 2, "tanh", "identity")
     out, caches = nn.forward(layers, rng.normal(size=3))
-    grads, gin = nn.backward(layers, caches, np.zeros_like(out))
-    for dw, db in grads:
-        assert not dw.any() and not db.any()
+    grad, gin = nn.backward(layers, caches, np.zeros_like(out))
+    assert grad.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+    assert not grad.any()
     assert not gin.any()
 
 
@@ -121,19 +121,34 @@ def test_batched_backward_matches_sum_of_samples():
     xs = rng.normal(size=(6, 3))
     gouts = rng.normal(size=(6, 2))
     out_b, caches_b = nn.forward(layers, xs)
-    grads_b, _ = nn.backward(layers, caches_b, gouts)
-    acc = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
+    grad_b, _ = nn.backward(layers, caches_b, gouts)
+    acc = np.zeros_like(grad_b)
     for x, g in zip(xs, gouts):
         _, caches = nn.forward(layers, x)
-        grads, _ = nn.backward(layers, caches, g)
-        for i, (dw, db) in enumerate(grads):
-            acc[i] = (acc[i][0] + dw, acc[i][1] + db)
-    for (dw_b, db_b), (dw, db) in zip(grads_b, acc):
-        assert relative_error(dw_b, dw) < 1e-9
-        assert relative_error(db_b, db) < 1e-9
+        acc += nn.backward(layers, caches, g)[0]
+    assert relative_error(grad_b, acc) < 1e-9
+
+
+def test_pack_makes_layers_views_of_theta():
+    rng = np.random.default_rng(8)
+    layers = nn.build_mlp(rng, 3, [4], 2, "tanh", "identity")
+    before = [a.copy() for l in layers for a in (l.weights, l.bias)]
+    theta = nn.pack(layers)
+    assert theta.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+    after = [a for l in layers for a in (l.weights, l.bias)]
+    for a, b in zip(after, before):
+        assert np.shares_memory(theta, a)
+        assert np.array_equal(a, b)
+    theta[...] = 0.0
+    assert not any(a.any() for a in after)
+
+
+def test_carve_rejects_a_vector_of_the_wrong_size():
+    with pytest.raises(DimensionError):
+        nn.carve(np.zeros(7), [(2, 3)])
 
 
 def test_numerical_gradient_of_quadratic():
     w = np.array([2.0, -1.0])
-    g = numerical_gradient(lambda: float(np.sum(w**2)), [w])
-    assert np.allclose(g[0], [4.0, -2.0], atol=1e-6)
+    g = numerical_gradient(lambda: float(np.sum(w**2)), w)
+    assert np.allclose(g, [4.0, -2.0], atol=1e-6)

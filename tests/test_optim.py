@@ -7,9 +7,9 @@ from sentigan.optim import AdamState, adam_step
 
 def test_zero_gradient_leaves_params_unchanged():
     state = AdamState(learning_rate=0.1)
-    params = [np.array([1.0, -2.0])]
-    adam_step(state, params, [np.zeros(2)])
-    assert np.allclose(params[0], [1.0, -2.0])
+    theta = np.array([1.0, -2.0])
+    adam_step(state, theta, np.zeros(2))
+    assert np.allclose(theta, [1.0, -2.0])
     assert state.step_count == 1
 
 
@@ -17,51 +17,68 @@ def test_first_step_magnitude_is_learning_rate():
     # bias-corrected first step moves by alpha * sign(g), up to epsilon
     for g in (0.3, -5.0, 1e-4):
         state = AdamState(learning_rate=0.05)
-        params = [np.array([0.0])]
-        adam_step(state, params, [np.array([g])])
-        assert params[0][0] == pytest.approx(-0.05 * np.sign(g), rel=1e-3)
+        theta = np.array([0.0])
+        adam_step(state, theta, np.array([g]))
+        assert theta[0] == pytest.approx(-0.05 * np.sign(g), rel=1e-3)
 
 
 def test_scalar_quadratic_converges():
     # 100 steps on f(w) = (w - 3)^2 from w = 0
     state = AdamState(learning_rate=0.1)
-    params = [np.array([0.0])]
+    theta = np.array([0.0])
     for _ in range(100):
-        adam_step(state, params, [2.0 * (params[0] - 3.0)])
-    assert abs(params[0][0] - 3.0) < 0.5
+        adam_step(state, theta, 2.0 * (theta - 3.0))
+    assert abs(theta[0] - 3.0) < 0.5
 
 
 def test_step_count_increments():
     state = AdamState(learning_rate=0.01)
-    params = [np.zeros(3)]
+    theta = np.zeros(3)
     for expected in range(1, 6):
-        adam_step(state, params, [np.ones(3)])
+        adam_step(state, theta, np.ones(3))
         assert state.step_count == expected
 
 
 def test_non_finite_gradient_raises_with_index():
     state = AdamState(learning_rate=0.01)
-    params = [np.zeros(2), np.zeros(2)]
-    bad = [np.zeros(2), np.array([1.0, np.nan])]
+    theta = np.zeros(4)
     with pytest.raises(TrainingError) as e:
-        adam_step(state, params, bad)
-    assert "index 1" in str(e.value)
+        adam_step(state, theta, np.array([0.0, 0.0, 1.0, np.nan]))
+    assert "flat index 3" in str(e.value)
+    assert state.step_count == 0 and not theta.any()
 
 
 def test_shape_mismatch_raises():
     state = AdamState(learning_rate=0.01)
     with pytest.raises(DimensionError):
-        adam_step(state, [np.zeros(2)], [np.zeros(3)])
+        adam_step(state, np.zeros(2), np.zeros(3))
+
+
+def test_flat_update_equals_update_of_each_piece():
+    # Adam is elementwise: one update of a concatenation is bitwise the
+    # update of each piece with its own state
+    rng = np.random.default_rng(5)
+    sizes = (6, 3, 4)
+    theta = rng.normal(size=sum(sizes))
+    pieces = [p.copy() for p in np.split(theta, np.cumsum(sizes)[:-1])]
+    flat_state = AdamState(learning_rate=0.01)
+    piece_states = [AdamState(learning_rate=0.01) for _ in sizes]
+    for _ in range(20):
+        grad = rng.normal(size=theta.size)
+        adam_step(flat_state, theta, grad)
+        for p, g, state in zip(pieces, np.split(grad, np.cumsum(sizes)[:-1]), piece_states):
+            adam_step(state, p, g)
+    assert np.array_equal(theta, np.concatenate(pieces))
 
 
 def test_determinism():
     def run():
         rng = np.random.default_rng(42)
         state = AdamState(learning_rate=0.01)
-        params = [rng.normal(size=(3, 3))]
+        theta = rng.normal(size=9)
         for _ in range(50):
-            adam_step(state, params, [rng.normal(size=(3, 3))])
-        return params[0].copy()
+            adam_step(state, theta, rng.normal(size=9))
+        return theta.copy()
 
     a, b = run(), run()
     assert np.array_equal(a, b)
