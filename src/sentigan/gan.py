@@ -166,11 +166,12 @@ def _discriminator_grads(disc, real_in, fake_in):
     return d_loss_value(real_out, fake_out), g_real + g_fake
 
 
-def _generator_grads(gen, disc, gen_in, real_targets=None, supervised_weight=0.0):
+def _generator_grads(gen, disc, gen_in, fake, gen_caches, real_targets=None,
+                     supervised_weight=0.0):
     """Non-saturating generator loss -E[log D(G(cond), cond)] and its
-    gradient w.r.t. gen.theta; disc parameters are left untouched."""
+    gradient w.r.t. gen.theta, given the generator's forward pass
+    (fake, gen_caches) on gen_in; disc parameters are left untouched."""
     b = len(gen_in)
-    fake, gen_caches = forward(gen.layers, gen_in)
     disc_in = np.concatenate([fake, gen_in], axis=1)
     score, disc_caches = forward(disc.layers, disc_in)
     s = np.clip(score, LOG_EPS, 1.0 - LOG_EPS)
@@ -182,13 +183,15 @@ def _generator_grads(gen, disc, gen_in, real_targets=None, supervised_weight=0.0
         loss += supervised_weight * float(np.mean(err * err))
         grad_fake = grad_fake + supervised_weight * 2.0 * err / err.size
     grad, _ = backward(gen.layers, gen_caches, grad_fake)
-    return loss, grad, fake
+    return loss, grad
 
 
 def train_step(gen, disc, batch, gen_adam, disc_adam, schedule: GanSchedule,
                step_index: int | None = None):
     """One alternating update on a pre-scaled batch: d_steps discriminator
-    ascents, then one generator ascent. Returns (d_loss, g_loss)."""
+    ascents, then one generator ascent. The generator is fixed until its own
+    update, so its forward pass runs once and serves every step.
+    Returns (d_loss, g_loss)."""
     histories = np.stack([s.history for s in batch])
     sentiments = np.array([s.sentiment for s in batch])
     targets = np.stack([s.target for s in batch])
@@ -196,14 +199,14 @@ def train_step(gen, disc, batch, gen_adam, disc_adam, schedule: GanSchedule,
     gen_in = _gen_inputs(gen, histories, sentiments)
     real_in = np.concatenate([targets, gen_in], axis=1)
 
+    fake, gen_caches = forward(gen.layers, gen_in)
+    fake_in = np.concatenate([fake, gen_in], axis=1)
     d_loss = g_loss = float("nan")
     for _ in range(schedule.d_steps):
-        fake, _ = forward(gen.layers, gen_in)
-        fake_in = np.concatenate([fake, gen_in], axis=1)
         d_loss, d_grad = _discriminator_grads(disc, real_in, fake_in)
         adam_step(disc_adam, disc.theta, d_grad)
-    g_loss, g_grad, _ = _generator_grads(
-        gen, disc, gen_in, real_targets=targets,
+    g_loss, g_grad = _generator_grads(
+        gen, disc, gen_in, fake, gen_caches, real_targets=targets,
         supervised_weight=schedule.supervised_weight,
     )
     adam_step(gen_adam, gen.theta, g_grad)

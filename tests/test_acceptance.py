@@ -108,7 +108,7 @@ def test_criterion_3_gradient_suite():
         targets = rng.uniform(-0.9, 0.9, size=(2, 6))
         gen_in = gan._gen_inputs(g, histories, sentiments)
         real_in = np.concatenate([targets, gen_in], axis=1)
-        fake, _ = forward(g.layers, gen_in)
+        fake, gen_caches = forward(g.layers, gen_in)
         fake_in = np.concatenate([fake, gen_in], axis=1)
 
         _, analytic_d = gan._discriminator_grads(d, real_in, fake_in)
@@ -121,7 +121,7 @@ def test_criterion_3_gradient_suite():
         numeric_d = numerical_gradient(d_loss, d.theta)
         assert relative_error(analytic_d, numeric_d) < 1e-4
 
-        _, analytic_g, _ = gan._generator_grads(g, d, gen_in)
+        _, analytic_g = gan._generator_grads(g, d, gen_in, fake, gen_caches)
 
         def g_loss():
             f, _ = forward(g.layers, gen_in)

@@ -182,14 +182,14 @@ def test_adversarial_gradients_match_finite_differences():
         scores, _ = forward(d.layers, fake_in)
         return g_loss_value(scores)
 
-    fake, _ = forward(g.layers, gen_in)
+    fake, gen_caches = forward(g.layers, gen_in)
     fake_in = np.concatenate([fake, gen_in], axis=1)
     _, analytic_d = gan._discriminator_grads(d, real_in, fake_in)
     numeric_d = numerical_gradient(d_loss, d.theta, h=1e-6)
     worst_d = relative_error(analytic_d, numeric_d)
     assert worst_d < 1e-4, worst_d
 
-    _, analytic_g, _ = gan._generator_grads(g, d, gen_in)
+    _, analytic_g = gan._generator_grads(g, d, gen_in, fake, gen_caches)
     numeric_g = numerical_gradient(g_loss, g.theta, h=1e-6)
     worst_g = relative_error(analytic_g, numeric_g)
     assert worst_g < 1e-4, worst_g
@@ -235,7 +235,7 @@ def test_updates_do_not_cross_networks():
     targets = np.stack([s.target for s in batch])
     gen_in = gan._gen_inputs(g, histories, sentiments)
     real_in = np.concatenate([targets, gen_in], axis=1)
-    fake, _ = forward(g.layers, gen_in)
+    fake, gen_caches = forward(g.layers, gen_in)
     fake_in = np.concatenate([fake, gen_in], axis=1)
 
     gen_before = g.theta.copy()
@@ -244,7 +244,7 @@ def test_updates_do_not_cross_networks():
     assert np.array_equal(g.theta, gen_before)
 
     disc_before = d.theta.copy()
-    _, g_grad, _ = gan._generator_grads(g, d, gen_in)
+    _, g_grad = gan._generator_grads(g, d, gen_in, fake, gen_caches)
     adam_step(AdamState(learning_rate=0.01), g.theta, g_grad)
     assert np.array_equal(d.theta, disc_before)
 
