@@ -32,7 +32,7 @@ from .data import (
     write_atomic,
 )
 from .data import align as align_series
-from .errors import DataError, SentiganError, UsageError
+from .errors import DataError, DimensionError, SentiganError, UsageError
 from .eval import MODEL_NAMES, ForecastReport, MetricSet, aggregate, evaluate
 from .gan import GanSchedule
 from .lstm import LstmModel, TrainSchedule
@@ -109,14 +109,20 @@ def _report_path(cfg, symbol, model) -> Path:
     return cfg.output_dir / "reports" / f"{symbol}_{model}.json"
 
 
+def _load_or_die(path, what, load):
+    """load(path) of a JSON file; truncated JSON, a missing key or a value of
+    the wrong type, shape or name is a DataError naming the file."""
+    try:
+        return load(path)
+    except (ValueError, KeyError, TypeError, DimensionError, UsageError) as e:
+        raise DataError(f"{path}: corrupt {what}: {e!r}") from e
+
+
 def _load_aligned_or_die(cfg, symbol):
     path = _aligned_path(cfg, symbol)
     if not path.exists():
         raise DataError(f"no aligned dataset for {symbol!r}; run ingest first")
-    try:
-        return load_aligned(path)
-    except (ValueError, KeyError) as e:  # truncated JSON or a missing key
-        raise DataError(f"{path}: corrupt aligned dataset: {e!r}") from e
+    return _load_or_die(path, "aligned dataset", load_aligned)
 
 
 # ---------------------------------------------------------------- sentiment
@@ -277,15 +283,16 @@ def _load_artifact(cfg, symbol, model):
     path = _artifact_path(cfg, symbol, model)
     if not path.exists():
         raise DataError(f"missing artifact for asset {symbol!r} model {model!r}")
-    try:
+
+    def load(path):
         payload = json.loads(read_utf8(path))
         if not isinstance(payload, dict) or not isinstance(payload.get("artifact", {}), dict):
             raise DataError(f"{path}: corrupt {model} artifact: not a JSON object")
         if payload.get("model") != model:
             raise DataError(f"{path}: artifact is not a {model} model")
         return _ARTIFACT_TYPES[model].from_dict(payload["artifact"])
-    except (ValueError, KeyError) as e:  # truncated JSON or a missing key
-        raise DataError(f"{path}: corrupt {model} artifact: {e!r}") from e
+
+    return _load_or_die(path, f"{model} artifact", load)
 
 
 def audit_causality(report: ForecastReport, aligned, policy, window_length):
@@ -456,7 +463,8 @@ def cmd_plot(cfg: RunConfig, asset_symbol, model_name) -> int:
     path = _report_path(cfg, asset_symbol, model)
     if not path.exists():
         raise DataError(f"no report for {asset_symbol!r}/{model}; run evaluate first")
-    report = ForecastReport.from_dict(json.loads(path.read_text()))
+    report = _load_or_die(path, "report",
+                          lambda p: ForecastReport.from_dict(json.loads(read_utf8(p))))
     if not report.rows:
         raise DataError(f"report {path} has no rows to plot")
     base = cfg.output_dir / "plots" / f"{asset_symbol}_{model}"

@@ -4,10 +4,11 @@ The generator maps a flattened L-day window plus the day's sentiment score
 to the next-day six-attribute observation; the discriminator scores
 (candidate, window, sentiment) triples. Training alternates discriminator
 and generator Adam updates on the standard minimax objective, with the
-non-saturating generator form. There is no latent noise input, so the
-trained generator is a deterministic conditional forecaster. Each network's
-parameters live in one flat vector `theta`, of which its layers' weights
-and biases are views.
+non-saturating generator form. A step runs the generator forward once and
+scores real and fake rows in one stacked discriminator pass. There is no
+latent noise input, so the trained generator is a deterministic conditional
+forecaster. Each network's parameters live in one flat vector `theta`, of
+which its layers' weights and biases are views.
 """
 
 from __future__ import annotations
@@ -155,15 +156,14 @@ def g_loss_value(fake_scores) -> float:
 
 def _discriminator_grads(disc, real_in, fake_in):
     """Gradients of the discriminator loss
-    -E[log D(real)] - E[log(1 - D(fake))] w.r.t. disc.theta."""
+    -E[log D(real)] - E[log(1 - D(fake))] w.r.t. disc.theta, from one
+    forward and one backward pass over the real rows stacked on the fake."""
     b = len(real_in)
-    real_out, real_caches = forward(disc.layers, real_in)
-    fake_out, fake_caches = forward(disc.layers, fake_in)
-    r = np.clip(real_out, LOG_EPS, 1.0 - LOG_EPS)
-    f = np.clip(fake_out, LOG_EPS, 1.0 - LOG_EPS)
-    g_real, _ = backward(disc.layers, real_caches, -1.0 / (b * r))
-    g_fake, _ = backward(disc.layers, fake_caches, 1.0 / (b * (1.0 - f)))
-    return d_loss_value(real_out, fake_out), g_real + g_fake
+    out, caches = forward(disc.layers, np.concatenate([real_in, fake_in]))
+    s = np.clip(out, LOG_EPS, 1.0 - LOG_EPS)
+    grad_out = np.concatenate([-1.0 / (b * s[:b]), 1.0 / (b * (1.0 - s[b:]))])
+    grad, _ = backward(disc.layers, caches, grad_out)
+    return d_loss_value(out[:b], out[b:]), grad
 
 
 def _generator_grads(gen, disc, gen_in, fake, gen_caches, real_targets=None,
@@ -189,9 +189,8 @@ def _generator_grads(gen, disc, gen_in, fake, gen_caches, real_targets=None,
 def train_step(gen, disc, batch, gen_adam, disc_adam, schedule: GanSchedule,
                step_index: int | None = None):
     """One alternating update on a pre-scaled batch: d_steps discriminator
-    ascents, then one generator ascent. The generator is fixed until its own
-    update, so its forward pass runs once and serves every step.
-    Returns (d_loss, g_loss)."""
+    ascents on one generator forward pass (the generator is fixed until its
+    own update), then one generator ascent. Returns (d_loss, g_loss)."""
     histories = np.stack([s.history for s in batch])
     sentiments = np.array([s.sentiment for s in batch])
     targets = np.stack([s.target for s in batch])
@@ -201,7 +200,6 @@ def train_step(gen, disc, batch, gen_adam, disc_adam, schedule: GanSchedule,
 
     fake, gen_caches = forward(gen.layers, gen_in)
     fake_in = np.concatenate([fake, gen_in], axis=1)
-    d_loss = g_loss = float("nan")
     for _ in range(schedule.d_steps):
         d_loss, d_grad = _discriminator_grads(disc, real_in, fake_in)
         adam_step(disc_adam, disc.theta, d_grad)

@@ -1,9 +1,11 @@
 """Single-layer LSTM baseline over scaled feature windows with a linear head.
 
 Numeric-only: consumes the six scaled market attributes, predicts the next
-scaled close. Trained by truncated backpropagation through time with Adam,
-chronological validation split, early stopping and plateau learning-rate
-decay. Everything is seeded and deterministic.
+scaled close. The four gates are stacked into one input matrix, one
+recurrent matrix and one bias, so a time step is one product of each.
+Trained by truncated backpropagation through time with Adam, chronological
+validation split, early stopping and plateau learning-rate decay.
+Everything is seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .optim import AdamState, adam_step
 from .scaling import ScalerParams, scaler_fit, scaler_transform
 
 GATES = ("input", "forget", "output", "candidate")
-GATE_KEYS = ("w", "u", "b")
 
 
 def _sigmoid(z):
@@ -28,38 +29,34 @@ def _sigmoid(z):
 
 @dataclass
 class LstmModel:
-    """All parameters live in the flat vector `theta`: per gate, in GATES
-    order, input weights w (H, D), recurrent weights u (H, H) and bias b (H,),
-    then the head's (1, H) weights and (1,) bias. `gates[name][key]`,
-    `head_weights` and `head_bias` are views into `theta` (see `views_of`)."""
+    """All parameters live in the flat vector `theta`: the stacked input
+    weights w (4H, D), recurrent weights u (4H, H) and bias b (4H,), whose
+    row blocks are the gates in GATES order, then the head's (1, H) weights
+    and (1,) bias. `w`, `u`, `b`, `head_weights` and `head_bias` are views
+    into `theta`. The artifact keeps one {w, u, b} entry per gate."""
 
     hidden_size: int
     input_size: int
-    gates: dict
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
     head_weights: np.ndarray
     head_bias: np.ndarray
     scaler: ScalerParams | None = None
     theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        given = [self.gates[n][k] for n in GATES for k in GATE_KEYS]
-        given += [self.head_weights, self.head_bias]
+        given = [self.w, self.u, self.b, self.head_weights, self.head_bias]
         shapes = [np.shape(a) for a in given]
         if shapes != self._shapes():
             raise DimensionError("LSTM parameter shapes", self._shapes(), shapes)
         self.theta = np.concatenate([np.ravel(a) for a in given], dtype=float)
-        self.gates, self.head_weights, self.head_bias = self.views_of(self.theta)
+        self.w, self.u, self.b, self.head_weights, self.head_bias = carve(
+            self.theta, self._shapes())
 
     def _shapes(self):
         h, d = self.hidden_size, self.input_size
-        return [(h, d), (h, h), (h,)] * len(GATES) + [(1, h), (1,)]
-
-    def views_of(self, flat):
-        """(gates, head_weights, head_bias) views of theta or of its gradient."""
-        views = carve(flat, self._shapes())
-        gates = {name: dict(zip(GATE_KEYS, views[3 * j : 3 * j + 3]))
-                 for j, name in enumerate(GATES)}
-        return gates, views[-2], views[-1]
+        return [(4 * h, d), (4 * h, h), (4 * h,), (1, h), (1,)]
 
     @classmethod
     def initialize(cls, rng, hidden_size: int, input_size: int) -> "LstmModel":
@@ -67,25 +64,25 @@ class LstmModel:
             bound = np.sqrt(6.0 / (rows + cols))
             return rng.uniform(-bound, bound, size=(rows, cols))
 
-        gates = {name: {"w": glorot(hidden_size, input_size),
-                        "u": glorot(hidden_size, hidden_size),
-                        "b": np.zeros(hidden_size)} for name in GATES}
+        # this draw order (per gate in GATES order: w, then u) fixes a seed's
+        # initial values
+        blocks = [(glorot(hidden_size, input_size), glorot(hidden_size, hidden_size))
+                  for _ in GATES]
+        w, u = (np.vstack(stack) for stack in zip(*blocks))
         return cls(
-            hidden_size=hidden_size,
-            input_size=input_size,
-            gates=gates,
+            hidden_size=hidden_size, input_size=input_size,
+            w=w, u=u, b=np.zeros(4 * hidden_size),
             head_weights=glorot(1, hidden_size),
             head_bias=np.zeros(1),
         )
 
     def to_dict(self):
+        w, u, b = (np.split(a, len(GATES)) for a in (self.w, self.u, self.b))
         return {
             "hidden_size": self.hidden_size,
             "input_size": self.input_size,
-            "gates": {
-                name: {k: v.tolist() for k, v in g.items()}
-                for name, g in self.gates.items()
-            },
+            "gates": {name: {"w": w[j].tolist(), "u": u[j].tolist(), "b": b[j].tolist()}
+                      for j, name in enumerate(GATES)},
             "head_weights": self.head_weights.tolist(),
             "head_bias": self.head_bias.tolist(),
             "scaler": self.scaler.to_dict() if self.scaler else None,
@@ -93,10 +90,15 @@ class LstmModel:
 
     @classmethod
     def from_dict(cls, d):
+        h, n = d["hidden_size"], d["input_size"]
+        gates = [d["gates"][name] for name in GATES]
+        for name, g in zip(GATES, gates):
+            for key, shape in (("w", (h, n)), ("u", (h, h)), ("b", (h,))):
+                if np.shape(g[key]) != shape:
+                    raise DimensionError(f"LSTM {name} gate {key}", shape, np.shape(g[key]))
+        w, u, b = (np.concatenate([g[key] for g in gates]) for key in "wub")
         return cls(
-            hidden_size=d["hidden_size"],
-            input_size=d["input_size"],
-            gates=d["gates"],
+            hidden_size=h, input_size=n, w=w, u=u, b=b,
             head_weights=d["head_weights"],
             head_bias=d["head_bias"],
             scaler=ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None,
@@ -120,16 +122,15 @@ class TrainSchedule:
             raise UsageError("patience values must be >= 1")
 
 
-def _step(g, x, h, c):
-    """The gate equations for one time step; g is LstmModel.gates.
+def _step(model, x, h, c):
+    """The gate equations for one time step, all four gates in one product.
 
     Returns the gate activations (i, f, o, cand) and the new (c, h)."""
-    i = _sigmoid(x @ g["input"]["w"].T + h @ g["input"]["u"].T + g["input"]["b"])
-    f = _sigmoid(x @ g["forget"]["w"].T + h @ g["forget"]["u"].T + g["forget"]["b"])
-    o = _sigmoid(x @ g["output"]["w"].T + h @ g["output"]["u"].T + g["output"]["b"])
-    cand = np.tanh(
-        x @ g["candidate"]["w"].T + h @ g["candidate"]["u"].T + g["candidate"]["b"]
-    )
+    z = x @ model.w.T + h @ model.u.T + model.b
+    hs = model.hidden_size
+    z[..., : 3 * hs] = _sigmoid(z[..., : 3 * hs])
+    z[..., 3 * hs :] = np.tanh(z[..., 3 * hs :])
+    i, f, o, cand = z[..., :hs], z[..., hs : 2 * hs], z[..., 2 * hs : 3 * hs], z[..., 3 * hs :]
     c_new = f * c + i * cand
     h_new = o * np.tanh(c_new)
     return i, f, o, cand, c_new, h_new
@@ -141,7 +142,7 @@ def cell_forward(model: LstmModel, x, state):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != model.input_size:
         raise DimensionError("LSTM input size", model.input_size, x.shape[-1])
-    *_, c_new, h_new = _step(model.gates, x, h, c)
+    *_, c_new, h_new = _step(model, x, h, c)
     return h_new, c_new
 
 
@@ -153,9 +154,8 @@ def _forward_sequence(model, xs):
     caches = []
     for t in range(length):
         x = xs[:, t, :]
-        i, f, o, cand, c_new, h_new = _step(model.gates, x, h, c)
-        caches.append({"x": x, "h_prev": h, "c_prev": c, "i": i, "f": f, "o": o,
-                       "cand": cand, "c": c_new})
+        *gates, c_new, h_new = _step(model, x, h, c)
+        caches.append((x, h, c, *gates, c_new))
         h, c = h_new, c_new
     out = (h @ model.head_weights.T + model.head_bias)[:, 0]
     return out, h, caches
@@ -165,32 +165,22 @@ def _backward_sequence(model, caches, final_h, grad_out):
     """BPTT through the cached sequence; grad_out is dL/d(head output), (B,).
 
     Returns dL/d(theta), one flat vector in theta's layout."""
-    g = model.gates
     grad = np.zeros_like(model.theta)
-    grads, d_head_w, d_head_b = model.views_of(grad)
+    dw, du, db, d_head_w, d_head_b = carve(grad, model._shapes())
     d_head_w[...] = grad_out[:, None].T @ final_h
     d_head_b[0] = grad_out.sum()
     dh = grad_out[:, None] * model.head_weights  # (B, H)
     dc = np.zeros_like(dh)
-    for cache in reversed(caches):
-        i, f, o, cand, c = cache["i"], cache["f"], cache["o"], cache["cand"], cache["c"]
+    for x, h_prev, c_prev, i, f, o, cand, c in reversed(caches):
         tc = np.tanh(c)
-        do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
-        df = dc * cache["c_prev"]
-        di = dc * cand
-        dcand = dc * i
-        dzi = di * i * (1.0 - i)
-        dzf = df * f * (1.0 - f)
-        dzo = do * o * (1.0 - o)
-        dzc = dcand * (1.0 - cand * cand)
-        for name, dz in (("input", dzi), ("forget", dzf), ("output", dzo),
-                         ("candidate", dzc)):
-            grads[name]["w"] += dz.T @ cache["x"]
-            grads[name]["u"] += dz.T @ cache["h_prev"]
-            grads[name]["b"] += dz.sum(axis=0)
-        dh = (dzi @ g["input"]["u"] + dzf @ g["forget"]["u"]
-              + dzo @ g["output"]["u"] + dzc @ g["candidate"]["u"])
+        # d(loss)/d(pre-activations) of the stacked gates, in GATES order
+        dz = np.concatenate([dc * cand * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             dh * tc * o * (1.0 - o), dc * i * (1.0 - cand * cand)], axis=1)
+        dw += dz.T @ x
+        du += dz.T @ h_prev
+        db += dz.sum(axis=0)
+        dh = dz @ model.u
         dc = dc * f
     return grad
 

@@ -213,7 +213,10 @@ def test_evaluate_missing_artifact_names_cell(pipeline, tmp_path, capsys):
     (relpath, damage)
     for relpath in ("aligned/AAA.json", "models/AAA_arima.json")
     for damage in ("drop_key", "truncate", "not_object")
-] + [("models/AAA_arima.json", "artifact_not_object")])
+] + [("models/AAA_arima.json", "artifact_not_object"),
+     ("models/AAA_gan.json", "nested_wrong_type"),
+     ("models/AAA_gan.json", "unknown_activation"),
+     ("models/AAA_lstm.json", "misshapen_gate")])
 def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, damage):
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     path = tmp_path / "out" / relpath
@@ -224,6 +227,18 @@ def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, d
         path.write_text("[]")
     elif damage == "artifact_not_object":
         path.write_text(json.dumps({"model": "arima", "artifact": []}))
+    elif damage == "nested_wrong_type":
+        payload = json.loads(text)
+        payload["artifact"]["layers"] = [5]
+        path.write_text(json.dumps(payload))
+    elif damage == "unknown_activation":
+        payload = json.loads(text)
+        payload["artifact"]["layers"][0]["activation"] = "swish"
+        path.write_text(json.dumps(payload))
+    elif damage == "misshapen_gate":
+        payload = json.loads(text)
+        payload["artifact"]["gates"]["forget"]["u"].pop()
+        path.write_text(json.dumps(payload))
     else:
         payload = json.loads(text)
         payload.pop("artifact" if "models" in relpath else "features")
@@ -317,6 +332,17 @@ def test_plot_outputs(pipeline, tmp_path):
     assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
                      "--model", "gan"]) == 0
     assert svg_path.read_bytes() == first
+
+
+def test_plot_truncated_report_names_file(pipeline, tmp_path, capsys):
+    run_mini_pipeline(pipeline)
+    path = tmp_path / "out" / "reports" / "AAA_gan.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    capsys.readouterr()
+    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
+                     "--model", "gan"]) == cli.EXIT_DATA
+    assert str(path) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- workers

@@ -228,15 +228,52 @@ def test_step_count_bookkeeping():
     assert gen_adam.step_count == 1
 
 
-def test_updates_do_not_cross_networks():
-    g, d, batch = make_step_fixture()
+def step_inputs(g, batch):
+    """(gen_in, real_in, fake, gen_caches, fake_in) as train_step builds them."""
     histories = np.stack([s.history for s in batch])
     sentiments = np.array([s.sentiment for s in batch])
     targets = np.stack([s.target for s in batch])
     gen_in = gan._gen_inputs(g, histories, sentiments)
     real_in = np.concatenate([targets, gen_in], axis=1)
     fake, gen_caches = forward(g.layers, gen_in)
-    fake_in = np.concatenate([fake, gen_in], axis=1)
+    return gen_in, real_in, fake, gen_caches, np.concatenate([fake, gen_in], axis=1)
+
+
+def test_train_step_runs_each_network_forward_once_per_job(monkeypatch):
+    # 1 generator pass, 3 stacked discriminator passes, 1 discriminator pass
+    # in the generator update
+    g, d, batch = make_step_fixture()
+    calls = []
+
+    def counted(layers, x):
+        calls.append(len(x))
+        return forward(layers, x)
+
+    monkeypatch.setattr(gan, "forward", counted)
+    schedule = GanSchedule(d_steps=3)
+    gan.train_step(g, d, batch, AdamState(learning_rate=schedule.learning_rate),
+                   AdamState(learning_rate=schedule.learning_rate), schedule)
+    assert calls == [5, 10, 10, 10, 5]
+
+
+def test_stacked_discriminator_pass_equals_two_separate_passes():
+    g, d, batch = make_step_fixture()
+    _, real_in, _, _, fake_in = step_inputs(g, batch)
+    b = len(real_in)
+    loss, grad = gan._discriminator_grads(d, real_in, fake_in)
+
+    real_out, real_caches = forward(d.layers, real_in)
+    fake_out, fake_caches = forward(d.layers, fake_in)
+    g_real, _ = backward(d.layers, real_caches, -1.0 / (b * real_out))
+    g_fake, _ = backward(d.layers, fake_caches, 1.0 / (b * (1.0 - fake_out)))
+    separate = g_real + g_fake
+    assert np.max(np.abs(grad - separate)) <= 1e-12 * np.max(np.abs(separate))
+    assert loss == pytest.approx(d_loss_value(real_out, fake_out), rel=1e-12)
+
+
+def test_updates_do_not_cross_networks():
+    g, d, batch = make_step_fixture()
+    gen_in, real_in, fake, gen_caches, fake_in = step_inputs(g, batch)
 
     gen_before = g.theta.copy()
     _, d_grad = gan._discriminator_grads(d, real_in, fake_in)

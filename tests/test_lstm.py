@@ -18,8 +18,7 @@ def zero_model(hidden=3, inputs=2):
 
 
 def model_arrays(model):
-    return [g[k] for g in model.gates.values() for k in "wub"] + [
-        model.head_weights, model.head_bias]
+    return [model.w, model.u, model.b, model.head_weights, model.head_bias]
 
 
 # ---------------------------------------------------------------- parameters
@@ -34,6 +33,31 @@ def test_every_parameter_array_is_a_view_of_theta():
         for a in model_arrays(m):
             assert np.shares_memory(m.theta, a)
     assert np.array_equal(restored.theta, model.theta)
+
+
+def artifact_with_biases(hidden=3, inputs=2, **biases):
+    """An artifact dict built by hand: zero weights, the given per-gate bias."""
+    zero = {"w": np.zeros((hidden, inputs)).tolist(), "u": np.zeros((hidden, hidden)).tolist()}
+    return {
+        "hidden_size": hidden,
+        "input_size": inputs,
+        "gates": {name: {**zero, "b": [biases.get(name, 0.0)] * hidden} for name in lstm.GATES},
+        "head_weights": np.zeros((1, hidden)).tolist(),
+        "head_bias": [0.0],
+    }
+
+
+def test_artifact_gate_order():
+    # the artifact names each gate's block; a model loaded from it must use
+    # each block as that gate, whatever the in-memory stacking order
+    c0 = np.array([1.0, -2.0, 0.5])
+    state = (np.zeros(3), c0)
+    keep = LstmModel.from_dict(artifact_with_biases(forget=50.0, input=-50.0))
+    _, c1 = cell_forward(keep, np.array([7.0, -3.0]), state)
+    assert np.allclose(c1, c0, rtol=0.0, atol=1e-12)
+    write = LstmModel.from_dict(artifact_with_biases(forget=-50.0, input=50.0, candidate=1.0))
+    _, c1 = cell_forward(write, np.array([7.0, -3.0]), state)
+    assert np.allclose(c1, np.tanh(1.0), rtol=0.0, atol=1e-12)
 
 
 def test_from_dict_rejects_misshapen_gate():
