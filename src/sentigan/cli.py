@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .data import (
     save_aligned,
     split_boundary,
     utf8_lines,
+    window_count,
     write_atomic,
 )
 from .data import align as align_series
@@ -235,40 +237,78 @@ def _train_lstm(cfg, aligned):
     return {"model": "lstm", "artifact": model.to_dict()}, log_csv
 
 
-def _train_gan(cfg, aligned):
-    windows = make_windows(aligned, cfg.window_length)
-    boundary = split_boundary(len(windows), cfg.split_policies["gan"])
+@contextmanager
+def _cell(symbols, model):
+    """Prefix an error raised inside with SYMBOL/model: of a lockstep group,
+    the symbol of the member at fault, or every symbol if none is."""
+    try:
+        yield
+    except SentiganError as e:
+        who = symbols[e.member] if e.member is not None else ", ".join(symbols)
+        e.args = (f"{who}/{model}: {e}",)
+        raise
+
+
+def _write_outputs(cfg, symbol, model, payload, log_csv):
+    _write_json(_artifact_path(cfg, symbol, model), payload)
+    if log_csv is not None:
+        write_atomic(cfg.output_dir / "logs" / f"{symbol}_{model}.csv", log_csv)
+
+
+def _train_gan_group(cfg, symbols, n_windows):
+    """Train the GANs of the assets `symbols`, which each have n_windows GAN
+    training windows, in one lockstep run, and write each one's artifact
+    and log."""
+    # one member's data at a time: train() keeps only its scaled arrays
+    members = (make_windows(_load_aligned_or_die(cfg, symbol), cfg.window_length)[:n_windows]
+               for symbol in symbols)
     params = dict(cfg.gan)
     gen_hidden = tuple(params.pop("gen_hidden"))
     disc_hidden = tuple(params.pop("disc_hidden"))
-    gen, disc, log = gan_mod.train(
-        windows[:boundary], GanSchedule(**params), seed=cfg.seed,
-        gen_hidden=gen_hidden, disc_hidden=disc_hidden,
-    )
-    log_csv = "step,d_loss,g_loss\n" + "".join(
-        f"{r['step']},{r['d_loss']!r},{r['g_loss']!r}\n" for r in log
-    )
-    payload = {"model": "gan", "artifact": gen.to_dict(),
-               "discriminator": disc.to_dict()}
-    return payload, log_csv
+    with _cell(symbols, "gan"):
+        results = gan_mod.train(members, GanSchedule(**params), seed=cfg.seed,
+                                gen_hidden=gen_hidden, disc_hidden=disc_hidden)
+    for symbol, (gen, disc, log) in zip(symbols, results):
+        payload = {"model": "gan", "artifact": gen.to_dict(),
+                   "discriminator": disc.to_dict()}
+        log_csv = "step,d_loss,g_loss\n" + "".join(
+            f"{step},{d!r},{g!r}\n" for step, (d, g) in enumerate(log.tolist())
+        )
+        _write_outputs(cfg, symbol, "gan", payload, log_csv)
 
 
-_TRAINERS = {"arima": _train_arima, "lstm": _train_lstm, "gan": _train_gan}
+_TRAINERS = {"arima": _train_arima, "lstm": _train_lstm}
+
+
+def _gan_groups(cfg, assets):
+    """Symbols by their number of GAN training windows, in config order."""
+    groups = {}
+    for asset in assets:
+        with _cell([asset.symbol], "gan"):
+            n_rows = len(_load_aligned_or_die(cfg, asset.symbol).dates)
+            n_windows = split_boundary(window_count(n_rows, cfg.window_length),
+                                       cfg.split_policies["gan"])
+        groups.setdefault(n_windows, []).append(asset.symbol)
+    return groups
 
 
 def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
+    """ARIMA and the LSTM asset by asset; the GANs in one lockstep run per
+    group of assets with equal numbers of GAN training windows, right after
+    the group's last asset."""
     models = _select_models(model_name)
-    for asset in _select_assets(cfg, asset_symbol):
+    assets = _select_assets(cfg, asset_symbol)
+    groups = _gan_groups(cfg, assets) if "gan" in models else {}
+    last_of_group = {symbols[-1]: (symbols, n) for n, symbols in groups.items()}
+    for asset in assets:
         aligned = _load_aligned_or_die(cfg, asset.symbol)
         for model in models:
-            try:
-                payload, log_csv = _TRAINERS[model](cfg, aligned)
-            except SentiganError as e:
-                raise type(e)(f"{asset.symbol}/{model}: {e}") from e
-            _write_json(_artifact_path(cfg, asset.symbol, model), payload)
-            if log_csv is not None:
-                write_atomic(cfg.output_dir / "logs" / f"{asset.symbol}_{model}.csv",
-                             log_csv)
+            if model != "gan":
+                with _cell([asset.symbol], model):
+                    payload, log_csv = _TRAINERS[model](cfg, aligned)
+                _write_outputs(cfg, asset.symbol, model, payload, log_csv)
+        if asset.symbol in last_of_group:
+            _train_gan_group(cfg, *last_of_group[asset.symbol])
         print(f"{asset.symbol}: trained {', '.join(models)}")
     return EXIT_OK
 
@@ -306,8 +346,7 @@ def audit_causality(report: ForecastReport, aligned, policy, window_length):
         boundary = split_boundary(len(aligned.dates), policy)
         expected = aligned.dates[boundary:]
     else:
-        n_windows = len(aligned.dates) - window_length
-        boundary = split_boundary(n_windows, policy)
+        boundary = split_boundary(window_count(len(aligned.dates), window_length), policy)
         expected = aligned.dates[window_length + boundary:]
     if dates != expected:
         raise DataError(

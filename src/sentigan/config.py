@@ -7,6 +7,7 @@ config can travel with its fixtures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,14 +82,73 @@ class RunConfig:
             raise UsageError("duplicate asset symbols in config")
 
 
-def _merged(defaults: dict, overrides) -> dict:
-    merged = dict(defaults)
-    if overrides:
-        unknown = set(overrides) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown hyperparameter keys: {sorted(unknown)}")
-        merged.update(overrides)
-    return merged
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _int_from(low):
+    return lambda v: _is_int(v) and v >= low, f"an integer >= {low}"
+
+
+_RATE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
+_WIDTHS = (lambda v: isinstance(v, list) and all(_is_int(w) and w >= 1 for w in v),
+           "a list of integers >= 1")
+
+# what every settable value must be: section -> key -> (test, description)
+_RULES = {
+    None: {"seed": _int_from(0), "window_length": _int_from(1)},
+    "arima": {"p_max": _int_from(0), "q_max": _int_from(0)},
+    "lstm": {
+        "hidden_size": _int_from(1),
+        "learning_rate": _RATE,
+        "batch_size": _int_from(1),
+        "max_epochs": _int_from(0),
+        "early_stop_patience": _int_from(1),
+        "plateau_factor": (lambda v: _is_finite(v) and 0 < v < 1, "a number in (0, 1)"),
+        "plateau_patience": _int_from(1),
+        "validation_fraction": (lambda v: _is_finite(v) and 0 <= v < 1,
+                                "a number in [0, 1)"),
+    },
+    "gan": {
+        "learning_rate": _RATE,
+        "batch_size": _int_from(1),
+        "epochs": _int_from(0),
+        "d_steps": _int_from(1),
+        "supervised_weight": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+        "gen_hidden": _WIDTHS,
+        "disc_hidden": _WIDTHS,
+    },
+}
+
+
+def _checked(path, section, values: dict) -> dict:
+    for key, value in values.items():
+        test, want = _RULES[section][key]
+        if not test(value):
+            name = key if section is None else f"{section}.{key}"
+            raise DataError(f"config {path}: {name} must be {want}, got {value!r}")
+    return values
+
+
+def _mapping(path, raw, key) -> dict:
+    value = raw.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise DataError(f"config {path}: {key} must be a mapping, got {value!r}")
+    return value
+
+
+def _merged(path, raw, section, defaults: dict) -> dict:
+    overrides = _mapping(path, raw, section)
+    unknown = set(overrides) - set(defaults)
+    if unknown:
+        raise UsageError(f"unknown hyperparameter keys: {sorted(unknown)}")
+    return _checked(path, section, {**defaults, **overrides})
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
@@ -106,36 +166,44 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     def resolve(p):
         return (base / p).resolve() if p is not None else None
 
+    def path_or_none(key, value):
+        if value is not None and not isinstance(value, str):
+            raise DataError(f"config {path}: {key} must be a path, got {value!r}")
+        return value
+
+    entries = raw.get("assets", [])
+    if not isinstance(entries, list):
+        raise DataError(f"config {path}: assets must be a list, got {entries!r}")
     assets = []
-    for entry in raw.get("assets", []):
+    for entry in entries:
         if not isinstance(entry, dict) or "symbol" not in entry or "ohlcv" not in entry:
             raise DataError(f"asset entries need 'symbol' and 'ohlcv' keys, got {entry!r}")
-        ohlcv = resolve(entry["ohlcv"])
+        ohlcv = resolve(path_or_none("assets.ohlcv", entry["ohlcv"]))
         if not ohlcv.exists():
             raise DataError(f"asset {entry['symbol']}: OHLCV file not found: {ohlcv}")
         assets.append(
             AssetSpec(
                 symbol=str(entry["symbol"]),
                 ohlcv_path=ohlcv,
-                tweets_path=resolve(entry.get("tweets")),
+                tweets_path=resolve(path_or_none("assets.tweets", entry.get("tweets"))),
             )
         )
-    lexicon = resolve(raw.get("lexicon"))
+    lexicon = resolve(path_or_none("lexicon", raw.get("lexicon")))
     if lexicon is not None and not lexicon.exists():
         raise DataError(f"lexicon file not found: {lexicon}")
-    seed = seed_override if seed_override is not None else raw.get("seed")
-    splits = dict(DEFAULT_SPLITS)
-    splits.update(raw.get("split_policies") or {})
+    if seed_override is not None and seed_override < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed_override}")
+    top = _checked(path, None, {k: raw[k] for k in _RULES[None] if k in raw})
     return RunConfig(
         assets=assets,
-        seed=seed,
+        seed=seed_override if seed_override is not None else top.get("seed"),
         # data paths travel with the config file; outputs land under the
         # caller's working directory
-        output_dir=Path(raw.get("output_dir", "out")).resolve(),
+        output_dir=Path(path_or_none("output_dir", raw.get("output_dir", "out"))).resolve(),
         lexicon_path=lexicon,
-        window_length=int(raw.get("window_length", 20)),
-        split_policies=splits,
-        arima=_merged(DEFAULT_ARIMA, raw.get("arima")),
-        lstm=_merged(DEFAULT_LSTM, raw.get("lstm")),
-        gan=_merged(DEFAULT_GAN, raw.get("gan")),
+        window_length=top.get("window_length", 20),
+        split_policies={**DEFAULT_SPLITS, **_mapping(path, raw, "split_policies")},
+        arima=_merged(path, raw, "arima", DEFAULT_ARIMA),
+        lstm=_merged(path, raw, "lstm", DEFAULT_LSTM),
+        gan=_merged(path, raw, "gan", DEFAULT_GAN),
     )

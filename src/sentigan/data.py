@@ -233,16 +233,20 @@ def align(series: Series, daily) -> tuple[AlignedDataset, int]:
     return AlignedDataset(series.symbol, list(series.dates), features, sentiment), ignored
 
 
-def make_windows(aligned: AlignedDataset, window_length: int) -> list[WindowSample]:
-    """Stride-1 sliding windows: sample i = rows [i, i+L) with target row i+L."""
-    t = len(aligned.dates)
-    if t < window_length + 1:
+def window_count(rows: int, window_length: int) -> int:
+    """How many windows make_windows cuts from `rows` rows."""
+    if rows < window_length + 1:
         raise DataError(
             f"need at least {window_length + 1} rows for window length "
-            f"{window_length}, got {t}"
+            f"{window_length}, got {rows}"
         )
+    return rows - window_length
+
+
+def make_windows(aligned: AlignedDataset, window_length: int) -> list[WindowSample]:
+    """Stride-1 sliding windows: sample i = rows [i, i+L) with target row i+L."""
     samples = []
-    for i in range(t - window_length):
+    for i in range(window_count(len(aligned.dates), window_length)):
         end = i + window_length
         samples.append(
             WindowSample(

@@ -2,7 +2,14 @@
 
 
 class SentiganError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    `member` is the index, along the leading member axis, of the lockstep
+    group member at fault, or None when the error is not a member's own."""
+
+    def __init__(self, *args, member=None):
+        super().__init__(*args)
+        self.member = member
 
 
 class DimensionError(SentiganError):

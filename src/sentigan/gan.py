@@ -8,7 +8,13 @@ non-saturating generator form. A step runs the generator forward once and
 scores real and fake rows in one stacked discriminator pass. There is no
 latent noise input, so the trained generator is a deterministic conditional
 forecaster. Each network's parameters live in one flat vector `theta`, of
-which its layers' weights and biases are views.
+which its layers' weights and biases are views, and its gradient in `grad`,
+laid out alike; backward() fills `grad` through views carved once.
+
+`train` fits K members (one asset's samples each) in lockstep: the networks
+carry a leading member axis, so a step is one pass per job for all members.
+Every member starts from the same seeded weights and sees the same batch
+order, so each result equals training that member alone.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CLOSE_COLUMN, WindowSample
-from .errors import DataError, DimensionError, TrainingError, UsageError
-from .nn import DenseLayer, backward, build_mlp, forward, pack
+from .errors import DataError, DimensionError, SentiganError, TrainingError, UsageError
+from .nn import DenseLayer, backward, build_mlp, carve, forward, layer_shapes, pack
 from .optim import AdamState, adam_step
 from .scaling import ScalerParams, scaler_fit, scaler_inverse, scaler_transform
 
@@ -36,9 +42,25 @@ class _DenseNet:
     window_length: int
     layers: list
     theta: np.ndarray = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)
+    grads: list = field(init=False, repr=False)  # per-array views of grad
 
     def __post_init__(self):
         self.theta = pack(self.layers)
+        self.grad = np.zeros_like(self.theta)
+        self.grads = carve(self.grad, layer_shapes(self.layers))
+
+    def stacked(self, count: int):
+        """`count` copies of this network along a leading member axis."""
+        layers = [DenseLayer(np.repeat(l.weights[None], count, axis=0),
+                             np.repeat(l.bias[None], count, axis=0), l.activation)
+                  for l in self.layers]
+        return type(self)(self.window_length, layers)
+
+    def member(self, k: int):
+        """A copy of member k of a stacked network."""
+        layers = [DenseLayer(l.weights[k], l.bias[k], l.activation) for l in self.layers]
+        return type(self)(self.window_length, layers)
 
     def to_dict(self):
         layers = [{"weights": l.weights.tolist(), "bias": l.bias.tolist(),
@@ -102,7 +124,7 @@ def build_discriminator(rng, window_length: int, hidden=DISC_HIDDEN) -> Discrimi
 
 
 def _check_scaled(values, what):
-    if np.max(np.abs(values)) > 1.0 + SCALE_TOLERANCE:
+    if not np.all(np.abs(values) <= 1.0 + SCALE_TOLERANCE):
         raise DataError(f"{what} exceeds the (-1, 1) scaled range")
 
 
@@ -143,125 +165,158 @@ def discriminator_forward(disc: Discriminator, candidate, window: WindowSample) 
     return float(out[0, 0])
 
 
-def d_loss_value(real_scores, fake_scores) -> float:
+def _batch_mean(x):
+    """Mean over the last two (batch, column) axes, one value per member."""
+    return np.mean(x, axis=(-2, -1))
+
+
+def d_loss_value(real_scores, fake_scores):
+    """-E[log D(real)] - E[log(1 - D(fake))] of (..., B, 1) scores."""
     r = np.clip(real_scores, LOG_EPS, 1.0 - LOG_EPS)
     f = np.clip(fake_scores, LOG_EPS, 1.0 - LOG_EPS)
-    return float(-np.mean(np.log(r)) - np.mean(np.log(1.0 - f)))
+    return -_batch_mean(np.log(r)) - _batch_mean(np.log(1.0 - f))
 
 
-def g_loss_value(fake_scores) -> float:
+def g_loss_value(fake_scores):
+    """-E[log D(fake)] of (..., B, 1) scores."""
     f = np.clip(fake_scores, LOG_EPS, 1.0 - LOG_EPS)
-    return float(-np.mean(np.log(f)))
+    return -_batch_mean(np.log(f))
 
 
 def _discriminator_grads(disc, real_in, fake_in):
-    """Gradients of the discriminator loss
-    -E[log D(real)] - E[log(1 - D(fake))] w.r.t. disc.theta, from one
-    forward and one backward pass over the real rows stacked on the fake."""
-    b = len(real_in)
-    out, caches = forward(disc.layers, np.concatenate([real_in, fake_in]))
+    """The discriminator loss -E[log D(real)] - E[log(1 - D(fake))], from one
+    forward and one backward pass over the real rows stacked on the fake;
+    its gradient w.r.t. disc.theta lands in disc.grad."""
+    b = real_in.shape[-2]
+    out, caches = forward(disc.layers, np.concatenate([real_in, fake_in], axis=-2))
     s = np.clip(out, LOG_EPS, 1.0 - LOG_EPS)
-    grad_out = np.concatenate([-1.0 / (b * s[:b]), 1.0 / (b * (1.0 - s[b:]))])
-    grad, _ = backward(disc.layers, caches, grad_out)
-    return d_loss_value(out[:b], out[b:]), grad
+    grad_out = np.concatenate([-1.0 / (b * s[..., :b, :]), 1.0 / (b * (1.0 - s[..., b:, :]))],
+                              axis=-2)
+    backward(disc.layers, caches, grad_out, disc.grads)
+    return d_loss_value(out[..., :b, :], out[..., b:, :])
 
 
-def _generator_grads(gen, disc, gen_in, fake, gen_caches, real_targets=None,
+def _generator_grads(gen, disc, fake_in, gen_caches, real_targets=None,
                      supervised_weight=0.0):
-    """Non-saturating generator loss -E[log D(G(cond), cond)] and its
-    gradient w.r.t. gen.theta, given the generator's forward pass
-    (fake, gen_caches) on gen_in; disc parameters are left untouched."""
-    b = len(gen_in)
-    disc_in = np.concatenate([fake, gen_in], axis=1)
-    score, disc_caches = forward(disc.layers, disc_in)
+    """Non-saturating generator loss -E[log D(G(cond), cond)], given the
+    discriminator's input fake_in = (G(cond), cond) and the generator's
+    caches; its gradient w.r.t. gen.theta lands in gen.grad, and disc
+    parameters and gradient are left untouched."""
+    b = fake_in.shape[-2]
+    score, disc_caches = forward(disc.layers, fake_in)
     s = np.clip(score, LOG_EPS, 1.0 - LOG_EPS)
-    _, grad_disc_in = backward(disc.layers, disc_caches, -1.0 / (b * s))
-    grad_fake = grad_disc_in[:, :N_FEATURES]
+    grad_fake = backward(disc.layers, disc_caches, -1.0 / (b * s))[..., :N_FEATURES]
     loss = g_loss_value(score)
     if supervised_weight > 0.0 and real_targets is not None:
-        err = fake - real_targets
-        loss += supervised_weight * float(np.mean(err * err))
-        grad_fake = grad_fake + supervised_weight * 2.0 * err / err.size
-    grad, _ = backward(gen.layers, gen_caches, grad_fake)
-    return loss, grad
+        err = fake_in[..., :N_FEATURES] - real_targets
+        loss = loss + supervised_weight * _batch_mean(err * err)
+        grad_fake = grad_fake + supervised_weight * 2.0 * err / (b * N_FEATURES)
+    backward(gen.layers, gen_caches, grad_fake, gen.grads)
+    return loss
 
 
-def train_step(gen, disc, batch, gen_adam, disc_adam, schedule: GanSchedule,
-               step_index: int | None = None):
-    """One alternating update on a pre-scaled batch: d_steps discriminator
+def train_step(gen, disc, gen_in, targets, gen_adam, disc_adam, schedule: GanSchedule):
+    """One alternating update on a pre-scaled batch of conditioning rows
+    gen_in (K, B, L*6 + 1) and targets (K, B, 6) of stacked networks, or
+    without the member axis for one network pair: d_steps discriminator
     ascents on one generator forward pass (the generator is fixed until its
-    own update), then one generator ascent. Returns (d_loss, g_loss)."""
-    histories = np.stack([s.history for s in batch])
-    sentiments = np.array([s.sentiment for s in batch])
-    targets = np.stack([s.target for s in batch])
-    _check_scaled(targets, "target observation")
-    gen_in = _gen_inputs(gen, histories, sentiments)
-    real_in = np.concatenate([targets, gen_in], axis=1)
-
+    own update), then one generator ascent. Returns (d_loss, g_loss), one
+    per member."""
+    real_in = np.concatenate([targets, gen_in], axis=-1)
     fake, gen_caches = forward(gen.layers, gen_in)
-    fake_in = np.concatenate([fake, gen_in], axis=1)
+    fake_in = np.concatenate([fake, gen_in], axis=-1)
     for _ in range(schedule.d_steps):
-        d_loss, d_grad = _discriminator_grads(disc, real_in, fake_in)
-        adam_step(disc_adam, disc.theta, d_grad)
-    g_loss, g_grad = _generator_grads(
-        gen, disc, gen_in, fake, gen_caches, real_targets=targets,
-        supervised_weight=schedule.supervised_weight,
-    )
-    adam_step(gen_adam, gen.theta, g_grad)
-    if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
-        where = "" if step_index is None else f" at step {step_index}"
-        raise TrainingError(f"adversarial training diverged (NaN loss){where}")
+        d_loss = _discriminator_grads(disc, real_in, fake_in)
+        adam_step(disc_adam, disc.theta, disc.grad)
+    g_loss = _generator_grads(gen, disc, fake_in, gen_caches, real_targets=targets,
+                              supervised_weight=schedule.supervised_weight)
+    adam_step(gen_adam, gen.theta, gen.grad)
     return d_loss, g_loss
 
 
-def _scaled_samples(scaler, samples):
-    return [
-        WindowSample(
-            history=scaler_transform(scaler, s.history),
-            sentiment=float(np.clip(s.sentiment, -1.0, 1.0)),
-            target=scaler_transform(scaler, s.target[None, :])[0],
-            target_date=s.target_date,
-        )
-        for s in samples
-    ]
+def _member_inputs(gen, samples):
+    """A member's scaler, fitted on its samples, and its scaled conditioning
+    rows (N, L*6 + 1) and targets (N, 6), range-checked once."""
+    histories = np.stack([s.history for s in samples])
+    targets = np.stack([s.target for s in samples])
+    rows = histories.reshape(-1, histories.shape[-1])
+    scaler = scaler_fit(np.concatenate([rows, targets]), "signed", fitted_on="train")
+    histories = scaler_transform(scaler, rows).reshape(histories.shape)
+    sentiments = np.clip([s.sentiment for s in samples], -1.0, 1.0)
+    gen_in = _gen_inputs(gen, histories, sentiments)
+    targets = scaler_transform(scaler, targets)
+    _check_scaled(targets, "target observation")
+    return scaler, gen_in, targets
 
 
-def train(samples: list[WindowSample], schedule: GanSchedule, seed: int,
-          gen_hidden=GEN_HIDDEN, disc_hidden=DISC_HIDDEN):
-    """Fixed-epoch adversarial training over contiguous batches; the batch
-    order within each epoch is shuffled by the seed, the rows inside each
-    batch stay chronological. Returns (generator, discriminator, log rows).
+def _setup(members, rng, gen_hidden, disc_hidden):
+    """The seeded (generator, discriminator) pair, and each member's scaler,
+    conditioning rows and targets, the last two stacked (K, N, ...)."""
+    inputs = []
+    for k, samples in enumerate(members):
+        if not samples:
+            raise TrainingError("cannot train a GAN on an empty sample list", member=k)
+        if not inputs:
+            n = len(samples)
+            window_length = samples[0].history.shape[0]
+            gen = build_generator(rng, window_length, hidden=gen_hidden)
+            disc = build_discriminator(rng, window_length, hidden=disc_hidden)
+        elif len(samples) != n:
+            raise UsageError(f"lockstep members need equal sample counts, got "
+                             f"{n} and {len(samples)}")
+        try:
+            inputs.append(_member_inputs(gen, samples))
+        except SentiganError as e:
+            e.member = k
+            raise
+    if not inputs:
+        raise UsageError("gan.train needs at least one member")
+    scalers, gen_ins, targets = zip(*inputs)
+    return gen, disc, scalers, np.stack(gen_ins), np.stack(targets)
 
-    Log rows are dicts: step, d_loss, g_loss."""
-    if not samples:
-        raise TrainingError("cannot train a GAN on an empty sample list")
-    rng = np.random.default_rng(seed)
-    window_length = samples[0].history.shape[0]
-    gen = build_generator(rng, window_length, hidden=gen_hidden)
-    disc = build_discriminator(rng, window_length, hidden=disc_hidden)
-    feature_rows = np.vstack(
-        [s.history for s in samples] + [s.target[None, :] for s in samples]
-    )
-    gen.scaler = scaler_fit(feature_rows, "signed", fitted_on="train")
-    scaled = _scaled_samples(gen.scaler, samples)
 
-    batches = [
-        scaled[start : start + schedule.batch_size]
-        for start in range(0, len(scaled), schedule.batch_size)
-    ]
+def _fit(gen, disc, gen_in, targets, schedule: GanSchedule, rng):
+    """Run the epochs on the stacked pair in place; returns the losses
+    (steps, 2, K)."""
     gen_adam = AdamState(learning_rate=schedule.learning_rate)
     disc_adam = AdamState(learning_rate=schedule.learning_rate)
-    log: list[dict] = []
+    starts = range(0, gen_in.shape[1], schedule.batch_size)
+    losses = np.empty((schedule.epochs * len(starts), 2, len(gen_in)))
     step = 0
     for _ in range(schedule.epochs):
-        for batch_index in rng.permutation(len(batches)):
-            d_loss, g_loss = train_step(
-                gen, disc, batches[batch_index], gen_adam, disc_adam, schedule,
-                step_index=step,
-            )
-            log.append({"step": step, "d_loss": d_loss, "g_loss": g_loss})
+        for batch_index in rng.permutation(len(starts)):
+            batch = slice(starts[batch_index], starts[batch_index] + schedule.batch_size)
+            losses[step] = train_step(gen, disc, gen_in[:, batch], targets[:, batch],
+                                      gen_adam, disc_adam, schedule)
+            finite = np.isfinite(losses[step]).all(axis=0)
+            if not finite.all():
+                raise TrainingError(f"adversarial training diverged (NaN loss) at step {step}",
+                                    member=int(np.argmin(finite)))
             step += 1
-    return gen, disc, log
+    return losses
+
+
+def train(members, schedule: GanSchedule, seed: int,
+          gen_hidden=GEN_HIDDEN, disc_hidden=DISC_HIDDEN):
+    """Fixed-epoch adversarial training of every member, a list of samples
+    each, all of one length, in lockstep over contiguous batches; the batch
+    order within each epoch is shuffled by the seed, the rows inside each
+    batch stay chronological. Members are read once, in order, so an
+    iterator lets the caller build each member's samples only when needed.
+
+    Returns one (generator, discriminator, log) per member; the log is a
+    (steps, 2) array of each step's discriminator and generator loss. An
+    error of one member carries its index as `member`."""
+    rng = np.random.default_rng(seed)
+    gen, disc, scalers, gen_in, targets = _setup(members, rng, gen_hidden, disc_hidden)
+    gen, disc = gen.stacked(len(scalers)), disc.stacked(len(scalers))
+    losses = _fit(gen, disc, gen_in, targets, schedule, rng)
+    results = []
+    for k, scaler in enumerate(scalers):
+        member_gen = gen.member(k)
+        member_gen.scaler = scaler
+        results.append((member_gen, disc.member(k), losses[..., k]))
+    return results
 
 
 def predict(gen: Generator, window: WindowSample) -> float:

@@ -79,8 +79,8 @@ def finite_difference_check(layers, x, target, tolerance: float = 1e-4, h: float
 
     out, caches = nn.forward(layers, x)
     grad_out = 2.0 * (out - target) / out.size
-    grad, _ = nn.backward(layers, caches, grad_out)
-    analytic = nn.carve(grad, nn.layer_shapes(layers))
+    analytic = [np.empty(shape) for shape in nn.layer_shapes(layers)]
+    nn.backward(layers, caches, grad_out, analytic)
 
     def loss():
         o, _ = nn.forward(layers, x)

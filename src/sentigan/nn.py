@@ -2,8 +2,13 @@
 
 Everything is float64 numpy. A network is a list of DenseLayer whose arrays
 can be views into one flat parameter vector (`pack`); `carve` lays out that
-vector and the flat gradient backward() returns alike. The forward pass
+vector and the flat gradient backward() fills alike. The forward pass
 returns the caches the backward pass needs, so there is no hidden state.
+
+A stack of K networks of one shape ("members", trained in lockstep) has a
+leading member axis on every array: weights (K, out, in), biases (K, out),
+inputs (K, B, in) and a flat vector (K, P). The same forward() and
+backward() serve both, by transposing and reducing over the trailing axes.
 """
 
 from __future__ import annotations
@@ -52,25 +57,24 @@ def activate_grad(name: str, z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DenseLayer:
-    weights: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
+    weights: np.ndarray  # (out, in), or (K, out, in) for K members
+    bias: np.ndarray  # (out,), or (K, out)
     activation: str = "identity"
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         self.bias = np.asarray(self.bias, dtype=float)
-        if self.weights.ndim != 2:
-            raise DimensionError("DenseLayer weights", "2-d matrix", f"{self.weights.ndim}-d")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise DimensionError(
-                "DenseLayer bias", (self.weights.shape[0],), self.bias.shape
-            )
+        if self.weights.ndim not in (2, 3):
+            raise DimensionError("DenseLayer weights", "2-d matrix or 3-d stack",
+                                 f"{self.weights.ndim}-d")
+        if self.bias.shape != self.weights.shape[:-1]:
+            raise DimensionError("DenseLayer bias", self.weights.shape[:-1], self.bias.shape)
         if self.activation not in ACTIVATIONS:
             raise UsageError(f"unknown activation {self.activation!r}")
 
     @property
     def in_size(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
 
 def init_layer(rng: np.random.Generator, fan_in: int, fan_out: int, activation: str) -> DenseLayer:
@@ -95,7 +99,8 @@ def build_mlp(rng, in_size, hidden, out_size, hidden_activation, out_activation)
 
 
 def forward(layers, x):
-    """Full network forward over a vector or a (batch, in) matrix.
+    """Full network forward over a vector, a (batch, in) matrix or, for
+    stacked layers, a (K, batch, in) stack.
 
     Returns (output, caches); caches feed backward()."""
     a = np.asarray(x, dtype=float)
@@ -103,48 +108,59 @@ def forward(layers, x):
     for i, layer in enumerate(layers):
         if a.shape[-1] != layer.in_size:
             raise DimensionError(f"layer {i} input size", layer.in_size, a.shape[-1])
-        z = a @ layer.weights.T + layer.bias
+        z = a @ layer.weights.swapaxes(-1, -2)
+        z += layer.bias if layer.bias.ndim == 1 else layer.bias[:, None, :]
         caches.append((a, z))
         a = activate(layer.activation, z)
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("forward pass produced non-finite output")
+    finite = np.isfinite(a)
+    if not finite.all():
+        member = int(np.argmin(finite.reshape(len(a), -1).all(axis=1))) if a.ndim == 3 else None
+        raise NumericalError("forward pass produced non-finite output", member=member)
     return a, caches
 
 
 def carve(flat, shapes):
-    """Consecutive views into the 1-d array `flat`, one per shape, in order."""
+    """Consecutive views into the last axis of `flat`, one per shape, in
+    order; the leading (member) axes of `flat` lead every view."""
+    lead = flat.shape[:-1]
     views = []
     start = 0
     for shape in shapes:
         size = math.prod(shape)
-        views.append(flat[start : start + size].reshape(shape))
+        views.append(flat[..., start : start + size].reshape(*lead, *shape))
         start += size
-    if start != flat.size:
-        raise DimensionError("flat parameter vector size", start, flat.size)
+    if start != flat.shape[-1]:
+        raise DimensionError("flat parameter vector size", start, flat.shape[-1])
     return views
 
 
 def layer_shapes(layers):
-    """The parameter layout of a dense stack: W0, b0, W1, b1, ..."""
-    return [a.shape for layer in layers for a in (layer.weights, layer.bias)]
+    """The parameter layout of one member of a dense stack: W0, b0, W1, b1, ..."""
+    return [s for layer in layers for s in (layer.weights.shape[-2:], layer.bias.shape[-1:])]
 
 
 def pack(layers):
-    """Copy the layers' weights and biases into one new 1-d vector, make them
-    views into it, and return the vector."""
-    theta = np.concatenate([a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
+    """Copy the layers' weights and biases into one new flat vector (K, P)
+    for stacked layers, (P,) otherwise, make them views into it, and return
+    the vector."""
+    lead = layers[0].bias.shape[:-1]
+    theta = np.concatenate(
+        [a.reshape(*lead, -1) for layer in layers for a in (layer.weights, layer.bias)],
+        axis=-1,
+    )
     views = carve(theta, layer_shapes(layers))
     for layer, w, b in zip(layers, views[0::2], views[1::2]):
         layer.weights, layer.bias = w, b
     return theta
 
 
-def backward(layers, caches, grad_out):
+def backward(layers, caches, grad_out, grads=None):
     """Reverse-mode gradients through a dense stack.
 
-    grad_out is dL/d(output) per sample. Returns (dL/d(parameters) as one
-    flat vector in the layout of layer_shapes, dL/d(input)); batched inputs
-    accumulate parameter gradients by summation over the batch.
+    grad_out is dL/d(output) per sample. dL/d(parameters) is written into
+    `grads`, the arrays W0, b0, W1, b1, ... in the layout of layer_shapes
+    (views of one flat gradient, carved once by the caller), summed over the
+    batch; grads=None skips them. Returns dL/d(input).
     """
     if len(caches) != len(layers):
         raise UsageError(
@@ -152,17 +168,16 @@ def backward(layers, caches, grad_out):
             "run forward() on the same input first"
         )
     g = np.asarray(grad_out, dtype=float)
-    grad = np.empty(sum(layer.weights.size + layer.bias.size for layer in layers))
-    views = carve(grad, layer_shapes(layers))
     for i in reversed(range(len(layers))):
         x_in, z = caches[i]
         gz = g * activate_grad(layers[i].activation, z)
-        dw, db = views[2 * i], views[2 * i + 1]
-        if gz.ndim == 1:
-            np.outer(gz, x_in, out=dw)
-            db[...] = gz
-        else:
-            np.matmul(gz.T, x_in, out=dw)
-            gz.sum(axis=0, out=db)
+        if grads is not None:
+            dw, db = grads[2 * i], grads[2 * i + 1]
+            if gz.ndim == 1:
+                np.outer(gz, x_in, out=dw)
+                db[...] = gz
+            else:
+                np.matmul(gz.swapaxes(-1, -2), x_in, out=dw)
+                gz.sum(axis=-2, out=db)
         g = gz @ layers[i].weights
-    return grad, g
+    return g

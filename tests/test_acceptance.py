@@ -111,7 +111,8 @@ def test_criterion_3_gradient_suite():
         fake, gen_caches = forward(g.layers, gen_in)
         fake_in = np.concatenate([fake, gen_in], axis=1)
 
-        _, analytic_d = gan._discriminator_grads(d, real_in, fake_in)
+        gan._discriminator_grads(d, real_in, fake_in)
+        analytic_d = d.grad.copy()
 
         def d_loss():
             f, _ = forward(g.layers, gen_in)
@@ -121,7 +122,8 @@ def test_criterion_3_gradient_suite():
         numeric_d = numerical_gradient(d_loss, d.theta)
         assert relative_error(analytic_d, numeric_d) < 1e-4
 
-        _, analytic_g = gan._generator_grads(g, d, gen_in, fake, gen_caches)
+        gan._generator_grads(g, d, fake_in, gen_caches)
+        analytic_g = g.grad.copy()
 
         def g_loss():
             f, _ = forward(g.layers, gen_in)
@@ -154,7 +156,7 @@ def test_criterion_4_gan_synthetic_convergence():
         aligned = sentiment_jump_asset(seed)
         windows = make_windows(aligned, length)
         train_part, test_part = split(windows, "holdout_last_20")
-        g, _, _ = gan.train(train_part, schedule, seed=seed,
+        [(g, _, _)] = gan.train([train_part], schedule, seed=seed,
                             gen_hidden=(64, 32), disc_hidden=(32, 16))
         preds = np.array([gan.predict(g, w) for w in test_part])
         actual = np.array([w.target[CLOSE_COLUMN] for w in test_part])

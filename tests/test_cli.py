@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from sentigan import cli
 from sentigan.config import load_config
@@ -100,6 +101,43 @@ def test_config_rejects_unknown_hyperparameter(tmp_path):
         load_config(config)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    (None, "window_length", "abc"),
+    (None, "seed", "x"),
+    (None, "seed", -1),
+    (None, "assets", 5),
+    (None, "gan", 5),
+    (None, "output_dir", 5),
+    ("gan", "batch_size", "5"),
+    ("gan", "epochs", 1.5),
+    ("gan", "d_steps", 2.5),
+    ("gan", "gen_hidden", 5),
+    ("gan", "gen_hidden", [0]),
+    ("gan", "learning_rate", float("nan")),
+    ("gan", "supervised_weight", -1.0),
+    ("lstm", "hidden_size", 0),
+    ("lstm", "batch_size", 0),
+    ("lstm", "max_epochs", True),
+    ("lstm", "plateau_factor", 1.5),
+    ("arima", "p_max", -1),
+], ids=lambda v: repr(v))
+def test_malformed_config_value_is_data_error_naming_file_and_key(
+        pipeline, capsys, section, key, value):
+    assert cli.main(["ingest", "--config", str(pipeline)]) == 0
+    raw = yaml.safe_load(pipeline.read_text())
+    (raw if section is None else raw[section])[key] = value
+    pipeline.write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(pipeline)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(pipeline) in err
+    assert (key if section is None else f"{section}.{key}") in err
+
+
+def test_negative_seed_override_is_usage_error(pipeline):
+    assert cli.main(["ingest", "--config", str(pipeline), "--seed", "-1"]) == cli.EXIT_USAGE
+
+
 def test_config_missing_data_file_is_data_error(tmp_path):
     config = mini_config(tmp_path)
     (tmp_path / "BBB.csv").unlink()
@@ -189,6 +227,52 @@ def test_full_artifact_grid_and_reports(pipeline, tmp_path):
     agg = (out / "aggregate.csv").read_text().splitlines()
     assert agg[0] == "model,mean_rmse,median_rmse,wins"
     assert len(agg) == 4
+
+
+def test_lockstep_gan_outputs_equal_per_asset_training(pipeline, tmp_path):
+    # AAA and BBB share a length and train in one lockstep group; CCC is
+    # shorter and trains alone. Each matches training that asset by itself.
+    rng = np.random.default_rng(1)
+    write_ohlcv(tmp_path / "CCC.csv", 60 + np.cumsum(rng.normal(0.0, 0.6, 100)))
+    text = pipeline.read_text().replace(
+        "  - {symbol: BBB, ohlcv: BBB.csv}\n",
+        "  - {symbol: BBB, ohlcv: BBB.csv}\n  - {symbol: CCC, ohlcv: CCC.csv}\n")
+    pipeline.write_text(text)
+    solo = tmp_path / "solo.yaml"
+    solo.write_text(text.replace("output_dir: out", "output_dir: solo"))
+    assert cli.main(["ingest", "--config", str(pipeline)]) == 0
+    assert cli.main(["train", "--config", str(pipeline), "--model", "gan"]) == 0
+    assert cli.main(["ingest", "--config", str(solo)]) == 0
+    for symbol in ("AAA", "BBB", "CCC"):
+        assert cli.main(["train", "--config", str(solo), "--model", "gan",
+                         "--asset", symbol]) == 0
+    for symbol in ("AAA", "BBB", "CCC"):
+        for rel in (f"models/{symbol}_gan.json", f"logs/{symbol}_gan.csv"):
+            assert (tmp_path / "out" / rel).read_bytes() == (tmp_path / "solo" / rel).read_bytes()
+        log = (tmp_path / "out" / "logs" / f"{symbol}_gan.csv").read_text()
+        assert "np." not in log  # Python float reprs, not numpy scalar reprs
+    assert (tmp_path / "out" / "models" / "AAA_gan.json").read_bytes() != \
+        (tmp_path / "out" / "models" / "BBB_gan.json").read_bytes()
+
+
+def test_diverging_group_member_is_named(pipeline, capsys, monkeypatch):
+    # a non-finite gradient in BBB, the second member of the AAA+BBB group
+    from sentigan import gan
+
+    real_backward = gan.backward
+
+    def diverging(layers, caches, grad_out, grads=None):
+        grad_in = real_backward(layers, caches, grad_out, grads)
+        if grads is not None:
+            grads[0][1, 0, 0] = np.nan
+        return grad_in
+
+    assert cli.main(["ingest", "--config", str(pipeline)]) == 0
+    monkeypatch.setattr(gan, "backward", diverging)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(pipeline), "--model", "gan"]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "BBB/gan: non-finite gradient" in err and "AAA" not in err
 
 
 def test_train_rerun_byte_identical(pipeline, tmp_path):

@@ -139,7 +139,7 @@ def test_evaluate_gan_report():
     aligned = ar1_aligned(3)
     windows = make_windows(aligned, 6)
     train_part, _ = split(windows, "holdout_last_20")
-    g, _, _ = gan.train(train_part, GanSchedule(epochs=1), seed=0,
+    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1), seed=0,
                         gen_hidden=(8,), disc_hidden=(8,))
     report = ev.evaluate("gan", g, aligned, "holdout_last_20", window_length=6)
     assert len(report.rows) == 20

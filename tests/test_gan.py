@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import aligned_from_close
-from sentigan import gan
+from sentigan import gan, nn
 from sentigan.data import CLOSE_COLUMN, WindowSample, make_windows, split
-from sentigan.errors import DataError, DimensionError, UsageError
+from sentigan.errors import DataError, DimensionError, TrainingError, UsageError
 from sentigan.eval import evaluate
 from sentigan.gan import (
     Discriminator,
@@ -136,8 +136,7 @@ def test_discriminator_candidate_gradient_matches_fd():
 
     x = np.concatenate([candidate, w.history.ravel(), [w.sentiment]])[None, :]
     out, caches = forward(d.layers, x)
-    _, grad_in = backward(d.layers, caches, np.ones_like(out))
-    analytic = grad_in[0, :6]
+    analytic = backward(d.layers, caches, np.ones_like(out))[0, :6]
 
     numeric = numerical_gradient(
         lambda: gan.discriminator_forward(d, candidate, w), candidate, h=1e-6
@@ -151,8 +150,8 @@ def test_discriminator_candidate_gradient_matches_fd():
 def test_perfect_discriminator_loss_limits():
     # D scoring ~1 on real and ~0 on fake has near-zero loss; the generator
     # loss blows up in that regime
-    real = np.array([0.999999, 0.999999])
-    fake = np.array([1e-6, 1e-6])
+    real = np.array([[0.999999], [0.999999]])
+    fake = np.array([[1e-6], [1e-6]])
     assert d_loss_value(real, fake) == pytest.approx(0.0, abs=1e-4)
     assert g_loss_value(fake) > 10.0
 
@@ -184,14 +183,14 @@ def test_adversarial_gradients_match_finite_differences():
 
     fake, gen_caches = forward(g.layers, gen_in)
     fake_in = np.concatenate([fake, gen_in], axis=1)
-    _, analytic_d = gan._discriminator_grads(d, real_in, fake_in)
+    gan._discriminator_grads(d, real_in, fake_in)
     numeric_d = numerical_gradient(d_loss, d.theta, h=1e-6)
-    worst_d = relative_error(analytic_d, numeric_d)
+    worst_d = relative_error(d.grad, numeric_d)
     assert worst_d < 1e-4, worst_d
 
-    _, analytic_g = gan._generator_grads(g, d, gen_in, fake, gen_caches)
+    gan._generator_grads(g, d, fake_in, gen_caches)
     numeric_g = numerical_gradient(g_loss, g.theta, h=1e-6)
-    worst_g = relative_error(analytic_g, numeric_g)
+    worst_g = relative_error(g.grad, numeric_g)
     assert worst_g < 1e-4, worst_g
 
 
@@ -206,13 +205,30 @@ def make_step_fixture(seed=11, length=4, batch=5):
     return g, d, samples
 
 
+def step_inputs(g, batch):
+    """(gen_in, real_in, fake, gen_caches, fake_in) as train_step builds them."""
+    histories = np.stack([s.history for s in batch])
+    sentiments = np.array([s.sentiment for s in batch])
+    targets = np.stack([s.target for s in batch])
+    gen_in = gan._gen_inputs(g, histories, sentiments)
+    real_in = np.concatenate([targets, gen_in], axis=1)
+    fake, gen_caches = forward(g.layers, gen_in)
+    return gen_in, real_in, fake, gen_caches, np.concatenate([fake, gen_in], axis=1)
+
+
+def run_step(g, d, batch, schedule, gen_adam=None, disc_adam=None):
+    gen_in = step_inputs(g, batch)[0]
+    return gan.train_step(
+        g, d, gen_in, np.stack([s.target for s in batch]),
+        gen_adam or AdamState(learning_rate=schedule.learning_rate),
+        disc_adam or AdamState(learning_rate=schedule.learning_rate), schedule,
+    )
+
+
 def test_zero_learning_rate_reports_losses_without_moving():
     g, d, batch = make_step_fixture()
     before = [g.theta.copy(), d.theta.copy()]
-    schedule = GanSchedule(learning_rate=0.0)
-    d_loss, g_loss = gan.train_step(
-        g, d, batch, AdamState(learning_rate=0.0), AdamState(learning_rate=0.0), schedule
-    )
+    d_loss, g_loss = run_step(g, d, batch, GanSchedule(learning_rate=0.0))
     assert np.isfinite(d_loss) and np.isfinite(g_loss)
     assert np.array_equal(g.theta, before[0])
     assert np.array_equal(d.theta, before[1])
@@ -223,20 +239,9 @@ def test_step_count_bookkeeping():
     schedule = GanSchedule(d_steps=3)
     gen_adam = AdamState(learning_rate=schedule.learning_rate)
     disc_adam = AdamState(learning_rate=schedule.learning_rate)
-    gan.train_step(g, d, batch, gen_adam, disc_adam, schedule)
+    run_step(g, d, batch, schedule, gen_adam, disc_adam)
     assert disc_adam.step_count == 3
     assert gen_adam.step_count == 1
-
-
-def step_inputs(g, batch):
-    """(gen_in, real_in, fake, gen_caches, fake_in) as train_step builds them."""
-    histories = np.stack([s.history for s in batch])
-    sentiments = np.array([s.sentiment for s in batch])
-    targets = np.stack([s.target for s in batch])
-    gen_in = gan._gen_inputs(g, histories, sentiments)
-    real_in = np.concatenate([targets, gen_in], axis=1)
-    fake, gen_caches = forward(g.layers, gen_in)
-    return gen_in, real_in, fake, gen_caches, np.concatenate([fake, gen_in], axis=1)
 
 
 def test_train_step_runs_each_network_forward_once_per_job(monkeypatch):
@@ -250,24 +255,66 @@ def test_train_step_runs_each_network_forward_once_per_job(monkeypatch):
         return forward(layers, x)
 
     monkeypatch.setattr(gan, "forward", counted)
-    schedule = GanSchedule(d_steps=3)
-    gan.train_step(g, d, batch, AdamState(learning_rate=schedule.learning_rate),
-                   AdamState(learning_rate=schedule.learning_rate), schedule)
+    run_step(g, d, batch, GanSchedule(d_steps=3))
     assert calls == [5, 10, 10, 10, 5]
+
+
+def stacked_step_fixture(k, seed=13, length=4, batch=5):
+    """A stacked pair of k members and a (k, batch, ...) scaled batch."""
+    g, d, _ = make_step_fixture(seed, length, batch)
+    rng = np.random.default_rng(seed)
+    gen_in = rng.uniform(-0.9, 0.9, size=(k, batch, length * 6 + 1))
+    targets = rng.uniform(-0.9, 0.9, size=(k, batch, 6))
+    return g.stacked(k), d.stacked(k), gen_in, targets
+
+
+def test_seven_member_step_makes_three_forward_calls(monkeypatch):
+    g, d, gen_in, targets = stacked_step_fixture(7)
+    calls = []
+
+    def counted(layers, x):
+        calls.append(x.shape[:2])
+        return forward(layers, x)
+
+    monkeypatch.setattr(gan, "forward", counted)
+    schedule = GanSchedule()
+    d_loss, g_loss = gan.train_step(g, d, gen_in, targets, AdamState(learning_rate=0.01),
+                                    AdamState(learning_rate=0.01), schedule)
+    assert calls == [(7, 5), (7, 10), (7, 5)]
+    assert d_loss.shape == g_loss.shape == (7,)
+
+
+def test_train_step_carves_no_gradient_views(monkeypatch):
+    # each network's gradient views are carved once, with the network
+    g, d, gen_in, targets = stacked_step_fixture(3)
+
+    def no_carve(*args):
+        raise AssertionError("carve called inside train_step")
+
+    monkeypatch.setattr(nn, "carve", no_carve)
+    monkeypatch.setattr(gan, "carve", no_carve)
+    schedule = GanSchedule(d_steps=2)
+    for _ in range(2):
+        gan.train_step(g, d, gen_in, targets, AdamState(learning_rate=0.01),
+                       AdamState(learning_rate=0.01), schedule)
 
 
 def test_stacked_discriminator_pass_equals_two_separate_passes():
     g, d, batch = make_step_fixture()
     _, real_in, _, _, fake_in = step_inputs(g, batch)
     b = len(real_in)
-    loss, grad = gan._discriminator_grads(d, real_in, fake_in)
+    loss = gan._discriminator_grads(d, real_in, fake_in)
 
-    real_out, real_caches = forward(d.layers, real_in)
-    fake_out, fake_caches = forward(d.layers, fake_in)
-    g_real, _ = backward(d.layers, real_caches, -1.0 / (b * real_out))
-    g_fake, _ = backward(d.layers, fake_caches, 1.0 / (b * (1.0 - fake_out)))
+    def flat_grad(x, grad_out_of):
+        out, caches = forward(d.layers, x)
+        flat = np.empty_like(d.theta)
+        backward(d.layers, caches, grad_out_of(out), nn.carve(flat, nn.layer_shapes(d.layers)))
+        return out, flat
+
+    real_out, g_real = flat_grad(real_in, lambda out: -1.0 / (b * out))
+    fake_out, g_fake = flat_grad(fake_in, lambda out: 1.0 / (b * (1.0 - out)))
     separate = g_real + g_fake
-    assert np.max(np.abs(grad - separate)) <= 1e-12 * np.max(np.abs(separate))
+    assert np.max(np.abs(d.grad - separate)) <= 1e-12 * np.max(np.abs(separate))
     assert loss == pytest.approx(d_loss_value(real_out, fake_out), rel=1e-12)
 
 
@@ -276,14 +323,15 @@ def test_updates_do_not_cross_networks():
     gen_in, real_in, fake, gen_caches, fake_in = step_inputs(g, batch)
 
     gen_before = g.theta.copy()
-    _, d_grad = gan._discriminator_grads(d, real_in, fake_in)
-    adam_step(AdamState(learning_rate=0.01), d.theta, d_grad)
+    gan._discriminator_grads(d, real_in, fake_in)
+    adam_step(AdamState(learning_rate=0.01), d.theta, d.grad)
     assert np.array_equal(g.theta, gen_before)
 
-    disc_before = d.theta.copy()
-    _, g_grad = gan._generator_grads(g, d, gen_in, fake, gen_caches)
-    adam_step(AdamState(learning_rate=0.01), g.theta, g_grad)
-    assert np.array_equal(d.theta, disc_before)
+    disc_before = [d.theta.copy(), d.grad.copy()]
+    gan._generator_grads(g, d, fake_in, gen_caches)
+    adam_step(AdamState(learning_rate=0.01), g.theta, g.grad)
+    assert np.array_equal(d.theta, disc_before[0])
+    assert np.array_equal(d.grad, disc_before[1])
 
 
 # ---------------------------------------------------------------- train
@@ -303,9 +351,9 @@ def jumpy_aligned(seed, n=160, phi=0.9, sigma=1.0, jump=3.0):
 
 def test_train_zero_epochs_returns_initialized_nets():
     windows = make_windows(jumpy_aligned(0), 5)
-    g, d, log = gan.train(windows, GanSchedule(epochs=0), seed=0,
+    [(g, d, log)] = gan.train([windows], GanSchedule(epochs=0), seed=0,
                           gen_hidden=(8,), disc_hidden=(8,))
-    assert log == []
+    assert log.shape == (0, 2)
     assert g.scaler is not None
     assert isinstance(d, Discriminator)
 
@@ -313,32 +361,106 @@ def test_train_zero_epochs_returns_initialized_nets():
 def test_train_determinism():
     windows = make_windows(jumpy_aligned(1), 5)[:40]
     schedule = GanSchedule(epochs=2)
-    g1, d1, log1 = gan.train(windows, schedule, seed=3, gen_hidden=(8,), disc_hidden=(8,))
-    g2, d2, log2 = gan.train(windows, schedule, seed=3, gen_hidden=(8,), disc_hidden=(8,))
+    [(g1, d1, log1)] = gan.train([windows], schedule, seed=3, gen_hidden=(8,), disc_hidden=(8,))
+    [(g2, d2, log2)] = gan.train([windows], schedule, seed=3, gen_hidden=(8,), disc_hidden=(8,))
     assert np.array_equal(g1.theta, g2.theta)
     assert np.array_equal(d1.theta, d2.theta)
-    assert log1 == log2
+    assert np.array_equal(log1, log2)
 
 
 def test_train_log_schema():
     windows = make_windows(jumpy_aligned(2), 5)[:20]
-    _, _, log = gan.train(windows, GanSchedule(epochs=2), seed=0,
+    [(_, _, log)] = gan.train([windows], GanSchedule(epochs=2), seed=0,
                           gen_hidden=(8,), disc_hidden=(8,))
-    assert [row["step"] for row in log] == list(range(len(log)))
-    assert all(np.isfinite(row["d_loss"]) and np.isfinite(row["g_loss"]) for row in log)
+    assert log.shape == (2 * 4, 2)  # epochs x batches of 5, (d_loss, g_loss)
+    assert np.isfinite(log).all()
 
 
 def test_conditioning_sensitivity_after_training():
     aligned = jumpy_aligned(4, n=200)
     windows = make_windows(aligned, 5)
     train_part, test_part = split(windows, "holdout_last_20")
-    g, _, _ = gan.train(train_part, GanSchedule(epochs=30), seed=0,
+    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=30), seed=0,
                         gen_hidden=(16,), disc_hidden=(16,))
     deltas = []
     for w in test_part:
         flipped = WindowSample(w.history, -w.sentiment, w.target, w.target_date)
         deltas.append(abs(gan.predict(g, w) - gan.predict(g, flipped)))
     assert np.mean(deltas) > 0.0
+
+
+# ---------------------------------------------------------------- lockstep
+
+
+def lockstep_members(n_windows=37):
+    """Two members' training windows, of one length, from different paths."""
+    return [make_windows(jumpy_aligned(seed, n=n_windows + 5), 5) for seed in (20, 21)]
+
+
+@pytest.mark.parametrize("schedule", [
+    GanSchedule(epochs=3, batch_size=5),
+    GanSchedule(epochs=2, batch_size=8, d_steps=2, supervised_weight=0.5),
+], ids=["d_steps=1", "d_steps=2,batch=8,supervised"])
+def test_lockstep_members_equal_solo_runs(schedule):
+    # 37 windows: the last batch of every epoch is short
+    members = lockstep_members()
+    nets = dict(seed=4, gen_hidden=(8, 6), disc_hidden=(7,))
+    together = gan.train(members, schedule, **nets)
+    alone = [gan.train([m], schedule, **nets)[0] for m in members]
+    assert len(together) == 2
+    for (g, d, log), (g1, d1, log1) in zip(together, alone):
+        assert np.array_equal(g.theta, g1.theta)
+        assert np.array_equal(d.theta, d1.theta)
+        assert np.array_equal(log, log1)
+        assert g.to_dict() == g1.to_dict()
+    assert not np.array_equal(together[0][0].theta, together[1][0].theta)
+
+
+def test_lockstep_accepts_an_iterator_of_members():
+    members = lockstep_members()
+    schedule = GanSchedule(epochs=1)
+    from_list = gan.train(members, schedule, seed=0, gen_hidden=(8,), disc_hidden=(8,))
+    from_iter = gan.train(iter(members), schedule, seed=0, gen_hidden=(8,), disc_hidden=(8,))
+    for (g, d, log), (g1, d1, log1) in zip(from_list, from_iter):
+        assert np.array_equal(g.theta, g1.theta) and np.array_equal(log, log1)
+
+
+def test_lockstep_rejects_members_of_different_lengths():
+    a, b = lockstep_members()
+    with pytest.raises(UsageError):
+        gan.train([a, b[:-1]], GanSchedule(epochs=1), seed=0,
+                  gen_hidden=(8,), disc_hidden=(8,))
+    with pytest.raises(UsageError):
+        gan.train([], GanSchedule(epochs=1), seed=0)
+
+
+def test_diverging_member_is_named(monkeypatch):
+    # a non-finite gradient in member 1 only, from the fourth step on
+    members = lockstep_members()
+    passes = []
+
+    def diverging(layers, caches, grad_out, grads=None):
+        grad_in = backward(layers, caches, grad_out, grads)
+        if grads is not None:
+            passes.append(1)
+            if len(passes) > 6:
+                grads[0][1, 0, 0] = np.nan
+        return grad_in
+
+    monkeypatch.setattr(gan, "backward", diverging)
+    with pytest.raises(TrainingError) as e:
+        gan.train(members, GanSchedule(epochs=2), seed=0, gen_hidden=(8,), disc_hidden=(8,))
+    assert e.value.member == 1
+    assert "member 1" in str(e.value)
+
+
+def test_member_with_unscalable_data_is_named():
+    # a NaN sentiment passes no range check; it is refused before training
+    a, b = lockstep_members()
+    b[3] = WindowSample(b[3].history, float("nan"), b[3].target, b[3].target_date)
+    with pytest.raises(DataError) as e:
+        gan.train([a, b], GanSchedule(epochs=1), seed=0, gen_hidden=(8,), disc_hidden=(8,))
+    assert e.value.member == 1
 
 
 # ---------------------------------------------------------------- forecasting
@@ -348,7 +470,7 @@ def test_forecast_holdout_emits_20_causal_rows():
     aligned = jumpy_aligned(5, n=120)
     windows = make_windows(aligned, 6)
     train_part, _ = split(windows, "holdout_last_20")
-    g, _, _ = gan.train(train_part, GanSchedule(epochs=1), seed=1,
+    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1), seed=1,
                         gen_hidden=(8,), disc_hidden=(8,))
     rows = evaluate("gan", g, aligned, "holdout_last_20", window_length=6).rows
     assert len(rows) == 20
@@ -364,7 +486,7 @@ def test_scaler_round_trip_on_actuals():
     aligned = jumpy_aligned(6, n=120)
     windows = make_windows(aligned, 6)
     train_part, _ = split(windows, "holdout_last_20")
-    g, _, _ = gan.train(train_part, GanSchedule(epochs=1), seed=1,
+    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1), seed=1,
                         gen_hidden=(8,), disc_hidden=(8,))
     rows = aligned.features[:100]
     assert np.allclose(scaler_inverse(g.scaler, scaler_transform(g.scaler, rows)), rows,
@@ -384,7 +506,7 @@ def test_predict_without_scaler_errors():
 def test_generator_json_round_trip():
     aligned = jumpy_aligned(7, n=100)
     windows = make_windows(aligned, 5)
-    g, d, _ = gan.train(windows[:-5], GanSchedule(epochs=1), seed=2,
+    [(g, d, _)] = gan.train([windows[:-5]], GanSchedule(epochs=1), seed=2,
                         gen_hidden=(8,), disc_hidden=(8,))
     g2 = Generator.from_dict(g.to_dict())
     d2 = Discriminator.from_dict(d.to_dict())
@@ -397,7 +519,7 @@ def test_generator_from_dict_ignores_legacy_noise_dim():
     # artifacts written before the noise input was removed carry noise_dim: 0
     aligned = jumpy_aligned(8, n=100)
     windows = make_windows(aligned, 5)
-    g, _, _ = gan.train(windows[:-5], GanSchedule(epochs=1), seed=2,
+    [(g, _, _)] = gan.train([windows[:-5]], GanSchedule(epochs=1), seed=2,
                         gen_hidden=(8,), disc_hidden=(8,))
     legacy = {**g.to_dict(), "noise_dim": 0}
     restored = Generator.from_dict(legacy)

@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 from sentigan import nn
-from sentigan.errors import DimensionError, UsageError
+from sentigan.errors import DimensionError, NumericalError, UsageError
 from sentigan.gradcheck import finite_difference_check, numerical_gradient, relative_error
 
 
 def identity_layer():
     return nn.DenseLayer(np.eye(2), np.zeros(2), "identity")
+
+
+def flat_backward(layers, caches, grad_out):
+    """(dL/d(parameters) as one flat vector in pack's layout, dL/d(input))."""
+    shapes = nn.layer_shapes(layers)
+    flat = np.empty(sum(int(np.prod(s)) for s in shapes))
+    grad_in = nn.backward(layers, caches, grad_out, nn.carve(flat, shapes))
+    return flat, grad_in
 
 
 def test_dense_forward_identity():
@@ -36,7 +44,7 @@ def test_backward_hand_chain_rule():
     layer = nn.DenseLayer(np.array([[1.0]]), np.zeros(1), "identity")
     out, caches = nn.forward([layer], np.array([2.0]))
     grad_out = 2.0 * (out - 0.0)
-    grad, _ = nn.backward([layer], caches, grad_out)
+    grad, _ = flat_backward([layer], caches, grad_out)
     assert np.allclose(grad, [8.0, 4.0])  # flat (dW, db)
 
 
@@ -44,7 +52,7 @@ def test_backward_zero_loss_gradient():
     rng = np.random.default_rng(0)
     layers = nn.build_mlp(rng, 3, [4], 2, "tanh", "identity")
     out, caches = nn.forward(layers, rng.normal(size=3))
-    grad, gin = nn.backward(layers, caches, np.zeros_like(out))
+    grad, gin = flat_backward(layers, caches, np.zeros_like(out))
     assert grad.shape == (3 * 4 + 4 + 4 * 2 + 2,)
     assert not grad.any()
     assert not gin.any()
@@ -121,11 +129,11 @@ def test_batched_backward_matches_sum_of_samples():
     xs = rng.normal(size=(6, 3))
     gouts = rng.normal(size=(6, 2))
     out_b, caches_b = nn.forward(layers, xs)
-    grad_b, _ = nn.backward(layers, caches_b, gouts)
+    grad_b, _ = flat_backward(layers, caches_b, gouts)
     acc = np.zeros_like(grad_b)
     for x, g in zip(xs, gouts):
         _, caches = nn.forward(layers, x)
-        acc += nn.backward(layers, caches, g)[0]
+        acc += flat_backward(layers, caches, g)[0]
     assert relative_error(grad_b, acc) < 1e-9
 
 
@@ -141,6 +149,74 @@ def test_pack_makes_layers_views_of_theta():
         assert np.array_equal(a, b)
     theta[...] = 0.0
     assert not any(a.any() for a in after)
+
+
+def test_backward_without_grads_returns_only_the_input_gradient():
+    rng = np.random.default_rng(9)
+    layers = nn.build_mlp(rng, 3, [4], 2, "tanh", "identity")
+    xs = rng.normal(size=(5, 3))
+    out, caches = nn.forward(layers, xs)
+    gouts = rng.normal(size=out.shape)
+    _, expected = flat_backward(layers, caches, gouts)
+    assert np.array_equal(nn.backward(layers, caches, gouts), expected)
+
+
+def stacked_mlp(rng, k, sizes, hidden_activation, out_activation):
+    """K independently initialized members of one shape, and their stack."""
+    members = [nn.build_mlp(rng, sizes[0], sizes[1:-1], sizes[-1], hidden_activation,
+                            out_activation) for _ in range(k)]
+    stack = [nn.DenseLayer(np.stack([m[i].weights for m in members]),
+                           np.stack([m[i].bias for m in members]), members[0][i].activation)
+             for i in range(len(members[0]))]
+    return members, stack
+
+
+@pytest.mark.parametrize("acts", [("relu", "tanh"), ("leaky_relu", "sigmoid")])
+def test_stacked_pass_equals_each_member_pass(acts):
+    # the member axis is bookkeeping only: each member's output, input
+    # gradient and parameter gradient are bitwise those of its own pass
+    rng = np.random.default_rng(10)
+    members, stack = stacked_mlp(rng, 3, [7, 5, 4, 2], *acts)
+    xs = rng.normal(size=(3, 6, 7))
+    gouts = rng.normal(size=(3, 6, 2))
+    theta = nn.pack(stack)
+    assert theta.shape == (3, sum(int(np.prod(s)) for s in nn.layer_shapes(stack)))
+    flat = np.empty_like(theta)
+    out, caches = nn.forward(stack, xs)
+    grad_in = nn.backward(stack, caches, gouts, nn.carve(flat, nn.layer_shapes(stack)))
+    for k, layers in enumerate(members):
+        out_k, caches_k = nn.forward(layers, xs[k])
+        flat_k, grad_in_k = flat_backward(layers, caches_k, gouts[k])
+        assert np.array_equal(out[k], out_k)
+        assert np.array_equal(grad_in[k], grad_in_k)
+        assert np.array_equal(flat[k], flat_k)
+        assert np.array_equal(theta[k], np.concatenate(
+            [a.ravel() for layer in layers for a in (layer.weights, layer.bias)]))
+
+
+def test_stacked_pack_rows_are_member_layouts():
+    rng = np.random.default_rng(11)
+    _, stack = stacked_mlp(rng, 2, [3, 4, 2], "tanh", "identity")
+    theta = nn.pack(stack)
+    for layer in stack:
+        assert np.shares_memory(theta, layer.weights) and np.shares_memory(theta, layer.bias)
+    theta[1] = 0.0
+    assert all(not l.weights[1].any() and l.weights[0].any() for l in stack)
+
+
+def test_stacked_forward_names_the_non_finite_member():
+    rng = np.random.default_rng(12)
+    _, stack = stacked_mlp(rng, 3, [3, 4, 2], "tanh", "identity")
+    xs = rng.normal(size=(3, 2, 3))
+    xs[2, 1, 0] = np.nan
+    with pytest.raises(NumericalError) as e:
+        nn.forward(stack, xs)
+    assert e.value.member == 2
+
+
+def test_dense_layer_rejects_misshapen_stacked_bias():
+    with pytest.raises(DimensionError):
+        nn.DenseLayer(np.zeros((3, 2, 4)), np.zeros((2, 2)))
 
 
 def test_carve_rejects_a_vector_of_the_wrong_size():

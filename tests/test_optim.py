@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ def test_flat_update_equals_update_of_each_piece():
     piece_states = [AdamState(learning_rate=0.01) for _ in sizes]
     for _ in range(20):
         grad = rng.normal(size=theta.size)
-        adam_step(flat_state, theta, grad)
+        adam_step(flat_state, theta, grad.copy())
         for p, g, state in zip(pieces, np.split(grad, np.cumsum(sizes)[:-1]), piece_states):
             adam_step(state, p, g)
     assert np.array_equal(theta, np.concatenate(pieces))
@@ -82,3 +84,40 @@ def test_determinism():
 
     a, b = run(), run()
     assert np.array_equal(a, b)
+
+
+def test_stacked_update_equals_update_of_each_member():
+    # one (K, P) update is bitwise the update of each row with its own state
+    rng = np.random.default_rng(6)
+    theta = rng.normal(size=(3, 5))
+    rows = [r.copy() for r in theta]
+    stacked = AdamState(learning_rate=0.01)
+    solo = [AdamState(learning_rate=0.01) for _ in rows]
+    for _ in range(20):
+        grad = rng.normal(size=theta.shape)
+        for row, g, state in zip(rows, grad.copy(), solo):
+            adam_step(state, row, g)
+        adam_step(stacked, theta, grad)
+    assert np.array_equal(theta, np.stack(rows))
+
+
+def test_non_finite_gradient_names_the_member():
+    state = AdamState(learning_rate=0.01)
+    grad = np.zeros((3, 4))
+    grad[2, 1] = np.inf
+    with pytest.raises(TrainingError) as e:
+        adam_step(state, np.zeros((3, 4)), grad)
+    assert e.value.member == 2
+    assert "flat index 1 of member 2" in str(e.value)
+
+
+def test_step_allocates_no_theta_sized_temporaries():
+    state = AdamState(learning_rate=0.01)
+    theta = np.zeros((7, 4000))
+    adam_step(state, theta, np.ones_like(theta))
+    grad = np.ones_like(theta)
+    tracemalloc.start()
+    adam_step(state, theta, grad)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < theta.nbytes / 4  # the finiteness mask only
