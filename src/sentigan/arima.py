@@ -2,8 +2,8 @@
 one-step forecasting on the original price scale.
 
 Estimation is conditional sum of squares on the d-times differenced series
-(pre-sample residuals fixed at zero), minimized by gradient-based
-optimization from zero initialization. Exact likelihood is out of scope.
+(pre-sample residuals fixed at zero), minimized by L-BFGS-B with its exact
+gradient from zero initialization. Exact likelihood is out of scope.
 """
 
 from __future__ import annotations
@@ -111,11 +111,32 @@ def _css_residuals(w, intercept, ar, ma):
 
 
 def _css(params, w, p, q):
+    """The conditional sum of squares and its exact gradient.
+
+    Each residual sensitivity is a lagged series filtered by the inverse MA
+    polynomial: de/dc = -theta(B)^-1 1, de/dphi_i = -theta(B)^-1 w[t-i] and
+    de/dtheta_j = -theta(B)^-1 e[t-j], with pre-sample residuals zero; the
+    gradient is 2 sens @ e. Where the sum or the gradient overflows, the
+    value is capped at 1e300 and the gradient points toward zero
+    coefficients, so the optimizer never reads the point as a minimum."""
+    ma = params[1 + p :]
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _css_residuals(w, params[0], params[1 : 1 + p], params[1 + p :])
+        e = _css_residuals(w, params[0], params[1 : 1 + p], ma)
+        n = len(e)
+        sens = np.empty((1 + p + q, n))
+        sens[0] = -1.0
+        for i in range(1, p + 1):
+            sens[i] = -w[p - i : len(w) - i]
+        for j in range(1, q + 1):
+            sens[p + j, :j] = 0.0
+            sens[p + j, j:] = -e[: n - j]
+        if q:
+            sens = lfilter([1.0], np.concatenate(([1.0], ma)), sens, axis=1)
         sse = float(e @ e)
-    # an overflowing sum would hand the finite-difference gradient inf - inf
-    return sse if np.isfinite(sse) else 1e300
+        grad = 2.0 * (sens @ e)
+    if np.isfinite(sse) and np.isfinite(grad).all():
+        return sse, grad
+    return 1e300, np.where(params < 0, -1.0, 1.0)
 
 
 def fit(train, order: ArimaOrder, max_iter: int = 500) -> ArimaModel:
@@ -132,7 +153,7 @@ def fit(train, order: ArimaOrder, max_iter: int = 500) -> ArimaModel:
                           tail_values=y[-(d + 1):].copy())
     bounds = [(None, None)] + [(-0.99, 0.99)] * (p + q)
     result = minimize(
-        _css, x0, args=(w, p, q), method="L-BFGS-B", bounds=bounds,
+        _css, x0, args=(w, p, q), jac=True, method="L-BFGS-B", bounds=bounds,
         options={"maxiter": max_iter},
     )
     if not result.success and result.status != 1:  # status 1 = maxiter

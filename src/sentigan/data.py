@@ -244,15 +244,20 @@ def window_count(rows: int, window_length: int) -> int:
 
 
 def make_windows(aligned: AlignedDataset, window_length: int) -> list[WindowSample]:
-    """Stride-1 sliding windows: sample i = rows [i, i+L) with target row i+L."""
+    """Stride-1 sliding windows: sample i = rows [i, i+L) with target row i+L.
+
+    Histories and targets are read-only views of aligned.features, so the
+    windows share its memory and a write to one raises."""
+    features = aligned.features.view()
+    features.flags.writeable = False
     samples = []
     for i in range(window_count(len(aligned.dates), window_length)):
         end = i + window_length
         samples.append(
             WindowSample(
-                history=aligned.features[i:end].copy(),
+                history=features[i:end],
                 sentiment=float(aligned.sentiment[end - 1]),
-                target=aligned.features[end].copy(),
+                target=features[end],
                 target_date=aligned.dates[end],
             )
         )

@@ -160,7 +160,9 @@ def backward(layers, caches, grad_out, grads=None):
     grad_out is dL/d(output) per sample. dL/d(parameters) is written into
     `grads`, the arrays W0, b0, W1, b1, ... in the layout of layer_shapes
     (views of one flat gradient, carved once by the caller), summed over the
-    batch; grads=None skips them. Returns dL/d(input).
+    batch, and None is returned: no caller of a parameter update reads
+    dL/d(input), so the first layer's input product is skipped. grads=None
+    skips the parameter gradients instead and returns dL/d(input).
     """
     if len(caches) != len(layers):
         raise UsageError(
@@ -179,5 +181,7 @@ def backward(layers, caches, grad_out, grads=None):
             else:
                 np.matmul(gz.swapaxes(-1, -2), x_in, out=dw)
                 gz.sum(axis=-2, out=db)
+            if i == 0:
+                return None
         g = gz @ layers[i].weights
     return g

@@ -1,8 +1,16 @@
 """Adam optimizer with bias correction, one in-place update of a flat vector
-(P,) or of the stacked vectors (K, P) of K lockstep members."""
+(P,) or of the stacked vectors (K, P) of K lockstep members.
+
+The moments are kept unnormalized, m = b1 m + g and v = b2 v + g g, and the
+factors (1 - b1), sqrt(1 - b2) and both bias corrections are folded into one
+step size and one epsilon per call (Kingma & Ba 2015, section 2). After the
+finiteness check the update makes ten passes over theta's size and equals
+the textbook one up to rounding.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +20,10 @@ from .errors import DimensionError, TrainingError
 
 @dataclass
 class AdamState:
+    """Hyperparameters and state of one Adam run. first_moment and
+    second_moment are the unnormalized sums m = b1 m + g and v = b2 v + g g,
+    i.e. the textbook moments divided by (1 - b1) and (1 - b2)."""
+
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -31,7 +43,7 @@ class AdamState:
 def adam_step(state: AdamState, theta: np.ndarray, grad):
     """One Adam update of the parameter vector theta, which is mutated in
     place and also returned. A 2-d theta holds one member per row; a
-    non-finite gradient names the member.
+    non-finite gradient names the member and leaves all state unmoved.
 
     Moment and scratch buffers are allocated on first use and must keep
     theta's shape afterwards; the update itself allocates nothing. grad is
@@ -54,21 +66,20 @@ def adam_step(state: AdamState, theta: np.ndarray, grad):
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     m, v, work = state.first_moment, state.second_moment, state.scratch
-    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+    # textbook: theta -= lr m_hat / (sqrt(v_hat) + eps), m_hat = (1 - b1) m / (1 - b1^t)
+    # and v_hat = (1 - b2) v / (1 - b2^t) of the unnormalized m and v
+    root = math.sqrt((1 - b2**t) / (1 - b2))
+    alpha = state.learning_rate * (1 - b1) / (1 - b1**t) * root
+    eps = state.epsilon * root
     m *= b1
-    np.multiply(grad, 1 - b1, out=work)
-    m += work
+    m += grad
     v *= b2
-    np.multiply(grad, 1 - b2, out=work)
-    work *= grad
+    np.multiply(grad, grad, out=work)
     v += work
-    # theta -= lr m_hat / (sqrt(v_hat) + eps), the step built in grad
-    np.divide(v, 1 - b2**t, out=work)
-    np.sqrt(work, out=work)
-    work += state.epsilon
+    np.sqrt(v, out=work)
+    work += eps
     step = grad
-    np.divide(m, 1 - b1**t, out=step)
-    step *= state.learning_rate
-    step /= work
+    np.divide(m, work, out=step)
+    step *= alpha
     theta -= step
     return theta

@@ -233,14 +233,16 @@ def test_criterion_8_protocol_audits(tmp_path, monkeypatch):
         assert split_boundary(total, "holdout_last_20") == total - 20
 
     # scaler parameters never depend on the test partition
+    # (windows are read-only views of the aligned rows, so the rows that only
+    # the test windows' targets see are scaled at the source)
     rng = np.random.default_rng(0)
-    windows = make_windows(aligned_from_close(100 + np.cumsum(rng.normal(0, 1, 150))), 10)
-    train_part, test_part = split(windows, "holdout_last_20")
+    aligned = aligned_from_close(100 + np.cumsum(rng.normal(0, 1, 150)))
+    train_part, test_part = split(make_windows(aligned, 10), "holdout_last_20")
     rows = np.vstack([w.history for w in train_part])
     before = scaler_fit(rows, "unit")
-    for w in test_part:
-        w.history *= 100.0
-        w.target *= 100.0
+    aligned.features = aligned.features * np.where(np.arange(150) >= 130, 100.0, 1.0)[:, None]
+    train_part, test_part = split(make_windows(aligned, 10), "holdout_last_20")
+    assert all(w.target[CLOSE_COLUMN] > 1000.0 for w in test_part)
     after = scaler_fit(np.vstack([w.history for w in train_part]), "unit")
     assert np.array_equal(before.per_feature_min, after.per_feature_min)
     assert np.array_equal(before.per_feature_max, after.per_feature_max)

@@ -4,6 +4,7 @@ import pytest
 from sentigan import arima
 from sentigan.arima import ArimaOrder
 from sentigan.errors import DataError, UsageError
+from sentigan.gradcheck import numerical_gradient, relative_error
 
 
 def simulate_ar1(n, phi, sigma=1.0, seed=0, const=0.0):
@@ -132,9 +133,30 @@ def test_fit_null_model_closed_form():
 
 
 def test_css_overflowing_sum_is_capped():
-    # every residual is finite, but their sum of squares overflows
+    # every residual is finite, but their sum of squares overflows; a zero
+    # gradient there would read as a minimum to the optimizer
     w = np.full(20, 1e160)
-    assert arima._css(np.zeros(1), w, 0, 0) == 1e300
+    value, grad = arima._css(np.zeros(1), w, 0, 0)
+    assert value == 1e300
+    assert np.isfinite(grad).all() and grad.any()
+
+
+def test_css_non_invertible_ma_is_capped_with_a_finite_gradient():
+    # |theta| > 1 makes the residual recursion explode past float range
+    w = simulate_ma1(3000, 0.3, seed=6)
+    value, grad = arima._css(np.array([0.0, 0.0, 1.5]), w, 1, 1)
+    assert value == 1e300
+    assert np.isfinite(grad).all() and grad.any()
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (0, 2), (3, 0), (3, 3)])
+def test_css_gradient_matches_central_differences(p, q):
+    rng = np.random.default_rng(10 * p + q)
+    w = simulate_ar1(300, 0.5, seed=p + q, const=0.3)
+    params = np.concatenate(([0.2], rng.uniform(-0.3, 0.3, p + q)))
+    _, grad = arima._css(params, w, p, q)
+    numeric = numerical_gradient(lambda: arima._css(params, w, p, q)[0], params, h=1e-6)
+    assert relative_error(grad, numeric) <= 1e-6
 
 
 def test_fit_too_short_errors():

@@ -198,6 +198,16 @@ def test_window_targets_reconstruct_series():
     assert np.array_equal(targets, aligned.features[7:])
 
 
+def test_windows_are_read_only_views_of_the_aligned_array():
+    aligned, _ = D.align(make_series(12), [])
+    window = D.make_windows(aligned, 5)[2]
+    for arr in (window.history, window.target):
+        assert np.shares_memory(arr, aligned.features)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert aligned.features.flags.writeable
+
+
 # ---------------------------------------------------------------- split
 
 

@@ -225,6 +225,42 @@ def run_step(g, d, batch, schedule, gen_adam=None, disc_adam=None):
     )
 
 
+def full_backward(layers, caches, grad_out, grads):
+    """Reference reverse pass that forms every gradient from every call,
+    the first layer's input product included."""
+    g = grad_out
+    for i in reversed(range(len(layers))):
+        x_in, z = caches[i]
+        gz = g * nn.activate_grad(layers[i].activation, z)
+        np.matmul(gz.swapaxes(-1, -2), x_in, out=grads[2 * i])
+        gz.sum(axis=-2, out=grads[2 * i + 1])
+        g = gz @ layers[i].weights
+    return g
+
+
+def test_generator_update_gradients_are_unchanged_bitwise():
+    # the discriminator pass of the generator update still returns its input
+    # gradient, and the generator gradient built on it is the same
+    g, d, batch = make_step_fixture()
+    g, d = g.stacked(2), d.stacked(2)
+    gen_in = step_inputs(g.member(0), batch)[0]
+    gen_in = np.stack([gen_in, gen_in[::-1]])
+    fake, gen_caches = forward(g.layers, gen_in)
+    fake_in = np.concatenate([fake, gen_in], axis=-1)
+    gan._generator_grads(g, d, fake_in, gen_caches)
+
+    score, disc_caches = forward(d.layers, fake_in)
+    grad_out = -1.0 / (fake_in.shape[-2] * np.clip(score, gan.LOG_EPS, 1.0 - gan.LOG_EPS))
+    disc_grad = np.empty_like(d.theta)
+    grad_in = full_backward(d.layers, disc_caches, grad_out,
+                            nn.carve(disc_grad, nn.layer_shapes(d.layers)))
+    assert np.array_equal(backward(d.layers, disc_caches, grad_out), grad_in)
+    expected = np.empty_like(g.theta)
+    full_backward(g.layers, gen_caches, grad_in[..., :6],
+                  nn.carve(expected, nn.layer_shapes(g.layers)))
+    assert np.array_equal(g.grad, expected)
+
+
 def test_zero_learning_rate_reports_losses_without_moving():
     g, d, batch = make_step_fixture()
     before = [g.theta.copy(), d.theta.copy()]

@@ -121,3 +121,31 @@ def test_step_allocates_no_theta_sized_temporaries():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < theta.nbytes / 4  # the finiteness mask only
+
+
+def textbook_adam(theta, grads, rates, b1=0.9, b2=0.999, eps=1e-8):
+    """Kingma & Ba's Algorithm 1, one learning rate per step."""
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    for t, (g, lr) in enumerate(zip(grads, rates), start=1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return theta
+
+
+def test_update_matches_the_textbook_bias_corrected_adam():
+    # 1,000 steps with a learning-rate decay half way, as the LSTM's
+    # plateau schedule sets it between steps
+    rng = np.random.default_rng(12)
+    theta = rng.normal(size=(2, 50))
+    grads = rng.normal(scale=rng.uniform(1e-3, 10.0, size=(1000, 1, 1)), size=(1000, 2, 50))
+    rates = [0.01] * 500 + [0.005] * 500
+    expected = textbook_adam(theta, grads, rates)
+    state = AdamState(learning_rate=0.01)
+    for g, lr in zip(grads, rates):
+        state.learning_rate = lr
+        adam_step(state, theta, g.copy())
+    assert np.max(np.abs(theta - expected) / np.abs(expected)) <= 1e-12
