@@ -11,6 +11,7 @@ idioms, "least"/"never so" special cases, and question-mark amplification.
 
 from __future__ import annotations
 
+import math
 import re
 import string
 from bisect import bisect_left
@@ -199,8 +200,14 @@ def _but_reweight(words, sentiments):
 
 
 def normalize_valence_sum(total: float) -> float:
-    compound = total / (total * total + NORMALIZATION_ALPHA) ** 0.5
-    return max(-1.0, min(1.0, compound))
+    # total / sqrt(total^2 + alpha), written as sign / sqrt(1 + alpha / total^2)
+    # so that every rounded step is monotone in |total|: the direct ratio of two
+    # growing roundings can step down by an ulp (49.99999999999999 -> 50.0).
+    square = total * total
+    if square == 0.0:
+        return 0.0
+    compound = 1.0 / math.sqrt(1.0 + NORMALIZATION_ALPHA / square)
+    return compound if total > 0 else -compound
 
 
 def score_text(lexicon: Lexicon, raw: str) -> float:

@@ -4,7 +4,7 @@ from datetime import date, datetime
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sentigan.errors import DataError
@@ -97,6 +97,7 @@ def test_normalization_limit():
 
 
 @given(st.floats(min_value=-50, max_value=50), st.floats(min_value=-50, max_value=50))
+@example(a=49.99999999999999, b=50.0)
 def test_normalization_monotone(a, b):
     if a <= b:
         assert normalize_valence_sum(a) <= normalize_valence_sum(b)
