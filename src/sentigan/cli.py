@@ -116,7 +116,7 @@ def _load_or_die(path, what, load):
     the wrong type, shape or name is a DataError naming the file."""
     try:
         return load(path)
-    except (ValueError, KeyError, TypeError, DimensionError, UsageError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError, DimensionError, UsageError) as e:
         raise DataError(f"{path}: corrupt {what}: {e!r}") from e
 
 
@@ -255,12 +255,12 @@ def _write_outputs(cfg, symbol, model, payload, log_csv):
         write_atomic(cfg.output_dir / "logs" / f"{symbol}_{model}.csv", log_csv)
 
 
-def _train_gan_group(cfg, symbols, n_windows):
+def _train_gan_group(cfg, datasets, symbols, n_windows):
     """Train the GANs of the assets `symbols`, which each have n_windows GAN
     training windows, in one lockstep run, and write each one's artifact
     and log."""
-    # one member's data at a time: train() keeps only its scaled arrays
-    members = (make_windows(_load_aligned_or_die(cfg, symbol), cfg.window_length)[:n_windows]
+    # one member's windows at a time: train() keeps only its scaled arrays
+    members = (make_windows(datasets[symbol], cfg.window_length)[:n_windows]
                for symbol in symbols)
     params = dict(cfg.gan)
     gen_hidden = tuple(params.pop("gen_hidden"))
@@ -268,9 +268,8 @@ def _train_gan_group(cfg, symbols, n_windows):
     with _cell(symbols, "gan"):
         results = gan_mod.train(members, GanSchedule(**params), seed=cfg.seed,
                                 gen_hidden=gen_hidden, disc_hidden=disc_hidden)
-    for symbol, (gen, disc, log) in zip(symbols, results):
-        payload = {"model": "gan", "artifact": gen.to_dict(),
-                   "discriminator": disc.to_dict()}
+    for symbol, (gen, _, log) in zip(symbols, results):
+        payload = {"model": "gan", "artifact": gen.to_dict()}
         log_csv = "step,d_loss,g_loss\n" + "".join(
             f"{step},{d!r},{g!r}\n" for step, (d, g) in enumerate(log.tolist())
         )
@@ -280,36 +279,35 @@ def _train_gan_group(cfg, symbols, n_windows):
 _TRAINERS = {"arima": _train_arima, "lstm": _train_lstm}
 
 
-def _gan_groups(cfg, assets):
+def _gan_groups(cfg, datasets):
     """Symbols by their number of GAN training windows, in config order."""
     groups = {}
-    for asset in assets:
-        with _cell([asset.symbol], "gan"):
-            n_rows = len(_load_aligned_or_die(cfg, asset.symbol).dates)
-            n_windows = split_boundary(window_count(n_rows, cfg.window_length),
+    for symbol, aligned in datasets.items():
+        with _cell([symbol], "gan"):
+            n_windows = split_boundary(window_count(len(aligned.dates), cfg.window_length),
                                        cfg.split_policies["gan"])
-        groups.setdefault(n_windows, []).append(asset.symbol)
+        groups.setdefault(n_windows, []).append(symbol)
     return groups
 
 
 def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
     """ARIMA and the LSTM asset by asset; the GANs in one lockstep run per
     group of assets with equal numbers of GAN training windows, right after
-    the group's last asset."""
+    the group's last asset. Each aligned file is read once, up front."""
     models = _select_models(model_name)
-    assets = _select_assets(cfg, asset_symbol)
-    groups = _gan_groups(cfg, assets) if "gan" in models else {}
+    datasets = {asset.symbol: _load_aligned_or_die(cfg, asset.symbol)
+                for asset in _select_assets(cfg, asset_symbol)}
+    groups = _gan_groups(cfg, datasets) if "gan" in models else {}
     last_of_group = {symbols[-1]: (symbols, n) for n, symbols in groups.items()}
-    for asset in assets:
-        aligned = _load_aligned_or_die(cfg, asset.symbol)
+    for symbol, aligned in datasets.items():
         for model in models:
             if model != "gan":
-                with _cell([asset.symbol], model):
+                with _cell([symbol], model):
                     payload, log_csv = _TRAINERS[model](cfg, aligned)
-                _write_outputs(cfg, asset.symbol, model, payload, log_csv)
-        if asset.symbol in last_of_group:
-            _train_gan_group(cfg, *last_of_group[asset.symbol])
-        print(f"{asset.symbol}: trained {', '.join(models)}")
+                _write_outputs(cfg, symbol, model, payload, log_csv)
+        if symbol in last_of_group:
+            _train_gan_group(cfg, datasets, *last_of_group[symbol])
+        print(f"{symbol}: trained {', '.join(models)}")
     return EXIT_OK
 
 

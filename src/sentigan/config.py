@@ -87,7 +87,12 @@ def _is_int(v) -> bool:
 
 
 def _is_finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A number that converts to a finite float; an int past the float range
+    does not."""
+    try:
+        return not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _int_from(low):

@@ -264,6 +264,14 @@ def make_windows(aligned: AlignedDataset, window_length: int) -> list[WindowSamp
     return samples
 
 
+def stack_windows(windows: list[WindowSample]):
+    """The windows' histories (N, L, 6), sentiments (N,) and targets (N, 6),
+    stacked into new arrays: the one form in which windows reach a model."""
+    return (np.stack([w.history for w in windows]),
+            np.array([w.sentiment for w in windows], dtype=float),
+            np.stack([w.target for w in windows]))
+
+
 def split_boundary(total: int, policy: str) -> int:
     if policy == "fraction_90_10":
         boundary = int(np.floor(0.9 * total))
@@ -276,12 +284,6 @@ def split_boundary(total: int, policy: str) -> int:
     if boundary <= 0 or boundary >= total:
         raise DataError(f"split {policy} on {total} items leaves an empty partition")
     return boundary
-
-
-def split(items, policy: str):
-    """Chronological train/test split; items must already be sorted in time."""
-    boundary = split_boundary(len(items), policy)
-    return items[:boundary], items[boundary:]
 
 
 def read_utf8(path) -> str:

@@ -17,9 +17,9 @@ import numpy as np
 from . import arima as arima_mod
 from . import gan as gan_mod
 from . import lstm as lstm_mod
-from .data import CLOSE_COLUMN, AlignedDataset, make_windows, split_boundary
+from .data import CLOSE_COLUMN, AlignedDataset, make_windows, split_boundary, stack_windows
 from .errors import DataError, DimensionError, UsageError
-from .scaling import scaler_fit
+from .scaling import scaler_fit_windows
 
 MODEL_NAMES = ("arima", "lstm", "gan")
 
@@ -122,8 +122,8 @@ def _check_chronological(aligned: AlignedDataset):
 def _check_train_scaler(scaler, samples, mode, what):
     """The artifact's scaler must match one fitted on the evaluation-side
     train partition, else training and evaluation partitions disagree."""
-    rows = np.vstack([s.history for s in samples] + [s.target[None, :] for s in samples])
-    expected = scaler_fit(rows, mode, fitted_on="train")
+    histories, _, targets = stack_windows(samples)
+    expected = scaler_fit_windows(histories, targets, mode)
     if (
         scaler is None
         or scaler.mode != mode
@@ -146,13 +146,14 @@ def _evaluate_arima(model, aligned, policy):
     ]
 
 
-def _evaluate_windowed(name, predict_fn, scaler, mode, aligned, policy, window_length):
+def _evaluate_windowed(name, predict, artifact, mode, aligned, policy, window_length):
     windows = make_windows(aligned, window_length)
     boundary = split_boundary(len(windows), policy)
-    _check_train_scaler(scaler, windows[:boundary], mode, name)
+    _check_train_scaler(artifact.scaler, windows[:boundary], mode, name)
+    holdout = windows[boundary:]
     return [
-        (w.target_date, float(predict_fn(w)), float(w.target[CLOSE_COLUMN]))
-        for w in windows[boundary:]
+        (w.target_date, float(p), float(w.target[CLOSE_COLUMN]))
+        for w, p in zip(holdout, predict(artifact, holdout))
     ]
 
 
@@ -170,8 +171,8 @@ def evaluate(model_name: str, artifact, aligned: AlignedDataset, policy: str,
     else:
         predict, mode = {"lstm": (lstm_mod.predict, "unit"),
                          "gan": (gan_mod.predict, "signed")}[model_name]
-        rows = _evaluate_windowed(model_name, lambda w: predict(artifact, w),
-                                  artifact.scaler, mode, aligned, policy, window_length)
+        rows = _evaluate_windowed(model_name, predict, artifact, mode, aligned, policy,
+                                  window_length)
     preds = [r[1] for r in rows]
     actuals = [r[2] for r in rows]
     return ForecastReport(aligned.symbol, model_name, rows, metrics(preds, actuals))

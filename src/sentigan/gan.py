@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CLOSE_COLUMN, WindowSample
+from .data import CLOSE_COLUMN, WindowSample, stack_windows
 from .errors import DataError, DimensionError, SentiganError, TrainingError, UsageError
 from .nn import DenseLayer, backward, build_mlp, carve, forward, layer_shapes, pack
 from .optim import AdamState, adam_step
-from .scaling import ScalerParams, scaler_fit, scaler_inverse, scaler_transform
+from .scaling import ScalerParams, scaler_fit_windows, scaler_inverse, scaler_transform
 
 N_FEATURES = 6
 SCALE_TOLERANCE = 1e-9
@@ -143,28 +143,6 @@ def _gen_inputs(gen: Generator, histories, sentiments):
                           axis=1)
 
 
-def generator_forward(gen: Generator, window: WindowSample):
-    """Next-day scaled observation (6,) for one already-scaled window."""
-    x = _gen_inputs(gen, window.history[None, :, :], [window.sentiment])
-    out, _ = forward(gen.layers, x)
-    return out[0]
-
-
-def discriminator_forward(disc: Discriminator, candidate, window: WindowSample) -> float:
-    """Plausibility of the candidate next-day observation given the window."""
-    candidate = np.asarray(candidate, dtype=float)
-    if candidate.shape != (N_FEATURES,):
-        raise DimensionError("discriminator candidate", (N_FEATURES,), candidate.shape)
-    if window.history.shape != (disc.window_length, N_FEATURES):
-        raise DimensionError(
-            "discriminator window", (disc.window_length, N_FEATURES),
-            window.history.shape,
-        )
-    x = np.concatenate([candidate, window.history.ravel(), [window.sentiment]])
-    out, _ = forward(disc.layers, x[None, :])
-    return float(out[0, 0])
-
-
 def _batch_mean(x):
     """Mean over the last two (batch, column) axes, one value per member."""
     return np.mean(x, axis=(-2, -1))
@@ -237,13 +215,10 @@ def train_step(gen, disc, gen_in, targets, gen_adam, disc_adam, schedule: GanSch
 def _member_inputs(gen, samples):
     """A member's scaler, fitted on its samples, and its scaled conditioning
     rows (N, L*6 + 1) and targets (N, 6), range-checked once."""
-    histories = np.stack([s.history for s in samples])
-    targets = np.stack([s.target for s in samples])
-    rows = histories.reshape(-1, histories.shape[-1])
-    scaler = scaler_fit(np.concatenate([rows, targets]), "signed", fitted_on="train")
-    histories = scaler_transform(scaler, rows).reshape(histories.shape)
-    sentiments = np.clip([s.sentiment for s in samples], -1.0, 1.0)
-    gen_in = _gen_inputs(gen, histories, sentiments)
+    histories, sentiments, targets = stack_windows(samples)
+    scaler = scaler_fit_windows(histories, targets, "signed")
+    gen_in = _gen_inputs(gen, scaler_transform(scaler, histories),
+                         np.clip(sentiments, -1.0, 1.0))
     targets = scaler_transform(scaler, targets)
     _check_scaled(targets, "target observation")
     return scaler, gen_in, targets
@@ -319,18 +294,15 @@ def train(members, schedule: GanSchedule, seed: int,
     return results
 
 
-def predict(gen: Generator, window: WindowSample) -> float:
-    """One-step close forecast on the original price scale from a raw
-    (unscaled) window."""
+def predict(gen: Generator, windows: list[WindowSample]) -> np.ndarray:
+    """One-step close forecasts (N,) on the original price scale, one per raw
+    (unscaled) window, from one batched generator pass."""
     if gen.scaler is None:
         raise UsageError("generator has no fitted scaler; train first")
+    histories, sentiments, _ = stack_windows(windows)
     # holdout context can drift past the train-fitted range; saturate at the
     # scale boundary instead of refusing to forecast
-    scaled = WindowSample(
-        history=np.clip(scaler_transform(gen.scaler, window.history), -1.0, 1.0),
-        sentiment=float(np.clip(window.sentiment, -1.0, 1.0)),
-        target=window.target,
-        target_date=window.target_date,
-    )
-    out = generator_forward(gen, scaled)
-    return float(scaler_inverse(gen.scaler, out[None, :])[0, CLOSE_COLUMN])
+    x = _gen_inputs(gen, np.clip(scaler_transform(gen.scaler, histories), -1.0, 1.0),
+                    np.clip(sentiments, -1.0, 1.0))
+    out, _ = forward(gen.layers, x)
+    return scaler_inverse(gen.scaler, out)[:, CLOSE_COLUMN]

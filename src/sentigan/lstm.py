@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CLOSE_COLUMN, WindowSample
+from .data import CLOSE_COLUMN, WindowSample, stack_windows
 from .errors import DimensionError, TrainingError, UsageError
 from .nn import carve
 from .optim import AdamState, adam_step
-from .scaling import ScalerParams, scaler_fit, scaler_transform
+from .scaling import ScalerParams, scaler_fit_windows, scaler_transform
 
 GATES = ("input", "forget", "output", "candidate")
 
@@ -136,29 +136,20 @@ def _step(model, x, h, c):
     return i, f, o, cand, c_new, h_new
 
 
-def cell_forward(model: LstmModel, x, state):
-    """One LSTM step. x: (D,) or (B, D); state: (h, c) of matching shape."""
-    h, c = state
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.input_size:
-        raise DimensionError("LSTM input size", model.input_size, x.shape[-1])
-    *_, c_new, h_new = _step(model, x, h, c)
-    return h_new, c_new
-
-
-def _forward_sequence(model, xs):
-    """xs: (B, L, D). Returns per-step caches and the head output (B,)."""
+def _forward_sequence(model, xs, caches=None):
+    """xs: (B, L, D). Returns the head output (B,) and the final hidden
+    state; each step's cache for _backward_sequence is appended to `caches`
+    if a list is given, and kept nowhere otherwise."""
     b, length, _ = xs.shape
     h = np.zeros((b, model.hidden_size))
     c = np.zeros((b, model.hidden_size))
-    caches = []
     for t in range(length):
         x = xs[:, t, :]
         *gates, c_new, h_new = _step(model, x, h, c)
-        caches.append((x, h, c, *gates, c_new))
+        if caches is not None:
+            caches.append((x, h, c, *gates, c_new))
         h, c = h_new, c_new
-    out = (h @ model.head_weights.T + model.head_bias)[:, 0]
-    return out, h, caches
+    return (h @ model.head_weights.T + model.head_bias)[:, 0], h
 
 
 def _backward_sequence(model, caches, final_h, grad_out):
@@ -185,20 +176,13 @@ def _backward_sequence(model, caches, final_h, grad_out):
     return grad
 
 
-def sequence_loss(model, xs, targets):
+def sequence_loss(model, xs, targets, caches=None):
     """MSE of the head output against scaled close targets; also returns the
-    pieces needed for the gradient."""
-    out, final_h, caches = _forward_sequence(model, xs)
+    output, the final hidden state and the error. A caller that
+    backpropagates passes a list as `caches` to collect the per-step caches."""
+    out, final_h = _forward_sequence(model, xs, caches)
     err = out - targets
-    return float(np.mean(err * err)), out, final_h, caches, err
-
-
-def _scale_windows(scaler, samples):
-    xs = np.stack([scaler_transform(scaler, s.history) for s in samples])
-    targets = np.array(
-        [scaler_transform(scaler, s.target[None, :])[0, CLOSE_COLUMN] for s in samples]
-    )
-    return xs, targets
+    return float(np.mean(err * err)), out, final_h, err
 
 
 def train(samples: list[WindowSample], schedule: TrainSchedule, seed: int,
@@ -212,19 +196,18 @@ def train(samples: list[WindowSample], schedule: TrainSchedule, seed: int,
             f"need at least {2 * schedule.batch_size} samples, got {len(samples)}"
         )
     rng = np.random.default_rng(seed)
-    input_size = samples[0].history.shape[1]
-    model = LstmModel.initialize(rng, hidden_size, input_size)
-    feature_rows = np.vstack([s.history for s in samples] + [s.target[None, :] for s in samples])
-    model.scaler = scaler_fit(feature_rows, "unit", fitted_on="train")
+    histories, _, targets = stack_windows(samples)
+    model = LstmModel.initialize(rng, hidden_size, histories.shape[-1])
+    model.scaler = scaler_fit_windows(histories, targets, "unit")
     log: list[dict] = []
     if schedule.max_epochs == 0:
         return model, log
 
     n_val = max(1, int(round(schedule.validation_fraction * len(samples))))
-    train_samples = samples[:-n_val]
-    val_samples = samples[-n_val:]
-    xs_train, y_train = _scale_windows(model.scaler, train_samples)
-    xs_val, y_val = _scale_windows(model.scaler, val_samples)
+    xs = scaler_transform(model.scaler, histories)
+    ys = scaler_transform(model.scaler, targets)[:, CLOSE_COLUMN]
+    xs_train, y_train = xs[:-n_val], ys[:-n_val]
+    xs_val, y_val = xs[-n_val:], ys[-n_val:]
 
     adam = AdamState(learning_rate=schedule.learning_rate)
     lr = schedule.learning_rate
@@ -235,10 +218,11 @@ def train(samples: list[WindowSample], schedule: TrainSchedule, seed: int,
     for epoch in range(schedule.max_epochs):
         adam.learning_rate = lr
         batch_losses = []
-        for start in range(0, len(train_samples), schedule.batch_size):
+        for start in range(0, len(xs_train), schedule.batch_size):
             xb = xs_train[start : start + schedule.batch_size]
             yb = y_train[start : start + schedule.batch_size]
-            loss, out, final_h, caches, err = sequence_loss(model, xb, yb)
+            caches = []
+            loss, out, final_h, err = sequence_loss(model, xb, yb, caches)
             if not np.isfinite(loss):
                 raise TrainingError(f"training diverged (NaN loss) at epoch {epoch}")
             grad_out = 2.0 * err / len(yb)
@@ -267,12 +251,13 @@ def train(samples: list[WindowSample], schedule: TrainSchedule, seed: int,
     return model, log
 
 
-def predict(model: LstmModel, window: WindowSample) -> float:
-    """One-step close forecast on the original price scale."""
+def predict(model: LstmModel, windows: list[WindowSample]) -> np.ndarray:
+    """One-step close forecasts (N,) on the original price scale, one per
+    window, from one batched forward pass."""
     if model.scaler is None:
         raise UsageError("model has no fitted scaler; train first")
-    xs = scaler_transform(model.scaler, window.history)[None, :, :]
-    out, _, _ = _forward_sequence(model, xs)
+    histories, _, _ = stack_windows(windows)
+    out, _ = _forward_sequence(model, scaler_transform(model.scaler, histories))
     lo = model.scaler.per_feature_min[CLOSE_COLUMN]
     hi = model.scaler.per_feature_max[CLOSE_COLUMN]
-    return float(lo + out[0] * (hi - lo))
+    return lo + out * (hi - lo)

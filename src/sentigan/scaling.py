@@ -2,7 +2,9 @@
 
 Two modes: "unit" maps train-min/max to [0, 1]; "signed" maps them to
 [-1, 1]. Parameters are a pure function of the partition they were fitted
-on; values outside the fitted range extrapolate rather than clip.
+on; values outside the fitted range extrapolate rather than clip. Features
+lie on the last axis of the data, so a stack of windows (N, L, F) scales
+as it is; 1-d data is one feature.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ class ScalerParams:
 
 
 def _as_2d(data):
+    """data with features on its last axis, and whether it was 1-d."""
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:
         return arr[:, None], True
-    if arr.ndim == 2:
+    if arr.ndim >= 2:
         return arr, False
-    raise DimensionError("scaler data", "1-d or 2-d array", f"{arr.ndim}-d")
+    raise DimensionError("scaler data", "an array of 1 or more axes", "0-d")
 
 
 def scaler_fit(data, mode: str = "unit", fitted_on: str = "train") -> ScalerParams:
@@ -56,18 +59,25 @@ def scaler_fit(data, mode: str = "unit", fitted_on: str = "train") -> ScalerPara
     arr, _ = _as_2d(data)
     if arr.size == 0:
         raise DataError("cannot fit scaler on empty data")
+    rows = arr.reshape(-1, arr.shape[-1])
     return ScalerParams(
         mode=mode,
-        per_feature_min=arr.min(axis=0),
-        per_feature_max=arr.max(axis=0),
+        per_feature_min=rows.min(axis=0),
+        per_feature_max=rows.max(axis=0),
         fitted_on=fitted_on,
     )
 
 
+def scaler_fit_windows(histories, targets, mode: str) -> ScalerParams:
+    """A windowed model's scaler: fitted on its training windows' history
+    rows (N, L, F) and target rows (N, F) together."""
+    return scaler_fit(np.concatenate([histories, targets[:, None, :]], axis=1), mode)
+
+
 def _check_cols(params: ScalerParams, arr: np.ndarray):
     n = params.per_feature_min.shape[0]
-    if arr.shape[1] != n:
-        raise DimensionError("scaler column count", n, arr.shape[1])
+    if arr.shape[-1] != n:
+        raise DimensionError("scaler column count", n, arr.shape[-1])
 
 
 def scaler_transform(params: ScalerParams, data):

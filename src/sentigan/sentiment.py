@@ -15,7 +15,7 @@ import math
 import re
 import string
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 from datetime import datetime
 
@@ -66,8 +66,6 @@ CASHTAG_RE = re.compile(r"\$[A-Za-z]+\b")
 @dataclass
 class Lexicon:
     entries: dict  # lowercase token -> mean valence
-    boosters: dict = field(default_factory=lambda: dict(BOOSTERS))
-    negations: frozenset = NEGATIONS
 
 
 @dataclass
@@ -112,7 +110,7 @@ def load_lexicon(source) -> tuple[Lexicon, LexiconLoadReport]:
         except ValueError:
             report.malformed += 1
             continue
-        if not token:
+        if not token or not math.isfinite(valence):
             report.malformed += 1
             continue
         if token in entries:
@@ -150,13 +148,13 @@ def _allcaps_differential(words) -> bool:
     return 0 < upper < len(words)
 
 
-def _negated(token: str, lexicon: Lexicon) -> bool:
+def _negated(token: str) -> bool:
     low = token.lower()
-    return low in lexicon.negations or "n't" in low
+    return low in NEGATIONS or "n't" in low
 
 
-def _booster_scalar(token, valence, is_cap_diff, lexicon) -> float:
-    scalar = lexicon.boosters.get(token.lower(), 0.0)
+def _booster_scalar(token, valence, is_cap_diff) -> float:
+    scalar = BOOSTERS.get(token.lower(), 0.0)
     if scalar == 0.0:
         return 0.0
     if valence < 0:
@@ -181,9 +179,9 @@ def _token_valence(lexicon, words, i, is_cap_diff) -> float:
         prev = words[i - dist]
         if prev.lower() in lexicon.entries:
             continue
-        scalar = _booster_scalar(prev, valence, is_cap_diff, lexicon)
+        scalar = _booster_scalar(prev, valence, is_cap_diff)
         valence += scalar * decay
-        if _negated(prev, lexicon):
+        if _negated(prev):
             valence *= NEGATION_SCALAR
     return valence
 
@@ -219,7 +217,7 @@ def score_text(lexicon: Lexicon, raw: str) -> float:
     is_cap_diff = _allcaps_differential(words)
     sentiments = []
     for i, item in enumerate(words):
-        if item.lower() in lexicon.boosters:
+        if item.lower() in BOOSTERS:
             sentiments.append(0.0)
             continue
         sentiments.append(_token_valence(lexicon, words, i, is_cap_diff))

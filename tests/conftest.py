@@ -2,7 +2,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from sentigan.data import AlignedDataset
+from sentigan.data import AlignedDataset, split_boundary
 
 
 def aligned_from_close(close, symbol="SYN", sentiment=None):
@@ -25,3 +25,9 @@ def aligned_from_close(close, symbol="SYN", sentiment=None):
     if sentiment is None:
         sentiment = np.zeros(t)
     return AlignedDataset(symbol, dates, features, np.asarray(sentiment, dtype=float))
+
+
+def holdout_split(windows):
+    """The (train, held-out) windows of the holdout_last_20 policy."""
+    boundary = split_boundary(len(windows), "holdout_last_20")
+    return windows[:boundary], windows[boundary:]

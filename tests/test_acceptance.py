@@ -7,16 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import aligned_from_close
+from conftest import aligned_from_close, holdout_split
 from sentigan import arima, cli, gan, lstm
 from sentigan.arima import ArimaOrder
-from sentigan.data import CLOSE_COLUMN, WindowSample, make_windows, split, split_boundary
+from sentigan.data import CLOSE_COLUMN, WindowSample, make_windows, split_boundary, stack_windows
 from sentigan.eval import ForecastReport, MetricSet, aggregate
 from sentigan.gan import GanSchedule, build_discriminator, build_generator
 from sentigan.gradcheck import finite_difference_check, numerical_gradient, relative_error
 from sentigan.lstm import LstmModel, TrainSchedule
 from sentigan.nn import build_mlp, forward
-from sentigan.scaling import scaler_fit
+from sentigan.scaling import scaler_fit, scaler_transform
 from sentigan.sentiment import load_lexicon, score_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -88,7 +88,8 @@ def test_criterion_3_gradient_suite():
         model = LstmModel.initialize(rng, 4, 3)
         xs = rng.normal(size=(2, 8, 3))
         targets = rng.normal(size=2)
-        _, _, final_h, caches, err = lstm.sequence_loss(model, xs, targets)
+        caches = []
+        _, _, final_h, err = lstm.sequence_loss(model, xs, targets, caches)
         analytic = lstm._backward_sequence(model, caches, final_h, 2.0 * err / len(err))
         numeric = numerical_gradient(
             lambda: lstm.sequence_loss(model, xs, targets)[0], model.theta
@@ -155,21 +156,19 @@ def test_criterion_4_gan_synthetic_convergence():
     for seed in range(10):
         aligned = sentiment_jump_asset(seed)
         windows = make_windows(aligned, length)
-        train_part, test_part = split(windows, "holdout_last_20")
+        train_part, test_part = holdout_split(windows)
         [(g, _, _)] = gan.train([train_part], schedule, seed=seed,
                             gen_hidden=(64, 32), disc_hidden=(32, 16))
-        preds = np.array([gan.predict(g, w) for w in test_part])
+        preds = gan.predict(g, test_part)
         actual = np.array([w.target[CLOSE_COLUMN] for w in test_part])
         persistence = np.array([w.history[-1, CLOSE_COLUMN] for w in test_part])
         rmse = np.sqrt(np.mean((preds - actual) ** 2))
         rmse_persistence = np.sqrt(np.mean((persistence - actual) ** 2))
         if rmse < rmse_persistence:
             wins += 1
-        flipped = [
-            gan.predict(g, WindowSample(w.history, -w.sentiment, w.target, w.target_date))
-            for w in test_part
-        ]
-        sensitivities.append(float(np.mean(np.abs(preds - np.array(flipped)))))
+        flipped = gan.predict(g, [WindowSample(w.history, -w.sentiment, w.target,
+                                               w.target_date) for w in test_part])
+        sensitivities.append(float(np.mean(np.abs(preds - flipped))))
     assert wins >= 8, f"beat persistence in only {wins}/10 seeds"
     assert np.mean(sensitivities) > 0.0
 
@@ -178,11 +177,11 @@ def test_criterion_5_lstm_synthetic_competence():
     t = np.arange(300.0)
     close = 60.0 + 0.05 * t + 8.0 * np.sin(2 * np.pi * t / 25.0)
     windows = make_windows(aligned_from_close(close), 20)
-    train_part, test_part = split(windows, "holdout_last_20")
+    train_part, test_part = holdout_split(windows)
     schedule = TrainSchedule(max_epochs=400, early_stop_patience=40, plateau_patience=15)
     model, log = lstm.train(train_part, schedule, seed=0, hidden_size=16)
 
-    preds = np.array([lstm.predict(model, w) for w in test_part])
+    preds = lstm.predict(model, test_part)
     actual = np.array([w.target[CLOSE_COLUMN] for w in test_part])
     persistence = np.array([w.history[-1, CLOSE_COLUMN] for w in test_part])
     rmse = np.sqrt(np.mean((preds - actual) ** 2))
@@ -191,7 +190,9 @@ def test_criterion_5_lstm_synthetic_competence():
 
     # the returned weights reproduce the minimum validation loss in the log
     n_val = max(1, int(round(schedule.validation_fraction * len(train_part))))
-    xs_val, y_val = lstm._scale_windows(model.scaler, train_part[-n_val:])
+    histories, _, targets = stack_windows(train_part[-n_val:])
+    xs_val = scaler_transform(model.scaler, histories)
+    y_val = scaler_transform(model.scaler, targets)[:, CLOSE_COLUMN]
     final_val = lstm.sequence_loss(model, xs_val, y_val)[0]
     assert final_val == pytest.approx(min(row["val_loss"] for row in log))
 
@@ -237,11 +238,11 @@ def test_criterion_8_protocol_audits(tmp_path, monkeypatch):
     # the test windows' targets see are scaled at the source)
     rng = np.random.default_rng(0)
     aligned = aligned_from_close(100 + np.cumsum(rng.normal(0, 1, 150)))
-    train_part, test_part = split(make_windows(aligned, 10), "holdout_last_20")
+    train_part, test_part = holdout_split(make_windows(aligned, 10))
     rows = np.vstack([w.history for w in train_part])
     before = scaler_fit(rows, "unit")
     aligned.features = aligned.features * np.where(np.arange(150) >= 130, 100.0, 1.0)[:, None]
-    train_part, test_part = split(make_windows(aligned, 10), "holdout_last_20")
+    train_part, test_part = holdout_split(make_windows(aligned, 10))
     assert all(w.target[CLOSE_COLUMN] > 1000.0 for w in test_part)
     after = scaler_fit(np.vstack([w.history for w in train_part]), "unit")
     assert np.array_equal(before.per_feature_min, after.per_feature_min)

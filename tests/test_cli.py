@@ -114,6 +114,7 @@ def test_config_rejects_unknown_hyperparameter(tmp_path):
     ("gan", "gen_hidden", 5),
     ("gan", "gen_hidden", [0]),
     ("gan", "learning_rate", float("nan")),
+    pytest.param("gan", "learning_rate", 10 ** 400, id="'gan'-'learning_rate'-10**400"),
     ("gan", "supervised_weight", -1.0),
     ("lstm", "hidden_size", 0),
     ("lstm", "batch_size", 0),
@@ -275,6 +276,41 @@ def test_diverging_group_member_is_named(pipeline, capsys, monkeypatch):
     assert "BBB/gan: non-finite gradient" in err and "AAA" not in err
 
 
+def test_gan_artifact_has_no_discriminator_and_old_ones_still_load(pipeline, tmp_path):
+    from sentigan import gan
+
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    path = tmp_path / "out" / "models" / "AAA_gan.json"
+    payload = json.loads(path.read_text())
+    assert set(payload) == {"model", "artifact"}
+    report = tmp_path / "out" / "reports" / "AAA_gan.json"
+    before = report.read_bytes()
+    # artifacts written before the discriminator was dropped carry it
+    disc = gan.build_discriminator(np.random.default_rng(0), 10, hidden=(8,))
+    payload["discriminator"] = disc.to_dict()
+    path.write_text(json.dumps(payload))
+    report.unlink()
+    assert cli.main(["evaluate", "--config", str(pipeline)]) == 0
+    assert report.read_bytes() == before
+
+
+def test_evaluate_predicts_once_per_asset_and_model(pipeline, monkeypatch):
+    from sentigan import gan, lstm
+
+    assert cli.main(["ingest", "--config", str(pipeline)]) == 0
+    assert cli.main(["train", "--config", str(pipeline)]) == 0
+    calls = []
+    for module in (lstm, gan):
+        def counted(model, windows, module=module, predict=module.predict):
+            calls.append((module.__name__, len(windows)))
+            return predict(model, windows)
+
+        monkeypatch.setattr(module, "predict", counted)
+    assert cli.main(["evaluate", "--config", str(pipeline)]) == 0
+    # AAA and BBB: 110 windows each, 30% and 20 of them held out
+    assert calls == [("sentigan.lstm", 33), ("sentigan.gan", 20)] * 2
+
+
 def test_train_rerun_byte_identical(pipeline, tmp_path):
     assert cli.main(["ingest", "--config", str(pipeline)]) == 0
     assert cli.main(["train", "--config", str(pipeline), "--model", "lstm",
@@ -298,6 +334,7 @@ def test_evaluate_missing_artifact_names_cell(pipeline, tmp_path, capsys):
     for relpath in ("aligned/AAA.json", "models/AAA_arima.json")
     for damage in ("drop_key", "truncate", "not_object")
 ] + [("models/AAA_arima.json", "artifact_not_object"),
+     ("models/AAA_arima.json", "huge_intercept"),
      ("models/AAA_gan.json", "nested_wrong_type"),
      ("models/AAA_gan.json", "unknown_activation"),
      ("models/AAA_lstm.json", "misshapen_gate")])
@@ -311,6 +348,10 @@ def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, d
         path.write_text("[]")
     elif damage == "artifact_not_object":
         path.write_text(json.dumps({"model": "arima", "artifact": []}))
+    elif damage == "huge_intercept":
+        payload = json.loads(text)
+        payload["artifact"]["intercept"] = 10 ** 400
+        path.write_text(json.dumps(payload))
     elif damage == "nested_wrong_type":
         payload = json.loads(text)
         payload["artifact"]["layers"] = [5]

@@ -216,9 +216,7 @@ def test_windows_are_read_only_views_of_the_aligned_array():
     [(100, "fraction_90_10", 90), (100, "fraction_70_30", 70), (120, "holdout_last_20", 100)],
 )
 def test_split_sizes(total, policy, train_size):
-    train, test = D.split(list(range(total)), policy)
-    assert len(train) == train_size
-    assert len(test) == total - train_size
+    assert D.split_boundary(total, policy) == train_size
 
 
 @settings(max_examples=60)
@@ -229,11 +227,13 @@ def test_split_sizes(total, policy, train_size):
 def test_split_partitions_disjoint_exhaustive_causal(total, policy):
     items = list(range(total))
     try:
-        train, test = D.split(items, policy)
+        boundary = D.split_boundary(total, policy)
     except DataError:
         if policy == "holdout_last_20":
             assert total <= 20
         return
+    train, test = items[:boundary], items[boundary:]
+    assert train and test
     assert train + test == items  # order preserved, exhaustive
     assert max(train) < min(test)  # causality
     if policy == "fraction_90_10":
@@ -246,9 +246,9 @@ def test_split_partitions_disjoint_exhaustive_causal(total, policy):
 
 def test_split_empty_partition_errors():
     with pytest.raises(DataError):
-        D.split([1], "fraction_90_10")
+        D.split_boundary(1, "fraction_90_10")
     with pytest.raises(DataError):
-        D.split(list(range(10)), "holdout_last_20")
+        D.split_boundary(10, "holdout_last_20")
 
 
 # ---------------------------------------------------------------- serialization

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import aligned_from_close
+from conftest import aligned_from_close, holdout_split
 from sentigan import arima, eval as ev, gan, lstm
 from sentigan.arima import ArimaOrder
-from sentigan.data import CLOSE_COLUMN, make_windows, split, split_boundary
+from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
 from sentigan.errors import DataError, DimensionError, UsageError
 from sentigan.eval import AggregateReport, ForecastReport, MetricSet
 from sentigan.gan import GanSchedule
@@ -116,7 +116,7 @@ def test_evaluate_arima_partition_mismatch_errors():
 def test_evaluate_lstm_report():
     aligned = ar1_aligned(1)
     windows = make_windows(aligned, 8)
-    train_part, test_part = split(windows, "holdout_last_20")
+    train_part, test_part = holdout_split(windows)
     model, _ = lstm.train(train_part, TrainSchedule(max_epochs=2), seed=0, hidden_size=8)
     report = ev.evaluate("lstm", model, aligned, "holdout_last_20", window_length=8)
     assert len(report.rows) == 20
@@ -138,7 +138,7 @@ def test_evaluate_lstm_partition_mismatch_errors():
 def test_evaluate_gan_report():
     aligned = ar1_aligned(3)
     windows = make_windows(aligned, 6)
-    train_part, _ = split(windows, "holdout_last_20")
+    train_part, _ = holdout_split(windows)
     [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1), seed=0,
                         gen_hidden=(8,), disc_hidden=(8,))
     report = ev.evaluate("gan", g, aligned, "holdout_last_20", window_length=6)

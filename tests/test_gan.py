@@ -3,9 +3,9 @@ from datetime import date
 import numpy as np
 import pytest
 
-from conftest import aligned_from_close
+from conftest import aligned_from_close, holdout_split
 from sentigan import gan, nn
-from sentigan.data import CLOSE_COLUMN, WindowSample, make_windows, split
+from sentigan.data import CLOSE_COLUMN, WindowSample, make_windows
 from sentigan.errors import DataError, DimensionError, TrainingError, UsageError
 from sentigan.eval import evaluate
 from sentigan.gan import (
@@ -36,6 +36,22 @@ def zero_net(net):
     return net
 
 
+def generate(g, window):
+    """The generator's scaled next-day observation (6,) for one scaled window."""
+    out, _ = forward(g.layers, gan._gen_inputs(g, window.history[None], [window.sentiment]))
+    return out[0]
+
+
+def disc_input(candidate, window):
+    return np.concatenate([candidate, window.history.ravel(), [window.sentiment]])[None, :]
+
+
+def score(d, candidate, window):
+    """The discriminator's plausibility of a candidate next-day observation."""
+    out, _ = forward(d.layers, disc_input(candidate, window))
+    return float(out[0, 0])
+
+
 # ---------------------------------------------------------------- parameters
 
 
@@ -61,7 +77,7 @@ def test_every_layer_array_is_a_view_of_theta():
 def test_generator_output_width_independent_of_window_length(length):
     rng = np.random.default_rng(0)
     g = build_generator(rng, length, hidden=(8,))
-    out = gan.generator_forward(g, scaled_window(rng, length))
+    out = generate(g, scaled_window(rng, length))
     assert out.shape == (6,)
 
 
@@ -69,7 +85,7 @@ def test_generator_zero_weights_outputs_tanh_bias():
     rng = np.random.default_rng(1)
     g = zero_net(build_generator(rng, 4, hidden=(5,)))
     g.layers[-1].bias[...] = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0])
-    out = gan.generator_forward(g, scaled_window(rng, 4))
+    out = generate(g, scaled_window(rng, 4))
     assert np.allclose(out, np.tanh(g.layers[-1].bias))
 
 
@@ -77,7 +93,7 @@ def test_generator_deterministic_without_noise():
     rng = np.random.default_rng(2)
     g = build_generator(rng, 5, hidden=(8,))
     w = scaled_window(rng, 5)
-    assert np.array_equal(gan.generator_forward(g, w), gan.generator_forward(g, w))
+    assert np.array_equal(generate(g, w), generate(g, w))
 
 
 def test_generator_scale_violation_errors():
@@ -86,18 +102,18 @@ def test_generator_scale_violation_errors():
     w = scaled_window(rng, 4)
     w.history[0, 0] = 1.5
     with pytest.raises(DataError):
-        gan.generator_forward(g, w)
+        generate(g, w)
     w.history[0, 0] = 0.0
     w = WindowSample(w.history, -1.2, w.target, w.target_date)
     with pytest.raises(DataError):
-        gan.generator_forward(g, w)
+        generate(g, w)
 
 
 def test_generator_outputs_in_open_interval():
     rng = np.random.default_rng(5)
     g = build_generator(rng, 6, hidden=(16, 8))
     for _ in range(20):
-        out = gan.generator_forward(g, scaled_window(rng, 6))
+        out = generate(g, scaled_window(rng, 6))
         assert np.all(np.abs(out) < 1.0)
 
 
@@ -107,15 +123,14 @@ def test_generator_outputs_in_open_interval():
 def test_discriminator_zero_weights_scores_half():
     rng = np.random.default_rng(6)
     d = zero_net(build_discriminator(rng, 4, hidden=(5,)))
-    score = gan.discriminator_forward(d, np.zeros(6), scaled_window(rng, 4))
-    assert score == 0.5
+    assert score(d, np.zeros(6), scaled_window(rng, 4)) == 0.5
 
 
 def test_discriminator_score_in_open_interval():
     rng = np.random.default_rng(7)
     d = build_discriminator(rng, 5, hidden=(16, 8))
     for _ in range(20):
-        s = gan.discriminator_forward(d, rng.uniform(-0.9, 0.9, 6), scaled_window(rng, 5))
+        s = score(d, rng.uniform(-0.9, 0.9, 6), scaled_window(rng, 5))
         assert 0.0 < s < 1.0
 
 
@@ -123,9 +138,9 @@ def test_discriminator_dimension_mismatch():
     rng = np.random.default_rng(8)
     d = build_discriminator(rng, 5, hidden=(4,))
     with pytest.raises(DimensionError):
-        gan.discriminator_forward(d, np.zeros(4), scaled_window(rng, 5))
+        score(d, np.zeros(4), scaled_window(rng, 5))
     with pytest.raises(DimensionError):
-        gan.discriminator_forward(d, np.zeros(6), scaled_window(rng, 7))
+        score(d, np.zeros(6), scaled_window(rng, 7))
 
 
 def test_discriminator_candidate_gradient_matches_fd():
@@ -134,13 +149,10 @@ def test_discriminator_candidate_gradient_matches_fd():
     w = scaled_window(rng, 3)
     candidate = rng.uniform(-0.5, 0.5, 6)
 
-    x = np.concatenate([candidate, w.history.ravel(), [w.sentiment]])[None, :]
-    out, caches = forward(d.layers, x)
+    out, caches = forward(d.layers, disc_input(candidate, w))
     analytic = backward(d.layers, caches, np.ones_like(out))[0, :6]
 
-    numeric = numerical_gradient(
-        lambda: gan.discriminator_forward(d, candidate, w), candidate, h=1e-6
-    )
+    numeric = numerical_gradient(lambda: score(d, candidate, w), candidate, h=1e-6)
     assert relative_error(analytic, numeric) < 1e-4
 
 
@@ -415,13 +427,12 @@ def test_train_log_schema():
 def test_conditioning_sensitivity_after_training():
     aligned = jumpy_aligned(4, n=200)
     windows = make_windows(aligned, 5)
-    train_part, test_part = split(windows, "holdout_last_20")
+    train_part, test_part = holdout_split(windows)
     [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=30), seed=0,
                         gen_hidden=(16,), disc_hidden=(16,))
-    deltas = []
-    for w in test_part:
-        flipped = WindowSample(w.history, -w.sentiment, w.target, w.target_date)
-        deltas.append(abs(gan.predict(g, w) - gan.predict(g, flipped)))
+    flipped = [WindowSample(w.history, -w.sentiment, w.target, w.target_date)
+               for w in test_part]
+    deltas = np.abs(gan.predict(g, test_part) - gan.predict(g, flipped))
     assert np.mean(deltas) > 0.0
 
 
@@ -505,7 +516,7 @@ def test_member_with_unscalable_data_is_named():
 def test_forecast_holdout_emits_20_causal_rows():
     aligned = jumpy_aligned(5, n=120)
     windows = make_windows(aligned, 6)
-    train_part, _ = split(windows, "holdout_last_20")
+    train_part, _ = holdout_split(windows)
     [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1), seed=1,
                         gen_hidden=(8,), disc_hidden=(8,))
     rows = evaluate("gan", g, aligned, "holdout_last_20", window_length=6).rows
@@ -521,7 +532,7 @@ def test_scaler_round_trip_on_actuals():
 
     aligned = jumpy_aligned(6, n=120)
     windows = make_windows(aligned, 6)
-    train_part, _ = split(windows, "holdout_last_20")
+    train_part, _ = holdout_split(windows)
     [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1), seed=1,
                         gen_hidden=(8,), disc_hidden=(8,))
     rows = aligned.features[:100]
@@ -533,7 +544,42 @@ def test_predict_without_scaler_errors():
     rng = np.random.default_rng(12)
     g = build_generator(rng, 4, hidden=(8,))
     with pytest.raises(UsageError):
-        gan.predict(g, scaled_window(rng, 4))
+        gan.predict(g, [scaled_window(rng, 4)])
+
+
+def trained_generator(seed=9):
+    aligned = jumpy_aligned(seed, n=100)
+    windows = make_windows(aligned, 5)
+    train_part, holdout = holdout_split(windows)
+    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=2), seed=2,
+                            gen_hidden=(8,), disc_hidden=(8,))
+    return g, holdout
+
+
+def test_batched_predict_equals_one_window_calls():
+    # batched products may round differently from one-row ones, in the last bit
+    g, holdout = trained_generator()
+    batched = gan.predict(g, holdout)
+    alone = np.array([gan.predict(g, [w])[0] for w in holdout])
+    assert batched.shape == (20,)
+    assert np.max(np.abs(batched - alone) / np.abs(alone)) <= 1e-15
+
+
+def test_predict_saturates_context_outside_the_fitted_range():
+    # histories and sentiment beyond the train-fitted range are clipped to
+    # its boundary, which the scaler maps to exactly -1 and 1
+    g, holdout = trained_generator()
+    low, high = g.scaler.per_feature_min, g.scaler.per_feature_max
+    w = holdout[0]
+
+    def window(row, sentiment):
+        return WindowSample(np.tile(row, (g.window_length, 1)), sentiment, w.target,
+                            w.target_date)
+
+    at_boundary = gan.predict(g, [window(high, 1.0), window(low, -1.0)])
+    beyond = gan.predict(g, [window(2 * high - low, 3.0), window(2 * low - high, -3.0)])
+    assert np.array_equal(beyond, at_boundary)
+    assert at_boundary[0] != at_boundary[1]
 
 
 # ---------------------------------------------------------------- serialization
@@ -546,8 +592,7 @@ def test_generator_json_round_trip():
                         gen_hidden=(8,), disc_hidden=(8,))
     g2 = Generator.from_dict(g.to_dict())
     d2 = Discriminator.from_dict(d.to_dict())
-    w = windows[-1]
-    assert gan.predict(g2, w) == gan.predict(g, w)
+    assert np.array_equal(gan.predict(g2, windows[-5:]), gan.predict(g, windows[-5:]))
     assert np.array_equal(d2.theta, d.theta)
 
 
@@ -561,7 +606,7 @@ def test_generator_from_dict_ignores_legacy_noise_dim():
     restored = Generator.from_dict(legacy)
     assert "noise_dim" not in restored.to_dict()
     assert restored.to_dict() == g.to_dict()
-    assert gan.predict(restored, windows[-1]) == gan.predict(g, windows[-1])
+    assert np.array_equal(gan.predict(restored, windows[-5:]), gan.predict(g, windows[-5:]))
 
 
 # ---------------------------------------------------------------- schedule

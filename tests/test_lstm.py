@@ -3,11 +3,12 @@ import pytest
 
 from conftest import aligned_from_close
 from sentigan import lstm
-from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
+from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary, stack_windows
 from sentigan.errors import DimensionError, TrainingError, UsageError
 from sentigan.eval import evaluate
 from sentigan.gradcheck import numerical_gradient, relative_error
-from sentigan.lstm import LstmModel, TrainSchedule, cell_forward
+from sentigan.lstm import LstmModel, TrainSchedule
+from sentigan.scaling import scaler_transform
 
 
 def zero_model(hidden=3, inputs=2):
@@ -19,6 +20,12 @@ def zero_model(hidden=3, inputs=2):
 
 def model_arrays(model):
     return [model.w, model.u, model.b, model.head_weights, model.head_bias]
+
+
+def cell(model, x, state):
+    """One step's new (h, c) from lstm._step."""
+    *_, c_new, h_new = lstm._step(model, np.asarray(x, dtype=float), *state)
+    return h_new, c_new
 
 
 # ---------------------------------------------------------------- parameters
@@ -53,10 +60,10 @@ def test_artifact_gate_order():
     c0 = np.array([1.0, -2.0, 0.5])
     state = (np.zeros(3), c0)
     keep = LstmModel.from_dict(artifact_with_biases(forget=50.0, input=-50.0))
-    _, c1 = cell_forward(keep, np.array([7.0, -3.0]), state)
+    _, c1 = cell(keep, [7.0, -3.0], state)
     assert np.allclose(c1, c0, rtol=0.0, atol=1e-12)
     write = LstmModel.from_dict(artifact_with_biases(forget=-50.0, input=50.0, candidate=1.0))
-    _, c1 = cell_forward(write, np.array([7.0, -3.0]), state)
+    _, c1 = cell(write, [7.0, -3.0], state)
     assert np.allclose(c1, np.tanh(1.0), rtol=0.0, atol=1e-12)
 
 
@@ -74,14 +81,14 @@ def test_cell_forward_zero_weights():
     model = zero_model()
     c0 = np.array([1.0, -2.0, 0.5])
     h0 = np.zeros(3)
-    h1, c1 = cell_forward(model, np.array([7.0, -3.0]), (h0, c0))
+    h1, c1 = cell(model, [7.0, -3.0], (h0, c0))
     assert np.allclose(c1, 0.5 * c0)
     assert np.allclose(h1, 0.5 * np.tanh(0.5 * c0))
 
 
 def test_cell_forward_zero_state_zero_candidate():
     model = zero_model()
-    h1, c1 = cell_forward(model, np.zeros(2), (np.zeros(3), np.zeros(3)))
+    h1, c1 = cell(model, np.zeros(2), (np.zeros(3), np.zeros(3)))
     assert np.allclose(h1, 0.0)
     assert np.allclose(c1, 0.0)
 
@@ -92,7 +99,7 @@ def test_gate_outputs_bounded():
     h = rng.normal(size=4)
     c = rng.normal(size=4)
     x = rng.normal(size=3) * 10
-    h1, c1 = cell_forward(model, x, (h, c))
+    h1, c1 = cell(model, x, (h, c))
     assert np.all(np.abs(h1) < 1.0)
     assert np.all(np.isfinite(c1))
 
@@ -108,7 +115,8 @@ def test_bptt_matches_finite_differences(seed):
     xs = rng.normal(size=(2, length, inputs))
     targets = rng.normal(size=2)
 
-    loss, out, final_h, caches, err = lstm.sequence_loss(model, xs, targets)
+    caches = []
+    loss, out, final_h, err = lstm.sequence_loss(model, xs, targets, caches)
     analytic = lstm._backward_sequence(model, caches, final_h, 2.0 * err / len(err))
 
     numeric = numerical_gradient(
@@ -175,7 +183,7 @@ def test_noiseless_line_beats_persistence():
     model, log = lstm.train(windows, schedule, seed=0, hidden_size=16)
     n_val = max(1, int(round(schedule.validation_fraction * len(windows))))
     test_part = windows[-n_val:]
-    preds = np.array([lstm.predict(model, w) for w in test_part])
+    preds = lstm.predict(model, test_part)
     actual = np.array([w.target[CLOSE_COLUMN] for w in test_part])
     persistence = np.array([w.history[-1, CLOSE_COLUMN] for w in test_part])
     rmse = np.sqrt(np.mean((preds - actual) ** 2))
@@ -186,7 +194,7 @@ def test_noiseless_line_beats_persistence():
 def test_constant_price_forecast_within_one_percent():
     windows = make_windows(aligned_from_close(np.full(120, 42.0)), 10)
     model, _ = lstm.train(windows, TrainSchedule(max_epochs=5), seed=5)
-    pred = lstm.predict(model, windows[-1])
+    [pred] = lstm.predict(model, windows[-1:])
     assert abs(pred - 42.0) <= 0.42
 
 
@@ -196,9 +204,30 @@ def test_early_stopping_returns_best_validation_weights():
     model, log = lstm.train(windows, schedule, seed=7)
     assert log, "expected a non-empty training log"
     n_val = max(1, int(round(schedule.validation_fraction * len(windows))))
-    xs_val, y_val = lstm._scale_windows(model.scaler, windows[-n_val:])
-    final_val = lstm.sequence_loss(model, xs_val, y_val)[0]
-    assert final_val == pytest.approx(min(row["val_loss"] for row in log))
+    xs_val, y_val = scaled_windows(model, windows[-n_val:])
+    final_val = lstm.sequence_loss(model, xs_val, y_val, [])[0]
+    # the logged losses keep no caches; the same loss with caches is bitwise equal
+    assert final_val == min(row["val_loss"] for row in log)
+
+
+def scaled_windows(model, windows):
+    """Scaled histories (N, L, 6) and scaled target closes (N,)."""
+    histories, _, targets = stack_windows(windows)
+    return (scaler_transform(model.scaler, histories),
+            scaler_transform(model.scaler, targets)[:, CLOSE_COLUMN])
+
+
+def test_loss_without_caches_equals_loss_with_caches():
+    windows = line_windows(60, 6)
+    model, _ = lstm.train(windows, TrainSchedule(max_epochs=0), seed=4, hidden_size=5)
+    xs, ys = scaled_windows(model, windows)
+    caches = []
+    with_caches = lstm.sequence_loss(model, xs, ys, caches)
+    assert len(caches) == 6
+    without = lstm.sequence_loss(model, xs, ys)
+    assert without[0] == with_caches[0]
+    for a, b in zip(without[1:], with_caches[1:]):
+        assert np.array_equal(a, b)
 
 
 def test_lr_schedule_non_increasing():
@@ -217,21 +246,33 @@ def test_lr_schedule_non_increasing():
 def test_predict_deterministic_and_finite():
     windows = line_windows(120)
     model, _ = lstm.train(windows[:-5], TrainSchedule(max_epochs=2), seed=1)
-    a = lstm.predict(model, windows[-1])
-    b = lstm.predict(model, windows[-1])
-    assert a == b
-    assert np.isfinite(a)
+    a = lstm.predict(model, windows[-1:])
+    b = lstm.predict(model, windows[-1:])
+    assert a.shape == (1,)
+    assert np.array_equal(a, b)
+    assert np.isfinite(a).all()
+
+
+def test_batched_predict_equals_one_window_calls():
+    # batched products may round differently from one-row ones, in the last bit
+    close = 100.0 + np.cumsum(np.random.default_rng(8).normal(0.0, 1.0, 140))
+    windows = make_windows(aligned_from_close(close), 20)
+    model, _ = lstm.train(windows[:100], TrainSchedule(max_epochs=3), seed=1)
+    batched = lstm.predict(model, windows[100:])
+    alone = np.array([lstm.predict(model, [w])[0] for w in windows[100:]])
+    assert batched.shape == (20,)
+    assert np.max(np.abs(batched - alone) / np.abs(alone)) <= 1e-15
 
 
 def test_predict_without_scaler_errors():
     model = zero_model(4, 6)
     model.scaler = None
     with pytest.raises(UsageError):
-        lstm.predict(model, line_windows(50, 5)[0])
+        lstm.predict(model, line_windows(50, 5)[:1])
 
 
 def test_model_json_round_trip():
     windows = line_windows(120)
     model, _ = lstm.train(windows, TrainSchedule(max_epochs=2), seed=2)
     restored = LstmModel.from_dict(model.to_dict())
-    assert lstm.predict(restored, windows[-1]) == lstm.predict(model, windows[-1])
+    assert np.array_equal(lstm.predict(restored, windows[-5:]), lstm.predict(model, windows[-5:]))

@@ -42,9 +42,11 @@ def test_load_lexicon_duplicate_last_wins():
 
 
 def test_load_lexicon_malformed_counted():
-    lex, report = load_lexicon(io.StringIO("good\t1.9\nnonsense line\nbad\tnotanumber\n"))
-    assert report.malformed == 2
+    lex, report = load_lexicon(
+        io.StringIO("good\t1.9\nnonsense line\nbad\tnotanumber\nhuge\t1e400\n"))
+    assert report.malformed == 3
     assert report.parsed == 1
+    assert "huge" not in lex.entries
 
 
 def test_load_lexicon_empty_errors():
