@@ -30,7 +30,6 @@ from .data import (
     save_aligned,
     split_boundary,
     utf8_lines,
-    window_count,
     write_atomic,
 )
 from .data import align as align_series
@@ -255,19 +254,17 @@ def _write_outputs(cfg, symbol, model, payload, log_csv):
         write_atomic(cfg.output_dir / "logs" / f"{symbol}_{model}.csv", log_csv)
 
 
-def _train_gan_group(cfg, datasets, symbols, n_windows):
-    """Train the GANs of the assets `symbols`, which each have n_windows GAN
-    training windows, in one lockstep run, and write each one's artifact
+def _train_gan_group(cfg, members):
+    """Train the GANs of the assets in `members`, symbol -> GAN training
+    windows of one count, in one lockstep run, and write each one's artifact
     and log."""
-    # one member's windows at a time: train() keeps only its scaled arrays
-    members = (make_windows(datasets[symbol], cfg.window_length)[:n_windows]
-               for symbol in symbols)
+    symbols = list(members)
     params = dict(cfg.gan)
     gen_hidden = tuple(params.pop("gen_hidden"))
     disc_hidden = tuple(params.pop("disc_hidden"))
     with _cell(symbols, "gan"):
-        results = gan_mod.train(members, GanSchedule(**params), seed=cfg.seed,
-                                gen_hidden=gen_hidden, disc_hidden=disc_hidden)
+        results = gan_mod.train(list(members.values()), GanSchedule(**params),
+                                seed=cfg.seed, gen_hidden=gen_hidden, disc_hidden=disc_hidden)
     for symbol, (gen, _, log) in zip(symbols, results):
         payload = {"model": "gan", "artifact": gen.to_dict()}
         log_csv = "step,d_loss,g_loss\n" + "".join(
@@ -280,14 +277,15 @@ _TRAINERS = {"arima": _train_arima, "lstm": _train_lstm}
 
 
 def _gan_groups(cfg, datasets):
-    """Symbols by their number of GAN training windows, in config order."""
+    """Each asset's GAN training windows, grouped by their count: a list of
+    {symbol: windows}, symbols in config order."""
     groups = {}
     for symbol, aligned in datasets.items():
         with _cell([symbol], "gan"):
-            n_windows = split_boundary(window_count(len(aligned.dates), cfg.window_length),
-                                       cfg.split_policies["gan"])
-        groups.setdefault(n_windows, []).append(symbol)
-    return groups
+            windows = make_windows(aligned, cfg.window_length)
+            windows = windows[:split_boundary(len(windows), cfg.split_policies["gan"])]
+        groups.setdefault(len(windows), {})[symbol] = windows
+    return list(groups.values())
 
 
 def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
@@ -297,8 +295,8 @@ def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
     models = _select_models(model_name)
     datasets = {asset.symbol: _load_aligned_or_die(cfg, asset.symbol)
                 for asset in _select_assets(cfg, asset_symbol)}
-    groups = _gan_groups(cfg, datasets) if "gan" in models else {}
-    last_of_group = {symbols[-1]: (symbols, n) for n, symbols in groups.items()}
+    groups = _gan_groups(cfg, datasets) if "gan" in models else []
+    last_of_group = {list(members)[-1]: members for members in groups}
     for symbol, aligned in datasets.items():
         for model in models:
             if model != "gan":
@@ -306,7 +304,7 @@ def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
                     payload, log_csv = _TRAINERS[model](cfg, aligned)
                 _write_outputs(cfg, symbol, model, payload, log_csv)
         if symbol in last_of_group:
-            _train_gan_group(cfg, datasets, *last_of_group[symbol])
+            _train_gan_group(cfg, last_of_group[symbol])
         print(f"{symbol}: trained {', '.join(models)}")
     return EXIT_OK
 
@@ -344,7 +342,7 @@ def audit_causality(report: ForecastReport, aligned, policy, window_length):
         boundary = split_boundary(len(aligned.dates), policy)
         expected = aligned.dates[boundary:]
     else:
-        boundary = split_boundary(window_count(len(aligned.dates), window_length), policy)
+        boundary = split_boundary(len(aligned.dates) - window_length, policy)
         expected = aligned.dates[window_length + boundary:]
     if dates != expected:
         raise DataError(

@@ -95,8 +95,12 @@ def _is_finite(v) -> bool:
         return False
 
 
+# the largest integer setting; larger ones overflow numpy shapes and float math
+INT_MAX = 2 ** 31 - 1
+
+
 def _int_from(low):
-    return lambda v: _is_int(v) and v >= low, f"an integer >= {low}"
+    return lambda v: _is_int(v) and low <= v <= INT_MAX, f"an integer in [{low}, {INT_MAX}]"
 
 
 _RATE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")

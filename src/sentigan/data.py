@@ -1,6 +1,7 @@
 """Market data ingestion, repair, sentiment alignment, windowing and splits.
 
-All partitioning is chronological; nothing here ever shuffles. Scaling is
+All partitioning is chronological; nothing here ever shuffles. Windows are
+read-only views of the aligned arrays, never copies. Scaling is
 deliberately not done in this module so that scaler parameters can only be
 fitted on an explicit train partition by the model code.
 """
@@ -8,7 +9,6 @@ fitted on an explicit train partition by the model code.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -17,6 +17,7 @@ from datetime import date as Date
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -93,12 +94,24 @@ class AlignedDataset:
         )
 
 
-@dataclass
-class WindowSample:
-    history: np.ndarray  # (L, 6)
-    sentiment: float  # compound at the last history day
-    target: np.ndarray  # (6,) next-day observation
-    target_date: Date
+@dataclass(frozen=True)
+class Windows:
+    """Stride-1 sliding windows of an aligned dataset, one row per window:
+    window i is history rows [i, i+L), the sentiment of its last day and
+    target row i+L. It slices (`w[i:j]`) and measures (`len(w)`) like a
+    sequence of windows."""
+
+    histories: np.ndarray  # (N, L, 6)
+    sentiments: np.ndarray  # (N,) compound at each window's last history day
+    targets: np.ndarray  # (N, 6) next-day observations
+    dates: list[Date]  # (N,) target dates
+
+    def __len__(self):
+        return len(self.dates)
+
+    def __getitem__(self, rows: slice) -> Windows:
+        return Windows(self.histories[rows], self.sentiments[rows], self.targets[rows],
+                       self.dates[rows])
 
 
 def _parse_field(value, name, line_no):
@@ -169,19 +182,6 @@ def load_ohlcv(source, symbol: str = "") -> tuple[Series, LoadReport]:
     return Series(symbol=symbol, bars=deduped), report
 
 
-def serialize_ohlcv(series: Series) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(OHLCV_HEADER)
-    for bar in series.bars:
-        writer.writerow(
-            [bar.date.isoformat()]
-            + ["" if v is None else repr(float(v)) for v in bar.values()[:5]]
-            + ["" if bar.volume is None else repr(float(bar.volume))]
-        )
-    return buf.getvalue()
-
-
 def repair_missing(series: Series) -> tuple[Series, list[dict]]:
     """Forward-fill missing price fields from the prior trading day; missing
     volume becomes 0; leading rows with unfillable fields are dropped.
@@ -233,43 +233,25 @@ def align(series: Series, daily) -> tuple[AlignedDataset, int]:
     return AlignedDataset(series.symbol, list(series.dates), features, sentiment), ignored
 
 
-def window_count(rows: int, window_length: int) -> int:
-    """How many windows make_windows cuts from `rows` rows."""
+def make_windows(aligned: AlignedDataset, window_length: int) -> Windows:
+    """The stride-1 windows of `aligned`, T - L of them for T rows.
+
+    Histories, sentiments and targets are read-only views of the aligned
+    arrays, so the windows share their memory and a write to one raises."""
+    rows = len(aligned.dates)
     if rows < window_length + 1:
         raise DataError(
             f"need at least {window_length + 1} rows for window length "
             f"{window_length}, got {rows}"
         )
-    return rows - window_length
-
-
-def make_windows(aligned: AlignedDataset, window_length: int) -> list[WindowSample]:
-    """Stride-1 sliding windows: sample i = rows [i, i+L) with target row i+L.
-
-    Histories and targets are read-only views of aligned.features, so the
-    windows share its memory and a write to one raises."""
     features = aligned.features.view()
-    features.flags.writeable = False
-    samples = []
-    for i in range(window_count(len(aligned.dates), window_length)):
-        end = i + window_length
-        samples.append(
-            WindowSample(
-                history=features[i:end],
-                sentiment=float(aligned.sentiment[end - 1]),
-                target=features[end],
-                target_date=aligned.dates[end],
-            )
-        )
-    return samples
-
-
-def stack_windows(windows: list[WindowSample]):
-    """The windows' histories (N, L, 6), sentiments (N,) and targets (N, 6),
-    stacked into new arrays: the one form in which windows reach a model."""
-    return (np.stack([w.history for w in windows]),
-            np.array([w.sentiment for w in windows], dtype=float),
-            np.stack([w.target for w in windows]))
+    sentiment = aligned.sentiment.view()
+    features.flags.writeable = sentiment.flags.writeable = False
+    histories = sliding_window_view(features[:-1], window_length, axis=0)
+    return Windows(histories=histories.transpose(0, 2, 1),
+                   sentiments=sentiment[window_length - 1 : -1],
+                   targets=features[window_length:],
+                   dates=aligned.dates[window_length:])
 
 
 def split_boundary(total: int, policy: str) -> int:

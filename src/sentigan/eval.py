@@ -17,7 +17,7 @@ import numpy as np
 from . import arima as arima_mod
 from . import gan as gan_mod
 from . import lstm as lstm_mod
-from .data import CLOSE_COLUMN, AlignedDataset, make_windows, split_boundary, stack_windows
+from .data import CLOSE_COLUMN, AlignedDataset, Windows, make_windows, split_boundary
 from .errors import DataError, DimensionError, UsageError
 from .scaling import scaler_fit_windows
 
@@ -119,11 +119,10 @@ def _check_chronological(aligned: AlignedDataset):
         raise DataError(f"{aligned.symbol}: dates are not strictly increasing")
 
 
-def _check_train_scaler(scaler, samples, mode, what):
+def _check_train_scaler(scaler, windows: Windows, mode, what):
     """The artifact's scaler must match one fitted on the evaluation-side
     train partition, else training and evaluation partitions disagree."""
-    histories, _, targets = stack_windows(samples)
-    expected = scaler_fit_windows(histories, targets, mode)
+    expected = scaler_fit_windows(windows.histories, windows.targets, mode)
     if (
         scaler is None
         or scaler.mode != mode
@@ -152,8 +151,9 @@ def _evaluate_windowed(name, predict, artifact, mode, aligned, policy, window_le
     _check_train_scaler(artifact.scaler, windows[:boundary], mode, name)
     holdout = windows[boundary:]
     return [
-        (w.target_date, float(p), float(w.target[CLOSE_COLUMN]))
-        for w, p in zip(holdout, predict(artifact, holdout))
+        (d, float(p), float(a))
+        for d, p, a in zip(holdout.dates, predict(artifact, holdout),
+                           holdout.targets[:, CLOSE_COLUMN])
     ]
 
 

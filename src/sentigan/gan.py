@@ -11,8 +11,9 @@ forecaster. Each network's parameters live in one flat vector `theta`, of
 which its layers' weights and biases are views, and its gradient in `grad`,
 laid out alike; backward() fills `grad` through views carved once.
 
-`train` fits K members (one asset's samples each) in lockstep: the networks
-carry a leading member axis, so a step is one pass per job for all members.
+`train` fits K members (one asset's training windows each) in lockstep: the
+networks carry a leading member axis, so a step is one pass per job for all
+members.
 Every member starts from the same seeded weights and sees the same batch
 order, so each result equals training that member alone.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CLOSE_COLUMN, WindowSample, stack_windows
+from .data import CLOSE_COLUMN, Windows
 from .errors import DataError, DimensionError, SentiganError, TrainingError, UsageError
 from .nn import DenseLayer, backward, build_mlp, carve, forward, layer_shapes, pack
 from .optim import AdamState, adam_step
@@ -91,6 +92,9 @@ class Generator(_DenseNet):
         # (always 0), which is ignored
         gen = super().from_dict(d)
         gen.scaler = ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None
+        if gen.scaler is not None and len(gen.scaler.per_feature_min) != N_FEATURES:
+            raise DimensionError("generator scaler length", N_FEATURES,
+                                 len(gen.scaler.per_feature_min))
         return gen
 
 
@@ -212,14 +216,13 @@ def train_step(gen, disc, gen_in, targets, gen_adam, disc_adam, schedule: GanSch
     return d_loss, g_loss
 
 
-def _member_inputs(gen, samples):
-    """A member's scaler, fitted on its samples, and its scaled conditioning
+def _member_inputs(gen, windows: Windows):
+    """A member's scaler, fitted on its windows, and its scaled conditioning
     rows (N, L*6 + 1) and targets (N, 6), range-checked once."""
-    histories, sentiments, targets = stack_windows(samples)
-    scaler = scaler_fit_windows(histories, targets, "signed")
-    gen_in = _gen_inputs(gen, scaler_transform(scaler, histories),
-                         np.clip(sentiments, -1.0, 1.0))
-    targets = scaler_transform(scaler, targets)
+    scaler = scaler_fit_windows(windows.histories, windows.targets, "signed")
+    gen_in = _gen_inputs(gen, scaler_transform(scaler, windows.histories),
+                         np.clip(windows.sentiments, -1.0, 1.0))
+    targets = scaler_transform(scaler, windows.targets)
     _check_scaled(targets, "target observation")
     return scaler, gen_in, targets
 
@@ -228,19 +231,19 @@ def _setup(members, rng, gen_hidden, disc_hidden):
     """The seeded (generator, discriminator) pair, and each member's scaler,
     conditioning rows and targets, the last two stacked (K, N, ...)."""
     inputs = []
-    for k, samples in enumerate(members):
-        if not samples:
+    for k, windows in enumerate(members):
+        if not windows:
             raise TrainingError("cannot train a GAN on an empty sample list", member=k)
         if not inputs:
-            n = len(samples)
-            window_length = samples[0].history.shape[0]
+            n = len(windows)
+            window_length = windows.histories.shape[1]
             gen = build_generator(rng, window_length, hidden=gen_hidden)
             disc = build_discriminator(rng, window_length, hidden=disc_hidden)
-        elif len(samples) != n:
+        elif len(windows) != n:
             raise UsageError(f"lockstep members need equal sample counts, got "
-                             f"{n} and {len(samples)}")
+                             f"{n} and {len(windows)}")
         try:
-            inputs.append(_member_inputs(gen, samples))
+            inputs.append(_member_inputs(gen, windows))
         except SentiganError as e:
             e.member = k
             raise
@@ -273,11 +276,11 @@ def _fit(gen, disc, gen_in, targets, schedule: GanSchedule, rng):
 
 def train(members, schedule: GanSchedule, seed: int,
           gen_hidden=GEN_HIDDEN, disc_hidden=DISC_HIDDEN):
-    """Fixed-epoch adversarial training of every member, a list of samples
-    each, all of one length, in lockstep over contiguous batches; the batch
-    order within each epoch is shuffled by the seed, the rows inside each
-    batch stay chronological. Members are read once, in order, so an
-    iterator lets the caller build each member's samples only when needed.
+    """Fixed-epoch adversarial training of every member, the training
+    Windows of one asset each, all of one length, in lockstep over
+    contiguous batches; the batch order within each epoch is shuffled by the
+    seed, the rows inside each batch stay chronological. `members` is read
+    once, in order.
 
     Returns one (generator, discriminator, log) per member; the log is a
     (steps, 2) array of each step's discriminator and generator loss. An
@@ -294,15 +297,14 @@ def train(members, schedule: GanSchedule, seed: int,
     return results
 
 
-def predict(gen: Generator, windows: list[WindowSample]) -> np.ndarray:
+def predict(gen: Generator, windows: Windows) -> np.ndarray:
     """One-step close forecasts (N,) on the original price scale, one per raw
-    (unscaled) window, from one batched generator pass."""
+    (unscaled) window of `windows`, from one batched generator pass."""
     if gen.scaler is None:
         raise UsageError("generator has no fitted scaler; train first")
-    histories, sentiments, _ = stack_windows(windows)
     # holdout context can drift past the train-fitted range; saturate at the
     # scale boundary instead of refusing to forecast
-    x = _gen_inputs(gen, np.clip(scaler_transform(gen.scaler, histories), -1.0, 1.0),
-                    np.clip(sentiments, -1.0, 1.0))
+    histories = np.clip(scaler_transform(gen.scaler, windows.histories), -1.0, 1.0)
+    x = _gen_inputs(gen, histories, np.clip(windows.sentiments, -1.0, 1.0))
     out, _ = forward(gen.layers, x)
     return scaler_inverse(gen.scaler, out)[:, CLOSE_COLUMN]

@@ -1,8 +1,9 @@
 """Single-layer LSTM baseline over scaled feature windows with a linear head.
 
-Numeric-only: consumes the six scaled market attributes, predicts the next
-scaled close. The four gates are stacked into one input matrix, one
-recurrent matrix and one bias, so a time step is one product of each.
+Numeric-only: consumes the six scaled market attributes of a Windows stack's
+histories, predicts the next scaled close. The four gates are stacked into
+one input matrix, one recurrent matrix and one bias, so a time step is one
+product of each.
 Trained by truncated backpropagation through time with Adam, chronological
 validation split, early stopping and plateau learning-rate decay.
 Everything is seeded and deterministic.
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CLOSE_COLUMN, WindowSample, stack_windows
+from .data import CLOSE_COLUMN, FEATURE_COLUMNS, Windows
 from .errors import DimensionError, TrainingError, UsageError
 from .nn import carve
 from .optim import AdamState, adam_step
@@ -97,11 +98,15 @@ class LstmModel:
                 if np.shape(g[key]) != shape:
                     raise DimensionError(f"LSTM {name} gate {key}", shape, np.shape(g[key]))
         w, u, b = (np.concatenate([g[key] for g in gates]) for key in "wub")
+        scaler = ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None
+        if scaler is not None and len(scaler.per_feature_min) != len(FEATURE_COLUMNS):
+            raise DimensionError("LSTM scaler length", len(FEATURE_COLUMNS),
+                                 len(scaler.per_feature_min))
         return cls(
             hidden_size=h, input_size=n, w=w, u=u, b=b,
             head_weights=d["head_weights"],
             head_bias=d["head_bias"],
-            scaler=ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None,
+            scaler=scaler,
         )
 
 
@@ -185,25 +190,24 @@ def sequence_loss(model, xs, targets, caches=None):
     return float(np.mean(err * err)), out, final_h, err
 
 
-def train(samples: list[WindowSample], schedule: TrainSchedule, seed: int,
-          hidden_size: int = 32):
-    """Fit on the chronologically earlier part of `samples`, early-stop on the
+def train(windows: Windows, schedule: TrainSchedule, seed: int, hidden_size: int = 32):
+    """Fit on the chronologically earlier part of `windows`, early-stop on the
     trailing validation_fraction, return (model, log rows).
 
     Log rows are dicts: epoch, train_loss, val_loss, lr."""
-    if schedule.max_epochs > 0 and len(samples) < 2 * schedule.batch_size:
+    if schedule.max_epochs > 0 and len(windows) < 2 * schedule.batch_size:
         raise TrainingError(
-            f"need at least {2 * schedule.batch_size} samples, got {len(samples)}"
+            f"need at least {2 * schedule.batch_size} samples, got {len(windows)}"
         )
     rng = np.random.default_rng(seed)
-    histories, _, targets = stack_windows(samples)
+    histories, targets = windows.histories, windows.targets
     model = LstmModel.initialize(rng, hidden_size, histories.shape[-1])
     model.scaler = scaler_fit_windows(histories, targets, "unit")
     log: list[dict] = []
     if schedule.max_epochs == 0:
         return model, log
 
-    n_val = max(1, int(round(schedule.validation_fraction * len(samples))))
+    n_val = max(1, int(round(schedule.validation_fraction * len(windows))))
     xs = scaler_transform(model.scaler, histories)
     ys = scaler_transform(model.scaler, targets)[:, CLOSE_COLUMN]
     xs_train, y_train = xs[:-n_val], ys[:-n_val]
@@ -251,13 +255,12 @@ def train(samples: list[WindowSample], schedule: TrainSchedule, seed: int,
     return model, log
 
 
-def predict(model: LstmModel, windows: list[WindowSample]) -> np.ndarray:
+def predict(model: LstmModel, windows: Windows) -> np.ndarray:
     """One-step close forecasts (N,) on the original price scale, one per
     window, from one batched forward pass."""
     if model.scaler is None:
         raise UsageError("model has no fitted scaler; train first")
-    histories, _, _ = stack_windows(windows)
-    out, _ = _forward_sequence(model, scaler_transform(model.scaler, histories))
+    out, _ = _forward_sequence(model, scaler_transform(model.scaler, windows.histories))
     lo = model.scaler.per_feature_min[CLOSE_COLUMN]
     hi = model.scaler.per_feature_max[CLOSE_COLUMN]
     return lo + out * (hi - lo)

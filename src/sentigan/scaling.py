@@ -35,12 +35,13 @@ class ScalerParams:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            mode=d["mode"],
-            per_feature_min=np.asarray(d["per_feature_min"], dtype=float),
-            per_feature_max=np.asarray(d["per_feature_max"], dtype=float),
-            fitted_on=d.get("fitted_on", "train"),
-        )
+        lo = np.asarray(d["per_feature_min"], dtype=float)
+        hi = np.asarray(d["per_feature_max"], dtype=float)
+        if lo.ndim != 1 or hi.shape != lo.shape:
+            raise DimensionError("scaler per_feature_min and per_feature_max",
+                                 "two 1-d lists of one length", (lo.shape, hi.shape))
+        return cls(mode=d["mode"], per_feature_min=lo, per_feature_max=hi,
+                   fitted_on=d.get("fitted_on", "train"))
 
 
 def _as_2d(data):

@@ -2,6 +2,7 @@
 tolerances and runtime budgets. Each test is self-contained and seeded."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from conftest import aligned_from_close, holdout_split
 from sentigan import arima, cli, gan, lstm
 from sentigan.arima import ArimaOrder
-from sentigan.data import CLOSE_COLUMN, WindowSample, make_windows, split_boundary, stack_windows
+from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
 from sentigan.eval import ForecastReport, MetricSet, aggregate
 from sentigan.gan import GanSchedule, build_discriminator, build_generator
 from sentigan.gradcheck import finite_difference_check, numerical_gradient, relative_error
@@ -160,14 +161,13 @@ def test_criterion_4_gan_synthetic_convergence():
         [(g, _, _)] = gan.train([train_part], schedule, seed=seed,
                             gen_hidden=(64, 32), disc_hidden=(32, 16))
         preds = gan.predict(g, test_part)
-        actual = np.array([w.target[CLOSE_COLUMN] for w in test_part])
-        persistence = np.array([w.history[-1, CLOSE_COLUMN] for w in test_part])
+        actual = test_part.targets[:, CLOSE_COLUMN]
+        persistence = test_part.histories[:, -1, CLOSE_COLUMN]
         rmse = np.sqrt(np.mean((preds - actual) ** 2))
         rmse_persistence = np.sqrt(np.mean((persistence - actual) ** 2))
         if rmse < rmse_persistence:
             wins += 1
-        flipped = gan.predict(g, [WindowSample(w.history, -w.sentiment, w.target,
-                                               w.target_date) for w in test_part])
+        flipped = gan.predict(g, replace(test_part, sentiments=-test_part.sentiments))
         sensitivities.append(float(np.mean(np.abs(preds - flipped))))
     assert wins >= 8, f"beat persistence in only {wins}/10 seeds"
     assert np.mean(sensitivities) > 0.0
@@ -182,17 +182,17 @@ def test_criterion_5_lstm_synthetic_competence():
     model, log = lstm.train(train_part, schedule, seed=0, hidden_size=16)
 
     preds = lstm.predict(model, test_part)
-    actual = np.array([w.target[CLOSE_COLUMN] for w in test_part])
-    persistence = np.array([w.history[-1, CLOSE_COLUMN] for w in test_part])
+    actual = test_part.targets[:, CLOSE_COLUMN]
+    persistence = test_part.histories[:, -1, CLOSE_COLUMN]
     rmse = np.sqrt(np.mean((preds - actual) ** 2))
     rmse_persistence = np.sqrt(np.mean((persistence - actual) ** 2))
     assert rmse < 0.25 * rmse_persistence, (rmse, rmse_persistence)
 
     # the returned weights reproduce the minimum validation loss in the log
     n_val = max(1, int(round(schedule.validation_fraction * len(train_part))))
-    histories, _, targets = stack_windows(train_part[-n_val:])
-    xs_val = scaler_transform(model.scaler, histories)
-    y_val = scaler_transform(model.scaler, targets)[:, CLOSE_COLUMN]
+    val_part = train_part[-n_val:]
+    xs_val = scaler_transform(model.scaler, val_part.histories)
+    y_val = scaler_transform(model.scaler, val_part.targets)[:, CLOSE_COLUMN]
     final_val = lstm.sequence_loss(model, xs_val, y_val)[0]
     assert final_val == pytest.approx(min(row["val_loss"] for row in log))
 
@@ -239,12 +239,11 @@ def test_criterion_8_protocol_audits(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     aligned = aligned_from_close(100 + np.cumsum(rng.normal(0, 1, 150)))
     train_part, test_part = holdout_split(make_windows(aligned, 10))
-    rows = np.vstack([w.history for w in train_part])
-    before = scaler_fit(rows, "unit")
+    before = scaler_fit(train_part.histories, "unit")
     aligned.features = aligned.features * np.where(np.arange(150) >= 130, 100.0, 1.0)[:, None]
     train_part, test_part = holdout_split(make_windows(aligned, 10))
-    assert all(w.target[CLOSE_COLUMN] > 1000.0 for w in test_part)
-    after = scaler_fit(np.vstack([w.history for w in train_part]), "unit")
+    assert np.all(test_part.targets[:, CLOSE_COLUMN] > 1000.0)
+    after = scaler_fit(train_part.histories, "unit")
     assert np.array_equal(before.per_feature_min, after.per_feature_min)
     assert np.array_equal(before.per_feature_max, after.per_feature_max)
 

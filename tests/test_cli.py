@@ -121,6 +121,8 @@ def test_config_rejects_unknown_hyperparameter(tmp_path):
     ("lstm", "max_epochs", True),
     ("lstm", "plateau_factor", 1.5),
     ("arima", "p_max", -1),
+    pytest.param("gan", "epochs", 10 ** 400, id="'gan'-'epochs'-10**400"),
+    pytest.param("lstm", "hidden_size", 10 ** 400, id="'lstm'-'hidden_size'-10**400"),
 ], ids=lambda v: repr(v))
 def test_malformed_config_value_is_data_error_naming_file_and_key(
         pipeline, capsys, section, key, value):
@@ -337,7 +339,9 @@ def test_evaluate_missing_artifact_names_cell(pipeline, tmp_path, capsys):
      ("models/AAA_arima.json", "huge_intercept"),
      ("models/AAA_gan.json", "nested_wrong_type"),
      ("models/AAA_gan.json", "unknown_activation"),
-     ("models/AAA_lstm.json", "misshapen_gate")])
+     ("models/AAA_gan.json", "scaler_short"),
+     ("models/AAA_lstm.json", "misshapen_gate"),
+     ("models/AAA_lstm.json", "scaler_short")])
 def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, damage):
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     path = tmp_path / "out" / relpath
@@ -363,6 +367,11 @@ def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, d
     elif damage == "misshapen_gate":
         payload = json.loads(text)
         payload["artifact"]["gates"]["forget"]["u"].pop()
+        path.write_text(json.dumps(payload))
+    elif damage == "scaler_short":
+        payload = json.loads(text)
+        for key in ("per_feature_min", "per_feature_max"):
+            payload["artifact"]["scaler"][key].pop()
         path.write_text(json.dumps(payload))
     else:
         payload = json.loads(text)

@@ -1,3 +1,4 @@
+import csv
 import io
 from datetime import date
 
@@ -79,12 +80,23 @@ def test_load_rejects_bad_header():
         D.load_ohlcv(csv_stream(VALID_ROWS, header="a,b,c"))
 
 
+def serialize_ohlcv(series: D.Series) -> str:
+    """The OHLCV CSV text of a series, each value written exactly."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(D.OHLCV_HEADER)
+    for bar in series.bars:
+        writer.writerow([bar.date.isoformat()]
+                        + ["" if v is None else repr(float(v)) for v in bar.values()])
+    return buf.getvalue()
+
+
 def test_ingestion_idempotence_round_trip():
     series, _ = D.load_ohlcv(csv_stream(VALID_ROWS), "TST")
-    text = D.serialize_ohlcv(series)
+    text = serialize_ohlcv(series)
     series2, _ = D.load_ohlcv(io.StringIO(text), "TST")
     assert series2 == series
-    assert D.serialize_ohlcv(series2) == text
+    assert serialize_ohlcv(series2) == text
 
 
 # ---------------------------------------------------------------- repair
@@ -170,10 +182,11 @@ def test_window_count():
 def test_window_contents_and_overlap():
     aligned, _ = D.align(make_series(12), [])
     windows = D.make_windows(aligned, 5)
-    assert np.array_equal(windows[0].history, aligned.features[0:5])
-    assert np.array_equal(windows[0].target, aligned.features[5])
-    assert np.array_equal(windows[1].history[:-1], windows[0].history[1:])
-    assert windows[-1].target_date == aligned.dates[-1]
+    assert windows.histories.shape == (7, 5, 6)
+    assert np.array_equal(windows.histories[0], aligned.features[0:5])
+    assert np.array_equal(windows.targets[0], aligned.features[5])
+    assert np.array_equal(windows.histories[1, :-1], windows.histories[0, 1:])
+    assert windows.dates[-1] == aligned.dates[-1]
 
 
 def test_window_sentiment_is_last_history_day():
@@ -181,7 +194,8 @@ def test_window_sentiment_is_last_history_day():
     daily = [DailySentiment(b.date, i / 10, 1) for i, b in enumerate(series.bars)]
     aligned, _ = D.align(series, daily)
     windows = D.make_windows(aligned, 3)
-    assert windows[0].sentiment == pytest.approx(0.2)
+    assert windows.sentiments[0] == pytest.approx(0.2)
+    assert np.array_equal(windows.sentiments, aligned.sentiment[2:-1])
 
 
 def test_window_too_short_errors():
@@ -194,18 +208,33 @@ def test_window_too_short_errors():
 def test_window_targets_reconstruct_series():
     aligned, _ = D.align(make_series(30), [])
     windows = D.make_windows(aligned, 7)
-    targets = np.stack([w.target for w in windows])
-    assert np.array_equal(targets, aligned.features[7:])
+    assert np.array_equal(windows.targets, aligned.features[7:])
+    assert windows.dates == aligned.dates[7:]
 
 
 def test_windows_are_read_only_views_of_the_aligned_array():
-    aligned, _ = D.align(make_series(12), [])
-    window = D.make_windows(aligned, 5)[2]
-    for arr in (window.history, window.target):
-        assert np.shares_memory(arr, aligned.features)
+    series = make_series(12)
+    aligned, _ = D.align(series, [DailySentiment(b.date, 0.1, 1) for b in series.bars])
+    windows = D.make_windows(aligned, 5)
+    for arr, source in ((windows.histories, aligned.features),
+                        (windows.targets, aligned.features),
+                        (windows.sentiments, aligned.sentiment)):
+        assert np.shares_memory(arr, source)
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert aligned.features.flags.writeable
+    assert aligned.features.flags.writeable and aligned.sentiment.flags.writeable
+
+
+@pytest.mark.parametrize("rows", [slice(0, 3), slice(2, 5), slice(4, None), slice(-2, None)])
+def test_sliced_windows_equal_the_rows_of_a_fresh_call(rows):
+    aligned, _ = D.align(make_series(12), [])
+    part = D.make_windows(aligned, 5)[rows]
+    fresh = D.make_windows(aligned, 5)
+    assert len(part) == len(fresh.dates[rows])
+    assert np.array_equal(part.histories, fresh.histories[rows])
+    assert np.array_equal(part.sentiments, fresh.sentiments[rows])
+    assert np.array_equal(part.targets, fresh.targets[rows])
+    assert part.dates == fresh.dates[rows]
 
 
 # ---------------------------------------------------------------- split

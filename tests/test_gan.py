@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import aligned_from_close, holdout_split
 from sentigan import gan, nn
-from sentigan.data import CLOSE_COLUMN, WindowSample, make_windows
+from sentigan.data import CLOSE_COLUMN, Windows, make_windows
 from sentigan.errors import DataError, DimensionError, TrainingError, UsageError
 from sentigan.eval import evaluate
 from sentigan.gan import (
@@ -22,13 +23,12 @@ from sentigan.nn import backward, forward
 from sentigan.optim import AdamState, adam_step
 
 
-def scaled_window(rng, length=6, sentiment=None):
-    return WindowSample(
-        history=rng.uniform(-0.9, 0.9, size=(length, 6)),
-        sentiment=float(rng.uniform(-1, 1)) if sentiment is None else sentiment,
-        target=rng.uniform(-0.9, 0.9, size=6),
-        target_date=date(2021, 1, 1),
-    )
+def scaled_windows(rng, length=6, count=1):
+    """`count` random windows on the signed scale, drawn window by window."""
+    draws = [(rng.uniform(-0.9, 0.9, size=(length, 6)), rng.uniform(-1, 1),
+              rng.uniform(-0.9, 0.9, size=6)) for _ in range(count)]
+    histories, sentiments, targets = (np.array(a) for a in zip(*draws))
+    return Windows(histories, sentiments, targets, [date(2021, 1, 1)] * count)
 
 
 def zero_net(net):
@@ -36,14 +36,17 @@ def zero_net(net):
     return net
 
 
-def generate(g, window):
-    """The generator's scaled next-day observation (6,) for one scaled window."""
-    out, _ = forward(g.layers, gan._gen_inputs(g, window.history[None], [window.sentiment]))
+def generate(g, windows):
+    """The generator's scaled next-day observation (6,) for the first of
+    `windows`, scaled."""
+    out, _ = forward(g.layers, gan._gen_inputs(g, windows.histories, windows.sentiments))
     return out[0]
 
 
-def disc_input(candidate, window):
-    return np.concatenate([candidate, window.history.ravel(), [window.sentiment]])[None, :]
+def disc_input(candidate, windows):
+    """The discriminator's input row for a candidate and the first of `windows`."""
+    return np.concatenate([candidate, windows.histories[0].ravel(),
+                           windows.sentiments[:1]])[None, :]
 
 
 def score(d, candidate, window):
@@ -77,7 +80,7 @@ def test_every_layer_array_is_a_view_of_theta():
 def test_generator_output_width_independent_of_window_length(length):
     rng = np.random.default_rng(0)
     g = build_generator(rng, length, hidden=(8,))
-    out = generate(g, scaled_window(rng, length))
+    out = generate(g, scaled_windows(rng, length))
     assert out.shape == (6,)
 
 
@@ -85,26 +88,26 @@ def test_generator_zero_weights_outputs_tanh_bias():
     rng = np.random.default_rng(1)
     g = zero_net(build_generator(rng, 4, hidden=(5,)))
     g.layers[-1].bias[...] = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0])
-    out = generate(g, scaled_window(rng, 4))
+    out = generate(g, scaled_windows(rng, 4))
     assert np.allclose(out, np.tanh(g.layers[-1].bias))
 
 
 def test_generator_deterministic_without_noise():
     rng = np.random.default_rng(2)
     g = build_generator(rng, 5, hidden=(8,))
-    w = scaled_window(rng, 5)
+    w = scaled_windows(rng, 5)
     assert np.array_equal(generate(g, w), generate(g, w))
 
 
 def test_generator_scale_violation_errors():
     rng = np.random.default_rng(4)
     g = build_generator(rng, 4, hidden=(8,))
-    w = scaled_window(rng, 4)
-    w.history[0, 0] = 1.5
+    w = scaled_windows(rng, 4)
+    w.histories[0, 0, 0] = 1.5
     with pytest.raises(DataError):
         generate(g, w)
-    w.history[0, 0] = 0.0
-    w = WindowSample(w.history, -1.2, w.target, w.target_date)
+    w.histories[0, 0, 0] = 0.0
+    w = replace(w, sentiments=np.array([-1.2]))
     with pytest.raises(DataError):
         generate(g, w)
 
@@ -113,7 +116,7 @@ def test_generator_outputs_in_open_interval():
     rng = np.random.default_rng(5)
     g = build_generator(rng, 6, hidden=(16, 8))
     for _ in range(20):
-        out = generate(g, scaled_window(rng, 6))
+        out = generate(g, scaled_windows(rng, 6))
         assert np.all(np.abs(out) < 1.0)
 
 
@@ -123,14 +126,14 @@ def test_generator_outputs_in_open_interval():
 def test_discriminator_zero_weights_scores_half():
     rng = np.random.default_rng(6)
     d = zero_net(build_discriminator(rng, 4, hidden=(5,)))
-    assert score(d, np.zeros(6), scaled_window(rng, 4)) == 0.5
+    assert score(d, np.zeros(6), scaled_windows(rng, 4)) == 0.5
 
 
 def test_discriminator_score_in_open_interval():
     rng = np.random.default_rng(7)
     d = build_discriminator(rng, 5, hidden=(16, 8))
     for _ in range(20):
-        s = score(d, rng.uniform(-0.9, 0.9, 6), scaled_window(rng, 5))
+        s = score(d, rng.uniform(-0.9, 0.9, 6), scaled_windows(rng, 5))
         assert 0.0 < s < 1.0
 
 
@@ -138,15 +141,15 @@ def test_discriminator_dimension_mismatch():
     rng = np.random.default_rng(8)
     d = build_discriminator(rng, 5, hidden=(4,))
     with pytest.raises(DimensionError):
-        score(d, np.zeros(4), scaled_window(rng, 5))
+        score(d, np.zeros(4), scaled_windows(rng, 5))
     with pytest.raises(DimensionError):
-        score(d, np.zeros(6), scaled_window(rng, 7))
+        score(d, np.zeros(6), scaled_windows(rng, 7))
 
 
 def test_discriminator_candidate_gradient_matches_fd():
     rng = np.random.default_rng(9)
     d = build_discriminator(rng, 3, hidden=(6,))
-    w = scaled_window(rng, 3)
+    w = scaled_windows(rng, 3)
     candidate = rng.uniform(-0.5, 0.5, 6)
 
     out, caches = forward(d.layers, disc_input(candidate, w))
@@ -173,12 +176,9 @@ def test_adversarial_gradients_match_finite_differences():
     length = 3
     g = build_generator(rng, length, hidden=(4,))
     d = build_discriminator(rng, length, hidden=(4,))
-    batch = [scaled_window(rng, length) for _ in range(2)]
-    histories = np.stack([s.history for s in batch])
-    sentiments = np.array([s.sentiment for s in batch])
-    targets = np.stack([s.target for s in batch])
-    gen_in = gan._gen_inputs(g, histories, sentiments)
-    real_in = np.concatenate([targets, gen_in], axis=1)
+    batch = scaled_windows(rng, length, count=2)
+    gen_in = gan._gen_inputs(g, batch.histories, batch.sentiments)
+    real_in = np.concatenate([batch.targets, gen_in], axis=1)
 
     def d_loss():
         fake, _ = forward(g.layers, gen_in)
@@ -213,17 +213,13 @@ def make_step_fixture(seed=11, length=4, batch=5):
     rng = np.random.default_rng(seed)
     g = build_generator(rng, length, hidden=(8,))
     d = build_discriminator(rng, length, hidden=(8,))
-    samples = [scaled_window(rng, length) for _ in range(batch)]
-    return g, d, samples
+    return g, d, scaled_windows(rng, length, count=batch)
 
 
 def step_inputs(g, batch):
     """(gen_in, real_in, fake, gen_caches, fake_in) as train_step builds them."""
-    histories = np.stack([s.history for s in batch])
-    sentiments = np.array([s.sentiment for s in batch])
-    targets = np.stack([s.target for s in batch])
-    gen_in = gan._gen_inputs(g, histories, sentiments)
-    real_in = np.concatenate([targets, gen_in], axis=1)
+    gen_in = gan._gen_inputs(g, batch.histories, batch.sentiments)
+    real_in = np.concatenate([batch.targets, gen_in], axis=1)
     fake, gen_caches = forward(g.layers, gen_in)
     return gen_in, real_in, fake, gen_caches, np.concatenate([fake, gen_in], axis=1)
 
@@ -231,7 +227,7 @@ def step_inputs(g, batch):
 def run_step(g, d, batch, schedule, gen_adam=None, disc_adam=None):
     gen_in = step_inputs(g, batch)[0]
     return gan.train_step(
-        g, d, gen_in, np.stack([s.target for s in batch]),
+        g, d, gen_in, batch.targets,
         gen_adam or AdamState(learning_rate=schedule.learning_rate),
         disc_adam or AdamState(learning_rate=schedule.learning_rate), schedule,
     )
@@ -430,8 +426,7 @@ def test_conditioning_sensitivity_after_training():
     train_part, test_part = holdout_split(windows)
     [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=30), seed=0,
                         gen_hidden=(16,), disc_hidden=(16,))
-    flipped = [WindowSample(w.history, -w.sentiment, w.target, w.target_date)
-               for w in test_part]
+    flipped = replace(test_part, sentiments=-test_part.sentiments)
     deltas = np.abs(gan.predict(g, test_part) - gan.predict(g, flipped))
     assert np.mean(deltas) > 0.0
 
@@ -504,7 +499,9 @@ def test_diverging_member_is_named(monkeypatch):
 def test_member_with_unscalable_data_is_named():
     # a NaN sentiment passes no range check; it is refused before training
     a, b = lockstep_members()
-    b[3] = WindowSample(b[3].history, float("nan"), b[3].target, b[3].target_date)
+    sentiments = b.sentiments.copy()
+    sentiments[3] = np.nan
+    b = replace(b, sentiments=sentiments)
     with pytest.raises(DataError) as e:
         gan.train([a, b], GanSchedule(epochs=1), seed=0, gen_hidden=(8,), disc_hidden=(8,))
     assert e.value.member == 1
@@ -544,7 +541,7 @@ def test_predict_without_scaler_errors():
     rng = np.random.default_rng(12)
     g = build_generator(rng, 4, hidden=(8,))
     with pytest.raises(UsageError):
-        gan.predict(g, [scaled_window(rng, 4)])
+        gan.predict(g, scaled_windows(rng, 4))
 
 
 def trained_generator(seed=9):
@@ -560,7 +557,7 @@ def test_batched_predict_equals_one_window_calls():
     # batched products may round differently from one-row ones, in the last bit
     g, holdout = trained_generator()
     batched = gan.predict(g, holdout)
-    alone = np.array([gan.predict(g, [w])[0] for w in holdout])
+    alone = np.array([gan.predict(g, holdout[i : i + 1])[0] for i in range(len(holdout))])
     assert batched.shape == (20,)
     assert np.max(np.abs(batched - alone) / np.abs(alone)) <= 1e-15
 
@@ -570,14 +567,13 @@ def test_predict_saturates_context_outside_the_fitted_range():
     # its boundary, which the scaler maps to exactly -1 and 1
     g, holdout = trained_generator()
     low, high = g.scaler.per_feature_min, g.scaler.per_feature_max
-    w = holdout[0]
 
-    def window(row, sentiment):
-        return WindowSample(np.tile(row, (g.window_length, 1)), sentiment, w.target,
-                            w.target_date)
+    def windows(rows, sentiments):
+        histories = np.repeat(np.array(rows)[:, None], g.window_length, axis=1)
+        return replace(holdout[:2], histories=histories, sentiments=np.array(sentiments))
 
-    at_boundary = gan.predict(g, [window(high, 1.0), window(low, -1.0)])
-    beyond = gan.predict(g, [window(2 * high - low, 3.0), window(2 * low - high, -3.0)])
+    at_boundary = gan.predict(g, windows([high, low], [1.0, -1.0]))
+    beyond = gan.predict(g, windows([2 * high - low, 2 * low - high], [3.0, -3.0]))
     assert np.array_equal(beyond, at_boundary)
     assert at_boundary[0] != at_boundary[1]
 

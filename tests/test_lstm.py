@@ -3,7 +3,7 @@ import pytest
 
 from conftest import aligned_from_close
 from sentigan import lstm
-from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary, stack_windows
+from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
 from sentigan.errors import DimensionError, TrainingError, UsageError
 from sentigan.eval import evaluate
 from sentigan.gradcheck import numerical_gradient, relative_error
@@ -184,8 +184,8 @@ def test_noiseless_line_beats_persistence():
     n_val = max(1, int(round(schedule.validation_fraction * len(windows))))
     test_part = windows[-n_val:]
     preds = lstm.predict(model, test_part)
-    actual = np.array([w.target[CLOSE_COLUMN] for w in test_part])
-    persistence = np.array([w.history[-1, CLOSE_COLUMN] for w in test_part])
+    actual = test_part.targets[:, CLOSE_COLUMN]
+    persistence = test_part.histories[:, -1, CLOSE_COLUMN]
     rmse = np.sqrt(np.mean((preds - actual) ** 2))
     rmse_persistence = np.sqrt(np.mean((persistence - actual) ** 2))
     assert rmse < rmse_persistence
@@ -212,9 +212,8 @@ def test_early_stopping_returns_best_validation_weights():
 
 def scaled_windows(model, windows):
     """Scaled histories (N, L, 6) and scaled target closes (N,)."""
-    histories, _, targets = stack_windows(windows)
-    return (scaler_transform(model.scaler, histories),
-            scaler_transform(model.scaler, targets)[:, CLOSE_COLUMN])
+    return (scaler_transform(model.scaler, windows.histories),
+            scaler_transform(model.scaler, windows.targets)[:, CLOSE_COLUMN])
 
 
 def test_loss_without_caches_equals_loss_with_caches():
@@ -259,7 +258,7 @@ def test_batched_predict_equals_one_window_calls():
     windows = make_windows(aligned_from_close(close), 20)
     model, _ = lstm.train(windows[:100], TrainSchedule(max_epochs=3), seed=1)
     batched = lstm.predict(model, windows[100:])
-    alone = np.array([lstm.predict(model, [w])[0] for w in windows[100:]])
+    alone = np.array([lstm.predict(model, windows[i : i + 1])[0] for i in range(100, 120)])
     assert batched.shape == (20,)
     assert np.max(np.abs(batched - alone) / np.abs(alone)) <= 1e-15
 

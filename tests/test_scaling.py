@@ -90,3 +90,9 @@ def test_serialization_round_trip():
     restored = ScalerParams.from_dict(params.to_dict())
     assert restored.mode == "signed"
     assert np.array_equal(restored.per_feature_min, params.per_feature_min)
+
+
+@pytest.mark.parametrize("lo, hi", [([0.0, 1.0], [2.0]), ([[0.0]], [[1.0]]), (0.0, 1.0)])
+def test_from_dict_rejects_ragged_or_non_list_ranges(lo, hi):
+    with pytest.raises(DimensionError):
+        ScalerParams.from_dict({"mode": "unit", "per_feature_min": lo, "per_feature_max": hi})
