@@ -89,9 +89,9 @@ def test_criterion_3_gradient_suite():
         model = LstmModel.initialize(rng, 4, 3)
         xs = rng.normal(size=(2, 8, 3))
         targets = rng.normal(size=2)
-        caches = []
-        _, _, final_h, err = lstm.sequence_loss(model, xs, targets, caches)
-        analytic = lstm._backward_sequence(model, caches, final_h, 2.0 * err / len(err))
+        workspace = lstm.Workspace(2, 8, 4)
+        _, err = lstm.sequence_loss(model, xs, targets, workspace)
+        analytic = lstm._backward_sequence(model, xs, workspace, 2.0 * err / len(err))
         numeric = numerical_gradient(
             lambda: lstm.sequence_loss(model, xs, targets)[0], model.theta
         )

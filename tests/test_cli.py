@@ -278,6 +278,18 @@ def test_diverging_group_member_is_named(pipeline, capsys, monkeypatch):
     assert "BBB/gan: non-finite gradient" in err and "AAA" not in err
 
 
+def test_validation_split_leaving_no_training_window_is_named(pipeline, capsys):
+    pipeline.write_text(pipeline.read_text().replace(
+        "lstm:\n", "lstm:\n  validation_fraction: 0.999\n"))
+    assert cli.main(["ingest", "--config", str(pipeline)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(pipeline), "--model", "lstm",
+                     "--asset", "AAA"]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "AAA/lstm: the validation split takes 77 of 77 windows" in err
+    assert not (pipeline.parent / "out" / "models" / "AAA_lstm.json").exists()
+
+
 def test_gan_artifact_has_no_discriminator_and_old_ones_still_load(pipeline, tmp_path):
     from sentigan import gan
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
 from sentigan.errors import DimensionError, TrainingError, UsageError
 from sentigan.eval import evaluate
 from sentigan.gradcheck import numerical_gradient, relative_error
-from sentigan.lstm import LstmModel, TrainSchedule
+from sentigan.lstm import LstmModel, TrainSchedule, Workspace
+from sentigan.nn import carve
 from sentigan.scaling import scaler_transform
 
 
@@ -23,9 +26,57 @@ def model_arrays(model):
 
 
 def cell(model, x, state):
-    """One step's new (h, c) from lstm._step."""
-    *_, c_new, h_new = lstm._step(model, np.asarray(x, dtype=float), *state)
-    return h_new, c_new
+    """One step's new (h, c) from lstm._step, for one window."""
+    h, c = (np.array(s, dtype=float).reshape(1, -1) for s in state)
+    z, tanh_c = np.empty((4, 1, model.hidden_size)), np.empty_like(c)
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    lstm._step(lstm._signed_weights(model), x, h, c, z, z, c, tanh_c, h)
+    return h[0], c[0]
+
+
+def loss_and_gradient(model, xs, targets, workspace=None):
+    """The loss and dL/d(theta) of one batch through the training forward."""
+    workspace = workspace or Workspace(len(xs), xs.shape[1], model.hidden_size)
+    loss, err = lstm.sequence_loss(model, xs, targets, workspace)
+    return loss, lstm._backward_sequence(model, xs, workspace, 2.0 * err / len(err))
+
+
+def reference_loss_and_gradient(model, xs, targets):
+    """Oracle for loss_and_gradient: per-step BPTT over batch-major (B, 4H)
+    stacked gates, each step's products and gate derivatives made inside the
+    time loop."""
+    hs = model.hidden_size
+    h = np.zeros((len(xs), hs))
+    c = np.zeros_like(h)
+    caches = []
+    for t in range(xs.shape[1]):
+        x = xs[:, t, :]
+        z = x @ model.w.T + h @ model.u.T + model.b
+        z[:, : 3 * hs] = 1.0 / (1.0 + np.exp(-z[:, : 3 * hs]))
+        z[:, 3 * hs :] = np.tanh(z[:, 3 * hs :])
+        i, f, o, cand = np.split(z, 4, axis=1)
+        c_new = f * c + i * cand
+        caches.append((x, h, c, i, f, o, cand, c_new))
+        h, c = o * np.tanh(c_new), c_new
+    err = (h @ model.head_weights.T + model.head_bias)[:, 0] - targets
+    grad_out = 2.0 * err / len(err)
+    grad = np.zeros_like(model.theta)
+    dw, du, db, d_head_w, d_head_b = carve(grad, model._shapes())
+    d_head_w[...] = grad_out[:, None].T @ h
+    d_head_b[0] = grad_out.sum()
+    dh = grad_out[:, None] * model.head_weights
+    dc = np.zeros_like(dh)
+    for x, h_prev, c_prev, i, f, o, cand, c in reversed(caches):
+        tc = np.tanh(c)
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dz = np.concatenate([dc * cand * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             dh * tc * o * (1.0 - o), dc * i * (1.0 - cand * cand)], axis=1)
+        dw += dz.T @ x
+        du += dz.T @ h_prev
+        db += dz.sum(axis=0)
+        dh = dz @ model.u
+        dc = dc * f
+    return float(np.mean(err * err)), grad
 
 
 # ---------------------------------------------------------------- parameters
@@ -115,15 +166,46 @@ def test_bptt_matches_finite_differences(seed):
     xs = rng.normal(size=(2, length, inputs))
     targets = rng.normal(size=2)
 
-    caches = []
-    loss, out, final_h, err = lstm.sequence_loss(model, xs, targets, caches)
-    analytic = lstm._backward_sequence(model, caches, final_h, 2.0 * err / len(err))
-
+    _, analytic = loss_and_gradient(model, xs, targets)
     numeric = numerical_gradient(
         lambda: lstm.sequence_loss(model, xs, targets)[0], model.theta, h=1e-5
     )
     worst = relative_error(analytic, numeric)
     assert worst < 1e-4, worst
+
+
+@pytest.mark.parametrize("hidden", [4, 32])
+@pytest.mark.parametrize("length", [1, 5, 20])
+@pytest.mark.parametrize("batch", [1, 3, 32])
+def test_bptt_matches_per_step_reference(batch, length, hidden):
+    rng = np.random.default_rng(batch * 100 + length * 10 + hidden)
+    model = LstmModel.initialize(rng, hidden, 6)
+    model.b[...] = rng.normal(size=4 * hidden)
+    xs = rng.uniform(-1.0, 1.0, size=(batch, length, 6))
+    targets = rng.uniform(-1.0, 1.0, size=batch)
+    loss, grad = loss_and_gradient(model, xs, targets)
+    ref_loss, ref_grad = reference_loss_and_gradient(model, xs, targets)
+    assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+def test_reused_workspace_equals_a_fresh_one():
+    # a workspace carries every batch of one shape through train(); nothing
+    # of the previous batch, h0 and c0 included, may reach the next
+    rng = np.random.default_rng(2)
+    model = LstmModel.initialize(rng, 5, 6)
+    first, second = rng.uniform(-1.0, 1.0, size=(2, 4, 7, 6))
+    targets = rng.uniform(-1.0, 1.0, size=4)
+    fresh_loss, fresh_grad = loss_and_gradient(model, second, targets)
+    reused = Workspace(4, 7, 5)
+    loss_and_gradient(model, first, targets, reused)
+    for poisoned in (False, True):
+        if poisoned:
+            for buffer in vars(reused).values():
+                buffer.fill(np.nan)
+        loss, grad = loss_and_gradient(model, second, targets, reused)
+        assert loss == fresh_loss
+        assert np.array_equal(grad, fresh_grad)
 
 
 # ---------------------------------------------------------------- training
@@ -172,6 +254,22 @@ def test_train_too_few_samples():
         lstm.train(line_windows(40, 10), TrainSchedule(batch_size=32), seed=0)
 
 
+def test_validation_split_leaving_no_training_window_errors():
+    windows = line_windows(60, 5)
+    schedule = TrainSchedule(batch_size=4, max_epochs=2, validation_fraction=0.999)
+    with pytest.raises(TrainingError, match="55 of 55 windows"):
+        lstm.train(windows, schedule, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("max_epochs", -1), ("learning_rate", 0.0), ("learning_rate", -1e-3),
+    ("validation_fraction", 1.0), ("validation_fraction", -0.1),
+])
+def test_schedule_rejects_out_of_range_values(field, value):
+    with pytest.raises(UsageError, match=field):
+        TrainSchedule(**{field: value})
+
+
 def test_noiseless_line_beats_persistence():
     # evaluated on the chronological validation tail, which train() holds out
     # from every gradient update
@@ -205,8 +303,8 @@ def test_early_stopping_returns_best_validation_weights():
     assert log, "expected a non-empty training log"
     n_val = max(1, int(round(schedule.validation_fraction * len(windows))))
     xs_val, y_val = scaled_windows(model, windows[-n_val:])
-    final_val = lstm.sequence_loss(model, xs_val, y_val, [])[0]
-    # the logged losses keep no caches; the same loss with caches is bitwise equal
+    final_val = lstm.sequence_loss(model, xs_val, y_val, Workspace(*xs_val.shape[:2], model.hidden_size))[0]
+    # the logged losses keep one step of state; the training forward is bitwise equal
     assert final_val == min(row["val_loss"] for row in log)
 
 
@@ -216,17 +314,30 @@ def scaled_windows(model, windows):
             scaler_transform(model.scaler, windows.targets)[:, CLOSE_COLUMN])
 
 
-def test_loss_without_caches_equals_loss_with_caches():
+def test_forward_only_pass_equals_training_forward():
     windows = line_windows(60, 6)
     model, _ = lstm.train(windows, TrainSchedule(max_epochs=0), seed=4, hidden_size=5)
     xs, ys = scaled_windows(model, windows)
-    caches = []
-    with_caches = lstm.sequence_loss(model, xs, ys, caches)
-    assert len(caches) == 6
-    without = lstm.sequence_loss(model, xs, ys)
-    assert without[0] == with_caches[0]
-    for a, b in zip(without[1:], with_caches[1:]):
-        assert np.array_equal(a, b)
+    workspace = Workspace(len(xs), 6, 5)
+    kept = lstm.sequence_loss(model, xs, ys, workspace)
+    assert np.isfinite(workspace.gates).all()
+    alone = lstm.sequence_loss(model, xs, ys)
+    assert alone[0] == kept[0]
+    assert np.array_equal(alone[1], kept[1])
+
+
+def test_forward_only_pass_keeps_no_sequence_deep_buffer():
+    n, length, hidden = 500, 20, 32
+    rng = np.random.default_rng(5)
+    model = LstmModel.initialize(rng, hidden, 6)
+    xs = rng.uniform(-1.0, 1.0, size=(n, length, 6))
+    tracemalloc.start()
+    try:
+        lstm._forward_sequence(model, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < length * n * hidden * xs.itemsize
 
 
 def test_lr_schedule_non_increasing():
