@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .errors import DataError, TrainingError, UsageError
 
@@ -97,6 +97,24 @@ def adf_stationarity_test(series, lag: int | None = None) -> AdfResult:
     return AdfResult(statistic=stat, is_stationary=bool(stat < ADF_CRITICAL_5PCT))
 
 
+def _ma_solve(ma, rows):
+    """Apply the inverse MA polynomial along the last axis of `rows`, in place.
+
+    e[t] = r[t] - sum_j ma[j] * e[t-j] with pre-sample e zero is the
+    unit-lower-triangular banded Toeplitz system (1 + theta(B)) e = r; one
+    LAPACK dtbtrs call solves it by forward substitution for every row.
+    Band row k of `ab` holds theta_k; the unit diagonal is never read.
+    A C-contiguous float64 `rows` is solved in place, with no copy, and
+    returned."""
+    n = rows.shape[-1]
+    ab = np.ones((n, len(ma) + 1))
+    ab[:, 1:] = ma
+    e, info = dtbtrs(ab.T, rows.T, uplo="L", diag="U", overwrite_b=1)
+    if info:
+        raise UsageError(f"dtbtrs rejected argument {-info}")
+    return e.T
+
+
 def _css_residuals(w, intercept, ar, ma):
     """Conditional residuals of the differenced series: first p observations
     condition the recursion, pre-sample residuals are zero."""
@@ -106,8 +124,7 @@ def _css_residuals(w, intercept, ar, ma):
         rhs = rhs - ar[i - 1] * w[p - i : len(w) - i]
     if q == 0:
         return rhs
-    # e[t] = rhs[t] - sum_j ma[j] * e[t-j]  ==  IIR filter with a = [1, ma...]
-    return lfilter([1.0], np.concatenate(([1.0], ma)), rhs)
+    return _ma_solve(ma, rhs)
 
 
 def _css(params, w, p, q):
@@ -115,10 +132,12 @@ def _css(params, w, p, q):
 
     Each residual sensitivity is a lagged series filtered by the inverse MA
     polynomial: de/dc = -theta(B)^-1 1, de/dphi_i = -theta(B)^-1 w[t-i] and
-    de/dtheta_j = -theta(B)^-1 e[t-j], with pre-sample residuals zero; the
-    gradient is 2 sens @ e. Where the sum or the gradient overflows, the
-    value is capped at 1e300 and the gradient points toward zero
-    coefficients, so the optimizer never reads the point as a minimum."""
+    de/dtheta_j = -theta(B)^-1 e[t-j], with pre-sample residuals zero. The
+    residuals and the stacked (1+p+q, n) sensitivities take one banded solve
+    each (`_ma_solve`); the gradient is 2 sens @ e. Where the sum or the
+    gradient overflows, the value is capped at 1e300 and the gradient points
+    toward zero coefficients, so the optimizer never reads the point as a
+    minimum."""
     ma = params[1 + p :]
     with np.errstate(over="ignore", invalid="ignore"):
         e = _css_residuals(w, params[0], params[1 : 1 + p], ma)
@@ -131,7 +150,7 @@ def _css(params, w, p, q):
             sens[p + j, :j] = 0.0
             sens[p + j, j:] = -e[: n - j]
         if q:
-            sens = lfilter([1.0], np.concatenate(([1.0], ma)), sens, axis=1)
+            sens = _ma_solve(ma, sens)
         sse = float(e @ e)
         grad = 2.0 * (sens @ e)
     if np.isfinite(sse) and np.isfinite(grad).all():

@@ -22,6 +22,7 @@ from . import lstm as lstm_mod
 from .config import RunConfig, load_config
 from .data import (
     CLOSE_COLUMN,
+    csv_rows,
     load_aligned,
     load_ohlcv,
     make_windows,
@@ -129,20 +130,9 @@ def _load_aligned_or_die(cfg, symbol):
 # ---------------------------------------------------------------- sentiment
 
 
-def _csv_rows(path: Path, header: list[str]):
-    """(line number, row) for each non-blank row of a CSV file with `header`."""
-    reader = csv.reader(utf8_lines(path))
-    got = next(reader, None)
-    if got is None or [h.strip().lower() for h in got] != header:
-        raise DataError(f"{path}: expected header {','.join(header)!r}, got {got}")
-    for line_no, row in enumerate(reader, start=2):
-        if any(c.strip() for c in row):
-            yield line_no, row
-
-
 def _read_tweets(path: Path) -> list[SentimentRecord]:
     records = []
-    for line_no, row in _csv_rows(path, ["timestamp", "text"]):
+    for line_no, row in csv_rows(utf8_lines(path), path, ["timestamp", "text"]):
         if len(row) != 2:
             raise DataError(f"{path} line {line_no}: expected 2 columns, got {len(row)}")
         try:
@@ -176,9 +166,13 @@ def _sentiment_csv(daily) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_ohlcv(asset):
+    return load_ohlcv(utf8_lines(asset.ohlcv_path), asset.symbol, asset.ohlcv_path)
+
+
 def cmd_sentiment(cfg: RunConfig, asset_symbol=None) -> int:
     for asset in _select_assets(cfg, asset_symbol):
-        series, _ = load_ohlcv(utf8_lines(asset.ohlcv_path), symbol=asset.symbol)
+        series, _ = _read_ohlcv(asset)
         series, _ = repair_missing(series)
         daily, dropped = _daily_sentiment(cfg, asset, series.dates)
         write_atomic(cfg.output_dir / "sentiment" / f"{asset.symbol}.csv",
@@ -192,7 +186,7 @@ def cmd_sentiment(cfg: RunConfig, asset_symbol=None) -> int:
 
 def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
     for asset in _select_assets(cfg, asset_symbol):
-        series, load_report = load_ohlcv(utf8_lines(asset.ohlcv_path), symbol=asset.symbol)
+        series, load_report = _read_ohlcv(asset)
         series, repair_log = repair_missing(series)
         daily, _ = _daily_sentiment(cfg, asset, series.dates)
         aligned, ignored = align_series(series, daily)
@@ -380,7 +374,7 @@ def _aggregate_from_metrics(cfg, csv_path) -> int:
     if not path.exists():
         raise DataError(f"metrics file not found: {path}")
     reports = []
-    for line_no, row in _csv_rows(path, ["symbol", "model", "rmse"]):
+    for line_no, row in csv_rows(utf8_lines(path), path, ["symbol", "model", "rmse"]):
         if len(row) != 3:
             raise DataError(f"{path} line {line_no}: expected 3 columns")
         try:

@@ -187,12 +187,18 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     for entry in entries:
         if not isinstance(entry, dict) or "symbol" not in entry or "ohlcv" not in entry:
             raise DataError(f"asset entries need 'symbol' and 'ohlcv' keys, got {entry!r}")
+        symbol = str(entry["symbol"])
+        # the symbol names the asset's output files, so it must be one plain
+        # path component: anything else could write outside output_dir
+        if symbol in ("", ".", "..") or any(c in symbol for c in "/\\\0"):
+            raise DataError(f"config {path}: assets.symbol must be a plain file name, "
+                            f"got {symbol!r}")
         ohlcv = resolve(path_or_none("assets.ohlcv", entry["ohlcv"]))
         if not ohlcv.exists():
-            raise DataError(f"asset {entry['symbol']}: OHLCV file not found: {ohlcv}")
+            raise DataError(f"asset {symbol}: OHLCV file not found: {ohlcv}")
         assets.append(
             AssetSpec(
-                symbol=str(entry["symbol"]),
+                symbol=symbol,
                 ohlcv_path=ohlcv,
                 tweets_path=resolve(path_or_none("assets.tweets", entry.get("tweets"))),
             )

@@ -114,60 +114,69 @@ class Windows:
                        self.dates[rows])
 
 
-def _parse_field(value, name, line_no):
+def _parse_field(value, name, at):
     value = value.strip()
     if value == "" or value.lower() in ("nan", "null", "na"):
         return None
     try:
         parsed = float(value)
     except ValueError:
-        raise DataError(f"line {line_no}: cannot parse {name}={value!r}") from None
+        raise DataError(f"{at}: cannot parse {name}={value!r}") from None
     if not math.isfinite(parsed):
-        raise DataError(f"line {line_no}: {name}={value!r} is not finite")
+        raise DataError(f"{at}: {name}={value!r} is not finite")
     return parsed
 
 
-def _validate_bar(bar: Bar, line_no):
+def _validate_bar(bar: Bar, at):
     v = {name: val for name, val in zip(FEATURE_COLUMNS, bar.values()) if val is not None}
     for name in ("open", "high", "low", "close", "adj_close"):
         if name in v and v[name] <= 0:
-            raise DataError(f"line {line_no} ({bar.date}): {name} must be > 0, got {v[name]}")
+            raise DataError(f"{at} ({bar.date}): {name} must be > 0, got {v[name]}")
     if "volume" in v and v["volume"] < 0:
-        raise DataError(f"line {line_no} ({bar.date}): volume must be >= 0")
+        raise DataError(f"{at} ({bar.date}): volume must be >= 0")
     if "high" in v and "low" in v and v["low"] > v["high"]:
-        raise DataError(f"line {line_no} ({bar.date}): high < low")
+        raise DataError(f"{at} ({bar.date}): high < low")
     for name in ("open", "close"):
         if name in v:
             if "low" in v and v[name] < v["low"]:
-                raise DataError(f"line {line_no} ({bar.date}): {name} below low")
+                raise DataError(f"{at} ({bar.date}): {name} below low")
             if "high" in v and v[name] > v["high"]:
-                raise DataError(f"line {line_no} ({bar.date}): {name} above high")
+                raise DataError(f"{at} ({bar.date}): {name} above high")
 
 
-def load_ohlcv(source, symbol: str = "") -> tuple[Series, LoadReport]:
-    """Parse and validate an OHLCV CSV stream; rows are sorted by date and
-    duplicate dates deduplicated keeping the first occurrence."""
+def csv_rows(source, origin, header: list[str]):
+    """(line number, row) for each non-blank row of CSV lines that start with
+    `header`; a wrong header, or a row the csv module rejects (such as a
+    field over its size limit), is a DataError naming `origin` and the line."""
     reader = csv.reader(source)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty OHLCV stream") from None
-    if [h.strip().lower() for h in header] != OHLCV_HEADER:
-        raise DataError(f"bad OHLCV header: expected {OHLCV_HEADER}, got {header}")
+        got = next(reader, None)
+        if got is None or [h.strip().lower() for h in got] != header:
+            raise DataError(f"{origin}: expected header {','.join(header)!r}, got {got}")
+        for line_no, row in enumerate(reader, start=2):
+            if any(c.strip() for c in row):
+                yield line_no, row
+    except csv.Error as e:
+        raise DataError(f"{origin} line {reader.line_num}: {e}") from None
+
+
+def load_ohlcv(source, symbol: str = "", origin="OHLCV") -> tuple[Series, LoadReport]:
+    """Parse and validate OHLCV CSV lines; rows are sorted by date and
+    duplicate dates deduplicated keeping the first occurrence. Errors name
+    `origin` (the file) and the line."""
     bars = []
     report = LoadReport()
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for line_no, row in csv_rows(source, origin, OHLCV_HEADER):
+        at = f"{origin} line {line_no}"
         if len(row) != 7:
-            raise DataError(f"line {line_no}: expected 7 columns, got {len(row)}")
+            raise DataError(f"{at}: expected 7 columns, got {len(row)}")
         try:
             day = Date.fromisoformat(row[0].strip())
         except ValueError:
-            raise DataError(f"line {line_no}: bad date {row[0]!r}") from None
-        vals = [_parse_field(row[i + 1], FEATURE_COLUMNS[i], line_no) for i in range(6)]
+            raise DataError(f"{at}: bad date {row[0]!r}") from None
+        vals = [_parse_field(row[i + 1], FEATURE_COLUMNS[i], at) for i in range(6)]
         bar = Bar(day, *vals)
-        _validate_bar(bar, line_no)
+        _validate_bar(bar, at)
         bars.append(bar)
         report.rows += 1
     bars.sort(key=lambda b: b.date)
@@ -269,21 +278,24 @@ def split_boundary(total: int, policy: str) -> int:
 
 
 def read_utf8(path) -> str:
-    """A file's UTF-8 text; other bytes are a DataError naming path and offset."""
+    """A file's UTF-8 text; other bytes, or a path that cannot be read (a
+    directory, say), are a DataError naming the path."""
     try:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text (invalid byte at offset {e.start})") from None
+    except OSError as e:
+        raise DataError(f"{path}: cannot read ({e.strerror or e})") from None
 
 
 def utf8_lines(path):
     """The lines of a UTF-8 file, read as open(path, newline="") reads them,
-    without holding the whole file; bad bytes raise as in read_utf8."""
+    without holding the whole file; errors raise as in read_utf8."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             yield from fh
-    except UnicodeDecodeError:
-        read_utf8(path)  # raises the DataError that locates the bad byte
+    except (UnicodeDecodeError, OSError):
+        read_utf8(path)  # raises the DataError that names the path
         raise
 
 

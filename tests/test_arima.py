@@ -159,6 +159,28 @@ def test_css_gradient_matches_central_differences(p, q):
     assert relative_error(grad, numeric) <= 1e-6
 
 
+def ma_recursion(ma, r):
+    """e[t] = r[t] - sum_j ma[j] * e[t-j] with pre-sample e zero, in plain Python."""
+    e = []
+    for t, value in enumerate(r):
+        e.append(value - sum(ma[j - 1] * e[t - j] for j in range(1, len(ma) + 1) if t >= j))
+    return np.array(e)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 215, 1200])
+@pytest.mark.parametrize("stacked", [False, True], ids=["one_row", "1+p+q_rows"])
+def test_ma_solve_matches_the_recursion(q, n, stacked):
+    p = 2
+    ma = np.array([0.6, -0.35, 0.2][:q])
+    rng = np.random.default_rng(100 * q + n)
+    r = rng.normal(size=(1 + p + q, n) if stacked else n)
+    want = np.array([ma_recursion(ma, row) for row in np.atleast_2d(r)]).reshape(r.shape)
+    got = arima._ma_solve(ma, r.copy())
+    assert got.shape == r.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_fit_too_short_errors():
     with pytest.raises(DataError):
         arima.fit(np.arange(10.0), ArimaOrder(2, 0, 2))

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +138,19 @@ def test_malformed_config_value_is_data_error_naming_file_and_key(
     err = capsys.readouterr().err
     assert str(pipeline) in err
     assert (key if section is None else f"{section}.{key}") in err
+
+
+@pytest.mark.parametrize("symbol", ["../../escaped", "", ".", "..", "a/b", "a\\b", "a\0b"])
+def test_symbol_that_is_not_a_plain_file_name_is_refused(pipeline, tmp_path, capsys, symbol):
+    raw = yaml.safe_load(pipeline.read_text())
+    raw["assets"][0]["symbol"] = symbol
+    pipeline.write_text(yaml.safe_dump(raw))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(pipeline)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(pipeline) in err and "assets.symbol" in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_negative_seed_override_is_usage_error(pipeline):
@@ -410,6 +426,49 @@ def test_non_utf8_input_names_file_and_offset(pipeline, tmp_path, capsys, which)
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert str(path) in err and "offset 40" in err
+
+
+@pytest.mark.parametrize("which", ["config", "ohlcv", "tweets", "lexicon"])
+def test_directory_input_is_data_error_naming_it(pipeline, tmp_path, capsys, which):
+    folder = (tmp_path / "folder").resolve()
+    folder.mkdir()
+    config = pipeline
+    if which == "config":
+        config = folder
+    else:
+        old = {"ohlcv": "ohlcv: AAA.csv", "tweets": "tweets: AAA_tweets.csv",
+               "lexicon": f"lexicon: {LEXICON}"}[which]
+        pipeline.write_text(pipeline.read_text().replace(old, f"{which}: {folder}"))
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(config)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(folder) in err and "directory" in err
+
+
+@pytest.mark.parametrize("which", ["ohlcv", "tweets"])
+def test_oversized_csv_field_names_file_and_line(pipeline, tmp_path, capsys, which):
+    path = tmp_path / {"ohlcv": "AAA.csv", "tweets": "AAA_tweets.csv"}[which]
+    lines = path.read_text().splitlines()
+    lines[2] += "x" * (csv.field_size_limit() + 1)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(pipeline)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path} line 3" in err and "field limit" in err
+
+
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
+    # each of them costs start-up time that nothing in the harness needs
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, sentigan.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_evaluate_from_metrics_reproduces_published_aggregate(pipeline, tmp_path, capsys):
