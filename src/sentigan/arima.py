@@ -14,6 +14,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize
 
+from .data import finite_floats
 from .errors import DataError, TrainingError, UsageError
 
 ADF_CRITICAL_5PCT = -2.86  # constant-only case
@@ -56,13 +57,16 @@ class ArimaModel:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            order=ArimaOrder(*d["order"]),
-            intercept=float(d["intercept"]),
-            ar_coeffs=np.asarray(d["ar_coeffs"], dtype=float),
-            ma_coeffs=np.asarray(d["ma_coeffs"], dtype=float),
-            tail_values=np.asarray(d["tail_values"], dtype=float),
-        )
+        order = ArimaOrder(*d["order"])
+        keys = ("intercept", "ar_coeffs", "ma_coeffs", "tail_values")
+        values = [finite_floats(d[key], key) for key in keys]
+        shapes = [v.shape for v in values]
+        expected = [(), (order.p,), (order.q,), (max(order.p, order.q) + order.d + 1,)]
+        if shapes != expected:
+            raise DataError(f"order ({order.p},{order.d},{order.q}) needs {', '.join(keys)} "
+                            f"of shapes {expected}, got {shapes}")
+        intercept, ar, ma, tail = values
+        return cls(order, float(intercept), ar, ma, tail_values=tail)
 
 
 def adf_stationarity_test(series, lag: int | None = None) -> AdfResult:
@@ -220,15 +224,16 @@ def select_differencing(train, max_d: int = 2) -> int:
     raise TrainingError(f"no differencing order in 0..{max_d} achieves stationarity")
 
 
-def select_order(train, p_max: int = 3, q_max: int = 3) -> ArimaOrder:
-    """Smallest d passing the stationarity gate, then AIC argmin over the
-    (p, q) grid; ties broken by smaller p+q, then smaller p."""
+def select_order(train, p_max: int = 3, q_max: int = 3) -> ArimaModel:
+    """The model fitted at the selected order: smallest d passing the
+    stationarity gate, then AIC argmin over the (p, q) grid; ties broken by
+    smaller p+q, then smaller p."""
     y = np.asarray(train, dtype=float)
     if len(y) < 50:
         raise DataError(f"select_order needs at least 50 observations, got {len(y)}")
     d = select_differencing(y)
     w = np.diff(y, n=d) if d else y
-    candidates = []
+    candidates = {}  # (aic, p + q, p, q) -> fitted model
     for p in range(p_max + 1):
         for q in range(q_max + 1):
             try:
@@ -241,11 +246,10 @@ def select_order(train, p_max: int = 3, q_max: int = 3) -> ArimaOrder:
             # score every cell on the same residual sample (drop the first
             # p_max - p residuals) so AIC values are comparable across orders
             e = e[p_max - p :]
-            candidates.append((aic(float(e @ e), len(e), p, q), p + q, p, q))
+            candidates[(aic(float(e @ e), len(e), p, q), p + q, p, q)] = model
     if not candidates:
         raise TrainingError("order selection failed on the whole (p, q) grid")
-    _, _, p, q = min(candidates)
-    return ArimaOrder(p, d, q)
+    return candidates[min(candidates)]
 
 
 def forecast_one_step(model: ArimaModel, history) -> float:

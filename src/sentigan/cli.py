@@ -69,9 +69,6 @@ def build_parser() -> _Parser:
         if name in ("train", "plot"):
             p.add_argument("--model", default="all" if name == "train" else None,
                            help="arima, lstm, gan" + (" or all" if name == "train" else ""))
-        if name == "evaluate":
-            p.add_argument("--from-metrics", default=None, dest="from_metrics",
-                           help="aggregate a symbol,model,rmse CSV instead of artifacts")
     return parser
 
 
@@ -112,10 +109,15 @@ def _report_path(cfg, symbol, model) -> Path:
 
 
 def _load_or_die(path, what, load):
-    """load(path) of a JSON file; truncated JSON, a missing key or a value of
-    the wrong type, shape or name is a DataError naming the file."""
+    """load(path) of a JSON file; truncated JSON, a missing key, a value of
+    the wrong type, shape or name or a non-finite number is a DataError
+    naming the file."""
     try:
         return load(path)
+    except DataError as e:
+        if str(path) not in str(e):
+            e.args = (f"{path}: corrupt {what}: {e}",)
+        raise
     except (ValueError, KeyError, TypeError, OverflowError, DimensionError, UsageError) as e:
         raise DataError(f"{path}: corrupt {what}: {e!r}") from e
 
@@ -208,11 +210,9 @@ def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
 def _train_arima(cfg, aligned):
     closes = aligned.features[:, CLOSE_COLUMN]
     boundary = split_boundary(len(closes), cfg.split_policies["arima"])
-    train_part = closes[:boundary]
-    order = arima_mod.select_order(
-        train_part, p_max=cfg.arima["p_max"], q_max=cfg.arima["q_max"]
+    model = arima_mod.select_order(
+        closes[:boundary], p_max=cfg.arima["p_max"], q_max=cfg.arima["q_max"]
     )
-    model = arima_mod.fit(train_part, order)
     return {"model": "arima", "artifact": model.to_dict()}, None
 
 
@@ -320,7 +320,10 @@ def _load_artifact(cfg, symbol, model):
             raise DataError(f"{path}: corrupt {model} artifact: not a JSON object")
         if payload.get("model") != model:
             raise DataError(f"{path}: artifact is not a {model} model")
-        return _ARTIFACT_TYPES[model].from_dict(payload["artifact"])
+        artifact = _ARTIFACT_TYPES[model].from_dict(payload["artifact"])
+        if model != "arima" and artifact.scaler is None:
+            raise DataError("no fitted scaler")
+        return artifact
 
     return _load_or_die(path, f"{model} artifact", load)
 
@@ -369,34 +372,7 @@ def _print_summary(reports, agg):
         print(f"  tie on {symbol}: {', '.join(tied)}")
 
 
-def _aggregate_from_metrics(cfg, csv_path) -> int:
-    path = Path(csv_path)
-    if not path.exists():
-        raise DataError(f"metrics file not found: {path}")
-    reports = []
-    for line_no, row in csv_rows(utf8_lines(path), path, ["symbol", "model", "rmse"]):
-        if len(row) != 3:
-            raise DataError(f"{path} line {line_no}: expected 3 columns")
-        try:
-            rmse = float(row[2])
-        except ValueError:
-            raise DataError(f"{path} line {line_no}: bad rmse {row[2]!r}") from None
-        reports.append(
-            ForecastReport(
-                row[0].strip(), row[1].strip().lower(), rows=[],
-                metrics=MetricSet(mae=rmse, mse=rmse * rmse, rmse=rmse,
-                                  mape=None, mape_omitted=True),
-            )
-        )
-    agg = aggregate(reports)
-    write_atomic(cfg.output_dir / "aggregate.csv", agg.to_csv())
-    _print_summary([], agg)
-    return EXIT_OK
-
-
-def cmd_evaluate(cfg: RunConfig, from_metrics=None, asset_symbol=None) -> int:
-    if from_metrics is not None:
-        return _aggregate_from_metrics(cfg, from_metrics)
+def cmd_evaluate(cfg: RunConfig, asset_symbol=None) -> int:
     reports = []
     for asset in _select_assets(cfg, asset_symbol):
         aligned = _load_aligned_or_die(cfg, asset.symbol)
@@ -509,7 +485,7 @@ def cmd_plot(cfg: RunConfig, asset_symbol, model_name) -> int:
 def cmd_run(cfg: RunConfig, asset_symbol=None) -> int:
     cmd_ingest(cfg, asset_symbol)
     cmd_train(cfg, "all", asset_symbol)
-    cmd_evaluate(cfg, None, asset_symbol)
+    cmd_evaluate(cfg, asset_symbol)
     for asset in _select_assets(cfg, asset_symbol):
         for model in MODEL_NAMES:
             cmd_plot(cfg, asset.symbol, model)
@@ -528,7 +504,7 @@ def _dispatch(args) -> int:
     if args.command == "train":
         return cmd_train(cfg, args.model, args.asset)
     if args.command == "evaluate":
-        return cmd_evaluate(cfg, args.from_metrics, args.asset)
+        return cmd_evaluate(cfg, args.asset)
     if args.command == "plot":
         return cmd_plot(cfg, args.asset, args.model)
     return cmd_run(cfg, args.asset)

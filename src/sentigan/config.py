@@ -39,8 +39,6 @@ DEFAULT_GAN = {
     "learning_rate": 0.0002,
     "batch_size": 5,
     "epochs": 300,
-    "d_steps": 1,
-    "supervised_weight": 0.0,
     "gen_hidden": [128, 64],
     "disc_hidden": [64, 32],
 }
@@ -126,8 +124,6 @@ _RULES = {
         "learning_rate": _RATE,
         "batch_size": _int_from(1),
         "epochs": _int_from(0),
-        "d_steps": _int_from(1),
-        "supervised_weight": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
         "gen_hidden": _WIDTHS,
         "disc_hidden": _WIDTHS,
     },

@@ -89,8 +89,8 @@ class AlignedDataset:
         return cls(
             symbol=d["symbol"],
             dates=[Date.fromisoformat(s) for s in d["dates"]],
-            features=np.asarray(d["features"], dtype=float),
-            sentiment=np.asarray(d["sentiment"], dtype=float),
+            features=finite_floats(d["features"], "features"),
+            sentiment=finite_floats(d["sentiment"], "sentiment"),
         )
 
 
@@ -311,6 +311,16 @@ def write_atomic(path, text: str):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def finite_floats(values, what) -> np.ndarray:
+    """`values` read back from JSON, as a float array. Anything but numbers
+    (a string, null or a bool) or a non-finite number (NaN, Infinity, or a
+    literal such as 1e400 that overflows) is a DataError naming `what`."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise DataError(f"{what} must be finite numbers")
+    return arr.astype(float, copy=False)
 
 
 def save_aligned(aligned: AlignedDataset, path):

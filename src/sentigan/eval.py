@@ -17,7 +17,8 @@ import numpy as np
 from . import arima as arima_mod
 from . import gan as gan_mod
 from . import lstm as lstm_mod
-from .data import CLOSE_COLUMN, AlignedDataset, Windows, make_windows, split_boundary
+from .data import (CLOSE_COLUMN, AlignedDataset, Windows, finite_floats, make_windows,
+                   split_boundary)
 from .errors import DataError, DimensionError, UsageError
 from .scaling import scaler_fit_windows
 
@@ -38,8 +39,9 @@ class MetricSet:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["mae"], d["mse"], d["rmse"], d["mape"],
-                   d.get("mape_omitted", False))
+        values = [d["mae"], d["mse"], d["rmse"], d["mape"]]
+        finite_floats(values if values[-1] is not None else values[:-1], "metrics")
+        return cls(*values, d.get("mape_omitted", False))
 
 
 @dataclass
@@ -66,15 +68,10 @@ class ForecastReport:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            symbol=d["symbol"],
-            model=d["model"],
-            rows=[
-                (Date.fromisoformat(r["date"]), float(r["predicted"]), float(r["actual"]))
-                for r in d["rows"]
-            ],
-            metrics=MetricSet.from_dict(d["metrics"]),
-        )
+        rows = [(Date.fromisoformat(r["date"]), float(r["predicted"]), float(r["actual"]))
+                for r in d["rows"]]
+        finite_floats([r[1:] for r in rows], "report rows")
+        return cls(d["symbol"], d["model"], rows, MetricSet.from_dict(d["metrics"]))
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CLOSE_COLUMN, Windows
+from .data import CLOSE_COLUMN, Windows, finite_floats
 from .errors import DataError, DimensionError, SentiganError, TrainingError, UsageError
 from .nn import DenseLayer, backward, build_mlp, carve, forward, layer_shapes, pack
 from .optim import AdamState, adam_step
@@ -70,7 +70,9 @@ class _DenseNet:
 
     @classmethod
     def from_dict(cls, d):
-        layers = [DenseLayer(e["weights"], e["bias"], e["activation"]) for e in d["layers"]]
+        layers = [DenseLayer(finite_floats(e["weights"], "layer weights"),
+                             finite_floats(e["bias"], "layer bias"), e["activation"])
+                  for e in d["layers"]]
         return cls(window_length=d["window_length"], layers=layers)
 
 
@@ -91,6 +93,12 @@ class Generator(_DenseNet):
         # older artifacts also carry the size of a since-removed noise input
         # (always 0), which is ignored
         gen = super().from_dict(d)
+        sizes = [gen.window_length * N_FEATURES + 1, *(len(l.bias) for l in gen.layers)]
+        expected = list(zip(sizes[1:], sizes[:-1]))
+        shapes = [l.weights.shape for l in gen.layers]
+        if shapes != expected or sizes[-1] != N_FEATURES:
+            raise DimensionError("generator layer shapes, ending in "
+                                 f"{N_FEATURES} outputs", expected, shapes)
         gen.scaler = ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None
         if gen.scaler is not None and len(gen.scaler.per_feature_min) != N_FEATURES:
             raise DimensionError("generator scaler length", N_FEATURES,
@@ -103,16 +111,14 @@ class GanSchedule:
     learning_rate: float = 0.0002
     batch_size: int = 5
     epochs: int = 300
-    d_steps: int = 1
-    supervised_weight: float = 0.0
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise UsageError("batch_size must be >= 1")
-        if self.epochs < 0 or self.d_steps < 1:
-            raise UsageError("epochs must be >= 0 and d_steps >= 1")
-        if self.learning_rate < 0 or self.supervised_weight < 0:
-            raise UsageError("learning_rate and supervised_weight must be >= 0")
+        if self.epochs < 0:
+            raise UsageError("epochs must be >= 0")
+        if self.learning_rate < 0:
+            raise UsageError("learning_rate must be >= 0")
 
 
 def build_generator(rng, window_length: int, hidden=GEN_HIDDEN) -> Generator:
@@ -178,8 +184,7 @@ def _discriminator_grads(disc, real_in, fake_in):
     return d_loss_value(out[..., :b, :], out[..., b:, :])
 
 
-def _generator_grads(gen, disc, fake_in, gen_caches, real_targets=None,
-                     supervised_weight=0.0):
+def _generator_grads(gen, disc, fake_in, gen_caches):
     """Non-saturating generator loss -E[log D(G(cond), cond)], given the
     discriminator's input fake_in = (G(cond), cond) and the generator's
     caches; its gradient w.r.t. gen.theta lands in gen.grad, and disc
@@ -188,30 +193,22 @@ def _generator_grads(gen, disc, fake_in, gen_caches, real_targets=None,
     score, disc_caches = forward(disc.layers, fake_in)
     s = np.clip(score, LOG_EPS, 1.0 - LOG_EPS)
     grad_fake = backward(disc.layers, disc_caches, -1.0 / (b * s))[..., :N_FEATURES]
-    loss = g_loss_value(score)
-    if supervised_weight > 0.0 and real_targets is not None:
-        err = fake_in[..., :N_FEATURES] - real_targets
-        loss = loss + supervised_weight * _batch_mean(err * err)
-        grad_fake = grad_fake + supervised_weight * 2.0 * err / (b * N_FEATURES)
     backward(gen.layers, gen_caches, grad_fake, gen.grads)
-    return loss
+    return g_loss_value(score)
 
 
-def train_step(gen, disc, gen_in, targets, gen_adam, disc_adam, schedule: GanSchedule):
+def train_step(gen, disc, gen_in, targets, gen_adam, disc_adam):
     """One alternating update on a pre-scaled batch of conditioning rows
     gen_in (K, B, L*6 + 1) and targets (K, B, 6) of stacked networks, or
-    without the member axis for one network pair: d_steps discriminator
-    ascents on one generator forward pass (the generator is fixed until its
-    own update), then one generator ascent. Returns (d_loss, g_loss), one
-    per member."""
+    without the member axis for one network pair: one discriminator ascent
+    on one generator forward pass, then one generator ascent on the same
+    pass. Returns (d_loss, g_loss), one per member."""
     real_in = np.concatenate([targets, gen_in], axis=-1)
     fake, gen_caches = forward(gen.layers, gen_in)
     fake_in = np.concatenate([fake, gen_in], axis=-1)
-    for _ in range(schedule.d_steps):
-        d_loss = _discriminator_grads(disc, real_in, fake_in)
-        adam_step(disc_adam, disc.theta, disc.grad)
-    g_loss = _generator_grads(gen, disc, fake_in, gen_caches, real_targets=targets,
-                              supervised_weight=schedule.supervised_weight)
+    d_loss = _discriminator_grads(disc, real_in, fake_in)
+    adam_step(disc_adam, disc.theta, disc.grad)
+    g_loss = _generator_grads(gen, disc, fake_in, gen_caches)
     adam_step(gen_adam, gen.theta, gen.grad)
     return d_loss, g_loss
 
@@ -265,7 +262,7 @@ def _fit(gen, disc, gen_in, targets, schedule: GanSchedule, rng):
         for batch_index in rng.permutation(len(starts)):
             batch = slice(starts[batch_index], starts[batch_index] + schedule.batch_size)
             losses[step] = train_step(gen, disc, gen_in[:, batch], targets[:, batch],
-                                      gen_adam, disc_adam, schedule)
+                                      gen_adam, disc_adam)
             finite = np.isfinite(losses[step]).all(axis=0)
             if not finite.all():
                 raise TrainingError(f"adversarial training diverged (NaN loss) at step {step}",

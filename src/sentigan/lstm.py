@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CLOSE_COLUMN, FEATURE_COLUMNS, Windows
+from .data import CLOSE_COLUMN, FEATURE_COLUMNS, Windows, finite_floats
 from .errors import DimensionError, TrainingError, UsageError
 from .nn import carve
 from .optim import AdamState, adam_step
@@ -100,11 +100,12 @@ class LstmModel:
     @classmethod
     def from_dict(cls, d):
         h, n = d["hidden_size"], d["input_size"]
-        gates = [d["gates"][name] for name in GATES]
+        gates = [{key: finite_floats(d["gates"][name][key], f"LSTM {name} gate {key}")
+                  for key in "wub"} for name in GATES]
         for name, g in zip(GATES, gates):
             for key, shape in (("w", (h, n)), ("u", (h, h)), ("b", (h,))):
-                if np.shape(g[key]) != shape:
-                    raise DimensionError(f"LSTM {name} gate {key}", shape, np.shape(g[key]))
+                if g[key].shape != shape:
+                    raise DimensionError(f"LSTM {name} gate {key}", shape, g[key].shape)
         w, u, b = (np.concatenate([g[key] for g in gates]) for key in "wub")
         scaler = ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None
         if scaler is not None and len(scaler.per_feature_min) != len(FEATURE_COLUMNS):
@@ -112,8 +113,8 @@ class LstmModel:
                                  len(scaler.per_feature_min))
         return cls(
             hidden_size=h, input_size=n, w=w, u=u, b=b,
-            head_weights=d["head_weights"],
-            head_bias=d["head_bias"],
+            head_weights=finite_floats(d["head_weights"], "LSTM head_weights"),
+            head_bias=finite_floats(d["head_bias"], "LSTM head_bias"),
             scaler=scaler,
         )
 

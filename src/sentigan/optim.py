@@ -31,7 +31,6 @@ class AdamState:
     step_count: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
-    scratch: np.ndarray | None = None  # work array of theta's shape
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -45,10 +44,9 @@ def adam_step(state: AdamState, theta: np.ndarray, grad):
     place and also returned. A 2-d theta holds one member per row; a
     non-finite gradient names the member and leaves all state unmoved.
 
-    Moment and scratch buffers are allocated on first use and must keep
-    theta's shape afterwards; the update itself allocates nothing. grad is
-    consumed: it serves as the update's second work array and holds no
-    gradient afterwards.
+    The moment buffers are allocated on first use and must keep theta's
+    shape afterwards; the update itself allocates nothing. grad is consumed:
+    it serves as the update's work array and holds no gradient afterwards.
     """
     grad = np.asarray(grad, dtype=float)
     if grad.shape != theta.shape:
@@ -61,11 +59,10 @@ def adam_step(state: AdamState, theta: np.ndarray, grad):
     if state.first_moment is None:
         state.first_moment = np.zeros_like(theta)
         state.second_moment = np.zeros_like(theta)
-        state.scratch = np.empty_like(theta)
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    m, v, work = state.first_moment, state.second_moment, state.scratch
+    m, v = state.first_moment, state.second_moment
     # textbook: theta -= lr m_hat / (sqrt(v_hat) + eps), m_hat = (1 - b1) m / (1 - b1^t)
     # and v_hat = (1 - b2) v / (1 - b2^t) of the unnormalized m and v
     root = math.sqrt((1 - b2**t) / (1 - b2))
@@ -74,12 +71,11 @@ def adam_step(state: AdamState, theta: np.ndarray, grad):
     m *= b1
     m += grad
     v *= b2
-    np.multiply(grad, grad, out=work)
-    v += work
-    np.sqrt(v, out=work)
-    work += eps
-    step = grad
-    np.divide(m, work, out=step)
-    step *= alpha
-    theta -= step
+    grad *= grad
+    v += grad
+    np.sqrt(v, out=grad)
+    grad += eps
+    np.divide(m, grad, out=grad)
+    grad *= alpha
+    theta -= grad
     return theta

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import finite_floats
 from .errors import DataError, DimensionError
 
 MODES = ("unit", "signed")
@@ -35,8 +36,8 @@ class ScalerParams:
 
     @classmethod
     def from_dict(cls, d):
-        lo = np.asarray(d["per_feature_min"], dtype=float)
-        hi = np.asarray(d["per_feature_max"], dtype=float)
+        lo = finite_floats(d["per_feature_min"], "scaler per_feature_min")
+        hi = finite_floats(d["per_feature_max"], "scaler per_feature_max")
         if lo.ndim != 1 or hi.shape != lo.shape:
             raise DimensionError("scaler per_feature_min and per_feature_max",
                                  "two 1-d lists of one length", (lo.shape, hi.shape))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
+from sentigan import nn
 
 SATURATION_LIMIT = 30.0
 # c in the roundoff floor c * eps * |L| / h of a central difference: each

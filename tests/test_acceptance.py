@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import aligned_from_close, holdout_split
+from gradcheck import finite_difference_check, numerical_gradient, relative_error
 from sentigan import arima, cli, gan, lstm
 from sentigan.arima import ArimaOrder
 from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
 from sentigan.eval import ForecastReport, MetricSet, aggregate
 from sentigan.gan import GanSchedule, build_discriminator, build_generator
-from sentigan.gradcheck import finite_difference_check, numerical_gradient, relative_error
 from sentigan.lstm import LstmModel, TrainSchedule
 from sentigan.nn import build_mlp, forward
 from sentigan.scaling import scaler_fit, scaler_transform
@@ -209,7 +209,7 @@ def test_criterion_6_arima_recovery():
     assert np.median(errors) <= 0.05, np.median(errors)
 
     d_hits = sum(
-        arima.select_order(np.cumsum(np.random.default_rng(s).normal(size=500))).d == 1
+        arima.select_order(np.cumsum(np.random.default_rng(s).normal(size=500))).order.d == 1
         for s in range(20)
     )
     assert d_hits >= 18, d_hits

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from gradcheck import numerical_gradient, relative_error
 from sentigan import arima
 from sentigan.arima import ArimaOrder
 from sentigan.errors import DataError, UsageError
-from sentigan.gradcheck import numerical_gradient, relative_error
 
 
 def simulate_ar1(n, phi, sigma=1.0, seed=0, const=0.0):
@@ -64,19 +64,19 @@ def test_adf_too_short_errors():
 def test_select_order_ar1():
     hits = 0
     for seed in range(10):
-        order = arima.select_order(simulate_ar1(1000, 0.8, seed=seed), p_max=3, q_max=3)
+        order = arima.select_order(simulate_ar1(1000, 0.8, seed=seed), p_max=3, q_max=3).order
         if order.p in (1, 2) and order.q <= 1 and order.d == 0:
             hits += 1
     assert hits >= 8
 
 
 def test_select_order_random_walk_picks_d1():
-    hits = sum(arima.select_order(random_walk(500, seed=s)).d == 1 for s in range(20))
+    hits = sum(arima.select_order(random_walk(500, seed=s)).order.d == 1 for s in range(20))
     assert hits >= 18
 
 
 def test_select_order_singleton_grid():
-    order = arima.select_order(simulate_ar1(300, 0.5, seed=1), p_max=0, q_max=0)
+    order = arima.select_order(simulate_ar1(300, 0.5, seed=1), p_max=0, q_max=0).order
     assert (order.p, order.q) == (0, 0)
 
 
@@ -87,7 +87,7 @@ def test_select_order_prefers_null_on_white_noise():
     trials = 100
     for seed in range(trials):
         y = np.random.default_rng(seed).normal(size=200)
-        order = arima.select_order(y, p_max=1, q_max=1)
+        order = arima.select_order(y, p_max=1, q_max=1).order
         if (order.p, order.q) == (0, 0):
             hits += 1
     assert hits >= 0.7 * trials
@@ -96,9 +96,16 @@ def test_select_order_prefers_null_on_white_noise():
 def test_select_order_stationarity_gate():
     for seed in range(5):
         y = random_walk(400, seed=seed)
-        order = arima.select_order(y)
+        order = arima.select_order(y).order
         w = np.diff(y, n=order.d) if order.d else y
         assert arima.adf_stationarity_test(w).is_stationary
+
+
+def test_select_order_returns_the_fit_at_its_order():
+    # the winning cell's fit is the model; refitting it changes nothing
+    y = random_walk(300, seed=4)
+    model = arima.select_order(y, p_max=2, q_max=2)
+    assert model.to_dict() == arima.fit(y, model.order).to_dict()
 
 
 def test_select_order_too_short_errors():

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentigan import cli
 from sentigan.config import load_config
@@ -113,12 +117,10 @@ def test_config_rejects_unknown_hyperparameter(tmp_path):
     (None, "output_dir", 5),
     ("gan", "batch_size", "5"),
     ("gan", "epochs", 1.5),
-    ("gan", "d_steps", 2.5),
     ("gan", "gen_hidden", 5),
     ("gan", "gen_hidden", [0]),
     ("gan", "learning_rate", float("nan")),
     pytest.param("gan", "learning_rate", 10 ** 400, id="'gan'-'learning_rate'-10**400"),
-    ("gan", "supervised_weight", -1.0),
     ("lstm", "hidden_size", 0),
     ("lstm", "batch_size", 0),
     ("lstm", "max_epochs", True),
@@ -410,6 +412,109 @@ def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, d
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("command", "relpath", "keys", "value"), [
+    ("evaluate", "aligned/AAA.json", ("features", -1, 3), float("nan")),
+    ("train", "aligned/AAA.json", ("features", -1, 3), float("nan")),
+    ("evaluate", "models/AAA_arima.json", ("artifact", "intercept"), float("nan")),
+    ("evaluate", "models/AAA_lstm.json", ("artifact", "head_bias", 0), float("inf")),
+    ("evaluate", "models/AAA_gan.json", ("artifact", "layers", 0, "weights", 0, 0),
+     float("nan")),
+    ("plot", "reports/AAA_gan.json", ("rows", 0, "predicted"), float("nan")),
+    ("evaluate", "models/AAA_arima.json", ("artifact", "order", 0), 3),
+    ("evaluate", "models/AAA_arima.json", ("artifact", "order", 1), 5),
+], ids=["aligned_nan_close", "train_aligned_nan_close", "arima_nan_intercept",
+        "lstm_inf_head_bias", "gan_nan_weight", "report_nan_prediction",
+        "arima_p_past_its_coefficients", "arima_d5"])
+def test_read_back_value_that_cannot_be_used_names_file(
+        pipeline, tmp_path, capsys, command, relpath, keys, value):
+    # json.loads reads NaN and Infinity; the order's p must match the AR
+    # coefficients (p = 3 with fewer of them indexed past their end)
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    path = tmp_path / "out" / relpath
+    payload = json.loads(path.read_text())
+    node = payload
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    args = {"evaluate": [], "train": ["--model", "arima"],
+            "plot": ["--asset", "AAA", "--model", "gan"]}[command]
+    assert cli.main([command, "--config", str(pipeline), *args]) == cli.EXIT_DATA
+    assert str(path) in capsys.readouterr().err
+
+
+MUTATED = "<mutated>"
+
+
+def mutation_sites(node, path=()):
+    """Where one mutation can go in parsed JSON: ("number", path) for each
+    number, ("list", path) for each non-empty list and ("key", path) for each
+    object key. A list longer than 8 contributes its first and last element."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield "key", (*path, key)
+            yield from mutation_sites(child, (*path, key))
+    elif isinstance(node, list):
+        if node:
+            yield "list", path
+        for i in range(len(node)) if len(node) <= 8 else (0, len(node) - 1):
+            yield from mutation_sites(node[i], (*path, i))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield "number", path
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A finished mini run, and each aligned and model file's text and
+    mutation sites."""
+    root = tmp_path_factory.mktemp("tiny_run")
+    config = mini_config(root)
+    config.write_text(config.read_text().replace("output_dir: out",
+                                                 f"output_dir: {root / 'out'}"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", "--config", str(config)]) == 0
+    paths = sorted((root / "out").glob("aligned/*.json")) + sorted(
+        (root / "out").glob("models/*.json"))
+    texts = {path: path.read_text() for path in paths}
+    return config, texts, {path: list(mutation_sites(json.loads(t))) for path, t in texts.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_mutation_of_a_read_back_file_never_exits_70(tiny_run, data):
+    config, texts, sites = tiny_run
+    path = data.draw(st.sampled_from(sorted(texts)), label="file")
+    kind, where = data.draw(st.sampled_from(sites[path]), label="site")
+    payload = json.loads(texts[path])
+    *parents, last = where
+    node = payload
+    for key in parents:
+        node = node[key]
+    if kind == "number":
+        node[last] = MUTATED
+        replacement = data.draw(st.sampled_from(["NaN", "Infinity", "1e400", '"x"', "null"]),
+                                label="replacement")
+    elif kind == "list":
+        node[last].pop()
+    else:
+        del node[last]
+    text = json.dumps(payload)
+    if kind == "number":
+        text = text.replace(json.dumps(MUTATED), replacement)
+    err = io.StringIO()
+    try:
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["evaluate", "--config", str(config),
+                             "--asset", path.stem.split("_")[0]])
+    finally:
+        path.write_text(texts[path])
+    assert code in (cli.EXIT_OK, cli.EXIT_DATA), err.getvalue()
+    if code == cli.EXIT_DATA:
+        assert str(path) in err.getvalue()
+
+
 @pytest.mark.parametrize("which", ["ohlcv", "tweets", "config", "lexicon"])
 def test_non_utf8_input_names_file_and_offset(pipeline, tmp_path, capsys, which):
     if which == "lexicon":
@@ -459,6 +564,18 @@ def test_oversized_csv_field_names_file_and_line(pipeline, tmp_path, capsys, whi
     assert f"{path} line 3" in err and "field limit" in err
 
 
+@pytest.mark.parametrize("key, value", [("d_steps", 1), ("supervised_weight", 0.0)])
+def test_removed_gan_key_is_refused_as_unknown(pipeline, capsys, key, value):
+    # the GAN takes one discriminator and one generator update per step, with
+    # no supervised term; a config that still sets either key, even to the
+    # value that was its default, is refused rather than silently ignored
+    raw = yaml.safe_load(pipeline.read_text())
+    raw["gan"][key] = value
+    pipeline.write_text(yaml.safe_dump(raw))
+    assert cli.main(["train", "--config", str(pipeline)]) == cli.EXIT_USAGE
+    assert key in capsys.readouterr().err
+
+
 def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
     # each of them costs start-up time that nothing in the harness needs
     src = str(Path(cli.__file__).parents[1])
@@ -469,32 +586,6 @@ def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
-
-
-def test_evaluate_from_metrics_reproduces_published_aggregate(pipeline, tmp_path, capsys):
-    rows = [
-        ("Google", 16.62, 6.97, 13.42), ("Amazon", 20.87, 3.35, 7.05),
-        ("Apple", 11.83, 6.24, 7.02), ("Meta", 146.11, 11.21, 8.24),
-        ("Microsoft", 41.22, 14.76, 27.07), ("Nvidia", 182.04, 118.30, 13.39),
-        ("Tesla", 30.70, 13.21, 9.33),
-    ]
-    metrics = tmp_path / "table3.csv"
-    lines = ["symbol,model,rmse"]
-    for symbol, a, l, g in rows:
-        lines += [f"{symbol},arima,{a}", f"{symbol},lstm,{l}", f"{symbol},gan,{g}"]
-    metrics.write_text("\n".join(lines) + "\n")
-    assert cli.main(["evaluate", "--config", str(pipeline),
-                     "--from-metrics", str(metrics)]) == 0
-    agg = dict()
-    for line in (tmp_path / "out" / "aggregate.csv").read_text().splitlines()[1:]:
-        model, mean, median, wins = line.split(",")
-        agg[model] = (float(mean), float(median), int(wins))
-    assert agg["arima"][0] == pytest.approx(64.20, abs=0.005)
-    assert agg["arima"][1:] == (30.70, 0)
-    assert agg["lstm"][0] == pytest.approx(24.86, abs=0.005)
-    assert agg["lstm"][1:] == (11.21, 4)
-    assert agg["gan"][0] == pytest.approx(12.22, abs=0.005)
-    assert agg["gan"][1:] == (9.33, 3)
 
 
 # ---------------------------------------------------------------- plot

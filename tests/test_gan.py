@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import aligned_from_close, holdout_split
+from gradcheck import numerical_gradient, relative_error
 from sentigan import gan, nn
 from sentigan.data import CLOSE_COLUMN, Windows, make_windows
 from sentigan.errors import DataError, DimensionError, TrainingError, UsageError
@@ -18,7 +19,6 @@ from sentigan.gan import (
     d_loss_value,
     g_loss_value,
 )
-from sentigan.gradcheck import numerical_gradient, relative_error
 from sentigan.nn import backward, forward
 from sentigan.optim import AdamState, adam_step
 
@@ -229,7 +229,7 @@ def run_step(g, d, batch, schedule, gen_adam=None, disc_adam=None):
     return gan.train_step(
         g, d, gen_in, batch.targets,
         gen_adam or AdamState(learning_rate=schedule.learning_rate),
-        disc_adam or AdamState(learning_rate=schedule.learning_rate), schedule,
+        disc_adam or AdamState(learning_rate=schedule.learning_rate),
     )
 
 
@@ -280,16 +280,16 @@ def test_zero_learning_rate_reports_losses_without_moving():
 
 def test_step_count_bookkeeping():
     g, d, batch = make_step_fixture()
-    schedule = GanSchedule(d_steps=3)
+    schedule = GanSchedule()
     gen_adam = AdamState(learning_rate=schedule.learning_rate)
     disc_adam = AdamState(learning_rate=schedule.learning_rate)
     run_step(g, d, batch, schedule, gen_adam, disc_adam)
-    assert disc_adam.step_count == 3
+    assert disc_adam.step_count == 1
     assert gen_adam.step_count == 1
 
 
 def test_train_step_runs_each_network_forward_once_per_job(monkeypatch):
-    # 1 generator pass, 3 stacked discriminator passes, 1 discriminator pass
+    # 1 generator pass, 1 stacked discriminator pass, 1 discriminator pass
     # in the generator update
     g, d, batch = make_step_fixture()
     calls = []
@@ -299,8 +299,8 @@ def test_train_step_runs_each_network_forward_once_per_job(monkeypatch):
         return forward(layers, x)
 
     monkeypatch.setattr(gan, "forward", counted)
-    run_step(g, d, batch, GanSchedule(d_steps=3))
-    assert calls == [5, 10, 10, 10, 5]
+    run_step(g, d, batch, GanSchedule())
+    assert calls == [5, 10, 5]
 
 
 def stacked_step_fixture(k, seed=13, length=4, batch=5):
@@ -321,9 +321,8 @@ def test_seven_member_step_makes_three_forward_calls(monkeypatch):
         return forward(layers, x)
 
     monkeypatch.setattr(gan, "forward", counted)
-    schedule = GanSchedule()
     d_loss, g_loss = gan.train_step(g, d, gen_in, targets, AdamState(learning_rate=0.01),
-                                    AdamState(learning_rate=0.01), schedule)
+                                    AdamState(learning_rate=0.01))
     assert calls == [(7, 5), (7, 10), (7, 5)]
     assert d_loss.shape == g_loss.shape == (7,)
 
@@ -337,10 +336,9 @@ def test_train_step_carves_no_gradient_views(monkeypatch):
 
     monkeypatch.setattr(nn, "carve", no_carve)
     monkeypatch.setattr(gan, "carve", no_carve)
-    schedule = GanSchedule(d_steps=2)
     for _ in range(2):
         gan.train_step(g, d, gen_in, targets, AdamState(learning_rate=0.01),
-                       AdamState(learning_rate=0.01), schedule)
+                       AdamState(learning_rate=0.01))
 
 
 def test_stacked_discriminator_pass_equals_two_separate_passes():
@@ -441,8 +439,8 @@ def lockstep_members(n_windows=37):
 
 @pytest.mark.parametrize("schedule", [
     GanSchedule(epochs=3, batch_size=5),
-    GanSchedule(epochs=2, batch_size=8, d_steps=2, supervised_weight=0.5),
-], ids=["d_steps=1", "d_steps=2,batch=8,supervised"])
+    GanSchedule(epochs=2, batch_size=8),
+], ids=["d_steps=1", "batch=8"])
 def test_lockstep_members_equal_solo_runs(schedule):
     # 37 windows: the last batch of every epoch is short
     members = lockstep_members()
@@ -611,7 +609,5 @@ def test_generator_from_dict_ignores_legacy_noise_dim():
 def test_schedule_validation():
     with pytest.raises(UsageError):
         GanSchedule(batch_size=0)
-    with pytest.raises(UsageError):
-        GanSchedule(d_steps=0)
     with pytest.raises(UsageError):
         GanSchedule(learning_rate=-0.1)

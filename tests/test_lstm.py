@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import aligned_from_close
+from gradcheck import numerical_gradient, relative_error
 from sentigan import lstm
 from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
 from sentigan.errors import DimensionError, TrainingError, UsageError
 from sentigan.eval import evaluate
-from sentigan.gradcheck import numerical_gradient, relative_error
 from sentigan.lstm import LstmModel, TrainSchedule, Workspace
 from sentigan.nn import carve
 from sentigan.scaling import scaler_transform

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from gradcheck import finite_difference_check, numerical_gradient, relative_error
 from sentigan import nn
 from sentigan.errors import DimensionError, NumericalError, UsageError
-from sentigan.gradcheck import finite_difference_check, numerical_gradient, relative_error
 
 
 def identity_layer():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -149,3 +150,33 @@ def test_update_matches_the_textbook_bias_corrected_adam():
         state.learning_rate = lr
         adam_step(state, theta, g.copy())
     assert np.max(np.abs(theta - expected) / np.abs(expected)) <= 1e-12
+
+
+def work_array_adam(theta, grads, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+    """The update as it ran with a separate work array: the same ten passes,
+    in the same order, as adam_step makes inside the consumed gradient."""
+    m, v, work = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
+    for t, g in enumerate(grads, start=1):
+        root = math.sqrt((1 - b2**t) / (1 - b2))
+        m *= b1
+        m += g
+        v *= b2
+        np.multiply(g, g, out=work)
+        v += work
+        np.sqrt(v, out=work)
+        work += eps * root
+        step = np.divide(m, work)
+        step *= lr * (1 - b1) / (1 - b1**t) * root
+        theta -= step
+    return theta
+
+
+def test_update_inside_the_gradient_is_bitwise_the_work_array_update():
+    rng = np.random.default_rng(3)
+    theta = rng.normal(size=(7, 300))
+    grads = rng.normal(scale=rng.uniform(1e-3, 10.0, size=(50, 1, 1)), size=(50, 7, 300))
+    expected = work_array_adam(theta.copy(), grads)
+    state = AdamState(learning_rate=0.01)
+    for g in grads:
+        adam_step(state, theta, g.copy())
+    assert np.array_equal(theta, expected)
