@@ -113,12 +113,8 @@ class GanSchedule:
     epochs: int = 300
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise UsageError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise UsageError("epochs must be >= 0")
-        if self.learning_rate < 0:
-            raise UsageError("learning_rate must be >= 0")
+        if self.batch_size < 1 or self.epochs < 0 or self.learning_rate < 0:
+            raise UsageError("batch_size must be >= 1, epochs and learning_rate >= 0")
 
 
 def build_generator(rng, window_length: int, hidden=GEN_HIDDEN) -> Generator:
