@@ -36,8 +36,7 @@ from .data import (
 from .data import align as align_series
 from .errors import DataError, DimensionError, SentiganError, UsageError
 from .eval import MODEL_NAMES, ForecastReport, MetricSet, aggregate, evaluate
-from .gan import GanSchedule
-from .lstm import LstmModel, TrainSchedule
+from .lstm import LstmModel
 from .sentiment import SentimentRecord, aggregate_daily, load_lexicon, score_text
 
 EXIT_OK = 0
@@ -154,7 +153,7 @@ def _daily_sentiment(cfg, asset, trading_days):
         return [], 0
     if cfg.lexicon_path is None:
         raise UsageError("config has tweet files but no lexicon path")
-    lexicon, _ = load_lexicon(read_utf8(cfg.lexicon_path).splitlines())
+    lexicon, _ = load_lexicon(read_utf8(cfg.lexicon_path).splitlines(), cfg.lexicon_path)
     records = _read_tweets(asset.tweets_path)
     for r in records:
         r.compound = score_text(lexicon, r.raw_text)
@@ -210,20 +209,14 @@ def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
 def _train_arima(cfg, aligned):
     closes = aligned.features[:, CLOSE_COLUMN]
     boundary = split_boundary(len(closes), cfg.split_policies["arima"])
-    model = arima_mod.select_order(
-        closes[:boundary], p_max=cfg.arima["p_max"], q_max=cfg.arima["q_max"]
-    )
+    model = arima_mod.select_order(closes[:boundary], **cfg.arima)
     return {"model": "arima", "artifact": model.to_dict()}, None
 
 
 def _train_lstm(cfg, aligned):
     windows = make_windows(aligned, cfg.window_length)
     boundary = split_boundary(len(windows), cfg.split_policies["lstm"])
-    params = dict(cfg.lstm)
-    hidden = params.pop("hidden_size")
-    model, log = lstm_mod.train(
-        windows[:boundary], TrainSchedule(**params), seed=cfg.seed, hidden_size=hidden
-    )
+    model, log = lstm_mod.train(windows[:boundary], cfg.lstm, seed=cfg.seed)
     log_csv = "epoch,train_loss,val_loss,lr\n" + "".join(
         f"{r['epoch']},{r['train_loss']!r},{r['val_loss']!r},{r['lr']!r}\n" for r in log
     )
@@ -253,12 +246,8 @@ def _train_gan_group(cfg, members):
     windows of one count, in one lockstep run, and write each one's artifact
     and log."""
     symbols = list(members)
-    params = dict(cfg.gan)
-    gen_hidden = tuple(params.pop("gen_hidden"))
-    disc_hidden = tuple(params.pop("disc_hidden"))
     with _cell(symbols, "gan"):
-        results = gan_mod.train(list(members.values()), GanSchedule(**params),
-                                seed=cfg.seed, gen_hidden=gen_hidden, disc_hidden=disc_hidden)
+        results = gan_mod.train(list(members.values()), cfg.gan, seed=cfg.seed)
     for symbol, (gen, _, log) in zip(symbols, results):
         payload = {"model": "gan", "artifact": gen.to_dict()}
         log_csv = "step,d_loss,g_loss\n" + "".join(
@@ -323,6 +312,9 @@ def _load_artifact(cfg, symbol, model):
         artifact = _ARTIFACT_TYPES[model].from_dict(payload["artifact"])
         if model != "arima" and artifact.scaler is None:
             raise DataError("no fitted scaler")
+        if model == "gan" and artifact.window_length != cfg.window_length:
+            raise DataError(f"{path}: trained on {artifact.window_length}-day windows, but "
+                            f"window_length is {cfg.window_length}; train again")
         return artifact
 
     return _load_or_die(path, f"{model} artifact", load)
@@ -376,11 +368,16 @@ def cmd_evaluate(cfg: RunConfig, asset_symbol=None) -> int:
     reports = []
     for asset in _select_assets(cfg, asset_symbol):
         aligned = _load_aligned_or_die(cfg, asset.symbol)
-        for model in MODEL_NAMES:
-            artifact = _load_artifact(cfg, asset.symbol, model)
+        # every artifact of the asset is read and checked before any report
+        artifacts = {model: _load_artifact(cfg, asset.symbol, model) for model in MODEL_NAMES}
+        for model, artifact in artifacts.items():
             policy = cfg.split_policies[model]
-            report = evaluate(model, artifact, aligned, policy,
-                              window_length=cfg.window_length)
+            try:
+                report = evaluate(model, artifact, aligned, policy,
+                                  window_length=cfg.window_length)
+            except DataError as e:
+                raise DataError(f"{_artifact_path(cfg, asset.symbol, model)} on "
+                                f"{_aligned_path(cfg, asset.symbol)}: {e}") from e
             audit_causality(report, aligned, policy, cfg.window_length)
             _write_json(_report_path(cfg, asset.symbol, model), report.to_dict())
             reports.append(report)

@@ -1,5 +1,9 @@
 """Declarative run configuration: assets, paths, split policies and model
-hyperparameters, loaded from a YAML file with study defaults pre-filled.
+hyperparameters, loaded from a YAML file.
+
+Each setting has one default: the fields of `lstm.TrainSchedule` and
+`gan.GanSchedule`, the keywords of `arima.select_order`, and `load_config`
+for the rest. `_RULES` is the one check of each value a file sets.
 
 Paths in the file are resolved relative to the file's own directory, so a
 config can travel with its fixtures.
@@ -8,13 +12,15 @@ config can travel with its fixtures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .data import SPLIT_POLICIES, read_utf8
 from .errors import DataError, UsageError
+from .gan import GanSchedule
+from .lstm import TrainSchedule
 
 DEFAULT_SPLITS = {
     "arima": "fraction_90_10",
@@ -22,33 +28,12 @@ DEFAULT_SPLITS = {
     "gan": "holdout_last_20",
 }
 
-DEFAULT_ARIMA = {"p_max": 3, "q_max": 3}
-
-DEFAULT_LSTM = {
-    "hidden_size": 32,
-    "learning_rate": 0.001,
-    "batch_size": 32,
-    "max_epochs": 200,
-    "early_stop_patience": 10,
-    "plateau_factor": 0.5,
-    "plateau_patience": 5,
-    "validation_fraction": 0.15,
-}
-
-DEFAULT_GAN = {
-    "learning_rate": 0.0002,
-    "batch_size": 5,
-    "epochs": 300,
-    "gen_hidden": [128, 64],
-    "disc_hidden": [64, 32],
-}
-
 
 @dataclass
 class AssetSpec:
     symbol: str
     ohlcv_path: Path
-    tweets_path: Path | None = None
+    tweets_path: Path | None
 
 
 @dataclass
@@ -56,28 +41,12 @@ class RunConfig:
     assets: list
     seed: int
     output_dir: Path
-    lexicon_path: Path | None = None
-    window_length: int = 20
-    split_policies: dict = field(default_factory=lambda: dict(DEFAULT_SPLITS))
-    arima: dict = field(default_factory=lambda: dict(DEFAULT_ARIMA))
-    lstm: dict = field(default_factory=lambda: dict(DEFAULT_LSTM))
-    gan: dict = field(default_factory=lambda: dict(DEFAULT_GAN))
-
-    def __post_init__(self):
-        if not self.assets:
-            raise UsageError("config lists no assets")
-        if self.seed is None:
-            raise UsageError("a seed is required (config key 'seed' or --seed)")
-        if self.window_length < 1:
-            raise UsageError(f"window_length must be >= 1, got {self.window_length}")
-        for model, policy in self.split_policies.items():
-            if model not in DEFAULT_SPLITS:
-                raise UsageError(f"split policy for unknown model {model!r}")
-            if policy not in SPLIT_POLICIES:
-                raise UsageError(f"unknown split policy {policy!r} for {model}")
-        symbols = [a.symbol for a in self.assets]
-        if len(set(symbols)) != len(symbols):
-            raise UsageError("duplicate asset symbols in config")
+    lexicon_path: Path | None
+    window_length: int
+    split_policies: dict
+    arima: dict  # the keywords of arima.select_order that the file sets
+    lstm: TrainSchedule
+    gan: GanSchedule
 
 
 def _is_int(v) -> bool:
@@ -102,12 +71,14 @@ def _int_from(low):
 
 
 _RATE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
-_WIDTHS = (lambda v: isinstance(v, list) and all(_is_int(w) and w >= 1 for w in v),
+_WIDTHS = (lambda v: isinstance(v, (list, tuple)) and all(_is_int(w) and w >= 1 for w in v),
            "a list of integers >= 1")
+_POLICY = (lambda v: v in SPLIT_POLICIES, f"one of {', '.join(SPLIT_POLICIES)}")
 
 # what every settable value must be: section -> key -> (test, description)
 _RULES = {
     None: {"seed": _int_from(0), "window_length": _int_from(1)},
+    "split_policies": {model: _POLICY for model in DEFAULT_SPLITS},
     "arima": {"p_max": _int_from(0), "q_max": _int_from(0)},
     "lstm": {
         "hidden_size": _int_from(1),
@@ -148,12 +119,13 @@ def _mapping(path, raw, key) -> dict:
     return value
 
 
-def _merged(path, raw, section, defaults: dict) -> dict:
-    overrides = _mapping(path, raw, section)
-    unknown = set(overrides) - set(defaults)
+def _section(path, raw, section) -> dict:
+    """The checked values that the file sets in one section."""
+    values = _mapping(path, raw, section)
+    unknown = set(values) - set(_RULES[section])
     if unknown:
-        raise UsageError(f"unknown hyperparameter keys: {sorted(unknown)}")
-    return _checked(path, section, {**defaults, **overrides})
+        raise UsageError(f"config {path}: unknown {section} keys: {sorted(unknown, key=str)}")
+    return _checked(path, section, values)
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
@@ -166,55 +138,57 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         raise DataError(f"cannot parse config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise DataError(f"config {path} must be a mapping at top level")
-    base = path.parent
 
-    def resolve(p):
-        return (base / p).resolve() if p is not None else None
+    def resolve(key, value, base=path.parent):
+        # a NUL byte or a lone surrogate is a ValueError here, a non-string a TypeError
+        try:
+            return (base / value).resolve()
+        except (TypeError, ValueError):
+            raise DataError(f"config {path}: {key} must be a path, got {value!r}") from None
 
-    def path_or_none(key, value):
-        if value is not None and not isinstance(value, str):
-            raise DataError(f"config {path}: {key} must be a path, got {value!r}")
-        return value
+    def optional(key, value):
+        return None if value is None else resolve(key, value)
 
     entries = raw.get("assets", [])
-    if not isinstance(entries, list):
-        raise DataError(f"config {path}: assets must be a list, got {entries!r}")
+    if not isinstance(entries, list) or not entries:
+        raise DataError(f"config {path}: assets must be a non-empty list, got {entries!r}")
     assets = []
     for entry in entries:
         if not isinstance(entry, dict) or "symbol" not in entry or "ohlcv" not in entry:
-            raise DataError(f"asset entries need 'symbol' and 'ohlcv' keys, got {entry!r}")
+            raise DataError(f"config {path}: asset entries need 'symbol' and 'ohlcv' keys, "
+                            f"got {entry!r}")
         symbol = str(entry["symbol"])
         # the symbol names the asset's output files, so it must be one plain
-        # path component: anything else could write outside output_dir
-        if symbol in ("", ".", "..") or any(c in symbol for c in "/\\\0"):
+        # path component: anything else could write outside output_dir or,
+        # unprintable (a lone surrogate), fail to encode as a file name
+        if symbol in ("", ".", "..") or any(c in symbol for c in "/\\") or not symbol.isprintable():
             raise DataError(f"config {path}: assets.symbol must be a plain file name, "
                             f"got {symbol!r}")
-        ohlcv = resolve(path_or_none("assets.ohlcv", entry["ohlcv"]))
+        if any(a.symbol == symbol for a in assets):
+            raise DataError(f"config {path}: assets.symbol {symbol!r} is listed twice")
+        ohlcv = resolve("assets.ohlcv", entry["ohlcv"])
         if not ohlcv.exists():
             raise DataError(f"asset {symbol}: OHLCV file not found: {ohlcv}")
-        assets.append(
-            AssetSpec(
-                symbol=symbol,
-                ohlcv_path=ohlcv,
-                tweets_path=resolve(path_or_none("assets.tweets", entry.get("tweets"))),
-            )
-        )
-    lexicon = resolve(path_or_none("lexicon", raw.get("lexicon")))
+        assets.append(AssetSpec(symbol, ohlcv, optional("assets.tweets", entry.get("tweets"))))
+    lexicon = optional("lexicon", raw.get("lexicon"))
     if lexicon is not None and not lexicon.exists():
         raise DataError(f"lexicon file not found: {lexicon}")
     if seed_override is not None and seed_override < 0:
         raise UsageError(f"--seed must be >= 0, got {seed_override}")
     top = _checked(path, None, {k: raw[k] for k in _RULES[None] if k in raw})
+    seed = seed_override if seed_override is not None else top.get("seed")
+    if seed is None:
+        raise UsageError("a seed is required (config key 'seed' or --seed)")
     return RunConfig(
         assets=assets,
-        seed=seed_override if seed_override is not None else top.get("seed"),
+        seed=seed,
         # data paths travel with the config file; outputs land under the
         # caller's working directory
-        output_dir=Path(path_or_none("output_dir", raw.get("output_dir", "out"))).resolve(),
+        output_dir=resolve("output_dir", raw.get("output_dir", "out"), Path()),
         lexicon_path=lexicon,
         window_length=top.get("window_length", 20),
-        split_policies={**DEFAULT_SPLITS, **_mapping(path, raw, "split_policies")},
-        arima=_merged(path, raw, "arima", DEFAULT_ARIMA),
-        lstm=_merged(path, raw, "lstm", DEFAULT_LSTM),
-        gan=_merged(path, raw, "gan", DEFAULT_GAN),
+        split_policies={**DEFAULT_SPLITS, **_section(path, raw, "split_policies")},
+        arima=_section(path, raw, "arima"),
+        lstm=TrainSchedule(**_section(path, raw, "lstm")),
+        gan=GanSchedule(**_section(path, raw, "gan")),
     )

@@ -34,9 +34,6 @@ N_FEATURES = 6
 SCALE_TOLERANCE = 1e-9
 LOG_EPS = 1e-12
 
-GEN_HIDDEN = (128, 64)
-DISC_HIDDEN = (64, 32)
-
 
 @dataclass
 class _DenseNet:
@@ -108,22 +105,22 @@ class Generator(_DenseNet):
 
 @dataclass
 class GanSchedule:
+    """The GAN's settings: the config's `gan` section, checked by config._RULES."""
+
     learning_rate: float = 0.0002
     batch_size: int = 5
     epochs: int = 300
-
-    def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 0 or self.learning_rate < 0:
-            raise UsageError("batch_size must be >= 1, epochs and learning_rate >= 0")
+    gen_hidden: tuple = (128, 64)
+    disc_hidden: tuple = (64, 32)
 
 
-def build_generator(rng, window_length: int, hidden=GEN_HIDDEN) -> Generator:
+def build_generator(rng, window_length: int, hidden) -> Generator:
     in_size = window_length * N_FEATURES + 1
     layers = build_mlp(rng, in_size, hidden, N_FEATURES, "relu", "tanh")
     return Generator(window_length=window_length, layers=layers)
 
 
-def build_discriminator(rng, window_length: int, hidden=DISC_HIDDEN) -> Discriminator:
+def build_discriminator(rng, window_length: int, hidden) -> Discriminator:
     in_size = N_FEATURES + window_length * N_FEATURES + 1
     layers = build_mlp(rng, in_size, hidden, 1, "leaky_relu", "sigmoid")
     return Discriminator(window_length=window_length, layers=layers)
@@ -220,7 +217,7 @@ def _member_inputs(gen, windows: Windows):
     return scaler, gen_in, targets
 
 
-def _setup(members, rng, gen_hidden, disc_hidden):
+def _setup(members, rng, schedule: GanSchedule):
     """The seeded (generator, discriminator) pair, and each member's scaler,
     conditioning rows and targets, the last two stacked (K, N, ...)."""
     inputs = []
@@ -230,8 +227,8 @@ def _setup(members, rng, gen_hidden, disc_hidden):
         if not inputs:
             n = len(windows)
             window_length = windows.histories.shape[1]
-            gen = build_generator(rng, window_length, hidden=gen_hidden)
-            disc = build_discriminator(rng, window_length, hidden=disc_hidden)
+            gen = build_generator(rng, window_length, schedule.gen_hidden)
+            disc = build_discriminator(rng, window_length, schedule.disc_hidden)
         elif len(windows) != n:
             raise UsageError(f"lockstep members need equal sample counts, got "
                              f"{n} and {len(windows)}")
@@ -267,8 +264,7 @@ def _fit(gen, disc, gen_in, targets, schedule: GanSchedule, rng):
     return losses
 
 
-def train(members, schedule: GanSchedule, seed: int,
-          gen_hidden=GEN_HIDDEN, disc_hidden=DISC_HIDDEN):
+def train(members, schedule: GanSchedule, seed: int):
     """Fixed-epoch adversarial training of every member, the training
     Windows of one asset each, all of one length, in lockstep over
     contiguous batches; the batch order within each epoch is shuffled by the
@@ -279,7 +275,7 @@ def train(members, schedule: GanSchedule, seed: int,
     (steps, 2) array of each step's discriminator and generator loss. An
     error of one member carries its index as `member`."""
     rng = np.random.default_rng(seed)
-    gen, disc, scalers, gen_in, targets = _setup(members, rng, gen_hidden, disc_hidden)
+    gen, disc, scalers, gen_in, targets = _setup(members, rng, schedule)
     gen, disc = gen.stacked(len(scalers)), disc.stacked(len(scalers))
     losses = _fit(gen, disc, gen_in, targets, schedule, rng)
     results = []

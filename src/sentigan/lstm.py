@@ -121,6 +121,9 @@ class LstmModel:
 
 @dataclass
 class TrainSchedule:
+    """The LSTM's settings: the config's `lstm` section, checked by config._RULES."""
+
+    hidden_size: int = 32
     learning_rate: float = 0.001
     batch_size: int = 32
     max_epochs: int = 200
@@ -128,20 +131,6 @@ class TrainSchedule:
     plateau_factor: float = 0.5
     plateau_patience: int = 5
     validation_fraction: float = 0.15
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise UsageError("batch_size must be >= 1")
-        if self.max_epochs < 0:
-            raise UsageError("max_epochs must be >= 0")
-        if not self.learning_rate > 0.0:
-            raise UsageError("learning_rate must be > 0")
-        if not (0.0 <= self.validation_fraction < 1.0):
-            raise UsageError("validation_fraction must lie in [0, 1)")
-        if not (0.0 < self.plateau_factor < 1.0):
-            raise UsageError("plateau_factor must lie in (0, 1)")
-        if self.early_stop_patience < 1 or self.plateau_patience < 1:
-            raise UsageError("patience values must be >= 1")
 
 
 def _signed_weights(model):
@@ -279,7 +268,7 @@ def sequence_loss(model, xs, targets, workspace=None):
     return float(np.mean(err * err)), err
 
 
-def train(windows: Windows, schedule: TrainSchedule, seed: int, hidden_size: int = 32):
+def train(windows: Windows, schedule: TrainSchedule, seed: int):
     """Fit on the chronologically earlier part of `windows`, early-stop on the
     trailing validation_fraction, return (model, log rows).
 
@@ -290,7 +279,7 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int, hidden_size: int
         )
     rng = np.random.default_rng(seed)
     histories, targets = windows.histories, windows.targets
-    model = LstmModel.initialize(rng, hidden_size, histories.shape[-1])
+    model = LstmModel.initialize(rng, schedule.hidden_size, histories.shape[-1])
     model.scaler = scaler_fit_windows(histories, targets, "unit")
     log: list[dict] = []
     if schedule.max_epochs == 0:
@@ -322,7 +311,7 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int, hidden_size: int
             yb = y_train[start : start + schedule.batch_size]
             ws = workspaces.get(len(xb))
             if ws is None:
-                ws = workspaces[len(xb)] = Workspace(len(xb), xb.shape[1], hidden_size)
+                ws = workspaces[len(xb)] = Workspace(len(xb), xb.shape[1], model.hidden_size)
             loss, err = sequence_loss(model, xb, yb, ws)
             if not np.isfinite(loss):
                 raise TrainingError(f"training diverged (NaN loss) at epoch {epoch}")

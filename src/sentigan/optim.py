@@ -17,26 +17,21 @@ import numpy as np
 
 from .errors import DimensionError, TrainingError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Hyperparameters and state of one Adam run. first_moment and
+    """Learning rate and state of one Adam run. first_moment and
     second_moment are the unnormalized sums m = b1 m + g and v = b2 v + g g,
     i.e. the textbook moments divided by (1 - b1) and (1 - b2)."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise TrainingError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise TrainingError("Adam betas must lie in (0, 1)")
 
 
 def adam_step(state: AdamState, theta: np.ndarray, grad):
@@ -61,13 +56,13 @@ def adam_step(state: AdamState, theta: np.ndarray, grad):
         state.second_moment = np.zeros_like(theta)
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     m, v = state.first_moment, state.second_moment
     # textbook: theta -= lr m_hat / (sqrt(v_hat) + eps), m_hat = (1 - b1) m / (1 - b1^t)
     # and v_hat = (1 - b2) v / (1 - b2^t) of the unnormalized m and v
     root = math.sqrt((1 - b2**t) / (1 - b2))
     alpha = state.learning_rate * (1 - b1) / (1 - b1**t) * root
-    eps = state.epsilon * root
+    eps = EPSILON * root
     m *= b1
     m += grad
     v *= b2

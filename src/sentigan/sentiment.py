@@ -89,11 +89,11 @@ class DailySentiment:
     sample_count: int
 
 
-def load_lexicon(source) -> tuple[Lexicon, LexiconLoadReport]:
+def load_lexicon(source, name="lexicon source") -> tuple[Lexicon, LexiconLoadReport]:
     """Parse a tab-separated lexicon stream: "token\\tvalence[\\textras]".
 
     Duplicate tokens: last entry wins. Malformed lines are skipped and
-    counted. An empty or token-free stream is an error."""
+    counted. An empty or token-free stream is an error naming `name`."""
     entries = {}
     report = LexiconLoadReport()
     for line in source:
@@ -118,7 +118,7 @@ def load_lexicon(source) -> tuple[Lexicon, LexiconLoadReport]:
         entries[token] = valence
         report.parsed += 1
     if not entries:
-        raise DataError("lexicon source contains no parseable entries")
+        raise DataError(f"{name} contains no parseable lexicon entries")
     return Lexicon(entries=entries), report
 
 

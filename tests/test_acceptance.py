@@ -151,15 +151,15 @@ def sentiment_jump_asset(seed, n=500, phi=0.9, sigma=1.0, jump_scale=3.0):
 
 def test_criterion_4_gan_synthetic_convergence():
     length = 10
-    schedule = GanSchedule(learning_rate=0.0002, batch_size=5, epochs=200)
+    schedule = GanSchedule(learning_rate=0.0002, batch_size=5, epochs=200,
+                           gen_hidden=(64, 32), disc_hidden=(32, 16))
     wins = 0
     sensitivities = []
     for seed in range(10):
         aligned = sentiment_jump_asset(seed)
         windows = make_windows(aligned, length)
         train_part, test_part = holdout_split(windows)
-        [(g, _, _)] = gan.train([train_part], schedule, seed=seed,
-                            gen_hidden=(64, 32), disc_hidden=(32, 16))
+        [(g, _, _)] = gan.train([train_part], schedule, seed=seed)
         preds = gan.predict(g, test_part)
         actual = test_part.targets[:, CLOSE_COLUMN]
         persistence = test_part.histories[:, -1, CLOSE_COLUMN]
@@ -178,8 +178,9 @@ def test_criterion_5_lstm_synthetic_competence():
     close = 60.0 + 0.05 * t + 8.0 * np.sin(2 * np.pi * t / 25.0)
     windows = make_windows(aligned_from_close(close), 20)
     train_part, test_part = holdout_split(windows)
-    schedule = TrainSchedule(max_epochs=400, early_stop_patience=40, plateau_patience=15)
-    model, log = lstm.train(train_part, schedule, seed=0, hidden_size=16)
+    schedule = TrainSchedule(hidden_size=16, max_epochs=400, early_stop_patience=40,
+                             plateau_patience=15)
+    model, log = lstm.train(train_part, schedule, seed=0)
 
     preds = lstm.predict(model, test_part)
     actual = test_part.targets[:, CLOSE_COLUMN]

@@ -1,10 +1,13 @@
 import contextlib
+import copy
 import csv
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +16,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentigan import cli
-from sentigan.config import load_config
-from sentigan.errors import UsageError
+from sentigan import arima, cli, config
+from sentigan.config import RunConfig, load_config
+from sentigan.errors import DataError, UsageError
+from sentigan.gan import GanSchedule
+from sentigan.lstm import TrainSchedule
 
 FLEET = Path(__file__).parent / "fixtures" / "fleet"
 LEXICON = Path(__file__).parent / "fixtures" / "sample_lexicon.txt"
@@ -86,10 +91,10 @@ def test_load_fleet_config_defaults():
     assert cfg.split_policies == {
         "arima": "fraction_90_10", "lstm": "fraction_70_30", "gan": "holdout_last_20",
     }
-    assert cfg.lstm["learning_rate"] == 0.001
-    assert cfg.lstm["max_epochs"] == 60  # file override on top of defaults
-    assert cfg.gan["learning_rate"] == 0.0002
-    assert cfg.gan["batch_size"] == 5
+    assert cfg.lstm.learning_rate == 0.001
+    assert cfg.lstm.max_epochs == 60  # file override on top of defaults
+    assert cfg.gan.learning_rate == 0.0002
+    assert cfg.gan.batch_size == 5
 
 
 def test_config_requires_seed(tmp_path):
@@ -113,17 +118,31 @@ def test_config_rejects_unknown_hyperparameter(tmp_path):
     (None, "seed", "x"),
     (None, "seed", -1),
     (None, "assets", 5),
+    (None, "assets", []),
+    ("assets", "symbol", "BBB"),
     (None, "gan", 5),
     (None, "output_dir", 5),
+    (None, "output_dir", None),
+    ("assets", "ohlcv", None),
+    ("assets", "ohlcv", "AAA\0.csv"),
+    ("split_policies", "lstm", 5),
+    ("split_policies", "lstm", "bogus"),
     ("gan", "batch_size", "5"),
     ("gan", "epochs", 1.5),
     ("gan", "gen_hidden", 5),
     ("gan", "gen_hidden", [0]),
     ("gan", "learning_rate", float("nan")),
+    ("gan", "learning_rate", -0.1),
+    ("gan", "batch_size", 0),
     pytest.param("gan", "learning_rate", 10 ** 400, id="'gan'-'learning_rate'-10**400"),
     ("lstm", "hidden_size", 0),
     ("lstm", "batch_size", 0),
     ("lstm", "max_epochs", True),
+    ("lstm", "max_epochs", -1),
+    ("lstm", "learning_rate", 0.0),
+    ("lstm", "learning_rate", -1e-3),
+    ("lstm", "validation_fraction", 1.0),
+    ("lstm", "validation_fraction", -0.1),
     ("lstm", "plateau_factor", 1.5),
     ("arima", "p_max", -1),
     pytest.param("gan", "epochs", 10 ** 400, id="'gan'-'epochs'-10**400"),
@@ -133,7 +152,8 @@ def test_malformed_config_value_is_data_error_naming_file_and_key(
         pipeline, capsys, section, key, value):
     assert cli.main(["ingest", "--config", str(pipeline)]) == 0
     raw = yaml.safe_load(pipeline.read_text())
-    (raw if section is None else raw[section])[key] = value
+    node = raw if section is None else raw.setdefault(section, {})
+    (node[0] if section == "assets" else node)[key] = value
     pipeline.write_text(yaml.safe_dump(raw))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(pipeline)]) == cli.EXIT_DATA
@@ -142,7 +162,42 @@ def test_malformed_config_value_is_data_error_naming_file_and_key(
     assert (key if section is None else f"{section}.{key}") in err
 
 
-@pytest.mark.parametrize("symbol", ["../../escaped", "", ".", "..", "a/b", "a\\b", "a\0b"])
+@pytest.mark.parametrize("section, keys", [
+    ("split_policies", {"prophet": "fraction_90_10"}),
+    ("lstm", {1: 2, "dropout": 0.5}),  # keys of two types, which do not sort
+], ids=["split_policies", "lstm"])
+def test_unknown_key_is_usage_error_naming_it(pipeline, capsys, section, keys):
+    raw = yaml.safe_load(pipeline.read_text())
+    raw.setdefault(section, {}).update(keys)
+    pipeline.write_text(yaml.safe_dump(raw, sort_keys=False))
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(pipeline)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(pipeline) in err and all(str(key) in err for key in keys)
+
+
+def test_rule_table_matches_the_settings_and_their_defaults():
+    # a setting without a rule would be refused as an unknown key (exit 64),
+    # a rule without a setting would fail as a TypeError (exit 70)
+    arima_keywords = {name: p.default for name, p in
+                      inspect.signature(arima.select_order).parameters.items()
+                      if p.default is not p.empty}
+    sections = {
+        "lstm": {f.name: f.default for f in fields(TrainSchedule)},
+        "gan": {f.name: f.default for f in fields(GanSchedule)},
+        "arima": arima_keywords,
+        "split_policies": config.DEFAULT_SPLITS,
+    }
+    assert set(sections["split_policies"]) == set(cli.MODEL_NAMES)
+    for section, defaults in sections.items():
+        assert set(config._RULES[section]) == set(defaults), section
+        for key, default in defaults.items():
+            test, _ = config._RULES[section][key]
+            assert test(default), (section, key, default)
+
+
+@pytest.mark.parametrize("symbol",
+                         ["../../escaped", "", ".", "..", "a/b", "a\\b", "a\0b", "a\ud800"])
 def test_symbol_that_is_not_a_plain_file_name_is_refused(pipeline, tmp_path, capsys, symbol):
     raw = yaml.safe_load(pipeline.read_text())
     raw["assets"][0]["symbol"] = symbol
@@ -361,6 +416,41 @@ def test_evaluate_missing_artifact_names_cell(pipeline, tmp_path, capsys):
     assert "AAA" in err and "arima" in err
 
 
+def test_evaluate_refuses_gan_of_another_window_length_before_any_report(
+        pipeline, tmp_path, capsys):
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    reports = sorted((tmp_path / "out" / "reports").glob("AAA_*.json"))
+    before = [path.read_bytes() for path in reports]
+    pipeline.write_text(pipeline.read_text().replace("window_length: 10", "window_length: 8"))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(pipeline), "--asset", "AAA"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(tmp_path / "out" / "models" / "AAA_gan.json") in err and "window_length" in err
+    assert [path.read_bytes() for path in reports] == before
+
+
+@pytest.mark.parametrize("model, keys", [
+    ("arima", ("tail_values", 0)),
+    ("lstm", ("scaler", "per_feature_min", 0)),
+    ("gan", ("scaler", "per_feature_min", 0)),
+])
+def test_stale_artifact_names_artifact_and_aligned_dataset(
+        pipeline, tmp_path, capsys, model, keys):
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    path = tmp_path / "out" / "models" / f"AAA_{model}.json"
+    payload = json.loads(path.read_text())
+    node = payload["artifact"]
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] += 1.0
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(pipeline)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "not trained on this train partition" in err
+    assert str(path) in err and str(tmp_path / "out" / "aligned" / "AAA.json") in err
+
+
 @pytest.mark.parametrize(("relpath", "damage"), [
     (relpath, damage)
     for relpath in ("aligned/AAA.json", "models/AAA_arima.json")
@@ -517,6 +607,108 @@ def test_one_mutation_of_a_read_back_file_never_exits_70(tiny_run, data):
     finally:
         path.write_text(texts[path])
     assert code in (cli.EXIT_OK, cli.EXIT_DATA), err.getvalue()
+    if code == cli.EXIT_DATA:
+        assert str(path) in err.getvalue()
+
+
+def get_in(node, keys):
+    for key in keys:
+        node = node[key]
+    return node
+
+
+def config_sites(node, path=()):
+    """The key path of every mapping value and list item of a parsed config."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield (*path, key)
+        yield from config_sites(child, (*path, key))
+
+
+@pytest.fixture(scope="module")
+def fleet_config(tmp_path_factory):
+    """The fleet fixture's config with absolute data paths, written to a
+    scratch directory, and its parsed form."""
+    raw = yaml.safe_load((FLEET / "config.yaml").read_text())
+    raw["lexicon"] = str((FLEET / raw["lexicon"]).resolve())
+    for entry in raw["assets"]:
+        for key in ("ohlcv", "tweets"):
+            if key in entry:
+                entry[key] = str(FLEET / entry[key])
+    path = tmp_path_factory.mktemp("fleet_config") / "config.yaml"
+    raw["output_dir"] = str(path.parent / "out")
+    return path, raw
+
+
+CONFIG_VALUES = st.one_of(
+    st.none(), st.text(max_size=8), st.integers(), st.floats(), st.booleans(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_mutation_of_the_config_loads_or_is_refused(fleet_config, data):
+    # loading only: nothing trains, so no mutated size allocates anything
+    path, raw = fleet_config
+    raw = copy.deepcopy(raw)
+    kind = data.draw(st.sampled_from(["replace", "drop", "add", "truncate"]), label="kind")
+    if kind == "add":
+        where = data.draw(st.sampled_from(
+            [()] + [s for s in config_sites(raw) if isinstance(get_in(raw, s), dict)]),
+            label="mapping")
+        get_in(raw, where)[data.draw(st.text(min_size=1, max_size=8), label="key")] = \
+            data.draw(CONFIG_VALUES, label="value")
+    elif kind in ("replace", "drop"):
+        *parents, last = data.draw(st.sampled_from(list(config_sites(raw))), label="site")
+        if kind == "drop":
+            del get_in(raw, parents)[last]
+        else:
+            get_in(raw, parents)[last] = data.draw(CONFIG_VALUES, label="value")
+    text = yaml.safe_dump(raw, sort_keys=False)
+    if kind == "truncate":
+        text = text[:data.draw(st.integers(0, len(text)), label="length")]
+    path.write_text(text)
+    try:
+        assert isinstance(load_config(path), RunConfig)
+    except (DataError, UsageError):
+        pass
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """A mini config whose lexicon is a copy, and the bytes of its OHLCV,
+    tweet and lexicon files."""
+    root = tmp_path_factory.mktemp("input_files")
+    config = mini_config(root)
+    lexicon = root / "lexicon.txt"
+    lexicon.write_bytes(LEXICON.read_bytes())
+    config.write_text(config.read_text().replace(str(LEXICON), str(lexicon)).replace(
+        "output_dir: out", f"output_dir: {root / 'out'}"))
+    paths = [root / "AAA.csv", root / "AAA_tweets.csv", lexicon]
+    return config, {path: path.read_bytes() for path in paths}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_byte_mutation_of_an_input_file_never_exits_70(input_files, data):
+    config, originals = input_files
+    path = data.draw(st.sampled_from(sorted(originals)), label="file")
+    good = originals[path]
+    at = data.draw(st.integers(0, len(good) - 1), label="offset")
+    kind = data.draw(st.sampled_from(["replace", "insert", "delete", "truncate"]), label="kind")
+    byte = bytes([data.draw(st.integers(0, 255), label="byte")])
+    bad = {"replace": good[:at] + byte + good[at + 1:], "insert": good[:at] + byte + good[at:],
+           "delete": good[:at] + good[at + 1:], "truncate": good[:at]}[kind]
+    err = io.StringIO()
+    try:
+        path.write_bytes(bad)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["ingest", "--config", str(config)])
+    finally:
+        path.write_bytes(good)
+    assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_USAGE), err.getvalue()
     if code == cli.EXIT_DATA:
         assert str(path) in err.getvalue()
 

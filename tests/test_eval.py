@@ -117,7 +117,7 @@ def test_evaluate_lstm_report():
     aligned = ar1_aligned(1)
     windows = make_windows(aligned, 8)
     train_part, test_part = holdout_split(windows)
-    model, _ = lstm.train(train_part, TrainSchedule(max_epochs=2), seed=0, hidden_size=8)
+    model, _ = lstm.train(train_part, TrainSchedule(hidden_size=8, max_epochs=2), seed=0)
     report = ev.evaluate("lstm", model, aligned, "holdout_last_20", window_length=8)
     assert len(report.rows) == 20
     assert [r[0] for r in report.rows] == aligned.dates[-20:]
@@ -129,7 +129,7 @@ def test_evaluate_lstm_partition_mismatch_errors():
     rng = np.random.default_rng(2)
     aligned = aligned_from_close(50.0 + 0.4 * np.arange(120) + rng.normal(size=120))
     windows = make_windows(aligned, 8)
-    model, _ = lstm.train(windows, TrainSchedule(max_epochs=1), seed=0, hidden_size=8)
+    model, _ = lstm.train(windows, TrainSchedule(hidden_size=8, max_epochs=1), seed=0)
     # trained on all windows, so the scaler saw holdout rows
     with pytest.raises(DataError):
         ev.evaluate("lstm", model, aligned, "holdout_last_20", window_length=8)
@@ -139,8 +139,8 @@ def test_evaluate_gan_report():
     aligned = ar1_aligned(3)
     windows = make_windows(aligned, 6)
     train_part, _ = holdout_split(windows)
-    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1), seed=0,
-                        gen_hidden=(8,), disc_hidden=(8,))
+    schedule = GanSchedule(epochs=1, gen_hidden=(8,), disc_hidden=(8,))
+    [(g, _, _)] = gan.train([train_part], schedule, seed=0)
     report = ev.evaluate("gan", g, aligned, "holdout_last_20", window_length=6)
     assert len(report.rows) == 20
     assert all(np.isfinite(r[1]) for r in report.rows)

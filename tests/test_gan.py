@@ -22,6 +22,9 @@ from sentigan.gan import (
 from sentigan.nn import backward, forward
 from sentigan.optim import AdamState, adam_step
 
+# one hidden layer of 8 units in each network
+SMALL = dict(gen_hidden=(8,), disc_hidden=(8,))
+
 
 def scaled_windows(rng, length=6, count=1):
     """`count` random windows on the signed scale, drawn window by window."""
@@ -393,8 +396,7 @@ def jumpy_aligned(seed, n=160, phi=0.9, sigma=1.0, jump=3.0):
 
 def test_train_zero_epochs_returns_initialized_nets():
     windows = make_windows(jumpy_aligned(0), 5)
-    [(g, d, log)] = gan.train([windows], GanSchedule(epochs=0), seed=0,
-                          gen_hidden=(8,), disc_hidden=(8,))
+    [(g, d, log)] = gan.train([windows], GanSchedule(epochs=0, **SMALL), seed=0)
     assert log.shape == (0, 2)
     assert g.scaler is not None
     assert isinstance(d, Discriminator)
@@ -402,9 +404,9 @@ def test_train_zero_epochs_returns_initialized_nets():
 
 def test_train_determinism():
     windows = make_windows(jumpy_aligned(1), 5)[:40]
-    schedule = GanSchedule(epochs=2)
-    [(g1, d1, log1)] = gan.train([windows], schedule, seed=3, gen_hidden=(8,), disc_hidden=(8,))
-    [(g2, d2, log2)] = gan.train([windows], schedule, seed=3, gen_hidden=(8,), disc_hidden=(8,))
+    schedule = GanSchedule(epochs=2, **SMALL)
+    [(g1, d1, log1)] = gan.train([windows], schedule, seed=3)
+    [(g2, d2, log2)] = gan.train([windows], schedule, seed=3)
     assert np.array_equal(g1.theta, g2.theta)
     assert np.array_equal(d1.theta, d2.theta)
     assert np.array_equal(log1, log2)
@@ -412,8 +414,7 @@ def test_train_determinism():
 
 def test_train_log_schema():
     windows = make_windows(jumpy_aligned(2), 5)[:20]
-    [(_, _, log)] = gan.train([windows], GanSchedule(epochs=2), seed=0,
-                          gen_hidden=(8,), disc_hidden=(8,))
+    [(_, _, log)] = gan.train([windows], GanSchedule(epochs=2, **SMALL), seed=0)
     assert log.shape == (2 * 4, 2)  # epochs x batches of 5, (d_loss, g_loss)
     assert np.isfinite(log).all()
 
@@ -422,8 +423,8 @@ def test_conditioning_sensitivity_after_training():
     aligned = jumpy_aligned(4, n=200)
     windows = make_windows(aligned, 5)
     train_part, test_part = holdout_split(windows)
-    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=30), seed=0,
-                        gen_hidden=(16,), disc_hidden=(16,))
+    schedule = GanSchedule(epochs=30, gen_hidden=(16,), disc_hidden=(16,))
+    [(g, _, _)] = gan.train([train_part], schedule, seed=0)
     flipped = replace(test_part, sentiments=-test_part.sentiments)
     deltas = np.abs(gan.predict(g, test_part) - gan.predict(g, flipped))
     assert np.mean(deltas) > 0.0
@@ -438,15 +439,14 @@ def lockstep_members(n_windows=37):
 
 
 @pytest.mark.parametrize("schedule", [
-    GanSchedule(epochs=3, batch_size=5),
-    GanSchedule(epochs=2, batch_size=8),
+    GanSchedule(epochs=3, batch_size=5, gen_hidden=(8, 6), disc_hidden=(7,)),
+    GanSchedule(epochs=2, batch_size=8, gen_hidden=(8, 6), disc_hidden=(7,)),
 ], ids=["d_steps=1", "batch=8"])
 def test_lockstep_members_equal_solo_runs(schedule):
     # 37 windows: the last batch of every epoch is short
     members = lockstep_members()
-    nets = dict(seed=4, gen_hidden=(8, 6), disc_hidden=(7,))
-    together = gan.train(members, schedule, **nets)
-    alone = [gan.train([m], schedule, **nets)[0] for m in members]
+    together = gan.train(members, schedule, seed=4)
+    alone = [gan.train([m], schedule, seed=4)[0] for m in members]
     assert len(together) == 2
     for (g, d, log), (g1, d1, log1) in zip(together, alone):
         assert np.array_equal(g.theta, g1.theta)
@@ -458,9 +458,9 @@ def test_lockstep_members_equal_solo_runs(schedule):
 
 def test_lockstep_accepts_an_iterator_of_members():
     members = lockstep_members()
-    schedule = GanSchedule(epochs=1)
-    from_list = gan.train(members, schedule, seed=0, gen_hidden=(8,), disc_hidden=(8,))
-    from_iter = gan.train(iter(members), schedule, seed=0, gen_hidden=(8,), disc_hidden=(8,))
+    schedule = GanSchedule(epochs=1, **SMALL)
+    from_list = gan.train(members, schedule, seed=0)
+    from_iter = gan.train(iter(members), schedule, seed=0)
     for (g, d, log), (g1, d1, log1) in zip(from_list, from_iter):
         assert np.array_equal(g.theta, g1.theta) and np.array_equal(log, log1)
 
@@ -468,8 +468,7 @@ def test_lockstep_accepts_an_iterator_of_members():
 def test_lockstep_rejects_members_of_different_lengths():
     a, b = lockstep_members()
     with pytest.raises(UsageError):
-        gan.train([a, b[:-1]], GanSchedule(epochs=1), seed=0,
-                  gen_hidden=(8,), disc_hidden=(8,))
+        gan.train([a, b[:-1]], GanSchedule(epochs=1, **SMALL), seed=0)
     with pytest.raises(UsageError):
         gan.train([], GanSchedule(epochs=1), seed=0)
 
@@ -489,7 +488,7 @@ def test_diverging_member_is_named(monkeypatch):
 
     monkeypatch.setattr(gan, "backward", diverging)
     with pytest.raises(TrainingError) as e:
-        gan.train(members, GanSchedule(epochs=2), seed=0, gen_hidden=(8,), disc_hidden=(8,))
+        gan.train(members, GanSchedule(epochs=2, **SMALL), seed=0)
     assert e.value.member == 1
     assert "member 1" in str(e.value)
 
@@ -501,7 +500,7 @@ def test_member_with_unscalable_data_is_named():
     sentiments[3] = np.nan
     b = replace(b, sentiments=sentiments)
     with pytest.raises(DataError) as e:
-        gan.train([a, b], GanSchedule(epochs=1), seed=0, gen_hidden=(8,), disc_hidden=(8,))
+        gan.train([a, b], GanSchedule(epochs=1, **SMALL), seed=0)
     assert e.value.member == 1
 
 
@@ -512,8 +511,7 @@ def test_forecast_holdout_emits_20_causal_rows():
     aligned = jumpy_aligned(5, n=120)
     windows = make_windows(aligned, 6)
     train_part, _ = holdout_split(windows)
-    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1), seed=1,
-                        gen_hidden=(8,), disc_hidden=(8,))
+    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1, **SMALL), seed=1)
     rows = evaluate("gan", g, aligned, "holdout_last_20", window_length=6).rows
     assert len(rows) == 20
     assert [day for day, _, _ in rows] == aligned.dates[-20:]
@@ -528,8 +526,7 @@ def test_scaler_round_trip_on_actuals():
     aligned = jumpy_aligned(6, n=120)
     windows = make_windows(aligned, 6)
     train_part, _ = holdout_split(windows)
-    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1), seed=1,
-                        gen_hidden=(8,), disc_hidden=(8,))
+    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1, **SMALL), seed=1)
     rows = aligned.features[:100]
     assert np.allclose(scaler_inverse(g.scaler, scaler_transform(g.scaler, rows)), rows,
                        atol=1e-9)
@@ -546,8 +543,7 @@ def trained_generator(seed=9):
     aligned = jumpy_aligned(seed, n=100)
     windows = make_windows(aligned, 5)
     train_part, holdout = holdout_split(windows)
-    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=2), seed=2,
-                            gen_hidden=(8,), disc_hidden=(8,))
+    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=2, **SMALL), seed=2)
     return g, holdout
 
 
@@ -582,8 +578,7 @@ def test_predict_saturates_context_outside_the_fitted_range():
 def test_generator_json_round_trip():
     aligned = jumpy_aligned(7, n=100)
     windows = make_windows(aligned, 5)
-    [(g, d, _)] = gan.train([windows[:-5]], GanSchedule(epochs=1), seed=2,
-                        gen_hidden=(8,), disc_hidden=(8,))
+    [(g, d, _)] = gan.train([windows[:-5]], GanSchedule(epochs=1, **SMALL), seed=2)
     g2 = Generator.from_dict(g.to_dict())
     d2 = Discriminator.from_dict(d.to_dict())
     assert np.array_equal(gan.predict(g2, windows[-5:]), gan.predict(g, windows[-5:]))
@@ -594,20 +589,10 @@ def test_generator_from_dict_ignores_legacy_noise_dim():
     # artifacts written before the noise input was removed carry noise_dim: 0
     aligned = jumpy_aligned(8, n=100)
     windows = make_windows(aligned, 5)
-    [(g, _, _)] = gan.train([windows[:-5]], GanSchedule(epochs=1), seed=2,
-                        gen_hidden=(8,), disc_hidden=(8,))
+    [(g, _, _)] = gan.train([windows[:-5]], GanSchedule(epochs=1, **SMALL), seed=2)
     legacy = {**g.to_dict(), "noise_dim": 0}
     restored = Generator.from_dict(legacy)
     assert "noise_dim" not in restored.to_dict()
     assert restored.to_dict() == g.to_dict()
     assert np.array_equal(gan.predict(restored, windows[-5:]), gan.predict(g, windows[-5:]))
 
-
-# ---------------------------------------------------------------- schedule
-
-
-def test_schedule_validation():
-    with pytest.raises(UsageError):
-        GanSchedule(batch_size=0)
-    with pytest.raises(UsageError):
-        GanSchedule(learning_rate=-0.1)
