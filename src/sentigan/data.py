@@ -179,6 +179,8 @@ def load_ohlcv(source, symbol: str = "", origin="OHLCV") -> tuple[Series, LoadRe
         _validate_bar(bar, at)
         bars.append(bar)
         report.rows += 1
+    if not bars:
+        raise DataError(f"{origin}: no data rows after the header")
     bars.sort(key=lambda b: b.date)
     deduped = []
     seen = set()

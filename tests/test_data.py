@@ -80,6 +80,11 @@ def test_load_rejects_bad_header():
         D.load_ohlcv(csv_stream(VALID_ROWS, header="a,b,c"))
 
 
+def test_load_rejects_header_without_rows_naming_origin():
+    with pytest.raises(DataError, match="AAA.csv: no data rows"):
+        D.load_ohlcv(io.StringIO(",".join(D.OHLCV_HEADER)), origin="AAA.csv")
+
+
 def serialize_ohlcv(series: D.Series) -> str:
     """The OHLCV CSV text of a series, each value written exactly."""
     buf = io.StringIO()

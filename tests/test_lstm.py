@@ -2,12 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import aligned_from_close
 from gradcheck import numerical_gradient, relative_error
 from sentigan import lstm
+from sentigan.config import load_config
 from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
-from sentigan.errors import DimensionError, TrainingError, UsageError
+from sentigan.errors import DataError, DimensionError, TrainingError, UsageError
 from sentigan.eval import evaluate
 from sentigan.lstm import LstmModel, TrainSchedule, Workspace
 from sentigan.nn import carve
@@ -259,6 +261,20 @@ def test_validation_split_leaving_no_training_window_errors():
     schedule = TrainSchedule(batch_size=4, max_epochs=2, validation_fraction=0.999)
     with pytest.raises(TrainingError, match="55 of 55 windows"):
         lstm.train(windows, schedule, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("max_epochs", -1), ("learning_rate", 0.0), ("learning_rate", -1e-3),
+    ("validation_fraction", 1.0), ("validation_fraction", -0.1),
+])
+def test_schedule_rejects_out_of_range_values(tmp_path, field, value):
+    # the config's rule table is the one check of a schedule's values
+    (tmp_path / "AAA.csv").write_text("")
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({"seed": 0, "assets": [{"symbol": "AAA", "ohlcv": "AAA.csv"}],
+                                      "lstm": {field: value}}))
+    with pytest.raises(DataError, match=f"lstm.{field}"):
+        load_config(config)
 
 
 def test_noiseless_line_beats_persistence():
