@@ -16,12 +16,15 @@ from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
+
 from . import arima as arima_mod
 from . import gan as gan_mod
 from . import lstm as lstm_mod
 from .config import RunConfig, load_config
 from .data import (
     CLOSE_COLUMN,
+    AlignedDataset,
     csv_rows,
     load_aligned,
     load_ohlcv,
@@ -33,11 +36,10 @@ from .data import (
     utf8_lines,
     write_atomic,
 )
-from .data import align as align_series
 from .errors import DataError, DimensionError, SentiganError, UsageError
 from .eval import MODEL_NAMES, ForecastReport, MetricSet, aggregate, evaluate
 from .lstm import LstmModel
-from .sentiment import SentimentRecord, aggregate_daily, load_lexicon, score_text
+from .sentiment import aggregate_daily, load_lexicon, score_text
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -131,8 +133,9 @@ def _load_aligned_or_die(cfg, symbol):
 # ---------------------------------------------------------------- sentiment
 
 
-def _read_tweets(path: Path) -> list[SentimentRecord]:
-    records = []
+def _read_tweets(path: Path) -> tuple[list, list[str]]:
+    """The date and the text of each tweet in a tweet file."""
+    days, texts = [], []
     for line_no, row in csv_rows(utf8_lines(path), path, ["timestamp", "text"]):
         if len(row) != 2:
             raise DataError(f"{path} line {line_no}: expected 2 columns, got {len(row)}")
@@ -140,45 +143,43 @@ def _read_tweets(path: Path) -> list[SentimentRecord]:
             stamp = datetime.fromisoformat(row[0].strip())
         except ValueError:
             raise DataError(f"{path} line {line_no}: bad timestamp {row[0]!r}") from None
-        records.append(SentimentRecord(timestamp=stamp, raw_text=row[1]))
-    return records
+        days.append(stamp.date())
+        texts.append(row[1])
+    return days, texts
 
 
-def _daily_sentiment(cfg, asset, trading_days):
-    """Score and aggregate the asset's tweet file; a missing file yields an
-    empty (all-neutral) series with a warning."""
+def _daily_sentiment(cfg, asset, dates):
+    """Score the asset's tweet file and aggregate it onto `dates`: each day's
+    mean compound, each day's tweet count and the count of tweets dated after
+    the last day. A missing file yields zeros and no counts (a header-only
+    sentiment CSV), with a warning."""
     if asset.tweets_path is None or not asset.tweets_path.exists():
         print(f"warning: no tweet file for {asset.symbol}; sentiment set to 0",
               file=sys.stderr)
-        return [], 0
+        return np.zeros(len(dates)), np.zeros(0, dtype=int), 0
     if cfg.lexicon_path is None:
         raise UsageError("config has tweet files but no lexicon path")
     lexicon, _ = load_lexicon(read_utf8(cfg.lexicon_path).splitlines(), cfg.lexicon_path)
-    records = _read_tweets(asset.tweets_path)
-    for r in records:
-        r.compound = score_text(lexicon, r.raw_text)
-    return aggregate_daily(records, trading_days)
+    days, texts = _read_tweets(asset.tweets_path)
+    return aggregate_daily(days, [score_text(lexicon, t) for t in texts], dates)
 
 
-def _sentiment_csv(daily) -> str:
-    lines = ["date,compound,sample_count"]
-    for d in daily:
-        lines.append(f"{d.date.isoformat()},{d.compound!r},{d.sample_count}")
-    return "\n".join(lines) + "\n"
-
-
-def _read_ohlcv(asset):
-    return load_ohlcv(utf8_lines(asset.ohlcv_path), asset.symbol, asset.ohlcv_path)
+def _write_sentiment_csv(cfg, symbol, dates, means, counts):
+    """sentiment/SYMBOL.csv: a row of date, mean and count per day, none if
+    `counts` is empty. The values go through .tolist(): a Python float's repr
+    is its shortest exact decimal, a numpy scalar's is np.float64(...)."""
+    rows = zip(dates, means.tolist(), counts.tolist())
+    write_atomic(cfg.output_dir / "sentiment" / f"{symbol}.csv", "date,compound,sample_count\n"
+                 + "".join(f"{d.isoformat()},{m!r},{c}\n" for d, m, c in rows))
 
 
 def cmd_sentiment(cfg: RunConfig, asset_symbol=None) -> int:
     for asset in _select_assets(cfg, asset_symbol):
-        series, _ = _read_ohlcv(asset)
-        series, _ = repair_missing(series)
-        daily, dropped = _daily_sentiment(cfg, asset, series.dates)
-        write_atomic(cfg.output_dir / "sentiment" / f"{asset.symbol}.csv",
-                     _sentiment_csv(daily))
-        print(f"{asset.symbol}: {len(daily)} sentiment days, {dropped} records dropped")
+        dates, values, _ = load_ohlcv(utf8_lines(asset.ohlcv_path), asset.ohlcv_path)
+        dates, _, _ = repair_missing(dates, values)
+        means, counts, dropped = _daily_sentiment(cfg, asset, dates)
+        _write_sentiment_csv(cfg, asset.symbol, dates, means, counts)
+        print(f"{asset.symbol}: {len(counts)} sentiment days, {dropped} records dropped")
     return EXIT_OK
 
 
@@ -187,19 +188,18 @@ def cmd_sentiment(cfg: RunConfig, asset_symbol=None) -> int:
 
 def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
     for asset in _select_assets(cfg, asset_symbol):
-        series, load_report = _read_ohlcv(asset)
-        series, repair_log = repair_missing(series)
-        daily, _ = _daily_sentiment(cfg, asset, series.dates)
-        aligned, ignored = align_series(series, daily)
-        save_aligned(aligned, _aligned_path(cfg, asset.symbol))
+        dates, values, rows = load_ohlcv(utf8_lines(asset.ohlcv_path), asset.ohlcv_path)
+        dates, features, repair_log = repair_missing(dates, values)
+        means, counts, dropped = _daily_sentiment(cfg, asset, dates)
+        save_aligned(AlignedDataset(asset.symbol, dates, features, means),
+                     _aligned_path(cfg, asset.symbol))
         write_atomic(
             cfg.output_dir / "repair" / f"{asset.symbol}.jsonl",
             "".join(json.dumps(e, sort_keys=True) + "\n" for e in repair_log),
         )
-        write_atomic(cfg.output_dir / "sentiment" / f"{asset.symbol}.csv",
-                     _sentiment_csv(daily))
-        print(f"{asset.symbol}: {load_report.rows} rows, {len(repair_log)} repairs, "
-              f"{ignored} out-of-range sentiment days")
+        _write_sentiment_csv(cfg, asset.symbol, dates, means, counts)
+        print(f"{asset.symbol}: {rows} rows, {len(repair_log)} repairs, "
+              f"{dropped} tweets dated after the last day")
     return EXIT_OK
 
 
@@ -457,11 +457,13 @@ def render_plot_csv(report: ForecastReport) -> str:
     return buf.getvalue()
 
 
-def cmd_plot(cfg: RunConfig, asset_symbol, model_name) -> int:
-    if asset_symbol is None or model_name is None:
+def cmd_plot(cfg: RunConfig, asset_symbol, model) -> int:
+    if asset_symbol is None or model is None:
         raise UsageError("plot needs --asset and --model")
     _select_assets(cfg, asset_symbol)
-    (model,) = _select_models(model_name)
+    if model not in MODEL_NAMES:
+        raise UsageError(f"plot needs one model, got {model!r}; "
+                         f"choose from {', '.join(MODEL_NAMES)}")
     path = _report_path(cfg, asset_symbol, model)
     if not path.exists():
         raise DataError(f"no report for {asset_symbol!r}/{model}; run evaluate first")

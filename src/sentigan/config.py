@@ -173,8 +173,9 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     lexicon = optional("lexicon", raw.get("lexicon"))
     if lexicon is not None and not lexicon.exists():
         raise DataError(f"lexicon file not found: {lexicon}")
-    if seed_override is not None and seed_override < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed_override}")
+    seed_ok, seed_rule = _RULES[None]["seed"]
+    if seed_override is not None and not seed_ok(seed_override):
+        raise UsageError(f"--seed must be {seed_rule}, got {seed_override}")
     top = _checked(path, None, {k: raw[k] for k in _RULES[None] if k in raw})
     seed = seed_override if seed_override is not None else top.get("seed")
     if seed is None:

@@ -1,4 +1,4 @@
-"""Market data ingestion, repair, sentiment alignment, windowing and splits.
+"""Market data ingestion, repair, windowing and splits.
 
 All partitioning is chronological; nothing here ever shuffles. Windows are
 read-only views of the aligned arrays, never copies. Scaling is
@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
 
@@ -27,36 +27,6 @@ CLOSE_COLUMN = 3
 
 SPLIT_POLICIES = ("fraction_90_10", "fraction_70_30", "holdout_last_20")
 HOLDOUT_SIZE = 20
-
-
-@dataclass
-class Bar:
-    date: Date
-    open: float | None
-    high: float | None
-    low: float | None
-    close: float | None
-    adj_close: float | None
-    volume: float | None
-
-    def values(self):
-        return [self.open, self.high, self.low, self.close, self.adj_close, self.volume]
-
-
-@dataclass
-class Series:
-    symbol: str
-    bars: list[Bar] = field(default_factory=list)
-
-    @property
-    def dates(self):
-        return [b.date for b in self.bars]
-
-
-@dataclass
-class LoadReport:
-    rows: int = 0
-    duplicates_removed: int = 0
 
 
 @dataclass
@@ -127,21 +97,22 @@ def _parse_field(value, name, at):
     return parsed
 
 
-def _validate_bar(bar: Bar, at):
-    v = {name: val for name, val in zip(FEATURE_COLUMNS, bar.values()) if val is not None}
+def _validate_row(day, fields, at):
+    """Refuse a row whose present fields (None is missing) are not a valid bar."""
+    v = {name: val for name, val in zip(FEATURE_COLUMNS, fields) if val is not None}
     for name in ("open", "high", "low", "close", "adj_close"):
         if name in v and v[name] <= 0:
-            raise DataError(f"{at} ({bar.date}): {name} must be > 0, got {v[name]}")
+            raise DataError(f"{at} ({day}): {name} must be > 0, got {v[name]}")
     if "volume" in v and v["volume"] < 0:
-        raise DataError(f"{at} ({bar.date}): volume must be >= 0")
+        raise DataError(f"{at} ({day}): volume must be >= 0")
     if "high" in v and "low" in v and v["low"] > v["high"]:
-        raise DataError(f"{at} ({bar.date}): high < low")
+        raise DataError(f"{at} ({day}): high < low")
     for name in ("open", "close"):
         if name in v:
             if "low" in v and v[name] < v["low"]:
-                raise DataError(f"{at} ({bar.date}): {name} below low")
+                raise DataError(f"{at} ({day}): {name} below low")
             if "high" in v and v[name] > v["high"]:
-                raise DataError(f"{at} ({bar.date}): {name} above high")
+                raise DataError(f"{at} ({day}): {name} above high")
 
 
 def csv_rows(source, origin, header: list[str]):
@@ -160,12 +131,15 @@ def csv_rows(source, origin, header: list[str]):
         raise DataError(f"{origin} line {reader.line_num}: {e}") from None
 
 
-def load_ohlcv(source, symbol: str = "", origin="OHLCV") -> tuple[Series, LoadReport]:
-    """Parse and validate OHLCV CSV lines; rows are sorted by date and
-    duplicate dates deduplicated keeping the first occurrence. Errors name
-    `origin` (the file) and the line."""
-    bars = []
-    report = LoadReport()
+def load_ohlcv(source, origin="OHLCV") -> tuple[list[Date], np.ndarray, int]:
+    """Parse and validate OHLCV CSV lines. Returns the sorted unique dates (a
+    repeated date keeps its first row), their (T, 6) values in FEATURE_COLUMNS
+    order with NaN for a missing field, and the count of data rows read.
+
+    Errors name `origin` (the file) and, for a bad row, the line. A column
+    without a value in any row, and a file without a row that has every
+    price field, are refused too: repair_missing has nothing to start from."""
+    days, rows = [], []
     for line_no, row in csv_rows(source, origin, OHLCV_HEADER):
         at = f"{origin} line {line_no}"
         if len(row) != 7:
@@ -174,74 +148,42 @@ def load_ohlcv(source, symbol: str = "", origin="OHLCV") -> tuple[Series, LoadRe
             day = Date.fromisoformat(row[0].strip())
         except ValueError:
             raise DataError(f"{at}: bad date {row[0]!r}") from None
-        vals = [_parse_field(row[i + 1], FEATURE_COLUMNS[i], at) for i in range(6)]
-        bar = Bar(day, *vals)
-        _validate_bar(bar, at)
-        bars.append(bar)
-        report.rows += 1
-    if not bars:
+        fields = [_parse_field(row[i + 1], FEATURE_COLUMNS[i], at) for i in range(6)]
+        _validate_row(day, fields, at)
+        days.append(day)
+        rows.append([math.nan if v is None else v for v in fields])
+    if not rows:
         raise DataError(f"{origin}: no data rows after the header")
-    bars.sort(key=lambda b: b.date)
-    deduped = []
-    seen = set()
-    for bar in bars:
-        if bar.date in seen:
-            report.duplicates_removed += 1
-            continue
-        seen.add(bar.date)
-        deduped.append(bar)
-    return Series(symbol=symbol, bars=deduped), report
+    # np.unique's indices are each date's first occurrence, in date order
+    keep = np.unique([d.toordinal() for d in days], return_index=True)[1]
+    values = np.array(rows)[keep]
+    for name, empty in zip(FEATURE_COLUMNS, np.isnan(values).all(axis=0)):
+        if empty:
+            raise DataError(f"{origin}: column {name} is entirely missing")
+    if np.isnan(values[:, :5]).any(axis=1).all():
+        raise DataError(f"{origin}: no row has every price field")
+    return [days[i] for i in keep], values, len(rows)
 
 
-def repair_missing(series: Series) -> tuple[Series, list[dict]]:
-    """Forward-fill missing price fields from the prior trading day; missing
-    volume becomes 0; leading rows with unfillable fields are dropped.
+def repair_missing(dates, values) -> tuple[list[Date], np.ndarray, list[dict]]:
+    """Forward-fill missing (NaN) price fields from the prior trading day;
+    missing volume becomes 0; leading rows up to the first one with every
+    price field are dropped.
 
-    Returns the repaired series and a log of {date, field, action} entries."""
-    for col, name in enumerate(FEATURE_COLUMNS):
-        if series.bars and all(b.values()[col] is None for b in series.bars):
-            raise DataError(f"column {name} is entirely missing")
-    log = []
-    repaired = []
-    prev: Bar | None = None
-    for bar in series.bars:
-        vals = bar.values()
-        new_vals = list(vals)
-        drop = False
-        for col, name in enumerate(FEATURE_COLUMNS):
-            if new_vals[col] is not None:
-                continue
-            if name == "volume":
-                new_vals[col] = 0.0
-                log.append({"date": bar.date.isoformat(), "field": name, "action": "zero_fill"})
-            elif prev is not None:
-                new_vals[col] = prev.values()[col]
-                log.append(
-                    {"date": bar.date.isoformat(), "field": name, "action": "forward_fill"}
-                )
-            else:
-                log.append(
-                    {"date": bar.date.isoformat(), "field": name, "action": "drop_leading_row"}
-                )
-                drop = True
-        if drop:
-            continue
-        new_bar = Bar(bar.date, *new_vals)
-        repaired.append(new_bar)
-        prev = new_bar
-    return Series(symbol=series.symbol, bars=repaired), log
-
-
-def align(series: Series, daily) -> tuple[AlignedDataset, int]:
-    """Join daily sentiment onto the series' trading days; days without a
-    sentiment entry get 0. Returns the dataset and the count of sentiment
-    entries dated outside the bar range (ignored)."""
-    by_date = {d.date: d.compound for d in daily}
-    bar_dates = set(series.dates)
-    ignored = sum(1 for d in daily if d.date not in bar_dates)
-    sentiment = np.array([by_date.get(d, 0.0) for d in series.dates])
-    features = np.array([[float(v) for v in b.values()] for b in series.bars])
-    return AlignedDataset(series.symbol, list(series.dates), features, sentiment), ignored
+    Returns the kept dates, their repaired values and a log of {date, field,
+    action} entries in row, then column order."""
+    gaps = np.isnan(values)
+    first = int(np.argmax(~gaps[:, :5].any(axis=1)))
+    log = [{"date": dates[r].isoformat(), "field": FEATURE_COLUMNS[c],
+            "action": "zero_fill" if c == 5 else
+                      "drop_leading_row" if r < first else "forward_fill"}
+           for r, c in np.argwhere(gaps).tolist()]
+    values, gaps = values[first:], gaps[first:]
+    # the row each price is taken from: its own, or the last one that had it
+    source = np.maximum.accumulate(np.where(gaps, 0, np.arange(len(values))[:, None]), axis=0)
+    repaired = np.take_along_axis(values, source, axis=0)
+    repaired[:, 5] = np.where(gaps[:, 5], 0.0, values[:, 5])
+    return dates[first:], repaired, log
 
 
 def make_windows(aligned: AlignedDataset, window_length: int) -> Windows:

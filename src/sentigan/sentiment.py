@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 import re
 import string
-from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import date as Date
-from datetime import datetime
+
+import numpy as np
 
 from .errors import DataError
 
@@ -73,20 +72,6 @@ class LexiconLoadReport:
     parsed: int = 0
     malformed: int = 0
     duplicates: int = 0
-
-
-@dataclass
-class SentimentRecord:
-    timestamp: datetime
-    raw_text: str
-    compound: float = 0.0
-
-
-@dataclass
-class DailySentiment:
-    date: Date
-    compound: float
-    sample_count: int
 
 
 def load_lexicon(source, name="lexicon source") -> tuple[Lexicon, LexiconLoadReport]:
@@ -231,29 +216,21 @@ def score_text(lexicon: Lexicon, raw: str) -> float:
     return normalize_valence_sum(total)
 
 
-def aggregate_daily(records, trading_days) -> tuple[list[DailySentiment], int]:
-    """Mean compound per trading day.
+def aggregate_daily(days, compounds, trading_days) -> tuple[np.ndarray, np.ndarray, int]:
+    """Mean compound per trading day, of the texts dated `days` that scored
+    `compounds`.
 
-    Records on non-trading days roll forward to the next trading day (their
-    information is available before that day's open). Records dated after the
-    final trading day have no destination and are dropped; the count of
-    dropped records is returned for diagnostics."""
-    days = list(trading_days)
-    if days != sorted(days):
+    Texts on non-trading days roll forward to the next trading day (their
+    information is available before that day's open). Texts dated after the
+    final trading day have no destination and are dropped. Returns each
+    trading day's mean (0 without texts) and text count, and the dropped count."""
+    trading = np.array([d.toordinal() for d in trading_days], dtype=np.int64)
+    if (trading[1:] < trading[:-1]).any():
         raise DataError("trading_days must be sorted ascending")
-    sums = [0.0] * len(days)
-    counts = [0] * len(days)
-    dropped = 0
-    for rec in records:
-        day = rec.timestamp.date() if isinstance(rec.timestamp, datetime) else rec.timestamp
-        idx = bisect_left(days, day)
-        if idx >= len(days):
-            dropped += 1
-            continue
-        sums[idx] += rec.compound
-        counts[idx] += 1
-    daily = [
-        DailySentiment(date=d, compound=(s / c if c else 0.0), sample_count=c)
-        for d, s, c in zip(days, sums, counts)
-    ]
-    return daily, dropped
+    slots = np.searchsorted(trading, np.array([d.toordinal() for d in days], dtype=np.int64))
+    kept = slots < len(trading)
+    # bincount adds the weights in input order, as a running sum would
+    sums = np.bincount(slots[kept], np.asarray(compounds, dtype=float)[kept], len(trading))
+    counts = np.bincount(slots[kept], minlength=len(trading))
+    means = np.divide(sums, counts, out=np.zeros(len(trading)), where=counts > 0)
+    return means, counts, int(len(slots) - kept.sum())

@@ -117,6 +117,7 @@ def test_config_rejects_unknown_hyperparameter(tmp_path):
     (None, "window_length", "abc"),
     (None, "seed", "x"),
     (None, "seed", -1),
+    (None, "seed", 2 ** 31),
     (None, "assets", 5),
     (None, "assets", []),
     ("assets", "symbol", "BBB"),
@@ -214,6 +215,18 @@ def test_negative_seed_override_is_usage_error(pipeline):
     assert cli.main(["ingest", "--config", str(pipeline), "--seed", "-1"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("seed", [2 ** 31, 2 ** 70])
+def test_seed_override_past_the_file_rule_is_usage_error(pipeline, capsys, seed):
+    # --seed passes the rule that `seed:` in the file passes
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(pipeline), "--seed", str(seed)]) \
+        == cli.EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+    with pytest.raises(UsageError, match="--seed"):
+        load_config(pipeline, seed_override=seed)
+    assert load_config(pipeline, seed_override=config.INT_MAX).seed == config.INT_MAX
+
+
 def test_config_missing_data_file_is_data_error(tmp_path):
     config = mini_config(tmp_path)
     (tmp_path / "BBB.csv").unlink()
@@ -270,6 +283,44 @@ def test_ingest_writes_aligned_and_sentiment(pipeline, tmp_path, capsys):
     assert all(v == 0.0 for v in bbb["sentiment"])
     aaa = json.loads((out / "aligned" / "AAA.json").read_text())
     assert any(v != 0.0 for v in aaa["sentiment"])
+
+
+def test_ingest_aligns_sentiment_on_the_ohlcv_dates_and_counts_late_tweets(
+        pipeline, tmp_path, capsys):
+    tweets = tmp_path / "AAA_tweets.csv"
+    tweets.write_text(tweets.read_text() + "2030-01-01T09:00:00,Great news far too late\n")
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(pipeline), "--asset", "AAA"]) == 0
+    assert capsys.readouterr().out \
+        == "AAA: 120 rows, 0 repairs, 1 tweets dated after the last day\n"
+    aligned = json.loads((tmp_path / "out" / "aligned" / "AAA.json").read_text())
+    with open(tmp_path / "AAA.csv", newline="") as fh:
+        assert aligned["dates"] == [row["date"] for row in csv.DictReader(fh)]
+    # the tweets fall on the first two days; every other day is neutral
+    assert aligned["sentiment"][0] != 0.0 and aligned["sentiment"][1] != 0.0
+    assert all(v == 0.0 for v in aligned["sentiment"][2:])
+    sentiment_csv = (tmp_path / "out" / "sentiment" / "AAA.csv").read_text().splitlines()
+    assert len(sentiment_csv) == 1 + 120
+    assert sum(int(row.split(",")[2]) for row in sentiment_csv[1:]) == 3
+
+
+@pytest.mark.parametrize("damage", ["empty open column", "no complete price row"])
+def test_ohlcv_that_repair_cannot_fill_is_refused_naming_file(pipeline, tmp_path, capsys,
+                                                              damage):
+    path = tmp_path / "AAA.csv"
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        fields = line.split(",")
+        fields[1 if damage == "empty open column" else 1 + i % 5] = ""
+        lines[i] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(pipeline)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {path}: " in err
+    assert ("column open is entirely missing" if damage == "empty open column"
+            else "no row has every price field") in err
+    assert not (tmp_path / "out" / "aligned" / "AAA.json").exists()
 
 
 def test_sentiment_command_emits_daily_csv(pipeline, tmp_path):
@@ -798,6 +849,14 @@ def run_mini_pipeline(config):
 def test_plot_missing_report_is_data_error(pipeline):
     assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
                      "--model", "gan"]) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("model", ["all", "prophet"])
+def test_plot_of_not_one_model_is_usage_error_listing_them(pipeline, capsys, model):
+    capsys.readouterr()
+    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
+                     "--model", model]) == cli.EXIT_USAGE
+    assert "arima, lstm, gan" in capsys.readouterr().err
 
 
 def test_plot_outputs(pipeline, tmp_path):

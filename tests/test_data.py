@@ -1,15 +1,14 @@
 import csv
 import io
-from datetime import date
 
 import numpy as np
 import pytest
+from conftest import aligned_from_close
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentigan import data as D
 from sentigan.errors import DataError
-from sentigan.sentiment import DailySentiment
 
 
 def csv_stream(rows, header="date,open,high,low,close,adj_close,volume"):
@@ -23,36 +22,34 @@ VALID_ROWS = [
 ]
 
 
-def make_series(n, start_price=100.0, symbol="TST", seed=0):
-    rng = np.random.default_rng(seed)
-    bars = []
-    price = start_price
-    for i in range(n):
-        price = max(1.0, price + rng.normal(0, 1))
-        day = date.fromordinal(date(2020, 1, 1).toordinal() + i)
-        bars.append(D.Bar(day, price, price * 1.01, price * 0.99, price, price, 1000.0))
-    return D.Series(symbol, bars)
+def make_aligned(n, sentiment=None, seed=0):
+    """n days of a random walk around 100, dated from 2020-01-01."""
+    close = 100.0 + np.cumsum(np.random.default_rng(seed).normal(0, 1, n))
+    return aligned_from_close(close, symbol="TST", sentiment=sentiment)
+
+
+def load_repaired(rows):
+    dates, values, _ = D.load_ohlcv(csv_stream(rows))
+    return D.repair_missing(dates, values)
 
 
 # ---------------------------------------------------------------- load
 
 
 def test_load_sorts_rows():
-    series, report = D.load_ohlcv(csv_stream(VALID_ROWS), "TST")
-    assert [b.date.isoformat() for b in series.bars] == [
-        "2024-01-02",
-        "2024-01-03",
-        "2024-01-04",
-    ]
-    assert report.rows == 3
+    dates, values, rows = D.load_ohlcv(csv_stream(VALID_ROWS))
+    assert [d.isoformat() for d in dates] == ["2024-01-02", "2024-01-03", "2024-01-04"]
+    assert values.shape == (3, 6)
+    assert values[:, 0].tolist() == [10, 10, 11]
+    assert rows == 3
 
 
 def test_load_dedupes_keeping_first():
     rows = ["2024-01-02,10,12,9,11,11,1000", "2024-01-02,99,100,98,99,99,5"]
-    series, report = D.load_ohlcv(csv_stream(rows))
-    assert len(series.bars) == 1
-    assert series.bars[0].open == 10
-    assert report.duplicates_removed == 1
+    dates, values, count = D.load_ohlcv(csv_stream(rows))
+    assert len(dates) == 1
+    assert values[0, 0] == 10
+    assert count == 2  # rows read, the duplicate included
 
 
 def test_load_rejects_high_below_low():
@@ -85,23 +82,29 @@ def test_load_rejects_header_without_rows_naming_origin():
         D.load_ohlcv(io.StringIO(",".join(D.OHLCV_HEADER)), origin="AAA.csv")
 
 
-def serialize_ohlcv(series: D.Series) -> str:
-    """The OHLCV CSV text of a series, each value written exactly."""
+def test_load_rejects_file_without_a_complete_price_row_naming_origin():
+    rows = ["2024-01-02,,12,9,11,11,1000", "2024-01-03,10,12,9,11,,1000"]
+    with pytest.raises(DataError, match="AAA.csv: no row has every price field"):
+        D.load_ohlcv(csv_stream(rows), origin="AAA.csv")
+
+
+def serialize_ohlcv(dates, values) -> str:
+    """The OHLCV CSV text of dated rows, each value written exactly, NaN blank."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(D.OHLCV_HEADER)
-    for bar in series.bars:
-        writer.writerow([bar.date.isoformat()]
-                        + ["" if v is None else repr(float(v)) for v in bar.values()])
+    for day, row in zip(dates, values.tolist()):
+        writer.writerow([day.isoformat()] + ["" if np.isnan(v) else repr(v) for v in row])
     return buf.getvalue()
 
 
 def test_ingestion_idempotence_round_trip():
-    series, _ = D.load_ohlcv(csv_stream(VALID_ROWS), "TST")
-    text = serialize_ohlcv(series)
-    series2, _ = D.load_ohlcv(io.StringIO(text), "TST")
-    assert series2 == series
-    assert serialize_ohlcv(series2) == text
+    dates, values, _ = D.load_ohlcv(csv_stream(VALID_ROWS + ["2024-01-05,12,13,11,,12,"]))
+    text = serialize_ohlcv(dates, values)
+    dates2, values2, _ = D.load_ohlcv(io.StringIO(text))
+    assert dates2 == dates
+    assert values2.tobytes() == values.tobytes()
+    assert serialize_ohlcv(dates2, values2) == text
 
 
 # ---------------------------------------------------------------- repair
@@ -109,83 +112,61 @@ def test_ingestion_idempotence_round_trip():
 
 def test_repair_forward_fills_close():
     rows = ["2024-01-02,10,12,9,11,11,1000", "2024-01-03,10,12,9,,11,1000"]
-    series, _ = D.load_ohlcv(csv_stream(rows))
-    repaired, log = D.repair_missing(series)
-    assert repaired.bars[1].close == 11
+    dates, repaired, log = load_repaired(rows)
+    assert repaired[1, D.CLOSE_COLUMN] == 11
     assert log == [{"date": "2024-01-03", "field": "close", "action": "forward_fill"}]
 
 
+def test_repair_forward_fills_through_a_run_of_gaps():
+    rows = ["2024-01-02,10,12,9,11,11,1000", "2024-01-03,10,12,9,,11,",
+            "2024-01-04,,12,9,,11,500", "2024-01-05,10,12,9,10.5,11,700"]
+    _, repaired, log = load_repaired(rows)
+    assert repaired[:, D.CLOSE_COLUMN].tolist() == [11, 11, 11, 10.5]
+    assert repaired[:, 0].tolist() == [10, 10, 10, 10]
+    assert repaired[:, 5].tolist() == [1000, 0, 500, 700]  # volume is never carried
+    assert [(e["date"], e["field"]) for e in log] == [
+        ("2024-01-03", "close"), ("2024-01-03", "volume"),
+        ("2024-01-04", "open"), ("2024-01-04", "close")]
+
+
 def test_repair_identity_when_complete():
-    series, _ = D.load_ohlcv(csv_stream(VALID_ROWS))
-    repaired, log = D.repair_missing(series)
-    assert repaired == series
+    dates, values, _ = D.load_ohlcv(csv_stream(VALID_ROWS))
+    repaired_dates, repaired, log = D.repair_missing(dates, values)
+    assert repaired_dates == dates
+    assert repaired.tobytes() == values.tobytes()
     assert log == []
 
 
 def test_repair_drops_leading_missing_row():
-    rows = ["2024-01-02,,12,9,11,11,1000", "2024-01-03,10,12,9,11,11,1000"]
-    series, _ = D.load_ohlcv(csv_stream(rows))
-    repaired, log = D.repair_missing(series)
-    assert len(repaired.bars) == 1
-    assert repaired.bars[0].date.isoformat() == "2024-01-03"
-    assert log[0]["action"] == "drop_leading_row"
+    rows = ["2024-01-02,,12,9,11,11,", "2024-01-03,10,12,9,11,11,1000"]
+    dates, repaired, log = load_repaired(rows)
+    assert [d.isoformat() for d in dates] == ["2024-01-03"]
+    assert repaired.shape == (1, 6)
+    assert [e["action"] for e in log] == ["drop_leading_row", "zero_fill"]
 
 
 def test_repair_missing_volume_zero_filled():
     rows = ["2024-01-02,10,12,9,11,11,1000", "2024-01-03,10,12,9,11,11,"]
-    series, _ = D.load_ohlcv(csv_stream(rows))
-    repaired, log = D.repair_missing(series)
-    assert repaired.bars[1].volume == 0.0
+    _, repaired, log = load_repaired(rows)
+    assert repaired[1, 5] == 0.0
     assert log[0]["action"] == "zero_fill"
 
 
 def test_repair_entirely_missing_column_errors():
     rows = ["2024-01-02,10,12,9,,11,1000", "2024-01-03,10,12,9,,11,1000"]
-    series, _ = D.load_ohlcv(csv_stream(rows))
-    with pytest.raises(DataError):
-        D.repair_missing(series)
-
-
-# ---------------------------------------------------------------- align
-
-
-def test_align_fills_missing_days_with_zero():
-    series = make_series(5)
-    daily = [
-        DailySentiment(series.bars[0].date, 0.5, 1),
-        DailySentiment(series.bars[2].date, -0.3, 2),
-        DailySentiment(series.bars[4].date, 0.1, 1),
-    ]
-    aligned, ignored = D.align(series, daily)
-    assert np.allclose(aligned.sentiment, [0.5, 0.0, -0.3, 0.0, 0.1])
-    assert ignored == 0
-
-
-def test_align_ignores_out_of_range_sentiment():
-    series = make_series(3)
-    daily = [DailySentiment(date(1999, 1, 1), 0.9, 1)]
-    aligned, ignored = D.align(series, daily)
-    assert ignored == 1
-    assert np.allclose(aligned.sentiment, 0.0)
-
-
-def test_align_row_dates_match():
-    series = make_series(10)
-    aligned, _ = D.align(series, [])
-    assert aligned.dates == series.dates
-    assert aligned.features.shape == (10, 6)
+    with pytest.raises(DataError, match="AAA.csv: column close is entirely missing"):
+        D.load_ohlcv(csv_stream(rows), origin="AAA.csv")
 
 
 # ---------------------------------------------------------------- windows
 
 
 def test_window_count():
-    aligned, _ = D.align(make_series(25), [])
-    assert len(D.make_windows(aligned, 20)) == 5
+    assert len(D.make_windows(make_aligned(25), 20)) == 5
 
 
 def test_window_contents_and_overlap():
-    aligned, _ = D.align(make_series(12), [])
+    aligned = make_aligned(12)
     windows = D.make_windows(aligned, 5)
     assert windows.histories.shape == (7, 5, 6)
     assert np.array_equal(windows.histories[0], aligned.features[0:5])
@@ -195,31 +176,27 @@ def test_window_contents_and_overlap():
 
 
 def test_window_sentiment_is_last_history_day():
-    series = make_series(8)
-    daily = [DailySentiment(b.date, i / 10, 1) for i, b in enumerate(series.bars)]
-    aligned, _ = D.align(series, daily)
+    aligned = make_aligned(8, sentiment=np.arange(8) / 10)
     windows = D.make_windows(aligned, 3)
     assert windows.sentiments[0] == pytest.approx(0.2)
     assert np.array_equal(windows.sentiments, aligned.sentiment[2:-1])
 
 
 def test_window_too_short_errors():
-    aligned, _ = D.align(make_series(5), [])
     with pytest.raises(DataError) as e:
-        D.make_windows(aligned, 10)
+        D.make_windows(make_aligned(5), 10)
     assert "11" in str(e.value)
 
 
 def test_window_targets_reconstruct_series():
-    aligned, _ = D.align(make_series(30), [])
+    aligned = make_aligned(30)
     windows = D.make_windows(aligned, 7)
     assert np.array_equal(windows.targets, aligned.features[7:])
     assert windows.dates == aligned.dates[7:]
 
 
 def test_windows_are_read_only_views_of_the_aligned_array():
-    series = make_series(12)
-    aligned, _ = D.align(series, [DailySentiment(b.date, 0.1, 1) for b in series.bars])
+    aligned = make_aligned(12, sentiment=np.full(12, 0.1))
     windows = D.make_windows(aligned, 5)
     for arr, source in ((windows.histories, aligned.features),
                         (windows.targets, aligned.features),
@@ -232,7 +209,7 @@ def test_windows_are_read_only_views_of_the_aligned_array():
 
 @pytest.mark.parametrize("rows", [slice(0, 3), slice(2, 5), slice(4, None), slice(-2, None)])
 def test_sliced_windows_equal_the_rows_of_a_fresh_call(rows):
-    aligned, _ = D.align(make_series(12), [])
+    aligned = make_aligned(12)
     part = D.make_windows(aligned, 5)[rows]
     fresh = D.make_windows(aligned, 5)
     assert len(part) == len(fresh.dates[rows])
@@ -289,9 +266,9 @@ def test_split_empty_partition_errors():
 
 
 def test_aligned_save_load_round_trip(tmp_path):
-    series = make_series(15)
-    daily = [DailySentiment(series.bars[3].date, 0.4, 2)]
-    aligned, _ = D.align(series, daily)
+    sentiment = np.zeros(15)
+    sentiment[3] = 0.4
+    aligned = make_aligned(15, sentiment=sentiment)
     path = tmp_path / "aligned.json"
     D.save_aligned(aligned, path)
     loaded = D.load_aligned(path)
@@ -322,10 +299,10 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, failure):
 
 def test_save_aligned_failure_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "aligned.json"
-    D.save_aligned(D.align(make_series(15), [])[0], path)
+    D.save_aligned(make_aligned(15), path)
     before = path.read_bytes()
     monkeypatch.setattr(D.os, "replace", refuse_replace)
     with pytest.raises(OSError):
-        D.save_aligned(D.align(make_series(10), [])[0], path)
+        D.save_aligned(make_aligned(10), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["aligned.json"]

@@ -1,16 +1,15 @@
 import io
 import json
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sentigan.errors import DataError
 from sentigan.sentiment import (
-    DailySentiment,
-    SentimentRecord,
     aggregate_daily,
     clean_text,
     load_lexicon,
@@ -140,42 +139,44 @@ def D(s):
 
 
 def test_same_day_mean():
-    days = [D("2024-01-02")]
-    records = [
-        SentimentRecord(datetime(2024, 1, 2, 9), "a", 0.4),
-        SentimentRecord(datetime(2024, 1, 2, 15), "b", -0.2),
-    ]
-    daily, dropped = aggregate_daily(records, days)
-    assert daily == [DailySentiment(D("2024-01-02"), pytest.approx(0.1), 2)]
+    means, counts, dropped = aggregate_daily(
+        [D("2024-01-02"), D("2024-01-02")], [0.4, -0.2], [D("2024-01-02")])
+    assert means.tolist() == [pytest.approx(0.1)]
+    assert counts.tolist() == [2]
     assert dropped == 0
 
 
 def test_empty_day_neutral_fill():
-    daily, _ = aggregate_daily([], [D("2024-01-02"), D("2024-01-03")])
-    assert all(d.compound == 0.0 and d.sample_count == 0 for d in daily)
+    days = [D("2024-01-02"), D("2024-01-03"), D("2024-01-04")]
+    means, counts, _ = aggregate_daily([D("2024-01-03")], [0.5], days)
+    assert means.tolist() == [0.0, 0.5, 0.0]
+    assert counts.tolist() == [0, 1, 0]
+    means, counts, _ = aggregate_daily([], [], days)
+    assert means.tolist() == [0.0, 0.0, 0.0] and counts.tolist() == [0, 0, 0]
 
 
 def test_weekend_rolls_forward_to_next_trading_day():
     days = [D("2024-01-05"), D("2024-01-08")]  # Fri, Mon
-    records = [SentimentRecord(datetime(2024, 1, 6, 12), "sat post", 0.8)]
-    daily, _ = aggregate_daily(records, days)
-    assert daily[1].sample_count == 1
-    assert daily[1].compound == pytest.approx(0.8)
-    assert daily[0].sample_count == 0
+    means, counts, _ = aggregate_daily([D("2024-01-06")], [0.8], days)  # Sat
+    assert counts.tolist() == [0, 1]
+    assert means[1] == pytest.approx(0.8)
 
 
 def test_record_after_last_day_dropped_and_counted():
-    days = [D("2024-01-05")]
-    records = [SentimentRecord(datetime(2024, 2, 1), "late", 0.5)]
-    daily, dropped = aggregate_daily(records, days)
+    means, counts, dropped = aggregate_daily([D("2024-02-01")], [0.5], [D("2024-01-05")])
     assert dropped == 1
-    assert daily[0].sample_count == 0
+    assert counts.tolist() == [0] and means.tolist() == [0.0]
+
+
+def test_unsorted_trading_days_are_refused():
+    with pytest.raises(DataError, match="sorted"):
+        aggregate_daily([], [], [D("2024-01-03"), D("2024-01-02")])
 
 
 @given(
     st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=30),
+            st.integers(min_value=0, max_value=40),
             st.floats(min_value=-1, max_value=1, allow_nan=False),
         ),
         max_size=50,
@@ -183,9 +184,8 @@ def test_record_after_last_day_dropped_and_counted():
 )
 def test_aggregation_conserves_record_count(entries):
     days = [date(2024, 1, d) for d in range(1, 32)]
-    records = [
-        SentimentRecord(datetime(2024, 1, 1 + off, 12), "t", c) for off, c in entries
-    ]
-    daily, dropped = aggregate_daily(records, days)
-    assert sum(d.sample_count for d in daily) + dropped == len(records)
-    assert dropped == 0  # all within range
+    stamps = [date.fromordinal(days[0].toordinal() + off) for off, _ in entries]
+    means, counts, dropped = aggregate_daily(stamps, [c for _, c in entries], days)
+    assert counts.sum() + dropped == len(entries)
+    assert dropped == sum(off > 30 for off, _ in entries)
+    assert np.all(np.abs(means) <= 1.0)
