@@ -21,13 +21,6 @@ ADF_CRITICAL_5PCT = -2.86  # constant-only case
 
 
 @dataclass
-class AdfResult:
-    statistic: float
-    is_stationary: bool
-    zero_variance: bool = False
-
-
-@dataclass
 class ArimaOrder:
     p: int
     d: int
@@ -69,17 +62,18 @@ class ArimaModel:
         return cls(order, float(intercept), ar, ma, tail_values=tail)
 
 
-def adf_stationarity_test(series, lag: int | None = None) -> AdfResult:
-    """Augmented Dickey-Fuller regression with constant; stationary iff the
-    unit-root t-statistic falls below the fixed 5% critical value."""
+def adf_statistic(series) -> float:
+    """Augmented Dickey-Fuller t-statistic of the unit-root coefficient, in a
+    regression with constant and floor(n^(1/3)) lagged differences; NaN where
+    the regression is degenerate, as for a constant series. The series is
+    stationary iff the statistic falls below ADF_CRITICAL_5PCT."""
     y = np.asarray(series, dtype=float)
     n = len(y)
-    if lag is None:
-        lag = int(np.floor(n ** (1.0 / 3.0)))
+    lag = int(np.floor(n ** (1.0 / 3.0)))
     if n <= lag + 10:
         raise DataError(f"series too short for ADF with lag {lag}: {n} <= {lag + 10}")
     if np.ptp(y) == 0.0:
-        return AdfResult(statistic=float("nan"), is_stationary=False, zero_variance=True)
+        return float("nan")
     dy = np.diff(y)
     # regress dy[t] on [1, y[t-1], dy[t-1..t-lag]]
     rows = len(dy) - lag
@@ -93,12 +87,11 @@ def adf_stationarity_test(series, lag: int | None = None) -> AdfResult:
     resid = target - x @ coef
     dof = rows - x.shape[1]
     if dof <= 0 or rank < x.shape[1]:
-        return AdfResult(statistic=float("nan"), is_stationary=False, zero_variance=True)
+        return float("nan")
     s2 = float(resid @ resid) / dof
     xtx_inv = np.linalg.pinv(x.T @ x)
     se = np.sqrt(s2 * xtx_inv[1, 1])
-    stat = float(coef[1] / se) if se > 0 else float("nan")
-    return AdfResult(statistic=stat, is_stationary=bool(stat < ADF_CRITICAL_5PCT))
+    return float(coef[1] / se) if se > 0 else float("nan")
 
 
 def _ma_solve(ma, rows):
@@ -162,7 +155,7 @@ def _css(params, w, p, q):
     return 1e300, np.where(params < 0, -1.0, 1.0)
 
 
-def fit(train, order: ArimaOrder, max_iter: int = 500) -> ArimaModel:
+def fit(train, order: ArimaOrder) -> ArimaModel:
     """Minimize the conditional sum of squares from zero initialization."""
     y = np.asarray(train, dtype=float)
     p, d, q = order.p, order.d, order.q
@@ -177,7 +170,7 @@ def fit(train, order: ArimaOrder, max_iter: int = 500) -> ArimaModel:
     bounds = [(None, None)] + [(-0.99, 0.99)] * (p + q)
     result = minimize(
         _css, x0, args=(w, p, q), jac=True, method="L-BFGS-B", bounds=bounds,
-        options={"maxiter": max_iter},
+        options={"maxiter": 500},
     )
     if not result.success and result.status != 1:  # status 1 = maxiter
         raise TrainingError(
@@ -198,7 +191,7 @@ def aic(css_value: float, n: int, p: int, q: int) -> float:
 ROOT_MARGIN = 1.05
 
 
-def _admissible(ar, ma, margin: float = ROOT_MARGIN) -> bool:
+def _admissible(ar, ma) -> bool:
     """Stationarity/invertibility guard for order selection: all roots of the
     AR and MA polynomials must stay clearly outside the unit circle.
 
@@ -210,18 +203,17 @@ def _admissible(ar, ma, margin: float = ROOT_MARGIN) -> bool:
             continue
         poly = np.concatenate(([1.0], sign * np.asarray(coeffs)))  # 1 -/+ c1 B - ...
         roots = np.roots(poly[::-1])
-        if len(roots) and np.min(np.abs(roots)) <= margin:
+        if len(roots) and np.min(np.abs(roots)) <= ROOT_MARGIN:
             return False
     return True
 
 
-def select_differencing(train, max_d: int = 2) -> int:
+def select_differencing(train) -> int:
     y = np.asarray(train, dtype=float)
-    for d in range(max_d + 1):
-        w = np.diff(y, n=d) if d else y
-        if adf_stationarity_test(w).is_stationary:
+    for d in range(3):
+        if adf_statistic(np.diff(y, n=d) if d else y) < ADF_CRITICAL_5PCT:
             return d
-    raise TrainingError(f"no differencing order in 0..{max_d} achieves stationarity")
+    raise TrainingError("no differencing order in 0..2 achieves stationarity")
 
 
 def select_order(train, p_max: int = 3, q_max: int = 3) -> ArimaModel:
@@ -253,32 +245,36 @@ def select_order(train, p_max: int = 3, q_max: int = 3) -> ArimaModel:
 
 
 def forecast_one_step(model: ArimaModel, history) -> float:
-    """Point forecast of the next value on the original scale, conditioning
-    residual state on the supplied history (deterministic given inputs)."""
-    y = np.asarray(history, dtype=float)
-    p, d, q = model.order.p, model.order.d, model.order.q
-    min_len = p + d + 1 if q == 0 else max(p, q) + d + 1
-    if len(y) < min_len:
-        raise UsageError(f"history length {len(y)} < required {min_len}")
-    w = np.diff(y, n=d) if d else y
-    e = _css_residuals(w, model.intercept, model.ar_coeffs, model.ma_coeffs)
-    fw = model.intercept
-    for i in range(1, p + 1):
-        fw += model.ar_coeffs[i - 1] * w[len(w) - i]
-    for j in range(1, q + 1):
-        fw += model.ma_coeffs[j - 1] * e[len(e) - j]
-    # integrate the d-times differenced forecast back to the level
-    if d == 0:
-        return float(fw)
-    if d == 1:
-        return float(y[-1] + fw)
-    return float(y[-1] + (y[-1] - y[-2]) + fw)
+    """Point forecast of the value after `history` on the original scale."""
+    y = np.append(np.asarray(history, dtype=float), np.nan)  # the target, never read
+    return float(rolling_forecasts(model, y, len(y) - 1)[0])
 
 
 def rolling_forecasts(model: ArimaModel, full_series, test_start: int) -> np.ndarray:
     """One-step forecasts over full_series[test_start:], each conditioning on
-    all actual values before its target."""
+    all actual values before its target.
+
+    The CSS residuals are causal, so those of any prefix are the prefix of
+    those of full_series[:-1]: one differencing and one residual recursion
+    serve every target. A forecast reads the p differences and q residuals
+    before its target, so the first needs p + d + q values before it for no
+    residual to be pre-sample (p + d + 1 when q = 0)."""
     y = np.asarray(full_series, dtype=float)
-    return np.array(
-        [forecast_one_step(model, y[:t]) for t in range(test_start, len(y))]
-    )
+    p, d, q = model.order.p, model.order.d, model.order.q
+    if test_start < p + d + max(q, 1):
+        raise UsageError(f"history length {test_start} < required {p + d + max(q, 1)}")
+    w = np.diff(y[:-1], n=d) if d else y[:-1]
+    e = _css_residuals(w, model.intercept, model.ar_coeffs, model.ma_coeffs)
+    at = np.arange(test_start, len(y)) - d  # the length of each target's w
+    fw = np.full(len(at), model.intercept)
+    for i in range(1, p + 1):
+        fw += model.ar_coeffs[i - 1] * w[at - i]
+    for j in range(1, q + 1):
+        fw += model.ma_coeffs[j - 1] * e[at - p - j]
+    # integrate the d-times differenced forecast back to the level
+    last = y[at + d - 1]
+    if d == 0:
+        return fw
+    if d == 1:
+        return last + fw
+    return last + (last - y[at + d - 2]) + fw

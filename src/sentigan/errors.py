@@ -16,8 +16,6 @@ class DimensionError(SentiganError):
     """Shape mismatch between an operation's inputs."""
 
     def __init__(self, what, expected, actual):
-        self.expected = expected
-        self.actual = actual
         super().__init__(f"{what}: expected {expected}, got {actual}")
 
 

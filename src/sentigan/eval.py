@@ -133,7 +133,8 @@ def _evaluate_arima(model, aligned, policy):
     closes = aligned.features[:, CLOSE_COLUMN]
     boundary = split_boundary(len(closes), policy)
     n_tail = len(model.tail_values)
-    if n_tail and not np.allclose(model.tail_values, closes[:boundary][-n_tail:]):
+    if n_tail and (n_tail > boundary
+                   or not np.allclose(model.tail_values, closes[boundary - n_tail:boundary])):
         raise DataError("arima: artifact was not trained on this train partition")
     preds = arima_mod.rolling_forecasts(model, closes, boundary)
     return [

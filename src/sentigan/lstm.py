@@ -100,6 +100,8 @@ class LstmModel:
     @classmethod
     def from_dict(cls, d):
         h, n = d["hidden_size"], d["input_size"]
+        if n != len(FEATURE_COLUMNS):
+            raise DimensionError("LSTM input_size", len(FEATURE_COLUMNS), n)
         gates = [{key: finite_floats(d["gates"][name][key], f"LSTM {name} gate {key}")
                   for key in "wub"} for name in GATES]
         for name, g in zip(GATES, gates):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 import string
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,49 +61,27 @@ HANDLE_RE = re.compile(r"@\w+")
 CASHTAG_RE = re.compile(r"\$[A-Za-z]+\b")
 
 
-@dataclass
-class Lexicon:
-    entries: dict  # lowercase token -> mean valence
+def load_lexicon(source, name="lexicon source") -> dict:
+    """Parse a tab-separated lexicon stream: "token\\tvalence[\\textras]",
+    into a dict of lowercase token -> valence.
 
-
-@dataclass
-class LexiconLoadReport:
-    parsed: int = 0
-    malformed: int = 0
-    duplicates: int = 0
-
-
-def load_lexicon(source, name="lexicon source") -> tuple[Lexicon, LexiconLoadReport]:
-    """Parse a tab-separated lexicon stream: "token\\tvalence[\\textras]".
-
-    Duplicate tokens: last entry wins. Malformed lines are skipped and
-    counted. An empty or token-free stream is an error naming `name`."""
-    entries = {}
-    report = LexiconLoadReport()
+    Duplicate tokens: last entry wins. Malformed lines are skipped. An empty
+    or token-free stream is an error naming `name`."""
+    lexicon = {}
     for line in source:
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
+        parts = line.rstrip("\n").split("\t")
         if len(parts) < 2:
-            report.malformed += 1
             continue
         token = parts[0].strip().lower()
         try:
             valence = float(parts[1])
         except ValueError:
-            report.malformed += 1
             continue
-        if not token or not math.isfinite(valence):
-            report.malformed += 1
-            continue
-        if token in entries:
-            report.duplicates += 1
-        entries[token] = valence
-        report.parsed += 1
-    if not entries:
+        if token and math.isfinite(valence):
+            lexicon[token] = valence
+    if not lexicon:
         raise DataError(f"{name} contains no parseable lexicon entries")
-    return Lexicon(entries=entries), report
+    return lexicon
 
 
 def _is_emphasis(token: str) -> bool:
@@ -151,7 +128,7 @@ def _booster_scalar(token, valence, is_cap_diff) -> float:
 
 def _token_valence(lexicon, words, i, is_cap_diff) -> float:
     item = words[i]
-    valence = lexicon.entries.get(item.lower())
+    valence = lexicon.get(item.lower())
     if valence is None:
         return 0.0
     if item.isupper() and is_cap_diff:
@@ -162,7 +139,7 @@ def _token_valence(lexicon, words, i, is_cap_diff) -> float:
         if i < dist:
             break
         prev = words[i - dist]
-        if prev.lower() in lexicon.entries:
+        if prev.lower() in lexicon:
             continue
         scalar = _booster_scalar(prev, valence, is_cap_diff)
         valence += scalar * decay
@@ -193,7 +170,7 @@ def normalize_valence_sum(total: float) -> float:
     return compound if total > 0 else -compound
 
 
-def score_text(lexicon: Lexicon, raw: str) -> float:
+def score_text(lexicon: dict, raw: str) -> float:
     """Compound sentiment of one text in [-1, 1]; unknown tokens contribute 0."""
     tokens = clean_text(raw)
     words = [t for t in tokens if not _is_emphasis(t)]

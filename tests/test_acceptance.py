@@ -12,7 +12,8 @@ from conftest import aligned_from_close, holdout_split
 from gradcheck import finite_difference_check, numerical_gradient, relative_error
 from sentigan import arima, cli, gan, lstm
 from sentigan.arima import ArimaOrder
-from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
+from sentigan.config import load_config
+from sentigan.data import CLOSE_COLUMN, load_aligned, make_windows, split_boundary
 from sentigan.eval import ForecastReport, MetricSet, aggregate
 from sentigan.gan import GanSchedule, build_discriminator, build_generator
 from sentigan.lstm import LstmModel, TrainSchedule
@@ -219,7 +220,7 @@ def test_criterion_6_arima_recovery():
 def test_criterion_7_sentiment_oracle_equivalence():
     golden = json.loads((FIXTURES / "sentiment_golden.json").read_text())
     with open(FIXTURES / "sample_lexicon.txt") as fh:
-        lexicon, _ = load_lexicon(fh)
+        lexicon = load_lexicon(fh)
     assert len(golden) == 50
     worst = max(
         abs(score_text(lexicon, entry["text"]) - entry["compound"]) for entry in golden
@@ -248,7 +249,9 @@ def test_criterion_8_protocol_audits(tmp_path, monkeypatch):
     assert np.array_equal(before.per_feature_min, after.per_feature_min)
     assert np.array_equal(before.per_feature_max, after.per_feature_max)
 
-    # the causality audit runs (and passes) on every report the CLI emits
+    # every report the CLI emits covers exactly its model's held-out range of
+    # the aligned file: ARIMA's the closes after its split, a windowed
+    # model's the targets after the split of its windows
     monkeypatch.chdir(tmp_path)
     from test_cli import mini_config
 
@@ -256,8 +259,15 @@ def test_criterion_8_protocol_audits(tmp_path, monkeypatch):
     assert cli.main(["ingest", "--config", str(config)]) == 0
     assert cli.main(["train", "--config", str(config)]) == 0
     assert cli.main(["evaluate", "--config", str(config)]) == 0
-    reports = list((tmp_path / "out" / "reports").glob("*.json"))
-    assert len(reports) == 6  # audit failures would have aborted evaluate
+    cfg = load_config(config)
+    reports = sorted((tmp_path / "out" / "reports").glob("*.json"))
+    assert len(reports) == 6
+    for path in reports:
+        report = json.loads(path.read_text())
+        dates = load_aligned(tmp_path / "out" / "aligned" / f"{report['symbol']}.json").dates
+        skip = 0 if report["model"] == "arima" else cfg.window_length
+        start = skip + split_boundary(len(dates) - skip, cfg.split_policies[report["model"]])
+        assert [r["date"] for r in report["rows"]] == [d.isoformat() for d in dates[start:]]
 
 
 def test_criterion_9_end_to_end_determinism(tmp_path, monkeypatch):

@@ -31,31 +31,30 @@ def random_walk(n, seed=0):
 # ---------------------------------------------------------------- ADF
 
 
+def is_stationary(series):
+    return arima.adf_statistic(series) < arima.ADF_CRITICAL_5PCT
+
+
 def test_adf_white_noise_stationary():
-    hits = sum(
-        arima.adf_stationarity_test(np.random.default_rng(s).normal(size=500)).is_stationary
-        for s in range(100)
-    )
+    hits = sum(is_stationary(np.random.default_rng(s).normal(size=500)) for s in range(100))
     assert hits > 95
 
 
 def test_adf_random_walk_not_stationary():
-    hits = sum(
-        not arima.adf_stationarity_test(random_walk(500, seed=s)).is_stationary
-        for s in range(100)
-    )
+    hits = sum(not is_stationary(random_walk(500, seed=s)) for s in range(100))
     assert hits >= 90
 
 
 def test_adf_constant_series_zero_variance_diagnostic():
-    result = arima.adf_stationarity_test(np.full(100, 3.0))
-    assert result.zero_variance
-    assert not result.is_stationary
+    # the regression is degenerate: NaN, which no critical value passes
+    assert np.isnan(arima.adf_statistic(np.full(100, 3.0)))
+    assert not is_stationary(np.full(100, 3.0))
 
 
 def test_adf_too_short_errors():
+    # 8 values take floor(8^(1/3)) = 2 lags and need more than 12
     with pytest.raises(DataError):
-        arima.adf_stationarity_test(np.arange(8.0), lag=4)
+        arima.adf_statistic(np.arange(8.0))
 
 
 # ---------------------------------------------------------------- order selection
@@ -98,7 +97,7 @@ def test_select_order_stationarity_gate():
         y = random_walk(400, seed=seed)
         order = arima.select_order(y).order
         w = np.diff(y, n=order.d) if order.d else y
-        assert arima.adf_stationarity_test(w).is_stationary
+        assert is_stationary(w)
 
 
 def test_select_order_returns_the_fit_at_its_order():
@@ -239,6 +238,21 @@ def test_forecast_insufficient_history_errors():
     )
     with pytest.raises(UsageError):
         arima.forecast_one_step(model, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("length", [5, 6])
+def test_ma_terms_need_p_plus_d_plus_q_values(length):
+    # order (3, 1, 3) conditions on 3 differences, then reads 3 residuals, so
+    # it needs 3 + 1 + 3 = 7 values: with 5 the residual index ran past the
+    # start, and with 6 it wrapped round to the newest residual
+    model = arima.ArimaModel(ArimaOrder(3, 1, 3), intercept=0.0, ar_coeffs=np.full(3, 0.1),
+                             ma_coeffs=np.full(3, 0.1))
+    y = random_walk(8, seed=1)
+    with pytest.raises(UsageError):
+        arima.forecast_one_step(model, y[:length])
+    with pytest.raises(UsageError):
+        arima.rolling_forecasts(model, y, length)
+    assert np.isfinite(arima.forecast_one_step(model, y[:7]))
 
 
 # ---------------------------------------------------------------- serialization

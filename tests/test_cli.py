@@ -20,7 +20,7 @@ from sentigan import arima, cli, config
 from sentigan.config import RunConfig, load_config
 from sentigan.errors import DataError, UsageError
 from sentigan.gan import GanSchedule
-from sentigan.lstm import TrainSchedule
+from sentigan.lstm import LstmModel, TrainSchedule
 
 FLEET = Path(__file__).parent / "fixtures" / "fleet"
 LEXICON = Path(__file__).parent / "fixtures" / "sample_lexicon.txt"
@@ -502,6 +502,22 @@ def test_stale_artifact_names_artifact_and_aligned_dataset(
     assert str(path) in err and str(tmp_path / "out" / "aligned" / "AAA.json") in err
 
 
+def test_arima_artifact_longer_than_the_train_partition_is_stale(pipeline, tmp_path, capsys):
+    # 6 rows leave a train partition of 5, shorter than the tail of 6
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    write_ohlcv(tmp_path / "AAA.csv", 50.0 + np.arange(6.0))
+    assert cli.main(["ingest", "--config", str(pipeline), "--asset", "AAA"]) == 0
+    path = tmp_path / "out" / "models" / "AAA_arima.json"
+    model = arima.ArimaModel(arima.ArimaOrder(3, 2, 0), 0.0, np.zeros(3), np.empty(0),
+                             tail_values=50.0 + np.arange(6.0))
+    path.write_text(json.dumps({"model": "arima", "artifact": model.to_dict()}))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(pipeline), "--asset", "AAA"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "not trained on this train partition" in err
+    assert str(path) in err and str(tmp_path / "out" / "aligned" / "AAA.json") in err
+
+
 @pytest.mark.parametrize(("relpath", "damage"), [
     (relpath, damage)
     for relpath in ("aligned/AAA.json", "models/AAA_arima.json")
@@ -512,6 +528,7 @@ def test_stale_artifact_names_artifact_and_aligned_dataset(
      ("models/AAA_gan.json", "unknown_activation"),
      ("models/AAA_gan.json", "scaler_short"),
      ("models/AAA_lstm.json", "misshapen_gate"),
+     ("models/AAA_lstm.json", "narrow_input"),
      ("models/AAA_lstm.json", "scaler_short")])
 def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, damage):
     assert cli.main(["run", "--config", str(pipeline)]) == 0
@@ -538,6 +555,13 @@ def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, d
     elif damage == "misshapen_gate":
         payload = json.loads(text)
         payload["artifact"]["gates"]["forget"]["u"].pop()
+        path.write_text(json.dumps(payload))
+    elif damage == "narrow_input":
+        # gates of width 5 that match input_size 5, for windows of 6 features
+        payload = json.loads(text)
+        narrow = LstmModel.initialize(np.random.default_rng(0),
+                                      payload["artifact"]["hidden_size"], 5).to_dict()
+        payload["artifact"].update(input_size=5, gates=narrow["gates"])
         path.write_text(json.dumps(payload))
     elif damage == "scaler_short":
         payload = json.loads(text)

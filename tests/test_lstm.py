@@ -86,16 +86,16 @@ def reference_loss_and_gradient(model, xs, targets):
 
 def test_every_parameter_array_is_a_view_of_theta():
     rng = np.random.default_rng(0)
-    model = LstmModel.initialize(rng, 3, 2)
+    model = LstmModel.initialize(rng, 3, 6)
     restored = LstmModel.from_dict(model.to_dict())
     for m in (model, restored):
-        assert m.theta.shape == (4 * (3 * 2 + 3 * 3 + 3) + 3 + 1,)
+        assert m.theta.shape == (4 * (3 * 6 + 3 * 3 + 3) + 3 + 1,)
         for a in model_arrays(m):
             assert np.shares_memory(m.theta, a)
     assert np.array_equal(restored.theta, model.theta)
 
 
-def artifact_with_biases(hidden=3, inputs=2, **biases):
+def artifact_with_biases(hidden=3, inputs=6, **biases):
     """An artifact dict built by hand: zero weights, the given per-gate bias."""
     zero = {"w": np.zeros((hidden, inputs)).tolist(), "u": np.zeros((hidden, hidden)).tolist()}
     return {
@@ -113,16 +113,16 @@ def test_artifact_gate_order():
     c0 = np.array([1.0, -2.0, 0.5])
     state = (np.zeros(3), c0)
     keep = LstmModel.from_dict(artifact_with_biases(forget=50.0, input=-50.0))
-    _, c1 = cell(keep, [7.0, -3.0], state)
+    _, c1 = cell(keep, [7.0, -3.0, 1.0, 2.0, -1.0, 0.5], state)
     assert np.allclose(c1, c0, rtol=0.0, atol=1e-12)
     write = LstmModel.from_dict(artifact_with_biases(forget=-50.0, input=50.0, candidate=1.0))
-    _, c1 = cell(write, [7.0, -3.0], state)
+    _, c1 = cell(write, [7.0, -3.0, 1.0, 2.0, -1.0, 0.5], state)
     assert np.allclose(c1, np.tanh(1.0), rtol=0.0, atol=1e-12)
 
 
 def test_from_dict_rejects_misshapen_gate():
-    d = LstmModel.initialize(np.random.default_rng(0), 3, 2).to_dict()
-    d["gates"]["forget"]["w"] = np.zeros((2, 3)).tolist()
+    d = LstmModel.initialize(np.random.default_rng(0), 3, 6).to_dict()
+    d["gates"]["forget"]["w"] = np.zeros((6, 3)).tolist()
     with pytest.raises(DimensionError):
         LstmModel.from_dict(d)
 

@@ -7,35 +7,40 @@ from sentigan.errors import DataError, DimensionError
 from sentigan.scaling import ScalerParams, scaler_fit, scaler_inverse, scaler_transform
 
 
+def column(*values):
+    """One feature: a (n, 1) array."""
+    return np.array(values)[:, None]
+
+
 def test_fit_records_min_max():
-    params = scaler_fit(np.array([2.0, 4.0, 6.0]), "unit")
+    params = scaler_fit(column(2.0, 4.0, 6.0), "unit")
     assert params.per_feature_min[0] == 2.0
     assert params.per_feature_max[0] == 6.0
 
 
 def test_unit_maps_extremes():
-    params = scaler_fit(np.array([2.0, 4.0, 6.0]), "unit")
-    out = scaler_transform(params, np.array([2.0, 6.0]))
-    assert np.allclose(out, [0.0, 1.0])
+    params = scaler_fit(column(2.0, 4.0, 6.0), "unit")
+    out = scaler_transform(params, column(2.0, 6.0))
+    assert np.allclose(out, column(0.0, 1.0))
 
 
 def test_signed_midpoint_is_zero():
-    params = scaler_fit(np.array([2.0, 6.0]), "signed")
-    assert scaler_transform(params, np.array([4.0]))[0] == pytest.approx(0.0)
+    params = scaler_fit(column(2.0, 6.0), "signed")
+    assert scaler_transform(params, column(4.0))[0, 0] == pytest.approx(0.0)
 
 
 def test_constant_column_maps_to_midpoint():
-    params_u = scaler_fit(np.array([5.0, 5.0, 5.0]), "unit")
-    params_s = scaler_fit(np.array([5.0, 5.0, 5.0]), "signed")
-    assert scaler_transform(params_u, np.array([5.0]))[0] == 0.5
-    assert scaler_transform(params_s, np.array([5.0]))[0] == 0.0
+    params_u = scaler_fit(column(5.0, 5.0, 5.0), "unit")
+    params_s = scaler_fit(column(5.0, 5.0, 5.0), "signed")
+    assert scaler_transform(params_u, column(5.0))[0, 0] == 0.5
+    assert scaler_transform(params_s, column(5.0))[0, 0] == 0.0
     # inverse restores the constant
-    assert scaler_inverse(params_u, np.array([0.5]))[0] == 5.0
+    assert scaler_inverse(params_u, column(0.5))[0, 0] == 5.0
 
 
 def test_out_of_range_value_extrapolates_not_clips():
-    params = scaler_fit(np.array([2.0, 6.0]), "unit")
-    assert scaler_transform(params, np.array([8.0]))[0] > 1.0
+    params = scaler_fit(column(2.0, 6.0), "unit")
+    assert scaler_transform(params, column(8.0))[0, 0] > 1.0
 
 
 def test_empty_data_errors():
@@ -66,7 +71,7 @@ def test_round_trip_random_matrix(mode):
     mode=st.sampled_from(["unit", "signed"]),
 )
 def test_round_trip_property(vals, mode):
-    data = np.asarray(vals)
+    data = column(*vals)
     params = scaler_fit(data, mode)
     back = scaler_inverse(params, scaler_transform(params, data))
     scale = max(1.0, float(np.max(np.abs(data))))
@@ -86,7 +91,8 @@ def test_leakage_freedom_params_ignore_test_rows():
 
 
 def test_serialization_round_trip():
-    params = scaler_fit(np.arange(12.0).reshape(4, 3), "signed", fitted_on="train")
+    params = scaler_fit(np.arange(12.0).reshape(4, 3), "signed")
+    assert params.to_dict()["fitted_on"] == "train"
     restored = ScalerParams.from_dict(params.to_dict())
     assert restored.mode == "signed"
     assert np.array_equal(restored.per_feature_min, params.per_feature_min)

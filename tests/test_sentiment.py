@@ -23,29 +23,25 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture(scope="module")
 def lexicon():
     with open(FIXTURES / "sample_lexicon.txt") as f:
-        lex, _ = load_lexicon(f)
-    return lex
+        return load_lexicon(f)
 
 
 # ---------------------------------------------------------------- lexicon
 
 
 def test_load_lexicon_known_entry(lexicon):
-    assert lexicon.entries["good"] == 1.9
+    assert lexicon["good"] == 1.9
 
 
 def test_load_lexicon_duplicate_last_wins():
-    lex, report = load_lexicon(io.StringIO("good\t1.0\ngood\t2.0\n"))
-    assert lex.entries["good"] == 2.0
-    assert report.duplicates == 1
+    lex = load_lexicon(io.StringIO("good\t1.0\ngood\t2.0\n"))
+    assert lex == {"good": 2.0}
 
 
-def test_load_lexicon_malformed_counted():
-    lex, report = load_lexicon(
+def test_load_lexicon_malformed_skipped():
+    lex = load_lexicon(
         io.StringIO("good\t1.9\nnonsense line\nbad\tnotanumber\nhuge\t1e400\n"))
-    assert report.malformed == 3
-    assert report.parsed == 1
-    assert "huge" not in lex.entries
+    assert lex == {"good": 1.9}
 
 
 def test_load_lexicon_empty_errors():
@@ -87,7 +83,7 @@ def test_no_lexicon_hits_scores_zero(lexicon):
 
 
 def test_single_token_normalization(lexicon):
-    v = lexicon.entries["good"]
+    v = lexicon["good"]
     expected = v / (v * v + 15.0) ** 0.5
     assert score_text(lexicon, "good") == pytest.approx(expected)
 
