@@ -1,4 +1,4 @@
-"""Command-line orchestration: ingest, sentiment, train, evaluate, plot, run.
+"""Command-line orchestration: ingest, train, evaluate, plot, run.
 
 Every command is driven by a YAML config (see config.py) and a seed, and all
 emitted artifacts are deterministic functions of (config, seed, data). Exit
@@ -36,7 +36,7 @@ from .data import (
     utf8_lines,
     write_atomic,
 )
-from .errors import DataError, DimensionError, SentiganError, UsageError
+from .errors import DataError, DimensionError, NumericalError, SentiganError, UsageError
 from .eval import MODEL_NAMES, ForecastReport, MetricSet, aggregate, evaluate
 from .lstm import LstmModel
 from .sentiment import aggregate_daily, load_lexicon, score_text
@@ -56,8 +56,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sentigan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in [
-        ("ingest", "validate, repair and align the configured assets"),
-        ("sentiment", "score tweet files into daily sentiment series"),
+        ("ingest", "validate, repair and align the assets and score their tweets"),
         ("train", "fit model artifacts for the configured assets"),
         ("evaluate", "produce per-asset reports and the aggregate table"),
         ("plot", "emit an SVG + CSV of predicted vs actual closes"),
@@ -173,16 +172,6 @@ def _write_sentiment_csv(cfg, symbol, dates, means, counts):
                  + "".join(f"{d.isoformat()},{m!r},{c}\n" for d, m, c in rows))
 
 
-def cmd_sentiment(cfg: RunConfig, asset_symbol=None) -> int:
-    for asset in _select_assets(cfg, asset_symbol):
-        dates, values, _ = load_ohlcv(utf8_lines(asset.ohlcv_path), asset.ohlcv_path)
-        dates, _, _ = repair_missing(dates, values)
-        means, counts, dropped = _daily_sentiment(cfg, asset, dates)
-        _write_sentiment_csv(cfg, asset.symbol, dates, means, counts)
-        print(f"{asset.symbol}: {len(counts)} sentiment days, {dropped} records dropped")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------- ingest
 
 
@@ -248,7 +237,7 @@ def _train_gan_group(cfg, members):
     symbols = list(members)
     with _cell(symbols, "gan"):
         results = gan_mod.train(list(members.values()), cfg.gan, seed=cfg.seed)
-    for symbol, (gen, _, log) in zip(symbols, results):
+    for symbol, (gen, log) in zip(symbols, results):
         payload = {"model": "gan", "artifact": gen.to_dict()}
         log_csv = "step,d_loss,g_loss\n" + "".join(
             f"{step},{d!r},{g!r}\n" for step, (d, g) in enumerate(log.tolist())
@@ -354,7 +343,7 @@ def cmd_evaluate(cfg: RunConfig, asset_symbol=None) -> int:
             try:
                 report = evaluate(model, artifact, aligned, cfg.split_policies[model],
                                   window_length=cfg.window_length)
-            except DataError as e:
+            except (DataError, NumericalError) as e:  # the latter: its forward pass overflowed
                 raise DataError(f"{_artifact_path(cfg, asset.symbol, model)} on "
                                 f"{_aligned_path(cfg, asset.symbol)}: {e}") from e
             _write_json(_report_path(cfg, asset.symbol, model), report.to_dict())
@@ -476,8 +465,6 @@ def _dispatch(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
     if args.command == "ingest":
         return cmd_ingest(cfg, args.asset)
-    if args.command == "sentiment":
-        return cmd_sentiment(cfg, args.asset)
     if args.command == "train":
         return cmd_train(cfg, args.model, args.asset)
     if args.command == "evaluate":

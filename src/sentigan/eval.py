@@ -133,8 +133,11 @@ def _evaluate_arima(model, aligned, policy):
     closes = aligned.features[:, CLOSE_COLUMN]
     boundary = split_boundary(len(closes), policy)
     n_tail = len(model.tail_values)
-    if n_tail and (n_tail > boundary
-                   or not np.allclose(model.tail_values, closes[boundary - n_tail:boundary])):
+    p, d, q = model.order.p, model.order.d, model.order.q
+    # a partition too short to forecast from could not have been fitted on
+    if boundary < p + d + max(q, 1) or n_tail and (
+            n_tail > boundary
+            or not np.allclose(model.tail_values, closes[boundary - n_tail:boundary])):
         raise DataError("arima: artifact was not trained on this train partition")
     preds = arima_mod.rolling_forecasts(model, closes, boundary)
     return [
@@ -172,8 +175,10 @@ def evaluate(model_name: str, artifact, aligned: AlignedDataset, policy: str,
         rows = _evaluate_windowed(model_name, predict, artifact, mode, aligned, policy,
                                   window_length)
     preds = [r[1] for r in rows]
-    actuals = [r[2] for r in rows]
-    return ForecastReport(aligned.symbol, model_name, rows, metrics(preds, actuals))
+    scores = metrics(preds, [r[2] for r in rows])
+    if not np.isfinite([*preds, scores.mse]).all():
+        raise DataError(f"{model_name}: forecasts or their squared errors are not finite")
+    return ForecastReport(aligned.symbol, model_name, rows, scores)
 
 
 def aggregate(reports: list[ForecastReport]) -> AggregateReport:

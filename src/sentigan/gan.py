@@ -20,13 +20,13 @@ order, so each result equals training that member alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import CLOSE_COLUMN, Windows, finite_floats
 from .errors import DataError, DimensionError, SentiganError, TrainingError, UsageError
-from .nn import DenseLayer, backward, build_mlp, carve, forward, layer_shapes, pack
+from .nn import Dense, backward, build_mlp, forward, param_shapes
 from .optim import AdamState, adam_step
 from .scaling import ScalerParams, scaler_fit_windows, scaler_inverse, scaler_transform
 
@@ -35,72 +35,43 @@ SCALE_TOLERANCE = 1e-9
 LOG_EPS = 1e-12
 
 
-@dataclass
-class _DenseNet:
-    window_length: int
-    layers: list
-    theta: np.ndarray = field(init=False, repr=False)
-    grad: np.ndarray = field(init=False, repr=False)
-    grads: list = field(init=False, repr=False)  # per-array views of grad
+class Generator(Dense):
+    """The generator network, the window length it conditions on, the scaler
+    fitted on its training windows and its artifact format."""
 
-    def __post_init__(self):
-        self.theta = pack(self.layers)
-        self.grad = np.zeros_like(self.theta)
-        self.grads = carve(self.grad, layer_shapes(self.layers))
+    def __init__(self, sizes, activations, theta, window_length: int,
+                 scaler: ScalerParams | None = None):
+        super().__init__(sizes, activations, theta)
+        self.window_length = window_length
+        self.scaler = scaler
 
-    def stacked(self, count: int):
-        """`count` copies of this network along a leading member axis."""
-        layers = [DenseLayer(np.repeat(l.weights[None], count, axis=0),
-                             np.repeat(l.bias[None], count, axis=0), l.activation)
-                  for l in self.layers]
-        return type(self)(self.window_length, layers)
-
-    def member(self, k: int):
-        """A copy of member k of a stacked network."""
-        layers = [DenseLayer(l.weights[k], l.bias[k], l.activation) for l in self.layers]
-        return type(self)(self.window_length, layers)
+    def _with_theta(self, theta):
+        return Generator(self.sizes, self.activations, theta, self.window_length, self.scaler)
 
     def to_dict(self):
-        layers = [{"weights": l.weights.tolist(), "bias": l.bias.tolist(),
-                   "activation": l.activation} for l in self.layers]
-        return {"window_length": self.window_length, "layers": layers}
-
-    @classmethod
-    def from_dict(cls, d):
-        layers = [DenseLayer(finite_floats(e["weights"], "layer weights"),
-                             finite_floats(e["bias"], "layer bias"), e["activation"])
-                  for e in d["layers"]]
-        return cls(window_length=d["window_length"], layers=layers)
-
-
-class Discriminator(_DenseNet):
-    pass
-
-
-@dataclass
-class Generator(_DenseNet):
-    scaler: ScalerParams | None = None
-
-    def to_dict(self):
-        return {**super().to_dict(),
+        layers = [{"weights": w.tolist(), "bias": b.tolist(), "activation": a}
+                  for w, b, a in zip(self.weights, self.biases, self.activations)]
+        return {"window_length": self.window_length, "layers": layers,
                 "scaler": self.scaler.to_dict() if self.scaler else None}
 
     @classmethod
     def from_dict(cls, d):
         # older artifacts also carry the size of a since-removed noise input
         # (always 0), which is ignored
-        gen = super().from_dict(d)
-        sizes = [gen.window_length * N_FEATURES + 1, *(len(l.bias) for l in gen.layers)]
-        expected = list(zip(sizes[1:], sizes[:-1]))
-        shapes = [l.weights.shape for l in gen.layers]
+        arrays = [finite_floats(e[key], f"layer {key}") for e in d["layers"]
+                  for key in ("weights", "bias")]
+        sizes = [d["window_length"] * N_FEATURES + 1, *(len(b) for b in arrays[1::2])]
+        expected = param_shapes(sizes)
+        shapes = [a.shape for a in arrays]
         if shapes != expected or sizes[-1] != N_FEATURES:
             raise DimensionError("generator layer shapes, ending in "
                                  f"{N_FEATURES} outputs", expected, shapes)
-        gen.scaler = ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None
-        if gen.scaler is not None and len(gen.scaler.per_feature_min) != N_FEATURES:
+        scaler = ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None
+        if scaler is not None and len(scaler.per_feature_min) != N_FEATURES:
             raise DimensionError("generator scaler length", N_FEATURES,
-                                 len(gen.scaler.per_feature_min))
-        return gen
+                                 len(scaler.per_feature_min))
+        return cls(sizes, [e["activation"] for e in d["layers"]],
+                   np.concatenate([a.ravel() for a in arrays]), d["window_length"], scaler)
 
 
 @dataclass
@@ -115,15 +86,13 @@ class GanSchedule:
 
 
 def build_generator(rng, window_length: int, hidden) -> Generator:
-    in_size = window_length * N_FEATURES + 1
-    layers = build_mlp(rng, in_size, hidden, N_FEATURES, "relu", "tanh")
-    return Generator(window_length=window_length, layers=layers)
+    net = build_mlp(rng, window_length * N_FEATURES + 1, hidden, N_FEATURES, "relu", "tanh")
+    return Generator(net.sizes, net.activations, net.theta, window_length)
 
 
-def build_discriminator(rng, window_length: int, hidden) -> Discriminator:
+def build_discriminator(rng, window_length: int, hidden) -> Dense:
     in_size = N_FEATURES + window_length * N_FEATURES + 1
-    layers = build_mlp(rng, in_size, hidden, 1, "leaky_relu", "sigmoid")
-    return Discriminator(window_length=window_length, layers=layers)
+    return build_mlp(rng, in_size, hidden, 1, "leaky_relu", "sigmoid")
 
 
 def _check_scaled(values, what):
@@ -169,11 +138,11 @@ def _discriminator_grads(disc, real_in, fake_in):
     forward and one backward pass over the real rows stacked on the fake;
     its gradient w.r.t. disc.theta lands in disc.grad."""
     b = real_in.shape[-2]
-    out, caches = forward(disc.layers, np.concatenate([real_in, fake_in], axis=-2))
+    out, caches = forward(disc, np.concatenate([real_in, fake_in], axis=-2))
     s = np.clip(out, LOG_EPS, 1.0 - LOG_EPS)
     grad_out = np.concatenate([-1.0 / (b * s[..., :b, :]), 1.0 / (b * (1.0 - s[..., b:, :]))],
                               axis=-2)
-    backward(disc.layers, caches, grad_out, disc.grads)
+    backward(disc, caches, grad_out, disc.grads)
     return d_loss_value(out[..., :b, :], out[..., b:, :])
 
 
@@ -183,10 +152,10 @@ def _generator_grads(gen, disc, fake_in, gen_caches):
     caches; its gradient w.r.t. gen.theta lands in gen.grad, and disc
     parameters and gradient are left untouched."""
     b = fake_in.shape[-2]
-    score, disc_caches = forward(disc.layers, fake_in)
+    score, disc_caches = forward(disc, fake_in)
     s = np.clip(score, LOG_EPS, 1.0 - LOG_EPS)
-    grad_fake = backward(disc.layers, disc_caches, -1.0 / (b * s))[..., :N_FEATURES]
-    backward(gen.layers, gen_caches, grad_fake, gen.grads)
+    grad_fake = backward(disc, disc_caches, -1.0 / (b * s))[..., :N_FEATURES]
+    backward(gen, gen_caches, grad_fake, gen.grads)
     return g_loss_value(score)
 
 
@@ -197,7 +166,7 @@ def train_step(gen, disc, gen_in, targets, gen_adam, disc_adam):
     on one generator forward pass, then one generator ascent on the same
     pass. Returns (d_loss, g_loss), one per member."""
     real_in = np.concatenate([targets, gen_in], axis=-1)
-    fake, gen_caches = forward(gen.layers, gen_in)
+    fake, gen_caches = forward(gen, gen_in)
     fake_in = np.concatenate([fake, gen_in], axis=-1)
     d_loss = _discriminator_grads(disc, real_in, fake_in)
     adam_step(disc_adam, disc.theta, disc.grad)
@@ -256,10 +225,6 @@ def _fit(gen, disc, gen_in, targets, schedule: GanSchedule, rng):
             batch = slice(starts[batch_index], starts[batch_index] + schedule.batch_size)
             losses[step] = train_step(gen, disc, gen_in[:, batch], targets[:, batch],
                                       gen_adam, disc_adam)
-            finite = np.isfinite(losses[step]).all(axis=0)
-            if not finite.all():
-                raise TrainingError(f"adversarial training diverged (NaN loss) at step {step}",
-                                    member=int(np.argmin(finite)))
             step += 1
     return losses
 
@@ -271,9 +236,9 @@ def train(members, schedule: GanSchedule, seed: int):
     seed, the rows inside each batch stay chronological. `members` is read
     once, in order.
 
-    Returns one (generator, discriminator, log) per member; the log is a
-    (steps, 2) array of each step's discriminator and generator loss. An
-    error of one member carries its index as `member`."""
+    Returns one (generator, log) per member; the log is a (steps, 2) array
+    of each step's discriminator and generator loss. An error of one member
+    carries its index as `member`."""
     rng = np.random.default_rng(seed)
     gen, disc, scalers, gen_in, targets = _setup(members, rng, schedule)
     gen, disc = gen.stacked(len(scalers)), disc.stacked(len(scalers))
@@ -282,7 +247,7 @@ def train(members, schedule: GanSchedule, seed: int):
     for k, scaler in enumerate(scalers):
         member_gen = gen.member(k)
         member_gen.scaler = scaler
-        results.append((member_gen, disc.member(k), losses[..., k]))
+        results.append((member_gen, losses[..., k]))
     return results
 
 
@@ -295,5 +260,5 @@ def predict(gen: Generator, windows: Windows) -> np.ndarray:
     # scale boundary instead of refusing to forecast
     histories = np.clip(scaler_transform(gen.scaler, windows.histories), -1.0, 1.0)
     x = _gen_inputs(gen, histories, np.clip(windows.sentiments, -1.0, 1.0))
-    out, _ = forward(gen.layers, x)
+    out, _ = forward(gen, x)
     return scaler_inverse(gen.scaler, out)[:, CLOSE_COLUMN]

@@ -1,21 +1,19 @@
 """Dense-network numerical core: layers, activations, reverse-mode gradients.
 
-Everything is float64 numpy. A network is a list of DenseLayer whose arrays
-can be views into one flat parameter vector (`pack`); `carve` lays out that
-vector and the flat gradient backward() fills alike. The forward pass
-returns the caches the backward pass needs, so there is no hidden state.
+Everything is float64 numpy. A network (`Dense`) is its flat parameter
+vector `theta`; `carve` lays out the layers' weight and bias views of it,
+and of the flat gradient backward() fills, once. The forward pass returns
+the caches the backward pass needs, so there is no hidden state.
 
 A stack of K networks of one shape ("members", trained in lockstep) has a
-leading member axis on every array: weights (K, out, in), biases (K, out),
-inputs (K, B, in) and a flat vector (K, P). The same forward() and
+leading member axis on every array: a flat vector (K, P), weights
+(K, out, in), biases (K, out) and inputs (K, B, in). The same forward() and
 backward() serve both, by transposing and reducing over the trailing axes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, NumericalError, UsageError
@@ -55,63 +53,76 @@ def activate_grad(name: str, z: np.ndarray) -> np.ndarray:
     raise UsageError(f"unknown activation {name!r}")
 
 
-@dataclass
-class DenseLayer:
-    weights: np.ndarray  # (out, in), or (K, out, in) for K members
-    bias: np.ndarray  # (out,), or (K, out)
-    activation: str = "identity"
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.bias = np.asarray(self.bias, dtype=float)
-        if self.weights.ndim not in (2, 3):
-            raise DimensionError("DenseLayer weights", "2-d matrix or 3-d stack",
-                                 f"{self.weights.ndim}-d")
-        if self.bias.shape != self.weights.shape[:-1]:
-            raise DimensionError("DenseLayer bias", self.weights.shape[:-1], self.bias.shape)
-        if self.activation not in ACTIVATIONS:
-            raise UsageError(f"unknown activation {self.activation!r}")
-
-    @property
-    def in_size(self) -> int:
-        return self.weights.shape[-1]
+def param_shapes(sizes):
+    """The layout of a dense network's flat parameter vector: W0, b0, W1,
+    b1, ..., layer i's weights (sizes[i + 1], sizes[i]) and bias (sizes[i + 1],)."""
+    return [s for n_in, n_out in zip(sizes, sizes[1:]) for s in ((n_out, n_in), (n_out,))]
 
 
-def init_layer(rng: np.random.Generator, fan_in: int, fan_out: int, activation: str) -> DenseLayer:
-    """Seeded initialization: Glorot-uniform for saturating/identity units,
-    He-scaled normal for (leaky) relu."""
-    if activation in ("relu", "leaky_relu"):
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
-    else:
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-    return DenseLayer(w, np.zeros(fan_out), activation)
+class Dense:
+    """A dense network: layer i maps sizes[i] to sizes[i + 1] units and
+    applies activations[i]. Its parameters are the flat vector `theta`, (P,)
+    or (K, P) for K stacked members; `weights` and `biases` are views of it
+    in the layout of param_shapes, behind the member axis if there is one,
+    and `grads` views of the zero gradient `grad` alike, all carved once."""
+
+    def __init__(self, sizes, activations, theta):
+        if len(activations) != len(sizes) - 1:
+            raise DimensionError("activation count", len(sizes) - 1, len(activations))
+        for name in activations:
+            if name not in ACTIVATIONS:
+                raise UsageError(f"unknown activation {name!r}")
+        self.sizes, self.activations = tuple(sizes), tuple(activations)
+        self.theta = theta
+        shapes = param_shapes(sizes)
+        views = carve(theta, shapes)
+        self.weights, self.biases = views[0::2], views[1::2]
+        self.grad = np.zeros_like(theta)
+        self.grads = carve(self.grad, shapes)
+
+    def _with_theta(self, theta):
+        return Dense(self.sizes, self.activations, theta)
+
+    def stacked(self, count: int):
+        """`count` copies of this network along a leading member axis."""
+        return self._with_theta(np.repeat(self.theta[None], count, axis=0))
+
+    def member(self, k: int):
+        """A copy of member k of a stacked network."""
+        return self._with_theta(self.theta[k].copy())
 
 
 def build_mlp(rng, in_size, hidden, out_size, hidden_activation, out_activation):
-    """Stack of dense layers: in_size -> hidden[0] -> ... -> out_size."""
+    """Dense network in_size -> hidden[0] -> ... -> out_size, seeded:
+    Glorot-uniform weights for saturating/identity units, He-scaled normal
+    for (leaky) relu, zero biases."""
     sizes = [in_size, *hidden, out_size]
-    layers = []
-    for i in range(len(sizes) - 1):
-        act = hidden_activation if i < len(sizes) - 2 else out_activation
-        layers.append(init_layer(rng, sizes[i], sizes[i + 1], act))
-    return layers
+    activations = [hidden_activation] * (len(sizes) - 2) + [out_activation]
+    net = Dense(sizes, activations, np.zeros(sum(map(math.prod, param_shapes(sizes)))))
+    for w, activation in zip(net.weights, activations):
+        fan_out, fan_in = w.shape
+        if activation in ("relu", "leaky_relu"):
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
+        else:
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
-def forward(layers, x):
-    """Full network forward over a vector, a (batch, in) matrix or, for
-    stacked layers, a (K, batch, in) stack.
+def forward(net, x):
+    """Full network forward over a (batch, in) matrix or, for a stacked
+    network, a (K, batch, in) stack.
 
     Returns (output, caches); caches feed backward()."""
     a = np.asarray(x, dtype=float)
     caches = []
-    for i, layer in enumerate(layers):
-        if a.shape[-1] != layer.in_size:
-            raise DimensionError(f"layer {i} input size", layer.in_size, a.shape[-1])
-        z = a @ layer.weights.swapaxes(-1, -2)
-        z += layer.bias if layer.bias.ndim == 1 else layer.bias[:, None, :]
+    for i, (w, b, activation) in enumerate(zip(net.weights, net.biases, net.activations)):
+        if a.shape[-1] != w.shape[-1]:
+            raise DimensionError(f"layer {i} input size", w.shape[-1], a.shape[-1])
+        z = a @ w.swapaxes(-1, -2)
+        z += b[..., None, :]
         caches.append((a, z))
-        a = activate(layer.activation, z)
+        a = activate(activation, z)
     finite = np.isfinite(a)
     if not finite.all():
         member = int(np.argmin(finite.reshape(len(a), -1).all(axis=1))) if a.ndim == 3 else None
@@ -122,6 +133,9 @@ def forward(layers, x):
 def carve(flat, shapes):
     """Consecutive views into the last axis of `flat`, one per shape, in
     order; the leading (member) axes of `flat` lead every view."""
+    size = sum(math.prod(shape) for shape in shapes)
+    if size != flat.shape[-1]:
+        raise DimensionError("flat parameter vector size", size, flat.shape[-1])
     lead = flat.shape[:-1]
     views = []
     start = 0
@@ -129,59 +143,32 @@ def carve(flat, shapes):
         size = math.prod(shape)
         views.append(flat[..., start : start + size].reshape(*lead, *shape))
         start += size
-    if start != flat.shape[-1]:
-        raise DimensionError("flat parameter vector size", start, flat.shape[-1])
     return views
 
 
-def layer_shapes(layers):
-    """The parameter layout of one member of a dense stack: W0, b0, W1, b1, ..."""
-    return [s for layer in layers for s in (layer.weights.shape[-2:], layer.bias.shape[-1:])]
-
-
-def pack(layers):
-    """Copy the layers' weights and biases into one new flat vector (K, P)
-    for stacked layers, (P,) otherwise, make them views into it, and return
-    the vector."""
-    lead = layers[0].bias.shape[:-1]
-    theta = np.concatenate(
-        [a.reshape(*lead, -1) for layer in layers for a in (layer.weights, layer.bias)],
-        axis=-1,
-    )
-    views = carve(theta, layer_shapes(layers))
-    for layer, w, b in zip(layers, views[0::2], views[1::2]):
-        layer.weights, layer.bias = w, b
-    return theta
-
-
-def backward(layers, caches, grad_out, grads=None):
-    """Reverse-mode gradients through a dense stack.
+def backward(net, caches, grad_out, grads=None):
+    """Reverse-mode gradients through a dense network.
 
     grad_out is dL/d(output) per sample. dL/d(parameters) is written into
-    `grads`, the arrays W0, b0, W1, b1, ... in the layout of layer_shapes
-    (views of one flat gradient, carved once by the caller), summed over the
-    batch, and None is returned: no caller of a parameter update reads
-    dL/d(input), so the first layer's input product is skipped. grads=None
-    skips the parameter gradients instead and returns dL/d(input).
+    `grads`, the arrays W0, b0, W1, b1, ... (net.grads, or views of another
+    flat vector in the same layout), summed over the batch, and None is
+    returned: no caller of a parameter update reads dL/d(input), so the first
+    layer's input product is skipped. grads=None skips the parameter
+    gradients instead and returns dL/d(input).
     """
-    if len(caches) != len(layers):
+    if len(caches) != len(net.weights):
         raise UsageError(
-            f"backward called with {len(caches)} caches for {len(layers)} layers; "
+            f"backward called with {len(caches)} caches for {len(net.weights)} layers; "
             "run forward() on the same input first"
         )
     g = np.asarray(grad_out, dtype=float)
-    for i in reversed(range(len(layers))):
+    for i in reversed(range(len(caches))):
         x_in, z = caches[i]
-        gz = g * activate_grad(layers[i].activation, z)
+        gz = g * activate_grad(net.activations[i], z)
         if grads is not None:
-            dw, db = grads[2 * i], grads[2 * i + 1]
-            if gz.ndim == 1:
-                np.outer(gz, x_in, out=dw)
-                db[...] = gz
-            else:
-                np.matmul(gz.swapaxes(-1, -2), x_in, out=dw)
-                gz.sum(axis=-2, out=db)
+            np.matmul(gz.swapaxes(-1, -2), x_in, out=grads[2 * i])
+            gz.sum(axis=-2, out=grads[2 * i + 1])
             if i == 0:
                 return None
-        g = gz @ layers[i].weights
+        g = gz @ net.weights[i]
     return g

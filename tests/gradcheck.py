@@ -67,7 +67,7 @@ class GradCheckReport:
     passed: bool = False
 
 
-def finite_difference_check(layers, x, target, tolerance: float = 1e-4, h: float = 1e-5):
+def finite_difference_check(net, x, target, tolerance: float = 1e-4, h: float = 1e-5):
     """Compare backward() gradients of an MSE loss against central differences.
 
     Differences within the roundoff floor of the numeric estimate count as
@@ -77,21 +77,21 @@ def finite_difference_check(layers, x, target, tolerance: float = 1e-4, h: float
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
 
-    out, caches = nn.forward(layers, x)
+    out, caches = nn.forward(net, x)
     grad_out = 2.0 * (out - target) / out.size
-    analytic = [np.empty(shape) for shape in nn.layer_shapes(layers)]
-    nn.backward(layers, caches, grad_out, analytic)
+    nn.backward(net, caches, grad_out, net.grads)
+    analytic = net.grads
 
     def loss():
-        o, _ = nn.forward(layers, x)
+        o, _ = nn.forward(net, x)
         return float(np.mean((o - target) ** 2))
 
     floor = ROUNDOFF_FACTOR * np.finfo(float).eps * abs(loss()) / h
     report = GradCheckReport(tolerance=tolerance, max_rel_err=0.0)
-    for i, layer in enumerate(layers):
-        pairs = zip(analytic[2 * i : 2 * i + 2], (layer.weights, layer.bias))
+    for i, activation in enumerate(net.activations):
+        pairs = zip(analytic[2 * i : 2 * i + 2], (net.weights[i], net.biases[i]))
         err = max(_mismatch(a, numerical_gradient(loss, p, h=h), floor) for a, p in pairs)
-        saturated = layer.activation in ("sigmoid", "tanh") and bool(
+        saturated = activation in ("sigmoid", "tanh") and bool(
             np.any(np.abs(caches[i][1]) > SATURATION_LIMIT)
         )
         if saturated:

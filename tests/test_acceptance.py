@@ -111,16 +111,16 @@ def test_criterion_3_gradient_suite():
         targets = rng.uniform(-0.9, 0.9, size=(2, 6))
         gen_in = gan._gen_inputs(g, histories, sentiments)
         real_in = np.concatenate([targets, gen_in], axis=1)
-        fake, gen_caches = forward(g.layers, gen_in)
+        fake, gen_caches = forward(g, gen_in)
         fake_in = np.concatenate([fake, gen_in], axis=1)
 
         gan._discriminator_grads(d, real_in, fake_in)
         analytic_d = d.grad.copy()
 
         def d_loss():
-            f, _ = forward(g.layers, gen_in)
+            f, _ = forward(g, gen_in)
             fi = np.concatenate([f, gen_in], axis=1)
-            return d_loss_value(forward(d.layers, real_in)[0], forward(d.layers, fi)[0])
+            return d_loss_value(forward(d, real_in)[0], forward(d, fi)[0])
 
         numeric_d = numerical_gradient(d_loss, d.theta)
         assert relative_error(analytic_d, numeric_d) < 1e-4
@@ -129,9 +129,9 @@ def test_criterion_3_gradient_suite():
         analytic_g = g.grad.copy()
 
         def g_loss():
-            f, _ = forward(g.layers, gen_in)
+            f, _ = forward(g, gen_in)
             fi = np.concatenate([f, gen_in], axis=1)
-            return g_loss_value(forward(d.layers, fi)[0])
+            return g_loss_value(forward(d, fi)[0])
 
         numeric_g = numerical_gradient(g_loss, g.theta)
         assert relative_error(analytic_g, numeric_g) < 1e-4
@@ -160,7 +160,7 @@ def test_criterion_4_gan_synthetic_convergence():
         aligned = sentiment_jump_asset(seed)
         windows = make_windows(aligned, length)
         train_part, test_part = holdout_split(windows)
-        [(g, _, _)] = gan.train([train_part], schedule, seed=seed)
+        [(g, _)] = gan.train([train_part], schedule, seed=seed)
         preds = gan.predict(g, test_part)
         actual = test_part.targets[:, CLOSE_COLUMN]
         persistence = test_part.histories[:, -1, CLOSE_COLUMN]

@@ -39,6 +39,13 @@ def write_ohlcv(path, closes):
     path.write_text("\n".join(lines) + "\n")
 
 
+def src_env():
+    """The environment of a child Python that imports this checkout's sentigan."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def mini_config(tmp_path, n=120):
     """Two-asset config small enough for fast end-to-end CLI tests."""
     rng = np.random.default_rng(0)
@@ -323,8 +330,8 @@ def test_ohlcv_that_repair_cannot_fill_is_refused_naming_file(pipeline, tmp_path
     assert not (tmp_path / "out" / "aligned" / "AAA.json").exists()
 
 
-def test_sentiment_command_emits_daily_csv(pipeline, tmp_path):
-    assert cli.main(["sentiment", "--config", str(pipeline), "--asset", "AAA"]) == 0
+def test_ingest_emits_daily_sentiment_csv(pipeline, tmp_path):
+    assert cli.main(["ingest", "--config", str(pipeline), "--asset", "AAA"]) == 0
     rows = (tmp_path / "out" / "sentiment" / "AAA.csv").read_text().splitlines()
     assert rows[0] == "date,compound,sample_count"
     assert rows[1].startswith("2021-01-04,")
@@ -425,7 +432,9 @@ def test_gan_artifact_has_no_discriminator_and_old_ones_still_load(pipeline, tmp
     before = report.read_bytes()
     # artifacts written before the discriminator was dropped carry it
     disc = gan.build_discriminator(np.random.default_rng(0), 10, hidden=(8,))
-    payload["discriminator"] = disc.to_dict()
+    payload["discriminator"] = {"window_length": 10, "layers": [
+        {"weights": w.tolist(), "bias": b.tolist(), "activation": a}
+        for w, b, a in zip(disc.weights, disc.biases, disc.activations)]}
     path.write_text(json.dumps(payload))
     report.unlink()
     assert cli.main(["evaluate", "--config", str(pipeline)]) == 0
@@ -502,20 +511,63 @@ def test_stale_artifact_names_artifact_and_aligned_dataset(
     assert str(path) in err and str(tmp_path / "out" / "aligned" / "AAA.json") in err
 
 
-def test_arima_artifact_longer_than_the_train_partition_is_stale(pipeline, tmp_path, capsys):
-    # 6 rows leave a train partition of 5, shorter than the tail of 6
+def refuse_arima_on_six_rows(pipeline, tmp_path, capsys, model):
+    """Re-ingest AAA as 6 rows, a train partition of 5, and check that
+    evaluate refuses `model` as stale, naming the artifact and aligned file."""
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     write_ohlcv(tmp_path / "AAA.csv", 50.0 + np.arange(6.0))
     assert cli.main(["ingest", "--config", str(pipeline), "--asset", "AAA"]) == 0
     path = tmp_path / "out" / "models" / "AAA_arima.json"
-    model = arima.ArimaModel(arima.ArimaOrder(3, 2, 0), 0.0, np.zeros(3), np.empty(0),
-                             tail_values=50.0 + np.arange(6.0))
     path.write_text(json.dumps({"model": "arima", "artifact": model.to_dict()}))
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", str(pipeline), "--asset", "AAA"]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert "not trained on this train partition" in err
     assert str(path) in err and str(tmp_path / "out" / "aligned" / "AAA.json") in err
+
+
+def test_arima_artifact_longer_than_the_train_partition_is_stale(pipeline, tmp_path, capsys):
+    # the tail of 6 is longer than the train partition of 5
+    model = arima.ArimaModel(arima.ArimaOrder(3, 2, 0), 0.0, np.zeros(3), np.empty(0),
+                             tail_values=50.0 + np.arange(6.0))
+    refuse_arima_on_six_rows(pipeline, tmp_path, capsys, model)
+
+
+def test_arima_artifact_of_a_too_short_train_partition_is_stale(pipeline, tmp_path, capsys):
+    # the tail is the whole train partition of 5, fewer than the 3 + 1 + 3
+    # values a (3, 1, 3) forecast needs, so no fit on it wrote this artifact
+    model = arima.ArimaModel(arima.ArimaOrder(3, 1, 3), 0.0, np.zeros(3), np.zeros(3),
+                             tail_values=50.0 + np.arange(5.0))
+    refuse_arima_on_six_rows(pipeline, tmp_path, capsys, model)
+
+
+@pytest.mark.parametrize("model, expected", [
+    ("lstm", "lstm: forecasts or their squared errors are not finite"),
+    ("gan", "forward pass produced non-finite output"),
+])
+def test_non_finite_forecasts_are_refused_before_the_report(pipeline, tmp_path, model,
+                                                           expected):
+    # finite weights of 1e308 pass the artifact's checks, but the forecasts
+    # they make overflow. evaluate runs as the command does, where numpy's
+    # overflow is a warning, not an error.
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    path = tmp_path / "out" / "models" / f"AAA_{model}.json"
+    payload = json.loads(path.read_text())
+    artifact = payload["artifact"]
+    node = artifact if model == "lstm" else artifact["layers"][0]
+    key = "head_weights" if model == "lstm" else "weights"
+    node[key] = [[1e308] * len(row) for row in node[key]]
+    path.write_text(json.dumps(payload))
+    report = tmp_path / "out" / "reports" / f"AAA_{model}.json"
+    report.unlink()
+    done = subprocess.run([sys.executable, "-m", "sentigan.cli", "evaluate", "--config",
+                           str(pipeline), "--asset", "AAA"], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == cli.EXIT_DATA, done.stderr
+    assert expected in done.stderr
+    assert str(path) in done.stderr
+    assert str(tmp_path / "out" / "aligned" / "AAA.json") in done.stderr
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(("relpath", "damage"), [
@@ -851,12 +903,9 @@ def test_removed_gan_key_is_refused_as_unknown(pipeline, capsys, key, value):
 
 def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
     # each of them costs start-up time that nothing in the harness needs
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, sentigan.cli; "
             "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
 

@@ -140,7 +140,7 @@ def test_evaluate_gan_report():
     windows = make_windows(aligned, 6)
     train_part, _ = holdout_split(windows)
     schedule = GanSchedule(epochs=1, gen_hidden=(8,), disc_hidden=(8,))
-    [(g, _, _)] = gan.train([train_part], schedule, seed=0)
+    [(g, _)] = gan.train([train_part], schedule, seed=0)
     report = ev.evaluate("gan", g, aligned, "holdout_last_20", window_length=6)
     assert len(report.rows) == 20
     assert all(np.isfinite(r[1]) for r in report.rows)

@@ -11,7 +11,6 @@ from sentigan.data import CLOSE_COLUMN, Windows, make_windows
 from sentigan.errors import DataError, DimensionError, TrainingError, UsageError
 from sentigan.eval import evaluate
 from sentigan.gan import (
-    Discriminator,
     GanSchedule,
     Generator,
     build_discriminator,
@@ -42,7 +41,7 @@ def zero_net(net):
 def generate(g, windows):
     """The generator's scaled next-day observation (6,) for the first of
     `windows`, scaled."""
-    out, _ = forward(g.layers, gan._gen_inputs(g, windows.histories, windows.sentiments))
+    out, _ = forward(g, gan._gen_inputs(g, windows.histories, windows.sentiments))
     return out[0]
 
 
@@ -54,7 +53,7 @@ def disc_input(candidate, windows):
 
 def score(d, candidate, window):
     """The discriminator's plausibility of a candidate next-day observation."""
-    out, _ = forward(d.layers, disc_input(candidate, window))
+    out, _ = forward(d, disc_input(candidate, window))
     return float(out[0, 0])
 
 
@@ -65,15 +64,14 @@ def test_every_layer_array_is_a_view_of_theta():
     rng = np.random.default_rng(0)
     g = build_generator(rng, 4, hidden=(8, 5))
     d = build_discriminator(rng, 4, hidden=(6,))
-    nets = [g, d, Generator.from_dict(g.to_dict()), Discriminator.from_dict(d.to_dict())]
+    nets = [g, d, Generator.from_dict(g.to_dict())]
     for net in nets:
-        arrays = [a for layer in net.layers for a in (layer.weights, layer.bias)]
+        arrays = [*net.weights, *net.biases]
         assert net.theta.ndim == 1
         assert net.theta.size == sum(a.size for a in arrays)
         for a in arrays:
             assert np.shares_memory(net.theta, a)
     assert np.array_equal(nets[2].theta, g.theta)
-    assert np.array_equal(nets[3].theta, d.theta)
 
 
 # ---------------------------------------------------------------- generator
@@ -90,9 +88,9 @@ def test_generator_output_width_independent_of_window_length(length):
 def test_generator_zero_weights_outputs_tanh_bias():
     rng = np.random.default_rng(1)
     g = zero_net(build_generator(rng, 4, hidden=(5,)))
-    g.layers[-1].bias[...] = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0])
+    g.biases[-1][...] = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0])
     out = generate(g, scaled_windows(rng, 4))
-    assert np.allclose(out, np.tanh(g.layers[-1].bias))
+    assert np.allclose(out, np.tanh(g.biases[-1]))
 
 
 def test_generator_deterministic_without_noise():
@@ -155,8 +153,8 @@ def test_discriminator_candidate_gradient_matches_fd():
     w = scaled_windows(rng, 3)
     candidate = rng.uniform(-0.5, 0.5, 6)
 
-    out, caches = forward(d.layers, disc_input(candidate, w))
-    analytic = backward(d.layers, caches, np.ones_like(out))[0, :6]
+    out, caches = forward(d, disc_input(candidate, w))
+    analytic = backward(d, caches, np.ones_like(out))[0, :6]
 
     numeric = numerical_gradient(lambda: score(d, candidate, w), candidate, h=1e-6)
     assert relative_error(analytic, numeric) < 1e-4
@@ -184,19 +182,19 @@ def test_adversarial_gradients_match_finite_differences():
     real_in = np.concatenate([batch.targets, gen_in], axis=1)
 
     def d_loss():
-        fake, _ = forward(g.layers, gen_in)
+        fake, _ = forward(g, gen_in)
         fake_in = np.concatenate([fake, gen_in], axis=1)
-        real_scores, _ = forward(d.layers, real_in)
-        fake_scores, _ = forward(d.layers, fake_in)
+        real_scores, _ = forward(d, real_in)
+        fake_scores, _ = forward(d, fake_in)
         return d_loss_value(real_scores, fake_scores)
 
     def g_loss():
-        fake, _ = forward(g.layers, gen_in)
+        fake, _ = forward(g, gen_in)
         fake_in = np.concatenate([fake, gen_in], axis=1)
-        scores, _ = forward(d.layers, fake_in)
+        scores, _ = forward(d, fake_in)
         return g_loss_value(scores)
 
-    fake, gen_caches = forward(g.layers, gen_in)
+    fake, gen_caches = forward(g, gen_in)
     fake_in = np.concatenate([fake, gen_in], axis=1)
     gan._discriminator_grads(d, real_in, fake_in)
     numeric_d = numerical_gradient(d_loss, d.theta, h=1e-6)
@@ -223,7 +221,7 @@ def step_inputs(g, batch):
     """(gen_in, real_in, fake, gen_caches, fake_in) as train_step builds them."""
     gen_in = gan._gen_inputs(g, batch.histories, batch.sentiments)
     real_in = np.concatenate([batch.targets, gen_in], axis=1)
-    fake, gen_caches = forward(g.layers, gen_in)
+    fake, gen_caches = forward(g, gen_in)
     return gen_in, real_in, fake, gen_caches, np.concatenate([fake, gen_in], axis=1)
 
 
@@ -236,17 +234,22 @@ def run_step(g, d, batch, schedule, gen_adam=None, disc_adam=None):
     )
 
 
-def full_backward(layers, caches, grad_out, grads):
+def full_backward(net, caches, grad_out, grads):
     """Reference reverse pass that forms every gradient from every call,
     the first layer's input product included."""
     g = grad_out
-    for i in reversed(range(len(layers))):
+    for i in reversed(range(len(caches))):
         x_in, z = caches[i]
-        gz = g * nn.activate_grad(layers[i].activation, z)
+        gz = g * nn.activate_grad(net.activations[i], z)
         np.matmul(gz.swapaxes(-1, -2), x_in, out=grads[2 * i])
         gz.sum(axis=-2, out=grads[2 * i + 1])
-        g = gz @ layers[i].weights
+        g = gz @ net.weights[i]
     return g
+
+
+def twin(net):
+    """A network on net's parameters, with a gradient of its own."""
+    return nn.Dense(net.sizes, net.activations, net.theta)
 
 
 def test_generator_update_gradients_are_unchanged_bitwise():
@@ -256,20 +259,17 @@ def test_generator_update_gradients_are_unchanged_bitwise():
     g, d = g.stacked(2), d.stacked(2)
     gen_in = step_inputs(g.member(0), batch)[0]
     gen_in = np.stack([gen_in, gen_in[::-1]])
-    fake, gen_caches = forward(g.layers, gen_in)
+    fake, gen_caches = forward(g, gen_in)
     fake_in = np.concatenate([fake, gen_in], axis=-1)
     gan._generator_grads(g, d, fake_in, gen_caches)
 
-    score, disc_caches = forward(d.layers, fake_in)
+    score, disc_caches = forward(d, fake_in)
     grad_out = -1.0 / (fake_in.shape[-2] * np.clip(score, gan.LOG_EPS, 1.0 - gan.LOG_EPS))
-    disc_grad = np.empty_like(d.theta)
-    grad_in = full_backward(d.layers, disc_caches, grad_out,
-                            nn.carve(disc_grad, nn.layer_shapes(d.layers)))
-    assert np.array_equal(backward(d.layers, disc_caches, grad_out), grad_in)
-    expected = np.empty_like(g.theta)
-    full_backward(g.layers, gen_caches, grad_in[..., :6],
-                  nn.carve(expected, nn.layer_shapes(g.layers)))
-    assert np.array_equal(g.grad, expected)
+    grad_in = full_backward(d, disc_caches, grad_out, twin(d).grads)
+    assert np.array_equal(backward(d, disc_caches, grad_out), grad_in)
+    expected = twin(g)
+    full_backward(g, gen_caches, grad_in[..., :6], expected.grads)
+    assert np.array_equal(g.grad, expected.grad)
 
 
 def test_zero_learning_rate_reports_losses_without_moving():
@@ -338,7 +338,6 @@ def test_train_step_carves_no_gradient_views(monkeypatch):
         raise AssertionError("carve called inside train_step")
 
     monkeypatch.setattr(nn, "carve", no_carve)
-    monkeypatch.setattr(gan, "carve", no_carve)
     for _ in range(2):
         gan.train_step(g, d, gen_in, targets, AdamState(learning_rate=0.01),
                        AdamState(learning_rate=0.01))
@@ -351,10 +350,10 @@ def test_stacked_discriminator_pass_equals_two_separate_passes():
     loss = gan._discriminator_grads(d, real_in, fake_in)
 
     def flat_grad(x, grad_out_of):
-        out, caches = forward(d.layers, x)
-        flat = np.empty_like(d.theta)
-        backward(d.layers, caches, grad_out_of(out), nn.carve(flat, nn.layer_shapes(d.layers)))
-        return out, flat
+        out, caches = forward(d, x)
+        flat = twin(d)
+        backward(d, caches, grad_out_of(out), flat.grads)
+        return out, flat.grad
 
     real_out, g_real = flat_grad(real_in, lambda out: -1.0 / (b * out))
     fake_out, g_fake = flat_grad(fake_in, lambda out: 1.0 / (b * (1.0 - out)))
@@ -396,25 +395,24 @@ def jumpy_aligned(seed, n=160, phi=0.9, sigma=1.0, jump=3.0):
 
 def test_train_zero_epochs_returns_initialized_nets():
     windows = make_windows(jumpy_aligned(0), 5)
-    [(g, d, log)] = gan.train([windows], GanSchedule(epochs=0, **SMALL), seed=0)
+    [(g, log)] = gan.train([windows], GanSchedule(epochs=0, **SMALL), seed=0)
     assert log.shape == (0, 2)
     assert g.scaler is not None
-    assert isinstance(d, Discriminator)
+    assert isinstance(g, Generator)
 
 
 def test_train_determinism():
     windows = make_windows(jumpy_aligned(1), 5)[:40]
     schedule = GanSchedule(epochs=2, **SMALL)
-    [(g1, d1, log1)] = gan.train([windows], schedule, seed=3)
-    [(g2, d2, log2)] = gan.train([windows], schedule, seed=3)
+    [(g1, log1)] = gan.train([windows], schedule, seed=3)
+    [(g2, log2)] = gan.train([windows], schedule, seed=3)
     assert np.array_equal(g1.theta, g2.theta)
-    assert np.array_equal(d1.theta, d2.theta)
     assert np.array_equal(log1, log2)
 
 
 def test_train_log_schema():
     windows = make_windows(jumpy_aligned(2), 5)[:20]
-    [(_, _, log)] = gan.train([windows], GanSchedule(epochs=2, **SMALL), seed=0)
+    [(_, log)] = gan.train([windows], GanSchedule(epochs=2, **SMALL), seed=0)
     assert log.shape == (2 * 4, 2)  # epochs x batches of 5, (d_loss, g_loss)
     assert np.isfinite(log).all()
 
@@ -424,7 +422,7 @@ def test_conditioning_sensitivity_after_training():
     windows = make_windows(aligned, 5)
     train_part, test_part = holdout_split(windows)
     schedule = GanSchedule(epochs=30, gen_hidden=(16,), disc_hidden=(16,))
-    [(g, _, _)] = gan.train([train_part], schedule, seed=0)
+    [(g, _)] = gan.train([train_part], schedule, seed=0)
     flipped = replace(test_part, sentiments=-test_part.sentiments)
     deltas = np.abs(gan.predict(g, test_part) - gan.predict(g, flipped))
     assert np.mean(deltas) > 0.0
@@ -448,9 +446,8 @@ def test_lockstep_members_equal_solo_runs(schedule):
     together = gan.train(members, schedule, seed=4)
     alone = [gan.train([m], schedule, seed=4)[0] for m in members]
     assert len(together) == 2
-    for (g, d, log), (g1, d1, log1) in zip(together, alone):
+    for (g, log), (g1, log1) in zip(together, alone):
         assert np.array_equal(g.theta, g1.theta)
-        assert np.array_equal(d.theta, d1.theta)
         assert np.array_equal(log, log1)
         assert g.to_dict() == g1.to_dict()
     assert not np.array_equal(together[0][0].theta, together[1][0].theta)
@@ -461,7 +458,7 @@ def test_lockstep_accepts_an_iterator_of_members():
     schedule = GanSchedule(epochs=1, **SMALL)
     from_list = gan.train(members, schedule, seed=0)
     from_iter = gan.train(iter(members), schedule, seed=0)
-    for (g, d, log), (g1, d1, log1) in zip(from_list, from_iter):
+    for (g, log), (g1, log1) in zip(from_list, from_iter):
         assert np.array_equal(g.theta, g1.theta) and np.array_equal(log, log1)
 
 
@@ -511,7 +508,7 @@ def test_forecast_holdout_emits_20_causal_rows():
     aligned = jumpy_aligned(5, n=120)
     windows = make_windows(aligned, 6)
     train_part, _ = holdout_split(windows)
-    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1, **SMALL), seed=1)
+    [(g, _)] = gan.train([train_part], GanSchedule(epochs=1, **SMALL), seed=1)
     rows = evaluate("gan", g, aligned, "holdout_last_20", window_length=6).rows
     assert len(rows) == 20
     assert [day for day, _, _ in rows] == aligned.dates[-20:]
@@ -526,7 +523,7 @@ def test_scaler_round_trip_on_actuals():
     aligned = jumpy_aligned(6, n=120)
     windows = make_windows(aligned, 6)
     train_part, _ = holdout_split(windows)
-    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=1, **SMALL), seed=1)
+    [(g, _)] = gan.train([train_part], GanSchedule(epochs=1, **SMALL), seed=1)
     rows = aligned.features[:100]
     assert np.allclose(scaler_inverse(g.scaler, scaler_transform(g.scaler, rows)), rows,
                        atol=1e-9)
@@ -543,7 +540,7 @@ def trained_generator(seed=9):
     aligned = jumpy_aligned(seed, n=100)
     windows = make_windows(aligned, 5)
     train_part, holdout = holdout_split(windows)
-    [(g, _, _)] = gan.train([train_part], GanSchedule(epochs=2, **SMALL), seed=2)
+    [(g, _)] = gan.train([train_part], GanSchedule(epochs=2, **SMALL), seed=2)
     return g, holdout
 
 
@@ -578,18 +575,17 @@ def test_predict_saturates_context_outside_the_fitted_range():
 def test_generator_json_round_trip():
     aligned = jumpy_aligned(7, n=100)
     windows = make_windows(aligned, 5)
-    [(g, d, _)] = gan.train([windows[:-5]], GanSchedule(epochs=1, **SMALL), seed=2)
+    [(g, _)] = gan.train([windows[:-5]], GanSchedule(epochs=1, **SMALL), seed=2)
     g2 = Generator.from_dict(g.to_dict())
-    d2 = Discriminator.from_dict(d.to_dict())
     assert np.array_equal(gan.predict(g2, windows[-5:]), gan.predict(g, windows[-5:]))
-    assert np.array_equal(d2.theta, d.theta)
+    assert np.array_equal(g2.theta, g.theta)
 
 
 def test_generator_from_dict_ignores_legacy_noise_dim():
     # artifacts written before the noise input was removed carry noise_dim: 0
     aligned = jumpy_aligned(8, n=100)
     windows = make_windows(aligned, 5)
-    [(g, _, _)] = gan.train([windows[:-5]], GanSchedule(epochs=1, **SMALL), seed=2)
+    [(g, _)] = gan.train([windows[:-5]], GanSchedule(epochs=1, **SMALL), seed=2)
     legacy = {**g.to_dict(), "noise_dim": 0}
     restored = Generator.from_dict(legacy)
     assert "noise_dim" not in restored.to_dict()

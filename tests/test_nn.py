@@ -6,53 +6,59 @@ from sentigan import nn
 from sentigan.errors import DimensionError, NumericalError, UsageError
 
 
+def one_layer(weights, activation="identity"):
+    """A one-layer network of the given weights and zero biases."""
+    weights = np.asarray(weights, dtype=float)
+    n_out, n_in = weights.shape
+    return nn.Dense([n_in, n_out], [activation],
+                    np.concatenate([weights.ravel(), np.zeros(n_out)]))
+
+
 def identity_layer():
-    return nn.DenseLayer(np.eye(2), np.zeros(2), "identity")
+    return one_layer(np.eye(2))
 
 
-def flat_backward(layers, caches, grad_out):
-    """(dL/d(parameters) as one flat vector in pack's layout, dL/d(input)),
+def flat_backward(net, caches, grad_out):
+    """(dL/d(parameters) as one flat vector in theta's layout, dL/d(input)),
     from the two jobs of backward()."""
-    shapes = nn.layer_shapes(layers)
-    flat = np.empty(sum(int(np.prod(s)) for s in shapes))
-    assert nn.backward(layers, caches, grad_out, nn.carve(flat, shapes)) is None
-    return flat, nn.backward(layers, caches, grad_out)
+    assert nn.backward(net, caches, grad_out, net.grads) is None
+    return net.grad.copy(), nn.backward(net, caches, grad_out)
 
 
 def test_dense_forward_identity():
-    out, _ = nn.forward([identity_layer()], [3.0, -1.0])
-    assert np.allclose(out, [3.0, -1.0])
+    out, _ = nn.forward(identity_layer(), [[3.0, -1.0]])
+    assert np.allclose(out, [[3.0, -1.0]])
 
 
 def test_dense_forward_relu_clamps():
-    layer = nn.DenseLayer(np.eye(2), np.zeros(2), "relu")
-    assert np.allclose(nn.forward([layer], [3.0, -1.0])[0], [3.0, 0.0])
+    layer = one_layer(np.eye(2), "relu")
+    assert np.allclose(nn.forward(layer, [[3.0, -1.0]])[0], [[3.0, 0.0]])
 
 
 def test_leaky_relu_slope():
-    layer = nn.DenseLayer(np.array([[1.0]]), np.zeros(1), "leaky_relu")
-    assert np.allclose(nn.forward([layer], [-2.0])[0], [-0.02])
+    layer = one_layer([[1.0]], "leaky_relu")
+    assert np.allclose(nn.forward(layer, [[-2.0]])[0], [[-0.02]])
 
 
 def test_dense_forward_dimension_mismatch():
     with pytest.raises(DimensionError) as e:
-        nn.forward([identity_layer()], [1.0, 2.0, 3.0])
+        nn.forward(identity_layer(), [[1.0, 2.0, 3.0]])
     assert "2" in str(e.value) and "3" in str(e.value)
 
 
 def test_backward_hand_chain_rule():
     # single identity layer, squared loss: d/dw (wx - y)^2 = 2(wx - y)x
-    layer = nn.DenseLayer(np.array([[1.0]]), np.zeros(1), "identity")
-    out, caches = nn.forward([layer], np.array([2.0]))
+    layer = one_layer([[1.0]])
+    out, caches = nn.forward(layer, np.array([[2.0]]))
     grad_out = 2.0 * (out - 0.0)
-    grad, _ = flat_backward([layer], caches, grad_out)
+    grad, _ = flat_backward(layer, caches, grad_out)
     assert np.allclose(grad, [8.0, 4.0])  # flat (dW, db)
 
 
 def test_backward_zero_loss_gradient():
     rng = np.random.default_rng(0)
     layers = nn.build_mlp(rng, 3, [4], 2, "tanh", "identity")
-    out, caches = nn.forward(layers, rng.normal(size=3))
+    out, caches = nn.forward(layers, rng.normal(size=(1, 3)))
     grad, gin = flat_backward(layers, caches, np.zeros_like(out))
     assert grad.shape == (3 * 4 + 4 + 4 * 2 + 2,)
     assert not grad.any()
@@ -60,17 +66,16 @@ def test_backward_zero_loss_gradient():
 
 
 def test_backward_without_forward_cache_is_usage_error():
-    layers = [identity_layer()]
     with pytest.raises(UsageError):
-        nn.backward(layers, [], np.zeros(2))
+        nn.backward(identity_layer(), [], np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
     layers = nn.build_mlp(rng, 5, [6], 3, "tanh", "identity")
-    x = rng.normal(size=5)
-    target = rng.normal(size=3)
+    x = rng.normal(size=(1, 5))
+    target = rng.normal(size=(1, 3))
     report = finite_difference_check(layers, x, target, tolerance=1e-4, h=1e-5)
     assert report.passed, f"max rel err {report.max_rel_err}"
 
@@ -81,8 +86,8 @@ def kink_free_check(act, seed):
     rng = np.random.default_rng(seed)
     for _ in range(50):
         layers = nn.build_mlp(rng, 4, [5, 5], 2, act, act)
-        x = rng.normal(size=4)
-        target = rng.normal(size=2)
+        x = rng.normal(size=(1, 4))
+        target = rng.normal(size=(1, 2))
         _, caches = nn.forward(layers, x)
         if all(np.min(np.abs(z)) > 1e-3 for _, z in caches):
             break
@@ -106,20 +111,20 @@ def test_gradcheck_catches_wrong_gradient(monkeypatch):
     rng = np.random.default_rng(0)
     layers = nn.build_mlp(rng, 4, [5], 2, "tanh", "identity")
     monkeypatch.setattr(nn, "activate_grad", lambda name, z: np.ones_like(z))
-    report = finite_difference_check(layers, rng.normal(size=4), rng.normal(size=2))
+    report = finite_difference_check(layers, rng.normal(size=(1, 4)), rng.normal(size=(1, 2)))
     assert not report.passed
 
 
 def test_linear_net_gradients_near_exact():
     rng = np.random.default_rng(3)
-    layers = [nn.init_layer(rng, 4, 3, "identity")]
-    report = finite_difference_check(layers, rng.normal(size=4), rng.normal(size=3))
+    layers = nn.build_mlp(rng, 4, [], 3, "identity", "identity")
+    report = finite_difference_check(layers, rng.normal(size=(1, 4)), rng.normal(size=(1, 3)))
     assert report.max_rel_err < 1e-8
 
 
 def test_saturated_sigmoid_flagged_not_failed():
-    layer = nn.DenseLayer(np.array([[50.0]]), np.zeros(1), "sigmoid")
-    report = finite_difference_check([layer], np.array([1.0]), np.array([0.0]))
+    layer = one_layer([[50.0]], "sigmoid")
+    report = finite_difference_check(layer, np.array([[1.0]]), np.array([[0.0]]))
     assert report.saturated_layers == [0]
     assert report.passed
 
@@ -133,23 +138,27 @@ def test_batched_backward_matches_sum_of_samples():
     grad_b, _ = flat_backward(layers, caches_b, gouts)
     acc = np.zeros_like(grad_b)
     for x, g in zip(xs, gouts):
-        _, caches = nn.forward(layers, x)
-        acc += flat_backward(layers, caches, g)[0]
+        _, caches = nn.forward(layers, x[None])
+        acc += flat_backward(layers, caches, g[None])[0]
     assert relative_error(grad_b, acc) < 1e-9
 
 
-def test_pack_makes_layers_views_of_theta():
+def layer_arrays(net):
+    """W0, b0, W1, b1, ... of a network."""
+    return [a for pair in zip(net.weights, net.biases) for a in pair]
+
+
+def test_dense_layers_are_views_of_theta():
     rng = np.random.default_rng(8)
-    layers = nn.build_mlp(rng, 3, [4], 2, "tanh", "identity")
-    before = [a.copy() for l in layers for a in (l.weights, l.bias)]
-    theta = nn.pack(layers)
+    net = nn.build_mlp(rng, 3, [4], 2, "tanh", "identity")
+    theta = net.theta
     assert theta.shape == (3 * 4 + 4 + 4 * 2 + 2,)
-    after = [a for l in layers for a in (l.weights, l.bias)]
-    for a, b in zip(after, before):
+    arrays = layer_arrays(net)
+    for a in arrays:
         assert np.shares_memory(theta, a)
-        assert np.array_equal(a, b)
+    assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), theta)
     theta[...] = 0.0
-    assert not any(a.any() for a in after)
+    assert not any(a.any() for a in arrays)
 
 
 def test_backward_without_grads_returns_only_the_input_gradient():
@@ -160,7 +169,7 @@ def test_backward_without_grads_returns_only_the_input_gradient():
     gouts = rng.normal(size=out.shape)
     # the chain rule by hand: identity output layer, tanh hidden layer
     z0 = caches[0][1]
-    expected = ((gouts @ layers[1].weights) * (1.0 - np.tanh(z0) ** 2)) @ layers[0].weights
+    expected = ((gouts @ layers.weights[1]) * (1.0 - np.tanh(z0) ** 2)) @ layers.weights[0]
     assert np.array_equal(nn.backward(layers, caches, gouts), expected)
 
 
@@ -168,9 +177,8 @@ def stacked_mlp(rng, k, sizes, hidden_activation, out_activation):
     """K independently initialized members of one shape, and their stack."""
     members = [nn.build_mlp(rng, sizes[0], sizes[1:-1], sizes[-1], hidden_activation,
                             out_activation) for _ in range(k)]
-    stack = [nn.DenseLayer(np.stack([m[i].weights for m in members]),
-                           np.stack([m[i].bias for m in members]), members[0][i].activation)
-             for i in range(len(members[0]))]
+    stack = nn.Dense(members[0].sizes, members[0].activations,
+                     np.stack([m.theta for m in members]))
     return members, stack
 
 
@@ -182,11 +190,11 @@ def test_stacked_pass_equals_each_member_pass(acts):
     members, stack = stacked_mlp(rng, 3, [7, 5, 4, 2], *acts)
     xs = rng.normal(size=(3, 6, 7))
     gouts = rng.normal(size=(3, 6, 2))
-    theta = nn.pack(stack)
-    assert theta.shape == (3, sum(int(np.prod(s)) for s in nn.layer_shapes(stack)))
-    flat = np.empty_like(theta)
+    theta = stack.theta
+    assert theta.shape == (3, sum(a.size for a in layer_arrays(members[0])))
     out, caches = nn.forward(stack, xs)
-    nn.backward(stack, caches, gouts, nn.carve(flat, nn.layer_shapes(stack)))
+    nn.backward(stack, caches, gouts, stack.grads)
+    flat = stack.grad
     grad_in = nn.backward(stack, caches, gouts)
     for k, layers in enumerate(members):
         out_k, caches_k = nn.forward(layers, xs[k])
@@ -195,17 +203,17 @@ def test_stacked_pass_equals_each_member_pass(acts):
         assert np.array_equal(grad_in[k], grad_in_k)
         assert np.array_equal(flat[k], flat_k)
         assert np.array_equal(theta[k], np.concatenate(
-            [a.ravel() for layer in layers for a in (layer.weights, layer.bias)]))
+            [a.ravel() for a in layer_arrays(layers)]))
 
 
 def test_stacked_pack_rows_are_member_layouts():
     rng = np.random.default_rng(11)
     _, stack = stacked_mlp(rng, 2, [3, 4, 2], "tanh", "identity")
-    theta = nn.pack(stack)
-    for layer in stack:
-        assert np.shares_memory(theta, layer.weights) and np.shares_memory(theta, layer.bias)
+    theta = stack.theta
+    for a in layer_arrays(stack):
+        assert np.shares_memory(theta, a)
     theta[1] = 0.0
-    assert all(not l.weights[1].any() and l.weights[0].any() for l in stack)
+    assert all(not w[1].any() and w[0].any() for w in stack.weights)
 
 
 def test_stacked_forward_names_the_non_finite_member():
@@ -218,9 +226,10 @@ def test_stacked_forward_names_the_non_finite_member():
     assert e.value.member == 2
 
 
-def test_dense_layer_rejects_misshapen_stacked_bias():
+def test_dense_rejects_theta_of_wrong_length():
+    # a 2 x 4 layer has 8 weights and 2 biases per member
     with pytest.raises(DimensionError):
-        nn.DenseLayer(np.zeros((3, 2, 4)), np.zeros((2, 2)))
+        nn.Dense([4, 2], ["identity"], np.zeros((3, 9)))
 
 
 def test_carve_rejects_a_vector_of_the_wrong_size():
