@@ -299,8 +299,6 @@ def _load_artifact(cfg, symbol, model):
         if payload.get("model") != model:
             raise DataError(f"{path}: artifact is not a {model} model")
         artifact = _ARTIFACT_TYPES[model].from_dict(payload["artifact"])
-        if model != "arima" and artifact.scaler is None:
-            raise DataError("no fitted scaler")
         if model == "gan" and artifact.window_length != cfg.window_length:
             raise DataError(f"{path}: trained on {artifact.window_length}-day windows, but "
                             f"window_length is {cfg.window_length}; train again")
@@ -477,7 +475,11 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _dispatch(args)
+        # an overflow's result is refused by the finite checks, which name the
+        # files; numpy's warning would add a line naming neither, or, where
+        # warnings are errors, end the command as an internal error
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _dispatch(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

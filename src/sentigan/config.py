@@ -101,6 +101,10 @@ _RULES = {
 }
 
 
+# every key a file may set at its top level; `workers` is retired and ignored
+TOP_LEVEL_KEYS = {"assets", "lexicon", "output_dir", "workers", *_RULES[None], *_RULES} - {None}
+
+
 def _checked(path, section, values: dict) -> dict:
     for key, value in values.items():
         test, want = _RULES[section][key]
@@ -138,6 +142,9 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         raise DataError(f"cannot parse config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise DataError(f"config {path} must be a mapping at top level")
+    unknown = set(raw) - TOP_LEVEL_KEYS
+    if unknown:
+        raise UsageError(f"config {path}: unknown top-level keys: {sorted(unknown, key=str)}")
 
     def resolve(key, value, base=path.parent):
         # a NUL byte or a lone surrogate is a ValueError here, a non-string a TypeError

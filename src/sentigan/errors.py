@@ -32,4 +32,4 @@ class DataError(SentiganError):
 
 
 class UsageError(SentiganError):
-    """API misuse (missing forward cache, unfitted scaler, bad arguments)."""
+    """API misuse (missing forward cache, bad arguments)."""

@@ -116,16 +116,13 @@ def _check_chronological(aligned: AlignedDataset):
         raise DataError(f"{aligned.symbol}: dates are not strictly increasing")
 
 
-def _check_train_scaler(scaler, windows: Windows, mode, what):
-    """The artifact's scaler must match one fitted on the evaluation-side
-    train partition, else training and evaluation partitions disagree."""
-    expected = scaler_fit_windows(windows.histories, windows.targets, mode)
-    if (
-        scaler is None
-        or scaler.mode != mode
-        or not np.allclose(scaler.per_feature_min, expected.per_feature_min)
-        or not np.allclose(scaler.per_feature_max, expected.per_feature_max)
-    ):
+def _check_train_scaler(scaler, windows: Windows, what):
+    """The artifact's scaler must match one fitted, in its mode, on the
+    evaluation-side train partition, else training and evaluation partitions
+    disagree."""
+    expected = scaler_fit_windows(windows.histories, windows.targets, scaler.mode)
+    if not (np.allclose(scaler.per_feature_min, expected.per_feature_min)
+            and np.allclose(scaler.per_feature_max, expected.per_feature_max)):
         raise DataError(f"{what}: artifact was not trained on this train partition")
 
 
@@ -146,10 +143,10 @@ def _evaluate_arima(model, aligned, policy):
     ]
 
 
-def _evaluate_windowed(name, predict, artifact, mode, aligned, policy, window_length):
+def _evaluate_windowed(name, predict, artifact, aligned, policy, window_length):
     windows = make_windows(aligned, window_length)
     boundary = split_boundary(len(windows), policy)
-    _check_train_scaler(artifact.scaler, windows[:boundary], mode, name)
+    _check_train_scaler(artifact.scaler, windows[:boundary], name)
     holdout = windows[boundary:]
     return [
         (d, float(p), float(a))
@@ -170,10 +167,8 @@ def evaluate(model_name: str, artifact, aligned: AlignedDataset, policy: str,
     if model_name == "arima":
         rows = _evaluate_arima(artifact, aligned, policy)
     else:
-        predict, mode = {"lstm": (lstm_mod.predict, "unit"),
-                         "gan": (gan_mod.predict, "signed")}[model_name]
-        rows = _evaluate_windowed(model_name, predict, artifact, mode, aligned, policy,
-                                  window_length)
+        predict = {"lstm": lstm_mod.predict, "gan": gan_mod.predict}[model_name]
+        rows = _evaluate_windowed(model_name, predict, artifact, aligned, policy, window_length)
     preds = [r[1] for r in rows]
     scores = metrics(preds, [r[2] for r in rows])
     if not np.isfinite([*preds, scores.mse]).all():

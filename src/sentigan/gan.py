@@ -31,28 +31,27 @@ from .optim import AdamState, adam_step
 from .scaling import ScalerParams, scaler_fit_windows, scaler_inverse, scaler_transform
 
 N_FEATURES = 6
+# the GAN reads its windows min-max scaled to [-1, 1], the range of its tanh output
+SCALER_MODE = "signed"
 SCALE_TOLERANCE = 1e-9
 LOG_EPS = 1e-12
 
 
 class Generator(Dense):
-    """The generator network, the window length it conditions on, the scaler
-    fitted on its training windows and its artifact format."""
+    """A trained generator: the network, the scaler fitted on its training
+    windows and its artifact format."""
 
-    def __init__(self, sizes, activations, theta, window_length: int,
-                 scaler: ScalerParams | None = None):
+    def __init__(self, sizes, activations, theta, scaler: ScalerParams):
         super().__init__(sizes, activations, theta)
-        self.window_length = window_length
+        # its input is a flattened (window_length, 6) window and the day's sentiment
+        self.window_length = (self.sizes[0] - 1) // N_FEATURES
         self.scaler = scaler
-
-    def _with_theta(self, theta):
-        return Generator(self.sizes, self.activations, theta, self.window_length, self.scaler)
 
     def to_dict(self):
         layers = [{"weights": w.tolist(), "bias": b.tolist(), "activation": a}
                   for w, b, a in zip(self.weights, self.biases, self.activations)]
         return {"window_length": self.window_length, "layers": layers,
-                "scaler": self.scaler.to_dict() if self.scaler else None}
+                "scaler": self.scaler.to_dict()}
 
     @classmethod
     def from_dict(cls, d):
@@ -66,12 +65,9 @@ class Generator(Dense):
         if shapes != expected or sizes[-1] != N_FEATURES:
             raise DimensionError("generator layer shapes, ending in "
                                  f"{N_FEATURES} outputs", expected, shapes)
-        scaler = ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None
-        if scaler is not None and len(scaler.per_feature_min) != N_FEATURES:
-            raise DimensionError("generator scaler length", N_FEATURES,
-                                 len(scaler.per_feature_min))
         return cls(sizes, [e["activation"] for e in d["layers"]],
-                   np.concatenate([a.ravel() for a in arrays]), d["window_length"], scaler)
+                   np.concatenate([a.ravel() for a in arrays]),
+                   ScalerParams.from_dict(d["scaler"], SCALER_MODE))
 
 
 @dataclass
@@ -85,9 +81,8 @@ class GanSchedule:
     disc_hidden: tuple = (64, 32)
 
 
-def build_generator(rng, window_length: int, hidden) -> Generator:
-    net = build_mlp(rng, window_length * N_FEATURES + 1, hidden, N_FEATURES, "relu", "tanh")
-    return Generator(net.sizes, net.activations, net.theta, window_length)
+def build_generator(rng, window_length: int, hidden) -> Dense:
+    return build_mlp(rng, window_length * N_FEATURES + 1, hidden, N_FEATURES, "relu", "tanh")
 
 
 def build_discriminator(rng, window_length: int, hidden) -> Dense:
@@ -100,15 +95,13 @@ def _check_scaled(values, what):
         raise DataError(f"{what} exceeds the (-1, 1) scaled range")
 
 
-def _gen_inputs(gen: Generator, histories, sentiments):
-    """Flattened conditioning matrix (B, L*6 + 1); inputs scaled."""
+def _gen_inputs(histories, sentiments):
+    """Flattened conditioning matrix (B, L*6 + 1); inputs scaled. The
+    generator's first layer checks L."""
     histories = np.asarray(histories, dtype=float)
     sentiments = np.asarray(sentiments, dtype=float)
-    if histories.ndim != 3 or histories.shape[1:] != (gen.window_length, N_FEATURES):
-        raise DimensionError(
-            "generator history shape", (gen.window_length, N_FEATURES),
-            histories.shape[1:],
-        )
+    if histories.ndim != 3 or histories.shape[2] != N_FEATURES:
+        raise DimensionError("generator history shape", ("L", N_FEATURES), histories.shape[1:])
     _check_scaled(histories, "window history")
     _check_scaled(sentiments, "sentiment")
     return np.concatenate([histories.reshape(len(histories), -1), sentiments[:, None]],
@@ -175,11 +168,11 @@ def train_step(gen, disc, gen_in, targets, gen_adam, disc_adam):
     return d_loss, g_loss
 
 
-def _member_inputs(gen, windows: Windows):
+def _member_inputs(windows: Windows):
     """A member's scaler, fitted on its windows, and its scaled conditioning
     rows (N, L*6 + 1) and targets (N, 6), range-checked once."""
-    scaler = scaler_fit_windows(windows.histories, windows.targets, "signed")
-    gen_in = _gen_inputs(gen, scaler_transform(scaler, windows.histories),
+    scaler = scaler_fit_windows(windows.histories, windows.targets, SCALER_MODE)
+    gen_in = _gen_inputs(scaler_transform(scaler, windows.histories),
                          np.clip(windows.sentiments, -1.0, 1.0))
     targets = scaler_transform(scaler, windows.targets)
     _check_scaled(targets, "target observation")
@@ -198,11 +191,11 @@ def _setup(members, rng, schedule: GanSchedule):
             window_length = windows.histories.shape[1]
             gen = build_generator(rng, window_length, schedule.gen_hidden)
             disc = build_discriminator(rng, window_length, schedule.disc_hidden)
-        elif len(windows) != n:
-            raise UsageError(f"lockstep members need equal sample counts, got "
-                             f"{n} and {len(windows)}")
+        elif windows.histories.shape[:2] != (n, window_length):
+            raise UsageError("lockstep members need equal sample counts and window lengths, "
+                             f"got {(n, window_length)} and {windows.histories.shape[:2]}")
         try:
-            inputs.append(_member_inputs(gen, windows))
+            inputs.append(_member_inputs(windows))
         except SentiganError as e:
             e.member = k
             raise
@@ -243,22 +236,16 @@ def train(members, schedule: GanSchedule, seed: int):
     gen, disc, scalers, gen_in, targets = _setup(members, rng, schedule)
     gen, disc = gen.stacked(len(scalers)), disc.stacked(len(scalers))
     losses = _fit(gen, disc, gen_in, targets, schedule, rng)
-    results = []
-    for k, scaler in enumerate(scalers):
-        member_gen = gen.member(k)
-        member_gen.scaler = scaler
-        results.append((member_gen, losses[..., k]))
-    return results
+    return [(Generator(gen.sizes, gen.activations, gen.theta[k].copy(), scaler), losses[..., k])
+            for k, scaler in enumerate(scalers)]
 
 
 def predict(gen: Generator, windows: Windows) -> np.ndarray:
     """One-step close forecasts (N,) on the original price scale, one per raw
     (unscaled) window of `windows`, from one batched generator pass."""
-    if gen.scaler is None:
-        raise UsageError("generator has no fitted scaler; train first")
     # holdout context can drift past the train-fitted range; saturate at the
     # scale boundary instead of refusing to forecast
     histories = np.clip(scaler_transform(gen.scaler, windows.histories), -1.0, 1.0)
-    x = _gen_inputs(gen, histories, np.clip(windows.sentiments, -1.0, 1.0))
+    x = _gen_inputs(histories, np.clip(windows.sentiments, -1.0, 1.0))
     out, _ = forward(gen, x)
     return scaler_inverse(gen.scaler, out)[:, CLOSE_COLUMN]

@@ -26,12 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CLOSE_COLUMN, FEATURE_COLUMNS, Windows, finite_floats
-from .errors import DimensionError, TrainingError, UsageError
+from .errors import DimensionError, TrainingError
 from .nn import carve
 from .optim import AdamState, adam_step
 from .scaling import ScalerParams, scaler_fit_windows, scaler_transform
 
 GATES = ("input", "forget", "output", "candidate")
+# the LSTM reads its windows min-max scaled to [0, 1]
+SCALER_MODE = "unit"
 # the sign each gate's block takes in _signed_weights: -1 for the sigmoids
 _SIGNS = np.array([-1.0, -1.0, -1.0, 1.0])[:, None, None]
 
@@ -42,7 +44,8 @@ class LstmModel:
     weights w (4H, D), recurrent weights u (4H, H) and bias b (4H,), whose
     row blocks are the gates in GATES order, then the head's (1, H) weights
     and (1,) bias. `w`, `u`, `b`, `head_weights` and `head_bias` are views
-    into `theta`. The artifact keeps one {w, u, b} entry per gate."""
+    into `theta`. `scaler` was fitted on the training windows. The artifact
+    keeps one {w, u, b} entry per gate."""
 
     hidden_size: int
     input_size: int
@@ -51,7 +54,7 @@ class LstmModel:
     b: np.ndarray
     head_weights: np.ndarray
     head_bias: np.ndarray
-    scaler: ScalerParams | None = None
+    scaler: ScalerParams
     theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -68,7 +71,8 @@ class LstmModel:
         return [(4 * h, d), (4 * h, h), (4 * h,), (1, h), (1,)]
 
     @classmethod
-    def initialize(cls, rng, hidden_size: int, input_size: int) -> "LstmModel":
+    def initialize(cls, rng, hidden_size: int, input_size: int,
+                   scaler: ScalerParams) -> "LstmModel":
         def glorot(rows, cols):
             bound = np.sqrt(6.0 / (rows + cols))
             return rng.uniform(-bound, bound, size=(rows, cols))
@@ -82,7 +86,7 @@ class LstmModel:
             hidden_size=hidden_size, input_size=input_size,
             w=w, u=u, b=np.zeros(4 * hidden_size),
             head_weights=glorot(1, hidden_size),
-            head_bias=np.zeros(1),
+            head_bias=np.zeros(1), scaler=scaler,
         )
 
     def to_dict(self):
@@ -94,7 +98,7 @@ class LstmModel:
                       for j, name in enumerate(GATES)},
             "head_weights": self.head_weights.tolist(),
             "head_bias": self.head_bias.tolist(),
-            "scaler": self.scaler.to_dict() if self.scaler else None,
+            "scaler": self.scaler.to_dict(),
         }
 
     @classmethod
@@ -109,15 +113,11 @@ class LstmModel:
                 if g[key].shape != shape:
                     raise DimensionError(f"LSTM {name} gate {key}", shape, g[key].shape)
         w, u, b = (np.concatenate([g[key] for g in gates]) for key in "wub")
-        scaler = ScalerParams.from_dict(d["scaler"]) if d.get("scaler") else None
-        if scaler is not None and len(scaler.per_feature_min) != len(FEATURE_COLUMNS):
-            raise DimensionError("LSTM scaler length", len(FEATURE_COLUMNS),
-                                 len(scaler.per_feature_min))
         return cls(
             hidden_size=h, input_size=n, w=w, u=u, b=b,
             head_weights=finite_floats(d["head_weights"], "LSTM head_weights"),
             head_bias=finite_floats(d["head_bias"], "LSTM head_bias"),
-            scaler=scaler,
+            scaler=ScalerParams.from_dict(d["scaler"], SCALER_MODE),
         )
 
 
@@ -281,8 +281,9 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
         )
     rng = np.random.default_rng(seed)
     histories, targets = windows.histories, windows.targets
-    model = LstmModel.initialize(rng, schedule.hidden_size, histories.shape[-1])
-    model.scaler = scaler_fit_windows(histories, targets, "unit")
+    # the scaler draws nothing from rng, so the seed's weights do not depend on it
+    scaler = scaler_fit_windows(histories, targets, SCALER_MODE)
+    model = LstmModel.initialize(rng, schedule.hidden_size, histories.shape[-1], scaler)
     log: list[dict] = []
     if schedule.max_epochs == 0:
         return model, log
@@ -345,8 +346,6 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
 def predict(model: LstmModel, windows: Windows) -> np.ndarray:
     """One-step close forecasts (N,) on the original price scale, one per
     window, from one batched forward pass."""
-    if model.scaler is None:
-        raise UsageError("model has no fitted scaler; train first")
     out = _forward_sequence(model, scaler_transform(model.scaler, windows.histories))
     lo = model.scaler.per_feature_min[CLOSE_COLUMN]
     hi = model.scaler.per_feature_max[CLOSE_COLUMN]

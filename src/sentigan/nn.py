@@ -80,16 +80,9 @@ class Dense:
         self.grad = np.zeros_like(theta)
         self.grads = carve(self.grad, shapes)
 
-    def _with_theta(self, theta):
-        return Dense(self.sizes, self.activations, theta)
-
     def stacked(self, count: int):
         """`count` copies of this network along a leading member axis."""
-        return self._with_theta(np.repeat(self.theta[None], count, axis=0))
-
-    def member(self, k: int):
-        """A copy of member k of a stacked network."""
-        return self._with_theta(self.theta[k].copy())
+        return Dense(self.sizes, self.activations, np.repeat(self.theta[None], count, axis=0))
 
 
 def build_mlp(rng, in_size, hidden, out_size, hidden_activation, out_activation):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import finite_floats
+from .data import FEATURE_COLUMNS, finite_floats
 from .errors import DataError, DimensionError
 
 MODES = ("unit", "signed")
@@ -34,13 +34,22 @@ class ScalerParams:
         }
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, mode: str):
+        """A windowed model's scaler as its artifact stores it. It must be
+        present, span the FEATURE_COLUMNS and have been fitted in `mode`,
+        the model's own."""
+        if d is None:
+            raise DataError("no fitted scaler")
+        if d["mode"] != mode:
+            raise DataError(f"scaler mode must be {mode!r}, got {d['mode']!r}")
         lo = finite_floats(d["per_feature_min"], "scaler per_feature_min")
         hi = finite_floats(d["per_feature_max"], "scaler per_feature_max")
         if lo.ndim != 1 or hi.shape != lo.shape:
             raise DimensionError("scaler per_feature_min and per_feature_max",
                                  "two 1-d lists of one length", (lo.shape, hi.shape))
-        return cls(mode=d["mode"], per_feature_min=lo, per_feature_max=hi)
+        if len(lo) != len(FEATURE_COLUMNS):
+            raise DataError(f"scaler spans {len(lo)} features, not {len(FEATURE_COLUMNS)}")
+        return cls(mode=mode, per_feature_min=lo, per_feature_max=hi)
 
 
 def scaler_fit(data, mode: str = "unit") -> ScalerParams:

@@ -3,6 +3,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from sentigan.data import AlignedDataset, split_boundary
+from sentigan.scaling import ScalerParams
 
 
 def aligned_from_close(close, symbol="SYN", sentiment=None):
@@ -25,6 +26,11 @@ def aligned_from_close(close, symbol="SYN", sentiment=None):
     if sentiment is None:
         sentiment = np.zeros(t)
     return AlignedDataset(symbol, dates, features, np.asarray(sentiment, dtype=float))
+
+
+def scaler_over(width=6, mode="unit"):
+    """A scaler of `width` features, each over [0, 1], for a model built by hand."""
+    return ScalerParams(mode, np.zeros(width), np.ones(width))
 
 
 def holdout_split(windows):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import aligned_from_close, holdout_split
+from conftest import aligned_from_close, holdout_split, scaler_over
 from gradcheck import finite_difference_check, numerical_gradient, relative_error
 from sentigan import arima, cli, gan, lstm
 from sentigan.arima import ArimaOrder
@@ -87,7 +87,7 @@ def test_criterion_3_gradient_suite():
     # LSTM cell unrolled through 8 steps
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
-        model = LstmModel.initialize(rng, 4, 3)
+        model = LstmModel.initialize(rng, 4, 3, scaler_over(3))
         xs = rng.normal(size=(2, 8, 3))
         targets = rng.normal(size=2)
         workspace = lstm.Workspace(2, 8, 4)
@@ -109,7 +109,7 @@ def test_criterion_3_gradient_suite():
         histories = rng.uniform(-0.9, 0.9, size=(2, length, 6))
         sentiments = rng.uniform(-1, 1, size=2)
         targets = rng.uniform(-0.9, 0.9, size=(2, 6))
-        gen_in = gan._gen_inputs(g, histories, sentiments)
+        gen_in = gan._gen_inputs(histories, sentiments)
         real_in = np.concatenate([targets, gen_in], axis=1)
         fake, gen_caches = forward(g, gen_in)
         fake_in = np.concatenate([fake, gen_in], axis=1)

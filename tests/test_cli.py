@@ -16,6 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scaler_over
 from sentigan import arima, cli, config
 from sentigan.config import RunConfig, load_config
 from sentigan.errors import DataError, UsageError
@@ -173,10 +174,11 @@ def test_malformed_config_value_is_data_error_naming_file_and_key(
 @pytest.mark.parametrize("section, keys", [
     ("split_policies", {"prophet": "fraction_90_10"}),
     ("lstm", {1: 2, "dropout": 0.5}),  # keys of two types, which do not sort
-], ids=["split_policies", "lstm"])
+    (None, {"windw_length": 5}),  # a typo, which would run with the default of 20
+], ids=["split_policies", "lstm", "top_level"])
 def test_unknown_key_is_usage_error_naming_it(pipeline, capsys, section, keys):
     raw = yaml.safe_load(pipeline.read_text())
-    raw.setdefault(section, {}).update(keys)
+    (raw if section is None else raw.setdefault(section, {})).update(keys)
     pipeline.write_text(yaml.safe_dump(raw, sort_keys=False))
     capsys.readouterr()
     assert cli.main(["ingest", "--config", str(pipeline)]) == cli.EXIT_USAGE
@@ -541,15 +543,38 @@ def test_arima_artifact_of_a_too_short_train_partition_is_stale(pipeline, tmp_pa
     refuse_arima_on_six_rows(pipeline, tmp_path, capsys, model)
 
 
+@pytest.mark.parametrize("model, mode", [
+    ("lstm", None), ("gan", None), ("lstm", "bogus"), ("gan", "unit"),
+], ids=["lstm_null", "gan_null", "lstm_bogus_mode", "gan_unit_mode"])
+def test_windowed_artifact_without_its_scaler_is_refused_naming_it(
+        pipeline, tmp_path, capsys, model, mode):
+    # a missing scaler or one of another mode is a corrupt artifact, not a
+    # stale one
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    path = tmp_path / "out" / "models" / f"AAA_{model}.json"
+    payload = json.loads(path.read_text())
+    if mode is None:
+        payload["artifact"]["scaler"] = None
+    else:
+        payload["artifact"]["scaler"]["mode"] = mode
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(pipeline)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert ("no fitted scaler" if mode is None else f"got {mode!r}") in err
+    assert "not trained on this train partition" not in err
+
+
 @pytest.mark.parametrize("model, expected", [
     ("lstm", "lstm: forecasts or their squared errors are not finite"),
     ("gan", "forward pass produced non-finite output"),
 ])
-def test_non_finite_forecasts_are_refused_before_the_report(pipeline, tmp_path, model,
-                                                           expected):
+def test_non_finite_forecasts_are_refused_before_the_report(pipeline, tmp_path, capsys,
+                                                           model, expected):
     # finite weights of 1e308 pass the artifact's checks, but the forecasts
-    # they make overflow. evaluate runs as the command does, where numpy's
-    # overflow is a warning, not an error.
+    # they make overflow. evaluate runs in this process, where numpy's
+    # warnings are errors, and as the command, where they are warnings.
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     path = tmp_path / "out" / "models" / f"AAA_{model}.json"
     payload = json.loads(path.read_text())
@@ -560,13 +585,17 @@ def test_non_finite_forecasts_are_refused_before_the_report(pipeline, tmp_path, 
     path.write_text(json.dumps(payload))
     report = tmp_path / "out" / "reports" / f"AAA_{model}.json"
     report.unlink()
-    done = subprocess.run([sys.executable, "-m", "sentigan.cli", "evaluate", "--config",
-                           str(pipeline), "--asset", "AAA"], env=src_env(),
+    capsys.readouterr()
+    args = ["evaluate", "--config", str(pipeline), "--asset", "AAA"]
+    in_process = cli.main(args), capsys.readouterr().err
+    done = subprocess.run([sys.executable, "-m", "sentigan.cli", *args], env=src_env(),
                           capture_output=True, text=True, timeout=120)
-    assert done.returncode == cli.EXIT_DATA, done.stderr
-    assert expected in done.stderr
-    assert str(path) in done.stderr
-    assert str(tmp_path / "out" / "aligned" / "AAA.json") in done.stderr
+    for code, err in (in_process, (done.returncode, done.stderr)):
+        assert code == cli.EXIT_DATA, err
+        assert expected in err
+        assert str(path) in err
+        assert str(tmp_path / "out" / "aligned" / "AAA.json") in err
+        assert "RuntimeWarning" not in err
     assert not report.exists()
 
 
@@ -612,7 +641,8 @@ def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, d
         # gates of width 5 that match input_size 5, for windows of 6 features
         payload = json.loads(text)
         narrow = LstmModel.initialize(np.random.default_rng(0),
-                                      payload["artifact"]["hidden_size"], 5).to_dict()
+                                      payload["artifact"]["hidden_size"], 5,
+                                      scaler_over(5)).to_dict()
         payload["artifact"].update(input_size=5, gates=narrow["gates"])
         path.write_text(json.dumps(payload))
     elif damage == "scaler_short":

@@ -4,7 +4,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from conftest import aligned_from_close, holdout_split
+from conftest import aligned_from_close, holdout_split, scaler_over
 from gradcheck import numerical_gradient, relative_error
 from sentigan import gan, nn
 from sentigan.data import CLOSE_COLUMN, Windows, make_windows
@@ -41,7 +41,7 @@ def zero_net(net):
 def generate(g, windows):
     """The generator's scaled next-day observation (6,) for the first of
     `windows`, scaled."""
-    out, _ = forward(g, gan._gen_inputs(g, windows.histories, windows.sentiments))
+    out, _ = forward(g, gan._gen_inputs(windows.histories, windows.sentiments))
     return out[0]
 
 
@@ -64,7 +64,8 @@ def test_every_layer_array_is_a_view_of_theta():
     rng = np.random.default_rng(0)
     g = build_generator(rng, 4, hidden=(8, 5))
     d = build_discriminator(rng, 4, hidden=(6,))
-    nets = [g, d, Generator.from_dict(g.to_dict())]
+    trained = Generator(g.sizes, g.activations, g.theta, scaler_over(mode="signed"))
+    nets = [g, d, Generator.from_dict(trained.to_dict())]
     for net in nets:
         arrays = [*net.weights, *net.biases]
         assert net.theta.ndim == 1
@@ -178,7 +179,7 @@ def test_adversarial_gradients_match_finite_differences():
     g = build_generator(rng, length, hidden=(4,))
     d = build_discriminator(rng, length, hidden=(4,))
     batch = scaled_windows(rng, length, count=2)
-    gen_in = gan._gen_inputs(g, batch.histories, batch.sentiments)
+    gen_in = gan._gen_inputs(batch.histories, batch.sentiments)
     real_in = np.concatenate([batch.targets, gen_in], axis=1)
 
     def d_loss():
@@ -219,7 +220,7 @@ def make_step_fixture(seed=11, length=4, batch=5):
 
 def step_inputs(g, batch):
     """(gen_in, real_in, fake, gen_caches, fake_in) as train_step builds them."""
-    gen_in = gan._gen_inputs(g, batch.histories, batch.sentiments)
+    gen_in = gan._gen_inputs(batch.histories, batch.sentiments)
     real_in = np.concatenate([batch.targets, gen_in], axis=1)
     fake, gen_caches = forward(g, gen_in)
     return gen_in, real_in, fake, gen_caches, np.concatenate([fake, gen_in], axis=1)
@@ -257,7 +258,7 @@ def test_generator_update_gradients_are_unchanged_bitwise():
     # gradient, and the generator gradient built on it is the same
     g, d, batch = make_step_fixture()
     g, d = g.stacked(2), d.stacked(2)
-    gen_in = step_inputs(g.member(0), batch)[0]
+    gen_in = gan._gen_inputs(batch.histories, batch.sentiments)
     gen_in = np.stack([gen_in, gen_in[::-1]])
     fake, gen_caches = forward(g, gen_in)
     fake_in = np.concatenate([fake, gen_in], axis=-1)
@@ -529,11 +530,13 @@ def test_scaler_round_trip_on_actuals():
                        atol=1e-9)
 
 
-def test_predict_without_scaler_errors():
-    rng = np.random.default_rng(12)
-    g = build_generator(rng, 4, hidden=(8,))
-    with pytest.raises(UsageError):
-        gan.predict(g, scaled_windows(rng, 4))
+def test_building_a_generator_without_a_scaler_is_refused():
+    net = build_generator(np.random.default_rng(12), 4, hidden=(8,))
+    with pytest.raises(TypeError, match="scaler"):
+        Generator(net.sizes, net.activations, net.theta)
+    g = Generator(net.sizes, net.activations, net.theta, scaler_over(mode="signed"))
+    with pytest.raises(DataError, match="no fitted scaler"):
+        Generator.from_dict({**g.to_dict(), "scaler": None})
 
 
 def trained_generator(seed=9):

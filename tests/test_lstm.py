@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import aligned_from_close
+from conftest import aligned_from_close, scaler_over
 from gradcheck import numerical_gradient, relative_error
 from sentigan import lstm
 from sentigan.config import load_config
 from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
-from sentigan.errors import DataError, DimensionError, TrainingError, UsageError
+from sentigan.errors import DataError, DimensionError, TrainingError
 from sentigan.eval import evaluate
 from sentigan.lstm import LstmModel, TrainSchedule, Workspace
 from sentigan.nn import carve
@@ -18,7 +18,7 @@ from sentigan.scaling import scaler_transform
 
 def zero_model(hidden=3, inputs=2):
     rng = np.random.default_rng(0)
-    model = LstmModel.initialize(rng, hidden, inputs)
+    model = LstmModel.initialize(rng, hidden, inputs, scaler_over(inputs))
     model.theta[...] = 0.0
     return model
 
@@ -86,7 +86,7 @@ def reference_loss_and_gradient(model, xs, targets):
 
 def test_every_parameter_array_is_a_view_of_theta():
     rng = np.random.default_rng(0)
-    model = LstmModel.initialize(rng, 3, 6)
+    model = LstmModel.initialize(rng, 3, 6, scaler_over())
     restored = LstmModel.from_dict(model.to_dict())
     for m in (model, restored):
         assert m.theta.shape == (4 * (3 * 6 + 3 * 3 + 3) + 3 + 1,)
@@ -104,6 +104,7 @@ def artifact_with_biases(hidden=3, inputs=6, **biases):
         "gates": {name: {**zero, "b": [biases.get(name, 0.0)] * hidden} for name in lstm.GATES},
         "head_weights": np.zeros((1, hidden)).tolist(),
         "head_bias": [0.0],
+        "scaler": scaler_over(inputs).to_dict(),
     }
 
 
@@ -121,7 +122,7 @@ def test_artifact_gate_order():
 
 
 def test_from_dict_rejects_misshapen_gate():
-    d = LstmModel.initialize(np.random.default_rng(0), 3, 6).to_dict()
+    d = LstmModel.initialize(np.random.default_rng(0), 3, 6, scaler_over()).to_dict()
     d["gates"]["forget"]["w"] = np.zeros((6, 3)).tolist()
     with pytest.raises(DimensionError):
         LstmModel.from_dict(d)
@@ -148,7 +149,7 @@ def test_cell_forward_zero_state_zero_candidate():
 
 def test_gate_outputs_bounded():
     rng = np.random.default_rng(1)
-    model = LstmModel.initialize(rng, 4, 3)
+    model = LstmModel.initialize(rng, 4, 3, scaler_over(3))
     h = rng.normal(size=4)
     c = rng.normal(size=4)
     x = rng.normal(size=3) * 10
@@ -164,7 +165,7 @@ def test_gate_outputs_bounded():
 def test_bptt_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     hidden, length, inputs = 4, 5, 3
-    model = LstmModel.initialize(rng, hidden, inputs)
+    model = LstmModel.initialize(rng, hidden, inputs, scaler_over(inputs))
     xs = rng.normal(size=(2, length, inputs))
     targets = rng.normal(size=2)
 
@@ -181,7 +182,7 @@ def test_bptt_matches_finite_differences(seed):
 @pytest.mark.parametrize("batch", [1, 3, 32])
 def test_bptt_matches_per_step_reference(batch, length, hidden):
     rng = np.random.default_rng(batch * 100 + length * 10 + hidden)
-    model = LstmModel.initialize(rng, hidden, 6)
+    model = LstmModel.initialize(rng, hidden, 6, scaler_over())
     model.b[...] = rng.normal(size=4 * hidden)
     xs = rng.uniform(-1.0, 1.0, size=(batch, length, 6))
     targets = rng.uniform(-1.0, 1.0, size=batch)
@@ -195,7 +196,7 @@ def test_reused_workspace_equals_a_fresh_one():
     # a workspace carries every batch of one shape through train(); nothing
     # of the previous batch, h0 and c0 included, may reach the next
     rng = np.random.default_rng(2)
-    model = LstmModel.initialize(rng, 5, 6)
+    model = LstmModel.initialize(rng, 5, 6, scaler_over())
     first, second = rng.uniform(-1.0, 1.0, size=(2, 4, 7, 6))
     targets = rng.uniform(-1.0, 1.0, size=4)
     fresh_loss, fresh_grad = loss_and_gradient(model, second, targets)
@@ -336,7 +337,7 @@ def test_forward_only_pass_equals_training_forward():
 def test_forward_only_pass_keeps_no_sequence_deep_buffer():
     n, length, hidden = 500, 20, 32
     rng = np.random.default_rng(5)
-    model = LstmModel.initialize(rng, hidden, 6)
+    model = LstmModel.initialize(rng, hidden, 6, scaler_over())
     xs = rng.uniform(-1.0, 1.0, size=(n, length, 6))
     tracemalloc.start()
     try:
@@ -381,11 +382,15 @@ def test_batched_predict_equals_one_window_calls():
     assert np.max(np.abs(batched - alone) / np.abs(alone)) <= 1e-15
 
 
-def test_predict_without_scaler_errors():
+def test_building_a_model_without_a_scaler_is_refused():
     model = zero_model(4, 6)
-    model.scaler = None
-    with pytest.raises(UsageError):
-        lstm.predict(model, line_windows(50, 5)[:1])
+    arrays = dict(zip(["w", "u", "b", "head_weights", "head_bias"], model_arrays(model)))
+    with pytest.raises(TypeError, match="scaler"):
+        LstmModel(hidden_size=4, input_size=6, **arrays)
+    with pytest.raises(TypeError, match="scaler"):
+        LstmModel.initialize(np.random.default_rng(0), 4, 6)
+    with pytest.raises(DataError, match="no fitted scaler"):
+        LstmModel.from_dict({**model.to_dict(), "scaler": None})
 
 
 def test_model_json_round_trip():

@@ -91,14 +91,30 @@ def test_leakage_freedom_params_ignore_test_rows():
 
 
 def test_serialization_round_trip():
-    params = scaler_fit(np.arange(12.0).reshape(4, 3), "signed")
+    params = scaler_fit(np.arange(12.0).reshape(2, 6), "signed")
     assert params.to_dict()["fitted_on"] == "train"
-    restored = ScalerParams.from_dict(params.to_dict())
+    restored = ScalerParams.from_dict(params.to_dict(), "signed")
     assert restored.mode == "signed"
     assert np.array_equal(restored.per_feature_min, params.per_feature_min)
+
+
+def ranges(width=6, mode="unit"):
+    return {"mode": mode, "per_feature_min": [0.0] * width, "per_feature_max": [1.0] * width}
+
+
+@pytest.mark.parametrize("stored, why", [
+    (None, "no fitted scaler"),
+    (ranges(mode="signed"), "scaler mode must be 'unit', got 'signed'"),
+    (ranges(mode="bogus"), "scaler mode must be 'unit', got 'bogus'"),
+    (ranges(width=5), "scaler spans 5 features, not 6"),
+], ids=["null", "other_mode", "unknown_mode", "five_features"])
+def test_from_dict_refuses_a_scaler_the_model_cannot_use(stored, why):
+    with pytest.raises(DataError, match=why):
+        ScalerParams.from_dict(stored, "unit")
 
 
 @pytest.mark.parametrize("lo, hi", [([0.0, 1.0], [2.0]), ([[0.0]], [[1.0]]), (0.0, 1.0)])
 def test_from_dict_rejects_ragged_or_non_list_ranges(lo, hi):
     with pytest.raises(DimensionError):
-        ScalerParams.from_dict({"mode": "unit", "per_feature_min": lo, "per_feature_max": hi})
+        ScalerParams.from_dict({"mode": "unit", "per_feature_min": lo, "per_feature_max": hi},
+                               "unit")
