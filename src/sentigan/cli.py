@@ -368,9 +368,8 @@ def _polyline(xs, ys, color):
 def render_plot_svg(report: ForecastReport) -> str:
     """Standalone two-line SVG chart: actual vs predicted close over the
     held-out dates. Byte-deterministic for a given report."""
-    n = len(report.rows)
-    actual = [r[2] for r in report.rows]
-    predicted = [r[1] for r in report.rows]
+    n = len(report.dates)
+    actual, predicted = report.actual.tolist(), report.predicted.tolist()
     lo = min(min(actual), min(predicted))
     hi = max(max(actual), max(predicted))
     span = (hi - lo) or 1.0
@@ -381,8 +380,8 @@ def render_plot_svg(report: ForecastReport) -> str:
     def y(v):
         return SVG_MARGIN + inner_h * (1.0 - (v - lo) / span)
 
-    first = report.rows[0][0].isoformat()
-    last = report.rows[-1][0].isoformat()
+    first = report.dates[0].isoformat()
+    last = report.dates[-1].isoformat()
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
         f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
@@ -417,7 +416,8 @@ def render_plot_csv(report: ForecastReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["date", "actual", "predicted"])
-    for d, predicted, actual in report.rows:
+    for d, actual, predicted in zip(report.dates, report.actual.tolist(),
+                                    report.predicted.tolist()):
         writer.writerow([d.isoformat(), repr(actual), repr(predicted)])
     return buf.getvalue()
 
@@ -434,7 +434,7 @@ def cmd_plot(cfg: RunConfig, asset_symbol, model) -> int:
         raise DataError(f"no report for {asset_symbol!r}/{model}; run evaluate first")
     report = _load_or_die(path, "report",
                           lambda p: ForecastReport.from_dict(json.loads(read_utf8(p))))
-    if not report.rows:
+    if not report.dates:
         raise DataError(f"report {path} has no rows to plot")
     base = cfg.output_dir / "plots" / f"{asset_symbol}_{model}"
     write_atomic(base.with_suffix(".svg"), render_plot_svg(report))

@@ -45,6 +45,8 @@ class AlignedDataset:
                 f"aligned dataset shape mismatch: {t} dates, "
                 f"features {self.features.shape}, sentiment {self.sentiment.shape}"
             )
+        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+            raise DataError(f"{self.symbol}: dates are not strictly increasing")
 
     def to_dict(self):
         return {
@@ -260,9 +262,11 @@ def write_atomic(path, text: str):
 def finite_floats(values, what) -> np.ndarray:
     """`values` read back from JSON, as a float array. Anything but numbers
     (a string, null or a bool) or a non-finite number (NaN, Infinity, or a
-    literal such as 1e400 that overflows) is a DataError naming `what`."""
+    literal such as 1e400 that overflows) is a DataError naming `what`. A
+    bool among numbers, which numpy reads as 0 or 1, is found by its type."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+    if (arr.dtype.kind not in "iuf" or not np.isfinite(arr).all()
+            or bool in set(map(type, np.asarray(values, dtype=object).flat))):
         raise DataError(f"{what} must be finite numbers")
     return arr.astype(float, copy=False)
 

@@ -48,7 +48,9 @@ class MetricSet:
 class ForecastReport:
     symbol: str
     model: str
-    rows: list  # (date, predicted close, actual close)
+    dates: list[Date]  # the holdout's N target dates
+    predicted: np.ndarray  # (N,) closes
+    actual: np.ndarray  # (N,) closes
     metrics: MetricSet
 
     def __post_init__(self):
@@ -61,17 +63,20 @@ class ForecastReport:
             "model": self.model,
             "rows": [
                 {"date": d.isoformat(), "predicted": p, "actual": a}
-                for d, p, a in self.rows
+                for d, p, a in zip(self.dates, self.predicted.tolist(), self.actual.tolist())
             ],
             "metrics": self.metrics.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d):
-        rows = [(Date.fromisoformat(r["date"]), float(r["predicted"]), float(r["actual"]))
-                for r in d["rows"]]
-        finite_floats([r[1:] for r in rows], "report rows")
-        return cls(d["symbol"], d["model"], rows, MetricSet.from_dict(d["metrics"]))
+        rows = d["rows"]
+        predicted, actual = (finite_floats([r[key] for r in rows], f"report {key}")
+                             for key in ("predicted", "actual"))
+        if predicted.ndim != 1 or actual.ndim != 1:
+            raise DataError("each report row must hold one predicted and one actual close")
+        return cls(d["symbol"], d["model"], [Date.fromisoformat(r["date"]) for r in rows],
+                   predicted, actual, MetricSet.from_dict(d["metrics"]))
 
 
 @dataclass
@@ -110,12 +115,6 @@ def metrics(predicted, actual) -> MetricSet:
     return MetricSet(mae, mse, rmse, mape=mape)
 
 
-def _check_chronological(aligned: AlignedDataset):
-    dates = aligned.dates
-    if any(b <= a for a, b in zip(dates, dates[1:])):
-        raise DataError(f"{aligned.symbol}: dates are not strictly increasing")
-
-
 def _check_train_scaler(scaler, windows: Windows, what):
     """The artifact's scaler must match one fitted, in its mode, on the
     evaluation-side train partition, else training and evaluation partitions
@@ -136,11 +135,8 @@ def _evaluate_arima(model, aligned, policy):
             n_tail > boundary
             or not np.allclose(model.tail_values, closes[boundary - n_tail:boundary])):
         raise DataError("arima: artifact was not trained on this train partition")
-    preds = arima_mod.rolling_forecasts(model, closes, boundary)
-    return [
-        (aligned.dates[boundary + i], float(preds[i]), float(closes[boundary + i]))
-        for i in range(len(preds))
-    ]
+    return (aligned.dates[boundary:], arima_mod.rolling_forecasts(model, closes, boundary),
+            closes[boundary:])
 
 
 def _evaluate_windowed(name, predict, artifact, aligned, policy, window_length):
@@ -148,11 +144,7 @@ def _evaluate_windowed(name, predict, artifact, aligned, policy, window_length):
     boundary = split_boundary(len(windows), policy)
     _check_train_scaler(artifact.scaler, windows[:boundary], name)
     holdout = windows[boundary:]
-    return [
-        (d, float(p), float(a))
-        for d, p, a in zip(holdout.dates, predict(artifact, holdout),
-                           holdout.targets[:, CLOSE_COLUMN])
-    ]
+    return holdout.dates, predict(artifact, holdout), holdout.targets[:, CLOSE_COLUMN]
 
 
 def evaluate(model_name: str, artifact, aligned: AlignedDataset, policy: str,
@@ -163,17 +155,16 @@ def evaluate(model_name: str, artifact, aligned: AlignedDataset, policy: str,
         raise UsageError(f"unknown model name {model_name!r}")
     if model_name != "arima" and window_length is None:
         raise UsageError(f"{model_name} evaluation needs a window_length")
-    _check_chronological(aligned)
     if model_name == "arima":
-        rows = _evaluate_arima(artifact, aligned, policy)
+        dates, predicted, actual = _evaluate_arima(artifact, aligned, policy)
     else:
         predict = {"lstm": lstm_mod.predict, "gan": gan_mod.predict}[model_name]
-        rows = _evaluate_windowed(model_name, predict, artifact, aligned, policy, window_length)
-    preds = [r[1] for r in rows]
-    scores = metrics(preds, [r[2] for r in rows])
-    if not np.isfinite([*preds, scores.mse]).all():
+        dates, predicted, actual = _evaluate_windowed(model_name, predict, artifact, aligned,
+                                                      policy, window_length)
+    scores = metrics(predicted, actual)
+    if not np.isfinite(np.append(predicted, scores.mse)).all():
         raise DataError(f"{model_name}: forecasts or their squared errors are not finite")
-    return ForecastReport(aligned.symbol, model_name, rows, scores)
+    return ForecastReport(aligned.symbol, model_name, dates, predicted, actual, scores)
 
 
 def aggregate(reports: list[ForecastReport]) -> AggregateReport:

@@ -21,7 +21,7 @@ Everything is seeded and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,56 +38,41 @@ SCALER_MODE = "unit"
 _SIGNS = np.array([-1.0, -1.0, -1.0, 1.0])[:, None, None]
 
 
-@dataclass
 class LstmModel:
     """All parameters live in the flat vector `theta`: the stacked input
     weights w (4H, D), recurrent weights u (4H, H) and bias b (4H,), whose
     row blocks are the gates in GATES order, then the head's (1, H) weights
     and (1,) bias. `w`, `u`, `b`, `head_weights` and `head_bias` are views
-    into `theta`. `scaler` was fitted on the training windows. The artifact
-    keeps one {w, u, b} entry per gate."""
+    of `theta`, and `grads` views of the gradient `grad` in the same layout,
+    all carved once. `scaler` was fitted on the training windows. The
+    artifact keeps one {w, u, b} entry per gate."""
 
-    hidden_size: int
-    input_size: int
-    w: np.ndarray
-    u: np.ndarray
-    b: np.ndarray
-    head_weights: np.ndarray
-    head_bias: np.ndarray
-    scaler: ScalerParams
-    theta: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        given = [self.w, self.u, self.b, self.head_weights, self.head_bias]
-        shapes = [np.shape(a) for a in given]
-        if shapes != self._shapes():
-            raise DimensionError("LSTM parameter shapes", self._shapes(), shapes)
-        self.theta = np.concatenate([np.ravel(a) for a in given], dtype=float)
-        self.w, self.u, self.b, self.head_weights, self.head_bias = carve(
-            self.theta, self._shapes())
-
-    def _shapes(self):
-        h, d = self.hidden_size, self.input_size
-        return [(4 * h, d), (4 * h, h), (4 * h,), (1, h), (1,)]
+    def __init__(self, hidden_size: int, input_size: int, theta: np.ndarray,
+                 scaler: ScalerParams):
+        self.hidden_size, self.input_size = hidden_size, input_size
+        self.theta, self.scaler = theta, scaler
+        h, d = hidden_size, input_size
+        shapes = [(4 * h, d), (4 * h, h), (4 * h,), (1, h), (1,)]
+        self.w, self.u, self.b, self.head_weights, self.head_bias = carve(theta, shapes)
+        self.grad = np.zeros_like(theta)
+        self.grads = carve(self.grad, shapes)
 
     @classmethod
     def initialize(cls, rng, hidden_size: int, input_size: int,
                    scaler: ScalerParams) -> "LstmModel":
-        def glorot(rows, cols):
-            bound = np.sqrt(6.0 / (rows + cols))
-            return rng.uniform(-bound, bound, size=(rows, cols))
+        def glorot(w):
+            bound = np.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
 
-        # this draw order (per gate in GATES order: w, then u) fixes a seed's
-        # initial values
-        blocks = [(glorot(hidden_size, input_size), glorot(hidden_size, hidden_size))
-                  for _ in GATES]
-        w, u = (np.vstack(stack) for stack in zip(*blocks))
-        return cls(
-            hidden_size=hidden_size, input_size=input_size,
-            w=w, u=u, b=np.zeros(4 * hidden_size),
-            head_weights=glorot(1, hidden_size),
-            head_bias=np.zeros(1), scaler=scaler,
-        )
+        h = hidden_size
+        model = cls(h, input_size, np.zeros(4 * h * (input_size + h + 1) + h + 1), scaler)
+        # this draw order (per gate in GATES order: w, then u; then the
+        # head) fixes a seed's initial values
+        for w, u in zip(np.split(model.w, len(GATES)), np.split(model.u, len(GATES))):
+            glorot(w)
+            glorot(u)
+        glorot(model.head_weights)
+        return model
 
     def to_dict(self):
         w, u, b = (np.split(a, len(GATES)) for a in (self.w, self.u, self.b))
@@ -106,19 +91,15 @@ class LstmModel:
         h, n = d["hidden_size"], d["input_size"]
         if n != len(FEATURE_COLUMNS):
             raise DimensionError("LSTM input_size", len(FEATURE_COLUMNS), n)
-        gates = [{key: finite_floats(d["gates"][name][key], f"LSTM {name} gate {key}")
-                  for key in "wub"} for name in GATES]
-        for name, g in zip(GATES, gates):
-            for key, shape in (("w", (h, n)), ("u", (h, h)), ("b", (h,))):
-                if g[key].shape != shape:
-                    raise DimensionError(f"LSTM {name} gate {key}", shape, g[key].shape)
-        w, u, b = (np.concatenate([g[key] for g in gates]) for key in "wub")
-        return cls(
-            hidden_size=h, input_size=n, w=w, u=u, b=b,
-            head_weights=finite_floats(d["head_weights"], "LSTM head_weights"),
-            head_bias=finite_floats(d["head_bias"], "LSTM head_bias"),
-            scaler=ScalerParams.from_dict(d["scaler"], SCALER_MODE),
-        )
+        arrays = [finite_floats(d["gates"][name][key], f"LSTM {name} gate {key}")
+                  for key in "wub" for name in GATES]
+        arrays += [finite_floats(d[key], f"LSTM {key}") for key in ("head_weights", "head_bias")]
+        expected = [(h, n)] * 4 + [(h, h)] * 4 + [(h,)] * 4 + [(1, h), (1,)]
+        shapes = [a.shape for a in arrays]
+        if shapes != expected:
+            raise DimensionError("LSTM gate and head shapes", expected, shapes)
+        return cls(h, n, np.concatenate([a.ravel() for a in arrays]),
+                   ScalerParams.from_dict(d["scaler"], SCALER_MODE))
 
 
 @dataclass
@@ -216,10 +197,10 @@ def _backward_sequence(model, xs, ws, grad_out):
     Workspace `ws` for the input xs (B, L, D); grad_out is dL/d(head
     output), (B,).
 
-    Returns dL/d(theta), one flat vector in theta's layout."""
+    Writes every element of dL/d(theta) into model.grads and returns
+    model.grad, the flat vector they view."""
     length, b, hs = ws.tanh_c.shape
-    grad = np.zeros_like(model.theta)
-    dw, du, db, d_head_w, d_head_b = carve(grad, model._shapes())
+    dw, du, db, d_head_w, d_head_b = model.grads
     i, f, o, cand = ws.gates
     dz, dc_factor = ws.dz, ws.dc_factor
     # dz first holds the recurrence-free factors of dL/dz, made in bulk; the
@@ -259,7 +240,7 @@ def _backward_sequence(model, xs, ws, grad_out):
               out=du.reshape(4, hs, hs))
     # a product with ones: numpy's sum over the middle axis is several times slower
     np.matmul(np.ones(length * b), rows, out=db.reshape(4, hs))
-    return grad
+    return model.grad
 
 
 def sequence_loss(model, xs, targets, workspace=None):

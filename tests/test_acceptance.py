@@ -44,7 +44,7 @@ PUBLISHED_RMSE_MSE = [
 
 def stub_report(symbol, model, rmse):
     return ForecastReport(
-        symbol, model, rows=[],
+        symbol, model, dates=[], predicted=np.zeros(0), actual=np.zeros(0),
         metrics=MetricSet(mae=rmse, mse=rmse * rmse, rmse=rmse, mape=None,
                           mape_omitted=True),
     )

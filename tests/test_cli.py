@@ -669,13 +669,19 @@ def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, d
     ("plot", "reports/AAA_gan.json", ("rows", 0, "predicted"), float("nan")),
     ("evaluate", "models/AAA_arima.json", ("artifact", "order", 0), 3),
     ("evaluate", "models/AAA_arima.json", ("artifact", "order", 1), 5),
+    ("train_gan", "aligned/AAA.json", ("sentiment", 0), True),
+    ("evaluate", "models/AAA_lstm.json", ("artifact", "gates", "forget", "b", 0), False),
+    ("plot", "reports/AAA_gan.json", ("rows", 0, "predicted"), True),
+    ("plot", "reports/AAA_gan.json", ("rows", 0, "predicted"), "101.5"),
 ], ids=["aligned_nan_close", "train_aligned_nan_close", "arima_nan_intercept",
         "lstm_inf_head_bias", "gan_nan_weight", "report_nan_prediction",
-        "arima_p_past_its_coefficients", "arima_d5"])
+        "arima_p_past_its_coefficients", "arima_d5", "aligned_true_sentiment",
+        "lstm_false_gate_bias", "report_true_prediction", "report_string_prediction"])
 def test_read_back_value_that_cannot_be_used_names_file(
         pipeline, tmp_path, capsys, command, relpath, keys, value):
     # json.loads reads NaN and Infinity; the order's p must match the AR
-    # coefficients (p = 3 with fewer of them indexed past their end)
+    # coefficients (p = 3 with fewer of them indexed past their end); numpy
+    # would read a bool among numbers as 0 or 1
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     path = tmp_path / "out" / relpath
     payload = json.loads(path.read_text())
@@ -685,10 +691,27 @@ def test_read_back_value_that_cannot_be_used_names_file(
     node[keys[-1]] = value
     path.write_text(json.dumps(payload))
     capsys.readouterr()
-    args = {"evaluate": [], "train": ["--model", "arima"],
-            "plot": ["--asset", "AAA", "--model", "gan"]}[command]
+    command, *args = {"evaluate": ["evaluate"], "train": ["train", "--model", "arima"],
+                      "train_gan": ["train", "--model", "gan"],
+                      "plot": ["plot", "--asset", "AAA", "--model", "gan"]}[command]
     assert cli.main([command, "--config", str(pipeline), *args]) == cli.EXIT_DATA
     assert str(path) in capsys.readouterr().err
+
+
+def test_aligned_dates_out_of_order_are_refused_at_load(pipeline, tmp_path, capsys):
+    # the aligned file is at fault, not the artifacts trained on it
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    path = tmp_path / "out" / "aligned" / "AAA.json"
+    payload = json.loads(path.read_text())
+    dates = payload["dates"]
+    dates[40], dates[41] = dates[41], dates[40]
+    path.write_text(json.dumps(payload))
+    for command in (["train", "--model", "lstm"], ["evaluate"]):
+        capsys.readouterr()
+        assert cli.main([command[0], "--config", str(pipeline), *command[1:]]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(path) in err and "not strictly increasing" in err
+        assert str(tmp_path / "out" / "models") not in err
 
 
 MUTATED = "<mutated>"

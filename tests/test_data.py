@@ -278,6 +278,22 @@ def test_aligned_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.sentiment, aligned.sentiment)
 
 
+@pytest.mark.parametrize("values", [[1.5, True], [[1.0, 2.0], [False, 3.0]], [2, True],
+                                    ["1.5"]])
+def test_finite_floats_refuses_anything_but_finite_numbers(values):
+    # numpy reads a bool among numbers as 0 or 1; it must not pass as one
+    with pytest.raises(DataError, match="sentiment must be finite numbers"):
+        D.finite_floats(values, "sentiment")
+
+
+def test_aligned_dates_must_increase_strictly():
+    aligned = make_aligned(5)
+    for dates in ([*aligned.dates[:2], aligned.dates[3], aligned.dates[2], aligned.dates[4]],
+                  [*aligned.dates[:4], aligned.dates[3]]):
+        with pytest.raises(DataError, match="not strictly increasing"):
+            D.AlignedDataset(aligned.symbol, dates, aligned.features, aligned.sentiment)
+
+
 def refuse_replace(src, dst):
     raise OSError("disk full")
 

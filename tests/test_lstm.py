@@ -40,7 +40,8 @@ def loss_and_gradient(model, xs, targets, workspace=None):
     """The loss and dL/d(theta) of one batch through the training forward."""
     workspace = workspace or Workspace(len(xs), xs.shape[1], model.hidden_size)
     loss, err = lstm.sequence_loss(model, xs, targets, workspace)
-    return loss, lstm._backward_sequence(model, xs, workspace, 2.0 * err / len(err))
+    # a copy: the backward returns model.grad, which the next call overwrites
+    return loss, lstm._backward_sequence(model, xs, workspace, 2.0 * err / len(err)).copy()
 
 
 def reference_loss_and_gradient(model, xs, targets):
@@ -63,7 +64,7 @@ def reference_loss_and_gradient(model, xs, targets):
     err = (h @ model.head_weights.T + model.head_bias)[:, 0] - targets
     grad_out = 2.0 * err / len(err)
     grad = np.zeros_like(model.theta)
-    dw, du, db, d_head_w, d_head_b = carve(grad, model._shapes())
+    dw, du, db, d_head_w, d_head_b = carve(grad, [g.shape for g in model.grads])
     d_head_w[...] = grad_out[:, None].T @ h
     d_head_b[0] = grad_out.sum()
     dh = grad_out[:, None] * model.head_weights
@@ -123,9 +124,12 @@ def test_artifact_gate_order():
 
 def test_from_dict_rejects_misshapen_gate():
     d = LstmModel.initialize(np.random.default_rng(0), 3, 6, scaler_over()).to_dict()
-    d["gates"]["forget"]["w"] = np.zeros((6, 3)).tolist()
-    with pytest.raises(DimensionError):
-        LstmModel.from_dict(d)
+    gates = {**d["gates"], "forget": {**d["gates"]["forget"], "w": np.zeros((6, 3)).tolist()}}
+    for damage in ({"gates": gates}, {"head_weights": [0.0] * 3},
+                   {"head_weights": [[0.0]] * 3}, {"head_bias": [0.0, 0.0]},
+                   {"head_bias": 0.0}):
+        with pytest.raises(DimensionError):
+            LstmModel.from_dict({**d, **damage})
 
 
 # ---------------------------------------------------------------- cell
@@ -204,7 +208,7 @@ def test_reused_workspace_equals_a_fresh_one():
     loss_and_gradient(model, first, targets, reused)
     for poisoned in (False, True):
         if poisoned:
-            for buffer in vars(reused).values():
+            for buffer in (*vars(reused).values(), model.grad):
                 buffer.fill(np.nan)
         loss, grad = loss_and_gradient(model, second, targets, reused)
         assert loss == fresh_loss
@@ -224,6 +228,17 @@ def test_zero_epochs_returns_initialized_model():
     model, log = lstm.train(windows, TrainSchedule(max_epochs=0), seed=3)
     assert log == []
     assert model.scaler is not None
+
+
+def test_lstm_training_carves_no_gradient_views(monkeypatch):
+    # the model carves its parameter and gradient views once, when it is
+    # built; no batch's backward carves again
+    calls = []
+    real_carve = lstm.carve
+    monkeypatch.setattr(lstm, "carve", lambda *args: calls.append(args) or real_carve(*args))
+    _, log = lstm.train(line_windows(120), TrainSchedule(max_epochs=2), seed=0)
+    assert len(log) == 2
+    assert len(calls) == 2
 
 
 def test_train_determinism():
@@ -248,7 +263,7 @@ def test_sentiment_column_does_not_reach_the_lstm():
         boundary = split_boundary(len(windows), "fraction_70_30")
         model, _ = lstm.train(windows[:boundary], schedule, seed=6)
         report = evaluate("lstm", model, aligned, "fraction_70_30", window_length=5)
-        results.append((model.to_dict(), report.rows))
+        results.append((model.to_dict(), report.to_dict()))
     assert results[0] == results[1]
 
 
@@ -384,9 +399,8 @@ def test_batched_predict_equals_one_window_calls():
 
 def test_building_a_model_without_a_scaler_is_refused():
     model = zero_model(4, 6)
-    arrays = dict(zip(["w", "u", "b", "head_weights", "head_bias"], model_arrays(model)))
     with pytest.raises(TypeError, match="scaler"):
-        LstmModel(hidden_size=4, input_size=6, **arrays)
+        LstmModel(hidden_size=4, input_size=6, theta=model.theta)
     with pytest.raises(TypeError, match="scaler"):
         LstmModel.initialize(np.random.default_rng(0), 4, 6)
     with pytest.raises(DataError, match="no fitted scaler"):
