@@ -162,26 +162,22 @@ def fit(train, order: ArimaOrder) -> ArimaModel:
     if len(y) <= p + q + d + 10:
         raise DataError(f"train length {len(y)} too short for order ({p},{d},{q})")
     w = np.diff(y, n=d) if d else y.copy()
-    x0 = np.zeros(1 + p + q)
     if p == 0 and q == 0:
         # null model has a closed form: intercept = mean of differenced series
-        return ArimaModel(order, float(np.mean(w)), np.empty(0), np.empty(0),
-                          tail_values=y[-(d + 1):].copy())
-    bounds = [(None, None)] + [(-0.99, 0.99)] * (p + q)
-    result = minimize(
-        _css, x0, args=(w, p, q), jac=True, method="L-BFGS-B", bounds=bounds,
-        options={"maxiter": 500},
-    )
-    if not result.success and result.status != 1:  # status 1 = maxiter
-        raise TrainingError(
-            f"CSS optimization failed for order ({p},{d},{q}): {result.message}; "
-            f"|grad| = {np.linalg.norm(result.jac):.3e}"
-        )
+        params = np.array([np.mean(w)])
+    else:
+        result = minimize(_css, np.zeros(1 + p + q), args=(w, p, q), jac=True,
+                          method="L-BFGS-B", options={"maxiter": 500},
+                          bounds=[(None, None)] + [(-0.99, 0.99)] * (p + q))
+        if not result.success and result.status != 1:  # status 1 = maxiter
+            raise TrainingError(
+                f"CSS optimization failed for order ({p},{d},{q}): {result.message}; "
+                f"|grad| = {np.linalg.norm(result.jac):.3e}"
+            )
+        params = result.x
     n_tail = max(p, q) + d + 1
-    return ArimaModel(
-        order, float(result.x[0]), result.x[1 : 1 + p].copy(), result.x[1 + p :].copy(),
-        tail_values=y[-n_tail:].copy(),
-    )
+    return ArimaModel(order, float(params[0]), params[1 : 1 + p].copy(), params[1 + p :].copy(),
+                      tail_values=y[-n_tail:].copy())
 
 
 def aic(css_value: float, n: int, p: int, q: int) -> float:

@@ -8,8 +8,6 @@ codes: 0 success, 2 data error, 64 usage error, 70 internal/training error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from contextlib import contextmanager
@@ -36,7 +34,7 @@ from .data import (
     utf8_lines,
     write_atomic,
 )
-from .errors import DataError, DimensionError, NumericalError, SentiganError, UsageError
+from .errors import DataError, DimensionError, SentiganError, UsageError
 from .eval import MODEL_NAMES, ForecastReport, MetricSet, aggregate, evaluate
 from .lstm import LstmModel
 from .sentiment import aggregate_daily, load_lexicon, score_text
@@ -65,10 +63,13 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the YAML run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--asset", default=None, help="restrict to one symbol")
-        if name in ("train", "plot"):
-            p.add_argument("--model", default="all" if name == "train" else None,
-                           help="arima, lstm, gan" + (" or all" if name == "train" else ""))
+        if name == "plot":
+            p.add_argument("--asset", required=True, help="the symbol to plot")
+            p.add_argument("--model", required=True, choices=MODEL_NAMES)
+        else:
+            p.add_argument("--asset", default=None, help="restrict to one symbol")
+        if name == "train":
+            p.add_argument("--model", default="all", choices=("all", *MODEL_NAMES))
     return parser
 
 
@@ -84,16 +85,16 @@ def _select_assets(cfg: RunConfig, symbol):
     return chosen
 
 
-def _select_models(name):
-    if name is None or name == "all":
-        return list(MODEL_NAMES)
-    if name not in MODEL_NAMES:
-        raise UsageError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")
-    return [name]
-
-
 def _write_json(path: Path, payload):
     write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _csv(header, rows) -> str:
+    """The header line, then a line per row: a str field as is, a number as
+    its repr. Numbers come through .tolist(): a Python float's repr is its
+    shortest exact decimal, a numpy scalar's is np.float64(...)."""
+    return header + "\n" + "".join(
+        ",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows)
 
 
 def _aligned_path(cfg, symbol) -> Path:
@@ -109,9 +110,9 @@ def _report_path(cfg, symbol, model) -> Path:
 
 
 def _load_or_die(path, what, load):
-    """load(path) of a JSON file; truncated JSON, a missing key, a value of
-    the wrong type, shape or name or a non-finite number is a DataError
-    naming the file."""
+    """load(path) of a JSON file; a missing file, truncated JSON, a missing
+    key, a value of the wrong type (a list for an object, say), shape or name
+    or a non-finite number is a DataError naming the file."""
     try:
         return load(path)
     except DataError as e:
@@ -124,9 +125,10 @@ def _load_or_die(path, what, load):
 
 def _load_aligned_or_die(cfg, symbol):
     path = _aligned_path(cfg, symbol)
-    if not path.exists():
-        raise DataError(f"no aligned dataset for {symbol!r}; run ingest first")
-    return _load_or_die(path, "aligned dataset", load_aligned)
+    aligned = _load_or_die(path, "aligned dataset", load_aligned)
+    if aligned.symbol != symbol:
+        raise DataError(f"{path}: holds asset {aligned.symbol!r}, not {symbol!r}")
+    return aligned
 
 
 # ---------------------------------------------------------------- sentiment
@@ -163,15 +165,6 @@ def _daily_sentiment(cfg, asset, dates):
     return aggregate_daily(days, [score_text(lexicon, t) for t in texts], dates)
 
 
-def _write_sentiment_csv(cfg, symbol, dates, means, counts):
-    """sentiment/SYMBOL.csv: a row of date, mean and count per day, none if
-    `counts` is empty. The values go through .tolist(): a Python float's repr
-    is its shortest exact decimal, a numpy scalar's is np.float64(...)."""
-    rows = zip(dates, means.tolist(), counts.tolist())
-    write_atomic(cfg.output_dir / "sentiment" / f"{symbol}.csv", "date,compound,sample_count\n"
-                 + "".join(f"{d.isoformat()},{m!r},{c}\n" for d, m, c in rows))
-
-
 # ---------------------------------------------------------------- ingest
 
 
@@ -186,7 +179,10 @@ def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
             cfg.output_dir / "repair" / f"{asset.symbol}.jsonl",
             "".join(json.dumps(e, sort_keys=True) + "\n" for e in repair_log),
         )
-        _write_sentiment_csv(cfg, asset.symbol, dates, means, counts)
+        # no counts (no tweet file): a header-only file
+        write_atomic(cfg.output_dir / "sentiment" / f"{asset.symbol}.csv",
+                     _csv("date,compound,sample_count", zip(
+                         [d.isoformat() for d in dates], means.tolist(), counts.tolist())))
         print(f"{asset.symbol}: {rows} rows, {len(repair_log)} repairs, "
               f"{dropped} tweets dated after the last day")
     return EXIT_OK
@@ -206,9 +202,7 @@ def _train_lstm(cfg, aligned):
     windows = make_windows(aligned, cfg.window_length)
     boundary = split_boundary(len(windows), cfg.split_policies["lstm"])
     model, log = lstm_mod.train(windows[:boundary], cfg.lstm, seed=cfg.seed)
-    log_csv = "epoch,train_loss,val_loss,lr\n" + "".join(
-        f"{r['epoch']},{r['train_loss']!r},{r['val_loss']!r},{r['lr']!r}\n" for r in log
-    )
+    log_csv = _csv("epoch,train_loss,val_loss,lr", (r.values() for r in log))
     return {"model": "lstm", "artifact": model.to_dict()}, log_csv
 
 
@@ -239,9 +233,8 @@ def _train_gan_group(cfg, members):
         results = gan_mod.train(list(members.values()), cfg.gan, seed=cfg.seed)
     for symbol, (gen, log) in zip(symbols, results):
         payload = {"model": "gan", "artifact": gen.to_dict()}
-        log_csv = "step,d_loss,g_loss\n" + "".join(
-            f"{step},{d!r},{g!r}\n" for step, (d, g) in enumerate(log.tolist())
-        )
+        log_csv = _csv("step,d_loss,g_loss",
+                       ([step, *losses] for step, losses in enumerate(log.tolist())))
         _write_outputs(cfg, symbol, "gan", payload, log_csv)
 
 
@@ -264,7 +257,7 @@ def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
     """ARIMA and the LSTM asset by asset; the GANs in one lockstep run per
     group of assets with equal numbers of GAN training windows, right after
     the group's last asset. Each aligned file is read once, up front."""
-    models = _select_models(model_name)
+    models = list(MODEL_NAMES) if model_name == "all" else [model_name]
     datasets = {asset.symbol: _load_aligned_or_die(cfg, asset.symbol)
                 for asset in _select_assets(cfg, asset_symbol)}
     groups = _gan_groups(cfg, datasets) if "gan" in models else []
@@ -288,15 +281,9 @@ _ARTIFACT_TYPES = {"arima": arima_mod.ArimaModel, "lstm": LstmModel, "gan": gan_
 
 
 def _load_artifact(cfg, symbol, model):
-    path = _artifact_path(cfg, symbol, model)
-    if not path.exists():
-        raise DataError(f"missing artifact for asset {symbol!r} model {model!r}")
-
     def load(path):
         payload = json.loads(read_utf8(path))
-        if not isinstance(payload, dict) or not isinstance(payload.get("artifact", {}), dict):
-            raise DataError(f"{path}: corrupt {model} artifact: not a JSON object")
-        if payload.get("model") != model:
+        if payload["model"] != model:
             raise DataError(f"{path}: artifact is not a {model} model")
         artifact = _ARTIFACT_TYPES[model].from_dict(payload["artifact"])
         if model == "gan" and artifact.window_length != cfg.window_length:
@@ -304,7 +291,7 @@ def _load_artifact(cfg, symbol, model):
                             f"window_length is {cfg.window_length}; train again")
         return artifact
 
-    return _load_or_die(path, f"{model} artifact", load)
+    return _load_or_die(_artifact_path(cfg, symbol, model), f"{model} artifact", load)
 
 
 def _metrics_cell(m: MetricSet) -> str:
@@ -341,7 +328,7 @@ def cmd_evaluate(cfg: RunConfig, asset_symbol=None) -> int:
             try:
                 report = evaluate(model, artifact, aligned, cfg.split_policies[model],
                                   window_length=cfg.window_length)
-            except (DataError, NumericalError) as e:  # the latter: its forward pass overflowed
+            except DataError as e:
                 raise DataError(f"{_artifact_path(cfg, asset.symbol, model)} on "
                                 f"{_aligned_path(cfg, asset.symbol)}: {e}") from e
             _write_json(_report_path(cfg, asset.symbol, model), report.to_dict())
@@ -413,25 +400,13 @@ def render_plot_svg(report: ForecastReport) -> str:
 
 
 def render_plot_csv(report: ForecastReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", "actual", "predicted"])
-    for d, actual, predicted in zip(report.dates, report.actual.tolist(),
-                                    report.predicted.tolist()):
-        writer.writerow([d.isoformat(), repr(actual), repr(predicted)])
-    return buf.getvalue()
+    return _csv("date,actual,predicted", zip([d.isoformat() for d in report.dates],
+                                              report.actual.tolist(), report.predicted.tolist()))
 
 
 def cmd_plot(cfg: RunConfig, asset_symbol, model) -> int:
-    if asset_symbol is None or model is None:
-        raise UsageError("plot needs --asset and --model")
     _select_assets(cfg, asset_symbol)
-    if model not in MODEL_NAMES:
-        raise UsageError(f"plot needs one model, got {model!r}; "
-                         f"choose from {', '.join(MODEL_NAMES)}")
     path = _report_path(cfg, asset_symbol, model)
-    if not path.exists():
-        raise DataError(f"no report for {asset_symbol!r}/{model}; run evaluate first")
     report = _load_or_die(path, "report",
                           lambda p: ForecastReport.from_dict(json.loads(read_utf8(p))))
     if not report.dates:

@@ -276,7 +276,4 @@ def save_aligned(aligned: AlignedDataset, path):
 
 
 def load_aligned(path) -> AlignedDataset:
-    d = json.loads(read_utf8(path))
-    if not isinstance(d, dict):
-        raise DataError(f"{path}: corrupt aligned dataset: not a JSON object")
-    return AlignedDataset.from_dict(d)
+    return AlignedDataset.from_dict(json.loads(read_utf8(path)))

@@ -19,10 +19,6 @@ class DimensionError(SentiganError):
         super().__init__(f"{what}: expected {expected}, got {actual}")
 
 
-class NumericalError(SentiganError):
-    """A kernel operation produced NaN/Inf from finite inputs."""
-
-
 class TrainingError(SentiganError):
     """Optimization failure (divergence, non-finite gradients, non-convergence)."""
 

@@ -3,7 +3,7 @@ import pytest
 
 from gradcheck import finite_difference_check, numerical_gradient, relative_error
 from sentigan import nn
-from sentigan.errors import DimensionError, NumericalError, UsageError
+from sentigan.errors import DimensionError, UsageError
 
 
 def one_layer(weights, activation="identity"):
@@ -214,16 +214,6 @@ def test_stacked_pack_rows_are_member_layouts():
         assert np.shares_memory(theta, a)
     theta[1] = 0.0
     assert all(not w[1].any() and w[0].any() for w in stack.weights)
-
-
-def test_stacked_forward_names_the_non_finite_member():
-    rng = np.random.default_rng(12)
-    _, stack = stacked_mlp(rng, 3, [3, 4, 2], "tanh", "identity")
-    xs = rng.normal(size=(3, 2, 3))
-    xs[2, 1, 0] = np.nan
-    with pytest.raises(NumericalError) as e:
-        nn.forward(stack, xs)
-    assert e.value.member == 2
 
 
 def test_dense_rejects_theta_of_wrong_length():
