@@ -8,7 +8,7 @@ gradient from zero initialization. Exact likelihood is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -37,7 +37,6 @@ class ArimaModel:
     intercept: float
     ar_coeffs: np.ndarray
     ma_coeffs: np.ndarray
-    tail_values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def to_dict(self):
         return {
@@ -45,21 +44,20 @@ class ArimaModel:
             "intercept": self.intercept,
             "ar_coeffs": np.asarray(self.ar_coeffs).tolist(),
             "ma_coeffs": np.asarray(self.ma_coeffs).tolist(),
-            "tail_values": np.asarray(self.tail_values).tolist(),
         }
 
     @classmethod
     def from_dict(cls, d):
         order = ArimaOrder(*d["order"])
-        keys = ("intercept", "ar_coeffs", "ma_coeffs", "tail_values")
+        keys = ("intercept", "ar_coeffs", "ma_coeffs")
         values = [finite_floats(d[key], key) for key in keys]
         shapes = [v.shape for v in values]
-        expected = [(), (order.p,), (order.q,), (max(order.p, order.q) + order.d + 1,)]
+        expected = [(), (order.p,), (order.q,)]
         if shapes != expected:
             raise DataError(f"order ({order.p},{order.d},{order.q}) needs {', '.join(keys)} "
                             f"of shapes {expected}, got {shapes}")
-        intercept, ar, ma, tail = values
-        return cls(order, float(intercept), ar, ma, tail_values=tail)
+        intercept, ar, ma = values
+        return cls(order, float(intercept), ar, ma)
 
 
 def adf_statistic(series) -> float:
@@ -175,9 +173,7 @@ def fit(train, order: ArimaOrder) -> ArimaModel:
                 f"|grad| = {np.linalg.norm(result.jac):.3e}"
             )
         params = result.x
-    n_tail = max(p, q) + d + 1
-    return ArimaModel(order, float(params[0]), params[1 : 1 + p].copy(), params[1 + p :].copy(),
-                      tail_values=y[-n_tail:].copy())
+    return ArimaModel(order, float(params[0]), params[1 : 1 + p].copy(), params[1 + p :].copy())
 
 
 def aic(css_value: float, n: int, p: int, q: int) -> float:

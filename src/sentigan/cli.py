@@ -8,9 +8,11 @@ codes: 0 success, 2 data error, 64 usage error, 70 internal/training error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import datetime
 from pathlib import Path
 
@@ -191,19 +193,31 @@ def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
 # ---------------------------------------------------------------- train
 
 
+def _stamp(cfg, aligned, model) -> str:
+    """The SHA-256 of what training `model` on `aligned` reads: the model name,
+    its split policy and config section, a windowed model's seed and window
+    length, and the dates, features and sentiment of its train rows."""
+    policy = cfg.split_policies[model]
+    length = 0 if model == "arima" else cfg.window_length  # window i reads rows i to i + length
+    settings = cfg.arima if model == "arima" else {
+        **asdict(getattr(cfg, model)), "seed": cfg.seed, "window_length": cfg.window_length}
+    rows = length + split_boundary(len(aligned.dates) - length, policy)
+    text = json.dumps([model, policy, settings, aligned.dates[:rows]], sort_keys=True, default=str)
+    return hashlib.sha256(text.encode() + aligned.features[:rows].tobytes()
+                          + aligned.sentiment[:rows].tobytes()).hexdigest()
+
+
 def _train_arima(cfg, aligned):
     closes = aligned.features[:, CLOSE_COLUMN]
     boundary = split_boundary(len(closes), cfg.split_policies["arima"])
-    model = arima_mod.select_order(closes[:boundary], **cfg.arima)
-    return {"model": "arima", "artifact": model.to_dict()}, None
+    return arima_mod.select_order(closes[:boundary], **cfg.arima), None
 
 
 def _train_lstm(cfg, aligned):
     windows = make_windows(aligned, cfg.window_length)
     boundary = split_boundary(len(windows), cfg.split_policies["lstm"])
     model, log = lstm_mod.train(windows[:boundary], cfg.lstm, seed=cfg.seed)
-    log_csv = _csv("epoch,train_loss,val_loss,lr", (r.values() for r in log))
-    return {"model": "lstm", "artifact": model.to_dict()}, log_csv
+    return model, _csv("epoch,train_loss,val_loss,lr", (r.values() for r in log))
 
 
 @contextmanager
@@ -218,13 +232,14 @@ def _cell(symbols, model):
         raise
 
 
-def _write_outputs(cfg, symbol, model, payload, log_csv):
-    _write_json(_artifact_path(cfg, symbol, model), payload)
+def _write_outputs(cfg, aligned, model, artifact, log_csv):
+    _write_json(_artifact_path(cfg, aligned.symbol, model), {
+        "model": model, "artifact": artifact.to_dict(), "stamp": _stamp(cfg, aligned, model)})
     if log_csv is not None:
-        write_atomic(cfg.output_dir / "logs" / f"{symbol}_{model}.csv", log_csv)
+        write_atomic(cfg.output_dir / "logs" / f"{aligned.symbol}_{model}.csv", log_csv)
 
 
-def _train_gan_group(cfg, members):
+def _train_gan_group(cfg, datasets, members):
     """Train the GANs of the assets in `members`, symbol -> GAN training
     windows of one count, in one lockstep run, and write each one's artifact
     and log."""
@@ -232,10 +247,9 @@ def _train_gan_group(cfg, members):
     with _cell(symbols, "gan"):
         results = gan_mod.train(list(members.values()), cfg.gan, seed=cfg.seed)
     for symbol, (gen, log) in zip(symbols, results):
-        payload = {"model": "gan", "artifact": gen.to_dict()}
         log_csv = _csv("step,d_loss,g_loss",
                        ([step, *losses] for step, losses in enumerate(log.tolist())))
-        _write_outputs(cfg, symbol, "gan", payload, log_csv)
+        _write_outputs(cfg, datasets[symbol], "gan", gen, log_csv)
 
 
 _TRAINERS = {"arima": _train_arima, "lstm": _train_lstm}
@@ -266,10 +280,10 @@ def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
         for model in models:
             if model != "gan":
                 with _cell([symbol], model):
-                    payload, log_csv = _TRAINERS[model](cfg, aligned)
-                _write_outputs(cfg, symbol, model, payload, log_csv)
+                    artifact, log_csv = _TRAINERS[model](cfg, aligned)
+                _write_outputs(cfg, aligned, model, artifact, log_csv)
         if symbol in last_of_group:
-            _train_gan_group(cfg, last_of_group[symbol])
+            _train_gan_group(cfg, datasets, last_of_group[symbol])
         print(f"{symbol}: trained {', '.join(models)}")
     return EXIT_OK
 
@@ -280,18 +294,30 @@ def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
 _ARTIFACT_TYPES = {"arima": arima_mod.ArimaModel, "lstm": LstmModel, "gan": gan_mod.Generator}
 
 
-def _load_artifact(cfg, symbol, model):
+@contextmanager
+def _on_aligned(cfg, symbol, model):
+    """Prefix a DataError raised inside with the artifact and its aligned file."""
+    try:
+        yield
+    except DataError as e:
+        raise DataError(f"{_artifact_path(cfg, symbol, model)} on "
+                        f"{_aligned_path(cfg, symbol)}: {e}") from e
+
+
+def _load_artifact(cfg, aligned, model):
+    """`model`'s artifact for `aligned`, if stamped as trained on it with this config."""
     def load(path):
         payload = json.loads(read_utf8(path))
         if payload["model"] != model:
             raise DataError(f"{path}: artifact is not a {model} model")
-        artifact = _ARTIFACT_TYPES[model].from_dict(payload["artifact"])
-        if model == "gan" and artifact.window_length != cfg.window_length:
-            raise DataError(f"{path}: trained on {artifact.window_length}-day windows, but "
-                            f"window_length is {cfg.window_length}; train again")
-        return artifact
+        return _ARTIFACT_TYPES[model].from_dict(payload["artifact"]), payload.get("stamp")
 
-    return _load_or_die(_artifact_path(cfg, symbol, model), f"{model} artifact", load)
+    artifact, stamp = _load_or_die(_artifact_path(cfg, aligned.symbol, model),
+                                   f"{model} artifact", load)
+    with _on_aligned(cfg, aligned.symbol, model):
+        if stamp != _stamp(cfg, aligned, model):
+            raise DataError("not trained on this train partition, config and seed; train again")
+    return artifact
 
 
 def _metrics_cell(m: MetricSet) -> str:
@@ -323,14 +349,11 @@ def cmd_evaluate(cfg: RunConfig, asset_symbol=None) -> int:
     for asset in _select_assets(cfg, asset_symbol):
         aligned = _load_aligned_or_die(cfg, asset.symbol)
         # every artifact of the asset is read and checked before any report
-        artifacts = {model: _load_artifact(cfg, asset.symbol, model) for model in MODEL_NAMES}
+        artifacts = {model: _load_artifact(cfg, aligned, model) for model in MODEL_NAMES}
         for model, artifact in artifacts.items():
-            try:
+            with _on_aligned(cfg, asset.symbol, model):
                 report = evaluate(model, artifact, aligned, cfg.split_policies[model],
                                   window_length=cfg.window_length)
-            except DataError as e:
-                raise DataError(f"{_artifact_path(cfg, asset.symbol, model)} on "
-                                f"{_aligned_path(cfg, asset.symbol)}: {e}") from e
             _write_json(_report_path(cfg, asset.symbol, model), report.to_dict())
             reports.append(report)
     agg = aggregate(reports)

@@ -2,9 +2,9 @@
 
 Metrics are the standard regression measures (MAE, MSE, RMSE, MAPE as a
 fraction). Evaluation runs a trained artifact over the held-out partition
-of an aligned dataset and refuses partitions that do not match the one the
-artifact was trained on. Aggregation produces mean/median RMSE and win
-counts per model across assets.
+of an aligned dataset. Whether the artifact was trained on that dataset's
+train partition is checked by the command line, from the artifact's stamp.
+Aggregation produces mean/median RMSE and win counts per model across assets.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import numpy as np
 from . import arima as arima_mod
 from . import gan as gan_mod
 from . import lstm as lstm_mod
-from .data import (CLOSE_COLUMN, AlignedDataset, Windows, finite_floats, make_windows,
-                   split_boundary)
+from .data import CLOSE_COLUMN, AlignedDataset, finite_floats, make_windows, split_boundary
 from .errors import DataError, DimensionError, UsageError
-from .scaling import scaler_fit_windows
 
 MODEL_NAMES = ("arima", "lstm", "gan")
 
@@ -115,35 +113,21 @@ def metrics(predicted, actual) -> MetricSet:
     return MetricSet(mae, mse, rmse, mape=mape)
 
 
-def _check_train_scaler(scaler, windows: Windows, what):
-    """The artifact's scaler must match one fitted, in its mode, on the
-    evaluation-side train partition, else training and evaluation partitions
-    disagree."""
-    expected = scaler_fit_windows(windows.histories, windows.targets, scaler.mode)
-    if not (np.allclose(scaler.per_feature_min, expected.per_feature_min)
-            and np.allclose(scaler.per_feature_max, expected.per_feature_max)):
-        raise DataError(f"{what}: artifact was not trained on this train partition")
-
-
 def _evaluate_arima(model, aligned, policy):
     closes = aligned.features[:, CLOSE_COLUMN]
     boundary = split_boundary(len(closes), policy)
-    n_tail = len(model.tail_values)
     p, d, q = model.order.p, model.order.d, model.order.q
     # a partition too short to forecast from could not have been fitted on
-    if boundary < p + d + max(q, 1) or n_tail and (
-            n_tail > boundary
-            or not np.allclose(model.tail_values, closes[boundary - n_tail:boundary])):
+    if boundary < p + d + max(q, 1):
         raise DataError("arima: artifact was not trained on this train partition")
     return (aligned.dates[boundary:], arima_mod.rolling_forecasts(model, closes, boundary),
             closes[boundary:])
 
 
-def _evaluate_windowed(name, predict, artifact, aligned, policy, window_length):
+def _evaluate_windowed(name, artifact, aligned, policy, window_length):
     windows = make_windows(aligned, window_length)
-    boundary = split_boundary(len(windows), policy)
-    _check_train_scaler(artifact.scaler, windows[:boundary], name)
-    holdout = windows[boundary:]
+    holdout = windows[split_boundary(len(windows), policy):]
+    predict = {"lstm": lstm_mod.predict, "gan": gan_mod.predict}[name]
     return holdout.dates, predict(artifact, holdout), holdout.targets[:, CLOSE_COLUMN]
 
 
@@ -155,12 +139,9 @@ def evaluate(model_name: str, artifact, aligned: AlignedDataset, policy: str,
         raise UsageError(f"unknown model name {model_name!r}")
     if model_name != "arima" and window_length is None:
         raise UsageError(f"{model_name} evaluation needs a window_length")
-    if model_name == "arima":
-        dates, predicted, actual = _evaluate_arima(artifact, aligned, policy)
-    else:
-        predict = {"lstm": lstm_mod.predict, "gan": gan_mod.predict}[model_name]
-        dates, predicted, actual = _evaluate_windowed(model_name, predict, artifact, aligned,
-                                                      policy, window_length)
+    dates, predicted, actual = (
+        _evaluate_arima(artifact, aligned, policy) if model_name == "arima"
+        else _evaluate_windowed(model_name, artifact, aligned, policy, window_length))
     scores = metrics(predicted, actual)
     if not np.isfinite(np.append(predicted, scores.mse)).all():
         raise DataError(f"{model_name}: forecasts or their squared errors are not finite")

@@ -30,7 +30,6 @@ class ScalerParams:
             "mode": self.mode,
             "per_feature_min": self.per_feature_min.tolist(),
             "per_feature_max": self.per_feature_max.tolist(),
-            "fitted_on": "train",
         }
 
     @classmethod

@@ -265,7 +265,6 @@ def test_model_json_round_trip():
     assert restored.order == model.order
     assert np.array_equal(restored.ar_coeffs, model.ar_coeffs)
     assert np.array_equal(restored.ma_coeffs, model.ma_coeffs)
-    assert np.array_equal(restored.tail_values, model.tail_values)
     # forecasts from the restored model are identical
     assert arima.forecast_one_step(restored, y) == arima.forecast_one_step(model, y)
     # artifacts written before the residual fields were dropped still load

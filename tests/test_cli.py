@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import scaler_over
 from sentigan import arima, cli, config
 from sentigan.config import RunConfig, load_config
+from sentigan.data import CLOSE_COLUMN, load_aligned, make_windows, split_boundary
 from sentigan.errors import DataError, UsageError
 from sentigan.gan import GanSchedule
 from sentigan.lstm import LstmModel, TrainSchedule
@@ -429,7 +430,7 @@ def test_gan_artifact_has_no_discriminator_and_old_ones_still_load(pipeline, tmp
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     path = tmp_path / "out" / "models" / "AAA_gan.json"
     payload = json.loads(path.read_text())
-    assert set(payload) == {"model", "artifact"}
+    assert set(payload) == {"model", "artifact", "stamp"}
     report = tmp_path / "out" / "reports" / "AAA_gan.json"
     before = report.read_bytes()
     # artifacts written before the discriminator was dropped carry it
@@ -478,69 +479,97 @@ def test_evaluate_missing_artifact_names_cell(pipeline, tmp_path, capsys):
     assert "AAA" in err and "arima" in err
 
 
-def test_evaluate_refuses_gan_of_another_window_length_before_any_report(
-        pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("old, new, flags, model", [
+    (None, None, ["--seed", "99"], "lstm"),
+    ("  max_epochs: 3\n", "  max_epochs: 1\n", [], "lstm"),
+    ("  epochs: 3\n", "  epochs: 1\n", [], "gan"),
+    ("  q_max: 1\n", "  q_max: 0\n", [], "arima"),
+    ("window_length: 10\n", "window_length: 8\n", [], "lstm"),
+], ids=["seed", "lstm_max_epochs", "gan_epochs", "arima_q_max", "window_length"])
+def test_evaluate_refuses_artifact_of_another_config_before_any_report(
+        pipeline, tmp_path, capsys, old, new, flags, model):
+    # the first of the asset's artifacts whose training read the changed
+    # setting is refused; ARIMA reads neither the seed nor the window length
     assert cli.main(["run", "--config", str(pipeline)]) == 0
-    reports = sorted((tmp_path / "out" / "reports").glob("AAA_*.json"))
-    before = [path.read_bytes() for path in reports]
-    pipeline.write_text(pipeline.read_text().replace("window_length: 10", "window_length: 8"))
+    reports = sorted((tmp_path / "out" / "reports").glob("*.json"))
+    before = [(path.read_bytes(), path.stat().st_mtime_ns) for path in reports]
+    if old is not None:
+        assert pipeline.read_text().count(old) == 1
+        pipeline.write_text(pipeline.read_text().replace(old, new))
     capsys.readouterr()
-    assert cli.main(["evaluate", "--config", str(pipeline), "--asset", "AAA"]) == cli.EXIT_DATA
+    assert cli.main(["evaluate", "--config", str(pipeline), *flags]) == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert str(tmp_path / "out" / "models" / "AAA_gan.json") in err and "window_length" in err
-    assert [path.read_bytes() for path in reports] == before
+    assert "not trained on this train partition" in err and "train again" in err
+    assert str(tmp_path / "out" / "models" / f"AAA_{model}.json") in err
+    assert str(tmp_path / "out" / "aligned" / "AAA.json") in err
+    assert [(path.read_bytes(), path.stat().st_mtime_ns) for path in reports] == before
 
 
-@pytest.mark.parametrize("model, keys", [
-    ("arima", ("tail_values", 0)),
-    ("lstm", ("scaler", "per_feature_min", 0)),
-    ("gan", ("scaler", "per_feature_min", 0)),
-])
-def test_stale_artifact_names_artifact_and_aligned_dataset(
-        pipeline, tmp_path, capsys, model, keys):
-    assert cli.main(["run", "--config", str(pipeline)]) == 0
-    path = tmp_path / "out" / "models" / f"AAA_{model}.json"
-    payload = json.loads(path.read_text())
-    node = payload["artifact"]
-    for key in keys[:-1]:
-        node = node[key]
-    node[keys[-1]] += 1.0
-    path.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert cli.main(["evaluate", "--config", str(pipeline)]) == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert "not trained on this train partition" in err
-    assert str(path) in err and str(tmp_path / "out" / "aligned" / "AAA.json") in err
-
-
-def refuse_arima_on_six_rows(pipeline, tmp_path, capsys, model):
-    """Re-ingest AAA as 6 rows, a train partition of 5, and check that
-    evaluate refuses `model` as stale, naming the artifact and aligned file."""
-    assert cli.main(["run", "--config", str(pipeline)]) == 0
-    write_ohlcv(tmp_path / "AAA.csv", 50.0 + np.arange(6.0))
-    assert cli.main(["ingest", "--config", str(pipeline), "--asset", "AAA"]) == 0
-    path = tmp_path / "out" / "models" / "AAA_arima.json"
-    path.write_text(json.dumps({"model": "arima", "artifact": model.to_dict()}))
+def stale_in_evaluate(pipeline, tmp_path, capsys, model):
+    """Evaluate AAA, which must fail: `model`'s artifact is stale, named with
+    the aligned file."""
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", str(pipeline), "--asset", "AAA"]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert "not trained on this train partition" in err
-    assert str(path) in err and str(tmp_path / "out" / "aligned" / "AAA.json") in err
+    assert str(tmp_path / "out" / "models" / f"AAA_{model}.json") in err
+    assert str(tmp_path / "out" / "aligned" / "AAA.json") in err
+
+
+@pytest.mark.parametrize("model", cli.MODEL_NAMES)
+def test_stale_artifact_names_artifact_and_aligned_dataset(pipeline, tmp_path, capsys, model):
+    # a change to the last aligned row that `model` trained on makes its
+    # artifact stale; a change to the next row, which it never read, does
+    # not. The other two models are trained again after each change, so
+    # only `model` can be stale.
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    cfg = load_config(pipeline)
+    path = tmp_path / "out" / "aligned" / "AAA.json"
+    aligned = load_aligned(path)
+    policy = cfg.split_policies[model]
+    if model == "arima":
+        last = split_boundary(len(aligned.dates), policy) - 1
+    else:  # the target row of the last train window
+        windows = make_windows(aligned, cfg.window_length)
+        last = aligned.dates.index(windows.dates[split_boundary(len(windows), policy) - 1])
+
+    def change_close_and_train_the_others(row):
+        payload = json.loads(path.read_text())
+        payload["features"][row][CLOSE_COLUMN] += 1.0
+        path.write_text(json.dumps(payload))
+        for other in cli.MODEL_NAMES:
+            if other != model:
+                assert cli.main(["train", "--config", str(pipeline), "--model", other,
+                                 "--asset", "AAA"]) == 0
+
+    change_close_and_train_the_others(last + 1)
+    assert cli.main(["evaluate", "--config", str(pipeline), "--asset", "AAA"]) == 0
+    change_close_and_train_the_others(last)
+    stale_in_evaluate(pipeline, tmp_path, capsys, model)
 
 
 def test_arima_artifact_longer_than_the_train_partition_is_stale(pipeline, tmp_path, capsys):
-    # the tail of 6 is longer than the train partition of 5
-    model = arima.ArimaModel(arima.ArimaOrder(3, 2, 0), 0.0, np.zeros(3), np.empty(0),
-                             tail_values=50.0 + np.arange(6.0))
-    refuse_arima_on_six_rows(pipeline, tmp_path, capsys, model)
+    # AAA is ingested again from its first 60 days: a train partition of 54
+    # rows, shorter than the 108 the artifacts were trained on
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    lines = (tmp_path / "AAA.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "AAA.csv").write_text("".join(lines[:61]))
+    assert cli.main(["ingest", "--config", str(pipeline), "--asset", "AAA"]) == 0
+    stale_in_evaluate(pipeline, tmp_path, capsys, "arima")
 
 
 def test_arima_artifact_of_a_too_short_train_partition_is_stale(pipeline, tmp_path, capsys):
-    # the tail is the whole train partition of 5, fewer than the 3 + 1 + 3
-    # values a (3, 1, 3) forecast needs, so no fit on it wrote this artifact
-    model = arima.ArimaModel(arima.ArimaOrder(3, 1, 3), 0.0, np.zeros(3), np.zeros(3),
-                             tail_values=50.0 + np.arange(5.0))
-    refuse_arima_on_six_rows(pipeline, tmp_path, capsys, model)
+    # a (100, 1, 10) forecast needs 100 + 1 + 10 values, more than the train
+    # partition's 108, so no fit on it wrote this artifact; stamped as if one
+    # had, it is refused by the length check
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    cfg = load_config(pipeline)
+    aligned = load_aligned(tmp_path / "out" / "aligned" / "AAA.json")
+    model = arima.ArimaModel(arima.ArimaOrder(100, 1, 10), 0.0, np.zeros(100), np.zeros(10))
+    (tmp_path / "out" / "models" / "AAA_arima.json").write_text(json.dumps(
+        {"model": "arima", "artifact": model.to_dict(),
+         "stamp": cli._stamp(cfg, aligned, "arima")}))
+    stale_in_evaluate(pipeline, tmp_path, capsys, "arima")
 
 
 @pytest.mark.parametrize("model, mode", [
@@ -743,8 +772,9 @@ MUTATED = "<mutated>"
 
 def mutation_sites(node, path=()):
     """Where one mutation can go in parsed JSON: ("number", path) for each
-    number, ("list", path) for each non-empty list and ("key", path) for each
-    object key. A list longer than 8 contributes its first and last element."""
+    number, ("string", path) for each string, ("list", path) for each
+    non-empty list and ("key", path) for each object key. A list longer than 8
+    contributes its first and last element."""
     if isinstance(node, dict):
         for key, child in node.items():
             yield "key", (*path, key)
@@ -754,6 +784,8 @@ def mutation_sites(node, path=()):
             yield "list", path
         for i in range(len(node)) if len(node) <= 8 else (0, len(node) - 1):
             yield from mutation_sites(node[i], (*path, i))
+    elif isinstance(node, str):
+        yield "string", path
     elif isinstance(node, (int, float)) and not isinstance(node, bool):
         yield "number", path
 
@@ -781,8 +813,9 @@ def tiny_run(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_one_mutation_of_a_read_back_file_never_exits_70(tiny_run, data):
-    # the kind is drawn before the site, so the few keys and lists of a file
-    # are mutated as often as its many numbers
+    # the kind is drawn before the site, so the few keys, strings and lists
+    # of a file are mutated as often as its many numbers. A model file's
+    # stamp, changed or dropped, is refused as stale.
     config, texts, sites = tiny_run
     path, kind = data.draw(st.sampled_from(sorted(sites)), label="file and kind")
     where = data.draw(st.sampled_from(sites[path, kind]), label="site")
@@ -795,6 +828,10 @@ def test_one_mutation_of_a_read_back_file_never_exits_70(tiny_run, data):
         node[last] = MUTATED
         replacement = data.draw(st.sampled_from(["NaN", "Infinity", "1e400", '"x"', "null"]),
                                 label="replacement")
+    elif kind == "string":
+        node[last] = data.draw(st.one_of(
+            st.sampled_from(["", MUTATED, "2021-01-05", "signed", "tanh", "gan"]),
+            st.text(max_size=8)).filter(lambda s: s != node[last]), label="replacement")
     elif kind == "list":
         node[last].pop()
     else:
@@ -813,6 +850,8 @@ def test_one_mutation_of_a_read_back_file_never_exits_70(tiny_run, data):
     assert code in (cli.EXIT_OK, cli.EXIT_DATA), err.getvalue()
     if code == cli.EXIT_DATA:
         assert str(path) in err.getvalue()
+    if where == ("stamp",):
+        assert code == cli.EXIT_DATA and "train again" in err.getvalue()
 
 
 def get_in(node, keys):

@@ -105,14 +105,6 @@ def test_evaluate_arima_row_counts():
         assert report.metrics.rmse > 0
 
 
-def test_evaluate_arima_partition_mismatch_errors():
-    aligned = ar1_aligned()
-    closes = aligned.features[:, CLOSE_COLUMN]
-    model = arima.fit(closes[:70], ArimaOrder(1, 0, 0))  # not a policy boundary
-    with pytest.raises(DataError):
-        ev.evaluate("arima", model, aligned, "holdout_last_20")
-
-
 def test_evaluate_lstm_report():
     aligned = ar1_aligned(1)
     windows = make_windows(aligned, 8)
@@ -122,17 +114,6 @@ def test_evaluate_lstm_report():
     assert len(report.predicted) == 20
     assert report.dates == aligned.dates[-20:]
     assert report.metrics.mape is not None
-
-
-def test_evaluate_lstm_partition_mismatch_errors():
-    # trending close, so the holdout rows extend the scaler range
-    rng = np.random.default_rng(2)
-    aligned = aligned_from_close(50.0 + 0.4 * np.arange(120) + rng.normal(size=120))
-    windows = make_windows(aligned, 8)
-    model, _ = lstm.train(windows, TrainSchedule(hidden_size=8, max_epochs=1), seed=0)
-    # trained on all windows, so the scaler saw holdout rows
-    with pytest.raises(DataError):
-        ev.evaluate("lstm", model, aligned, "holdout_last_20", window_length=8)
 
 
 def test_evaluate_gan_report():

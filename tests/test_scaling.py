@@ -92,7 +92,6 @@ def test_leakage_freedom_params_ignore_test_rows():
 
 def test_serialization_round_trip():
     params = scaler_fit(np.arange(12.0).reshape(2, 6), "signed")
-    assert params.to_dict()["fitted_on"] == "train"
     restored = ScalerParams.from_dict(params.to_dict(), "signed")
     assert restored.mode == "signed"
     assert np.array_equal(restored.per_feature_min, params.per_feature_min)
