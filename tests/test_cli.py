@@ -516,12 +516,18 @@ def stale_in_evaluate(pipeline, tmp_path, capsys, model):
     assert str(tmp_path / "out" / "aligned" / "AAA.json") in err
 
 
-@pytest.mark.parametrize("model", cli.MODEL_NAMES)
-def test_stale_artifact_names_artifact_and_aligned_dataset(pipeline, tmp_path, capsys, model):
-    # a change to the last aligned row that `model` trained on makes its
-    # artifact stale; a change to the next row, which it never read, does
-    # not. The other two models are trained again after each change, so
-    # only `model` can be stale.
+@pytest.mark.parametrize("model, keys", [
+    ("arima", ("features", CLOSE_COLUMN)),
+    ("lstm", ("features", 0)),  # the open
+    ("gan", ("sentiment",)),
+])
+def test_stale_artifact_names_artifact_and_aligned_dataset(
+        pipeline, tmp_path, capsys, model, keys):
+    # the stamp covers the dates, features and sentiment of every row that
+    # `model` trained on: a change to the value at `keys` in the last such
+    # row makes its artifact stale; the same change to the next row, which
+    # it never read, does not. The other two models are trained again after
+    # each change, so only `model` can be stale.
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     cfg = load_config(pipeline)
     path = tmp_path / "out" / "aligned" / "AAA.json"
@@ -533,18 +539,22 @@ def test_stale_artifact_names_artifact_and_aligned_dataset(pipeline, tmp_path, c
         windows = make_windows(aligned, cfg.window_length)
         last = aligned.dates.index(windows.dates[split_boundary(len(windows), policy) - 1])
 
-    def change_close_and_train_the_others(row):
+    def change_value_and_train_the_others(row):
         payload = json.loads(path.read_text())
-        payload["features"][row][CLOSE_COLUMN] += 1.0
+        *inner, leaf = (keys[0], row, *keys[1:])
+        node = payload
+        for key in inner:
+            node = node[key]
+        node[leaf] += 1.0
         path.write_text(json.dumps(payload))
         for other in cli.MODEL_NAMES:
             if other != model:
                 assert cli.main(["train", "--config", str(pipeline), "--model", other,
                                  "--asset", "AAA"]) == 0
 
-    change_close_and_train_the_others(last + 1)
+    change_value_and_train_the_others(last + 1)
     assert cli.main(["evaluate", "--config", str(pipeline), "--asset", "AAA"]) == 0
-    change_close_and_train_the_others(last)
+    change_value_and_train_the_others(last)
     stale_in_evaluate(pipeline, tmp_path, capsys, model)
 
 

@@ -105,6 +105,15 @@ def test_evaluate_arima_row_counts():
         assert report.metrics.rmse > 0
 
 
+def test_evaluate_arima_partition_mismatch_errors():
+    # a (100, 1, 10) forecast needs 111 values, more than the train
+    # partition's 100, so no fit on this partition wrote the model
+    aligned = ar1_aligned()
+    model = arima.ArimaModel(ArimaOrder(100, 1, 10), 0.0, np.zeros(100), np.zeros(10))
+    with pytest.raises(DataError, match="not trained on this train partition"):
+        ev.evaluate("arima", model, aligned, "holdout_last_20")
+
+
 def test_evaluate_lstm_report():
     aligned = ar1_aligned(1)
     windows = make_windows(aligned, 8)
