@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize
 
-from .data import finite_floats
+from .data import flat_floats
 from .errors import DataError, TrainingError, UsageError
 
 ADF_CRITICAL_5PCT = -2.86  # constant-only case
@@ -39,25 +39,20 @@ class ArimaModel:
     ma_coeffs: np.ndarray
 
     def to_dict(self):
-        return {
-            "order": [self.order.p, self.order.d, self.order.q],
-            "intercept": self.intercept,
-            "ar_coeffs": np.asarray(self.ar_coeffs).tolist(),
-            "ma_coeffs": np.asarray(self.ma_coeffs).tolist(),
-        }
+        """The order and the vector [c, φ…, θ…] that `fit` minimizes over."""
+        return {"order": [self.order.p, self.order.d, self.order.q],
+                "params": np.concatenate(([self.intercept], self.ar_coeffs,
+                                          self.ma_coeffs)).tolist()}
 
     @classmethod
     def from_dict(cls, d):
         order = ArimaOrder(*d["order"])
-        keys = ("intercept", "ar_coeffs", "ma_coeffs")
-        values = [finite_floats(d[key], key) for key in keys]
-        shapes = [v.shape for v in values]
-        expected = [(), (order.p,), (order.q,)]
-        if shapes != expected:
-            raise DataError(f"order ({order.p},{order.d},{order.q}) needs {', '.join(keys)} "
-                            f"of shapes {expected}, got {shapes}")
-        intercept, ar, ma = values
-        return cls(order, float(intercept), ar, ma)
+        p, q = order.p, order.q
+        params = flat_floats(d["params"], "ARIMA params")
+        if len(params) != 1 + p + q:
+            raise DataError(f"order ({p},{order.d},{q}) needs 1 + p + q = {1 + p + q} "
+                            f"params, got {len(params)}")
+        return cls(order, float(params[0]), params[1 : 1 + p], params[1 + p :])
 
 
 def adf_statistic(series) -> float:

@@ -87,10 +87,6 @@ def _select_assets(cfg: RunConfig, symbol):
     return chosen
 
 
-def _write_json(path: Path, payload):
-    write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _csv(header, rows) -> str:
     """The header line, then a line per row: a str field as is, a number as
     its repr. Numbers come through .tolist(): a Python float's repr is its
@@ -113,15 +109,17 @@ def _report_path(cfg, symbol, model) -> Path:
 
 def _load_or_die(path, what, load):
     """load(path) of a JSON file; a missing file, truncated JSON, a missing
-    key, a value of the wrong type (a list for an object, say), shape or name
-    or a non-finite number is a DataError naming the file."""
+    key, a value of the wrong type (a list for an object, say), shape or name,
+    a non-finite number or nesting too deep to parse is a DataError naming
+    the file."""
     try:
         return load(path)
     except DataError as e:
         if str(path) not in str(e):
             e.args = (f"{path}: corrupt {what}: {e}",)
         raise
-    except (ValueError, KeyError, TypeError, OverflowError, DimensionError, UsageError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError, DimensionError,
+            UsageError) as e:
         raise DataError(f"{path}: corrupt {what}: {e!r}") from e
 
 
@@ -233,8 +231,9 @@ def _cell(symbols, model):
 
 
 def _write_outputs(cfg, aligned, model, artifact, log_csv):
-    _write_json(_artifact_path(cfg, aligned.symbol, model), {
-        "model": model, "artifact": artifact.to_dict(), "stamp": _stamp(cfg, aligned, model)})
+    payload = {"model": model, "artifact": artifact.to_dict(), "stamp": _stamp(cfg, aligned, model)}
+    write_atomic(_artifact_path(cfg, aligned.symbol, model),
+                 json.dumps(payload, sort_keys=True) + "\n")
     if log_csv is not None:
         write_atomic(cfg.output_dir / "logs" / f"{aligned.symbol}_{model}.csv", log_csv)
 
@@ -354,7 +353,8 @@ def cmd_evaluate(cfg: RunConfig, asset_symbol=None) -> int:
             with _on_aligned(cfg, asset.symbol, model):
                 report = evaluate(model, artifact, aligned, cfg.split_policies[model],
                                   window_length=cfg.window_length)
-            _write_json(_report_path(cfg, asset.symbol, model), report.to_dict())
+            write_atomic(_report_path(cfg, asset.symbol, model),
+                         json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
             reports.append(report)
     agg = aggregate(reports)
     write_atomic(cfg.output_dir / "aggregate.csv", agg.to_csv())

@@ -138,7 +138,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         raise DataError(f"config file not found: {path}")
     try:
         raw = yaml.safe_load(read_utf8(path))
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, RecursionError) as e:
         raise DataError(f"cannot parse config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise DataError(f"config {path} must be a mapping at top level")

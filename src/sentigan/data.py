@@ -271,6 +271,22 @@ def finite_floats(values, what) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
+def flat_floats(values, what) -> np.ndarray:
+    """A stored flat parameter vector: finite_floats on one axis, so that a
+    (K, P) list cannot load as K stacked networks."""
+    arr = finite_floats(values, what)
+    if arr.ndim != 1:
+        raise DataError(f"{what} must be a flat list of numbers")
+    return arr
+
+
+def positive_ints(values, what) -> list[int]:
+    """The integer sizes a stored network is built from, each >= 1."""
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values):
+        raise DataError(f"{what} must be integers >= 1, got {values!r}")
+    return values
+
+
 def save_aligned(aligned: AlignedDataset, path):
     write_atomic(path, json.dumps(aligned.to_dict(), sort_keys=True))
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLOSE_COLUMN, Windows, finite_floats
+from .data import CLOSE_COLUMN, Windows, flat_floats, positive_ints
 from .errors import DataError, DimensionError, SentiganError, TrainingError, UsageError
-from .nn import Dense, backward, build_mlp, forward, param_shapes
+from .nn import Dense, backward, build_mlp, forward
 from .optim import AdamState, adam_step
 from .scaling import ScalerParams, scaler_fit_windows, scaler_inverse, scaler_transform
 
@@ -35,6 +35,8 @@ N_FEATURES = 6
 SCALER_MODE = "signed"
 SCALE_TOLERANCE = 1e-9
 LOG_EPS = 1e-12
+# the generator's hidden and output activations
+GEN_ACTIVATIONS = ("relu", "tanh")
 
 
 class Generator(Dense):
@@ -48,25 +50,16 @@ class Generator(Dense):
         self.scaler = scaler
 
     def to_dict(self):
-        layers = [{"weights": w.tolist(), "bias": b.tolist(), "activation": a}
-                  for w, b, a in zip(self.weights, self.biases, self.activations)]
-        return {"window_length": self.window_length, "layers": layers,
-                "scaler": self.scaler.to_dict()}
+        return {"window_length": self.window_length, "hidden": list(self.sizes[1:-1]),
+                "theta": self.theta.tolist(), "scaler": self.scaler.to_dict()}
 
     @classmethod
     def from_dict(cls, d):
-        # older artifacts also carry the size of a since-removed noise input
-        # (always 0), which is ignored
-        arrays = [finite_floats(e[key], f"layer {key}") for e in d["layers"]
-                  for key in ("weights", "bias")]
-        sizes = [d["window_length"] * N_FEATURES + 1, *(len(b) for b in arrays[1::2])]
-        expected = param_shapes(sizes)
-        shapes = [a.shape for a in arrays]
-        if shapes != expected or sizes[-1] != N_FEATURES:
-            raise DimensionError("generator layer shapes, ending in "
-                                 f"{N_FEATURES} outputs", expected, shapes)
-        return cls(sizes, [e["activation"] for e in d["layers"]],
-                   np.concatenate([a.ravel() for a in arrays]),
+        window_length, *hidden = positive_ints([d["window_length"], *d["hidden"]],
+                                               "generator window_length and hidden widths")
+        return cls([window_length * N_FEATURES + 1, *hidden, N_FEATURES],
+                   [GEN_ACTIVATIONS[0]] * len(hidden) + [GEN_ACTIVATIONS[1]],
+                   flat_floats(d["theta"], "generator theta"),
                    ScalerParams.from_dict(d["scaler"], SCALER_MODE))
 
 
@@ -82,7 +75,7 @@ class GanSchedule:
 
 
 def build_generator(rng, window_length: int, hidden) -> Dense:
-    return build_mlp(rng, window_length * N_FEATURES + 1, hidden, N_FEATURES, "relu", "tanh")
+    return build_mlp(rng, window_length * N_FEATURES + 1, hidden, N_FEATURES, *GEN_ACTIVATIONS)
 
 
 def build_discriminator(rng, window_length: int, hidden) -> Dense:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLOSE_COLUMN, FEATURE_COLUMNS, Windows, finite_floats
-from .errors import DimensionError, TrainingError
+from .data import CLOSE_COLUMN, FEATURE_COLUMNS, Windows, flat_floats, positive_ints
+from .errors import TrainingError
 from .nn import carve
 from .optim import AdamState, adam_step
 from .scaling import ScalerParams, scaler_fit_windows, scaler_transform
@@ -45,7 +45,8 @@ class LstmModel:
     and (1,) bias. `w`, `u`, `b`, `head_weights` and `head_bias` are views
     of `theta`, and `grads` views of the gradient `grad` in the same layout,
     all carved once. `scaler` was fitted on the training windows. The
-    artifact keeps one {w, u, b} entry per gate."""
+    artifact is `hidden_size`, `theta` and the scaler: the input size is
+    always the 6 features."""
 
     def __init__(self, hidden_size: int, input_size: int, theta: np.ndarray,
                  scaler: ScalerParams):
@@ -75,30 +76,13 @@ class LstmModel:
         return model
 
     def to_dict(self):
-        w, u, b = (np.split(a, len(GATES)) for a in (self.w, self.u, self.b))
-        return {
-            "hidden_size": self.hidden_size,
-            "input_size": self.input_size,
-            "gates": {name: {"w": w[j].tolist(), "u": u[j].tolist(), "b": b[j].tolist()}
-                      for j, name in enumerate(GATES)},
-            "head_weights": self.head_weights.tolist(),
-            "head_bias": self.head_bias.tolist(),
-            "scaler": self.scaler.to_dict(),
-        }
+        return {"hidden_size": self.hidden_size, "theta": self.theta.tolist(),
+                "scaler": self.scaler.to_dict()}
 
     @classmethod
     def from_dict(cls, d):
-        h, n = d["hidden_size"], d["input_size"]
-        if n != len(FEATURE_COLUMNS):
-            raise DimensionError("LSTM input_size", len(FEATURE_COLUMNS), n)
-        arrays = [finite_floats(d["gates"][name][key], f"LSTM {name} gate {key}")
-                  for key in "wub" for name in GATES]
-        arrays += [finite_floats(d[key], f"LSTM {key}") for key in ("head_weights", "head_bias")]
-        expected = [(h, n)] * 4 + [(h, h)] * 4 + [(h,)] * 4 + [(1, h), (1,)]
-        shapes = [a.shape for a in arrays]
-        if shapes != expected:
-            raise DimensionError("LSTM gate and head shapes", expected, shapes)
-        return cls(h, n, np.concatenate([a.ravel() for a in arrays]),
+        [h] = positive_ints([d["hidden_size"]], "LSTM hidden_size")
+        return cls(h, len(FEATURE_COLUMNS), flat_floats(d["theta"], "LSTM theta"),
                    ScalerParams.from_dict(d["scaler"], SCALER_MODE))
 
 

@@ -267,7 +267,7 @@ def test_model_json_round_trip():
     assert np.array_equal(restored.ma_coeffs, model.ma_coeffs)
     # forecasts from the restored model are identical
     assert arima.forecast_one_step(restored, y) == arima.forecast_one_step(model, y)
-    # artifacts written before the residual fields were dropped still load
+    # keys nothing reads, such as the dropped residual fields, are ignored
     legacy = dict(model.to_dict(), residual_variance=1.0, tail_residuals=[0.5])
     old = arima.ArimaModel.from_dict(legacy)
     assert np.array_equal(arima.rolling_forecasts(old, y, 380),

@@ -16,7 +16,6 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scaler_over
 from sentigan import arima, cli, config
 from sentigan.config import RunConfig, load_config
 from sentigan.data import CLOSE_COLUMN, load_aligned, make_windows, split_boundary
@@ -170,6 +169,16 @@ def test_malformed_config_value_is_data_error_naming_file_and_key(
     err = capsys.readouterr().err
     assert str(pipeline) in err
     assert (key if section is None else f"{section}.{key}") in err
+
+
+@pytest.mark.parametrize("depth", [100, 5000])
+def test_deeply_nested_config_value_is_data_error_naming_file(pipeline, capsys, depth):
+    # 100 nested lists parse and fail the seed's rule; 5,000 exceed the
+    # parser's recursion limit
+    pipeline.write_text(pipeline.read_text().replace(
+        "seed: 3", "seed: " + "[" * depth + "]" * depth))
+    assert cli.main(["train", "--config", str(pipeline)]) == cli.EXIT_DATA
+    assert str(pipeline) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, keys", [
@@ -433,7 +442,8 @@ def test_gan_artifact_has_no_discriminator_and_old_ones_still_load(pipeline, tmp
     assert set(payload) == {"model", "artifact", "stamp"}
     report = tmp_path / "out" / "reports" / "AAA_gan.json"
     before = report.read_bytes()
-    # artifacts written before the discriminator was dropped carry it
+    # a `discriminator` key beside the artifact, as files written before it
+    # was dropped carried, is ignored
     disc = gan.build_discriminator(np.random.default_rng(0), 10, hidden=(8,))
     payload["discriminator"] = {"window_length": 10, "layers": [
         {"weights": w.tolist(), "bias": b.tolist(), "activation": a}
@@ -614,10 +624,9 @@ def test_non_finite_forecasts_are_refused_before_the_report(pipeline, tmp_path, 
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     path = tmp_path / "out" / "models" / f"AAA_{model}.json"
     payload = json.loads(path.read_text())
-    artifact = payload["artifact"]
-    node = artifact if model == "lstm" else artifact["layers"][0]
-    key = "head_weights" if model == "lstm" else "weights"
-    node[key] = [[1e308] * len(row) for row in node[key]]
+    # of both signs, so that sums of overflowed terms are NaN
+    payload["artifact"]["theta"] = [(-1) ** i * 1e308
+                                    for i in range(len(payload["artifact"]["theta"]))]
     path.write_text(json.dumps(payload))
     report = tmp_path / "out" / "reports" / f"AAA_{model}.json"
     report.unlink()
@@ -642,11 +651,14 @@ def test_non_finite_forecasts_are_refused_before_the_report(pipeline, tmp_path, 
 ] + [("models/AAA_arima.json", "artifact_not_object"),
      ("models/AAA_arima.json", "huge_intercept"),
      ("models/AAA_gan.json", "nested_wrong_type"),
-     ("models/AAA_gan.json", "unknown_activation"),
+     ("models/AAA_gan.json", "zero_width_hidden"),
      ("models/AAA_gan.json", "scaler_short"),
      ("models/AAA_lstm.json", "misshapen_gate"),
-     ("models/AAA_lstm.json", "narrow_input"),
-     ("models/AAA_lstm.json", "scaler_short")])
+     ("models/AAA_lstm.json", "wider_hidden"),
+     ("models/AAA_lstm.json", "scaler_short")
+] + [(f"models/AAA_{model}.json", "parent_format") for model in ("arima", "lstm", "gan")
+] + [(relpath, "deep_nesting")
+     for relpath in ("models/AAA_lstm.json", "aligned/AAA.json", "reports/AAA_gan.json")])
 def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, damage):
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     path = tmp_path / "out" / relpath
@@ -659,28 +671,35 @@ def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, d
         path.write_text(json.dumps({"model": "arima", "artifact": []}))
     elif damage == "huge_intercept":
         payload = json.loads(text)
-        payload["artifact"]["intercept"] = 10 ** 400
+        payload["artifact"]["params"][0] = 10 ** 400
         path.write_text(json.dumps(payload))
     elif damage == "nested_wrong_type":
+        # a (1, P) list would carve as a stack of one network
         payload = json.loads(text)
-        payload["artifact"]["layers"] = [5]
+        payload["artifact"]["theta"] = [payload["artifact"]["theta"]]
         path.write_text(json.dumps(payload))
-    elif damage == "unknown_activation":
+    elif damage == "zero_width_hidden":
         payload = json.loads(text)
-        payload["artifact"]["layers"][0]["activation"] = "swish"
+        payload["artifact"]["hidden"] = [0]
         path.write_text(json.dumps(payload))
     elif damage == "misshapen_gate":
         payload = json.loads(text)
-        payload["artifact"]["gates"]["forget"]["u"].pop()
+        payload["artifact"]["theta"].pop()
         path.write_text(json.dumps(payload))
-    elif damage == "narrow_input":
-        # gates of width 5 that match input_size 5, for windows of 6 features
+    elif damage == "wider_hidden":
         payload = json.loads(text)
-        narrow = LstmModel.initialize(np.random.default_rng(0),
-                                      payload["artifact"]["hidden_size"], 5,
-                                      scaler_over(5)).to_dict()
-        payload["artifact"].update(input_size=5, gates=narrow["gates"])
+        payload["artifact"]["hidden_size"] += 1
         path.write_text(json.dumps(payload))
+    elif damage == "parent_format":
+        # the nested format written before each artifact became one flat
+        # vector, under a valid stamp
+        payload = json.loads(text)
+        payload["artifact"] = nested_format(payload["model"], payload["artifact"])
+        path.write_text(json.dumps(payload))
+        for report in (tmp_path / "out" / "reports").iterdir():
+            report.unlink()
+    elif damage == "deep_nesting":
+        path.write_text("[" * 200_000 + "]" * 200_000)
     elif damage == "scaler_short":
         payload = json.loads(text)
         for key in ("per_feature_min", "per_feature_max"):
@@ -691,22 +710,50 @@ def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, d
         payload.pop("artifact" if "models" in relpath else "features")
         path.write_text(json.dumps(payload))
     capsys.readouterr()
-    assert cli.main(["evaluate", "--config", str(pipeline)]) == cli.EXIT_DATA
+    command = (["plot", "--asset", "AAA", "--model", "gan"] if relpath.startswith("reports")
+               else ["evaluate"])
+    assert cli.main([command[0], "--config", str(pipeline), *command[1:]]) == cli.EXIT_DATA
     assert str(path) in capsys.readouterr().err
+    if damage == "parent_format":
+        assert not any((tmp_path / "out" / "reports").iterdir())
+
+
+def nested_format(model, artifact):
+    """`artifact` in the nested format of the code before flat vectors: one
+    entry per ARIMA coefficient kind, LSTM gate or generator layer."""
+    from sentigan import gan, lstm
+
+    if model == "arima":
+        (p, _, _), params = artifact["order"], artifact["params"]
+        return {"order": artifact["order"], "intercept": params[0],
+                "ar_coeffs": params[1 : 1 + p], "ma_coeffs": params[1 + p :]}
+    if model == "lstm":
+        m = LstmModel.from_dict(artifact)
+        w, u, b = (np.split(a, len(lstm.GATES)) for a in (m.w, m.u, m.b))
+        return {"hidden_size": m.hidden_size, "input_size": m.input_size,
+                "gates": {name: {"w": w[j].tolist(), "u": u[j].tolist(), "b": b[j].tolist()}
+                          for j, name in enumerate(lstm.GATES)},
+                "head_weights": m.head_weights.tolist(), "head_bias": m.head_bias.tolist(),
+                "scaler": artifact["scaler"]}
+    g = gan.Generator.from_dict(artifact)
+    return {"window_length": g.window_length, "scaler": artifact["scaler"],
+            "layers": [{"weights": w.tolist(), "bias": b.tolist(), "activation": a}
+                       for w, b, a in zip(g.weights, g.biases, g.activations)]}
 
 
 @pytest.mark.parametrize(("command", "relpath", "keys", "value"), [
     ("evaluate", "aligned/AAA.json", ("features", -1, 3), float("nan")),
     ("train", "aligned/AAA.json", ("features", -1, 3), float("nan")),
-    ("evaluate", "models/AAA_arima.json", ("artifact", "intercept"), float("nan")),
-    ("evaluate", "models/AAA_lstm.json", ("artifact", "head_bias", 0), float("inf")),
-    ("evaluate", "models/AAA_gan.json", ("artifact", "layers", 0, "weights", 0, 0),
-     float("nan")),
+    ("evaluate", "models/AAA_arima.json", ("artifact", "params", 0), float("nan")),
+    ("evaluate", "models/AAA_lstm.json", ("artifact", "theta", -1), float("inf")),
+    ("evaluate", "models/AAA_gan.json", ("artifact", "theta", 0), float("nan")),
     ("plot", "reports/AAA_gan.json", ("rows", 0, "predicted"), float("nan")),
     ("evaluate", "models/AAA_arima.json", ("artifact", "order", 0), 3),
     ("evaluate", "models/AAA_arima.json", ("artifact", "order", 1), 5),
     ("train_gan", "aligned/AAA.json", ("sentiment", 0), True),
-    ("evaluate", "models/AAA_lstm.json", ("artifact", "gates", "forget", "b", 0), False),
+    # hidden size 8: theta ends in b (4·8), the head's 8 weights and its bias,
+    # so the forget gate's block of b starts 4·8 + 1 from the end
+    ("evaluate", "models/AAA_lstm.json", ("artifact", "theta", -(4 * 8 + 1)), False),
     ("plot", "reports/AAA_gan.json", ("rows", 0, "predicted"), True),
     ("plot", "reports/AAA_gan.json", ("rows", 0, "predicted"), "101.5"),
 ], ids=["aligned_nan_close", "train_aligned_nan_close", "arima_nan_intercept",

@@ -582,10 +582,11 @@ def test_generator_json_round_trip():
     g2 = Generator.from_dict(g.to_dict())
     assert np.array_equal(gan.predict(g2, windows[-5:]), gan.predict(g, windows[-5:]))
     assert np.array_equal(g2.theta, g.theta)
+    assert (g2.sizes, g2.activations) == (g.sizes, g.activations)
 
 
 def test_generator_from_dict_ignores_legacy_noise_dim():
-    # artifacts written before the noise input was removed carry noise_dim: 0
+    # a key nothing reads, such as the removed noise input's size, is ignored
     aligned = jumpy_aligned(8, n=100)
     windows = make_windows(aligned, 5)
     [(g, _)] = gan.train([windows[:-5]], GanSchedule(epochs=1, **SMALL), seed=2)

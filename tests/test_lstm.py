@@ -96,22 +96,18 @@ def test_every_parameter_array_is_a_view_of_theta():
     assert np.array_equal(restored.theta, model.theta)
 
 
-def artifact_with_biases(hidden=3, inputs=6, **biases):
-    """An artifact dict built by hand: zero weights, the given per-gate bias."""
-    zero = {"w": np.zeros((hidden, inputs)).tolist(), "u": np.zeros((hidden, hidden)).tolist()}
-    return {
-        "hidden_size": hidden,
-        "input_size": inputs,
-        "gates": {name: {**zero, "b": [biases.get(name, 0.0)] * hidden} for name in lstm.GATES},
-        "head_weights": np.zeros((1, hidden)).tolist(),
-        "head_bias": [0.0],
-        "scaler": scaler_over(inputs).to_dict(),
-    }
+def artifact_with_biases(hidden=3, **biases):
+    """The artifact of a model of zero weights and the given per-gate bias,
+    set through its `b` view in GATES order."""
+    model = zero_model(hidden, 6)
+    for name, block in zip(lstm.GATES, np.split(model.b, len(lstm.GATES))):
+        block[...] = biases.get(name, 0.0)
+    return model.to_dict()
 
 
 def test_artifact_gate_order():
-    # the artifact names each gate's block; a model loaded from it must use
-    # each block as that gate, whatever the in-memory stacking order
+    # each block of b, in GATES order, must act as that gate in a model
+    # loaded back from its artifact
     c0 = np.array([1.0, -2.0, 0.5])
     state = (np.zeros(3), c0)
     keep = LstmModel.from_dict(artifact_with_biases(forget=50.0, input=-50.0))
@@ -123,12 +119,15 @@ def test_artifact_gate_order():
 
 
 def test_from_dict_rejects_misshapen_gate():
+    # the constructor's carve refuses a vector of the wrong length; a (1, P)
+    # list would carve as a stack of one model
     d = LstmModel.initialize(np.random.default_rng(0), 3, 6, scaler_over()).to_dict()
-    gates = {**d["gates"], "forget": {**d["gates"]["forget"], "w": np.zeros((6, 3)).tolist()}}
-    for damage in ({"gates": gates}, {"head_weights": [0.0] * 3},
-                   {"head_weights": [[0.0]] * 3}, {"head_bias": [0.0, 0.0]},
-                   {"head_bias": 0.0}):
-        with pytest.raises(DimensionError):
+    theta = d["theta"]
+    for error, damage in ((DimensionError, {"theta": theta[:-1]}),
+                          (DimensionError, {"theta": [*theta, 0.0]}),
+                          (DataError, {"theta": [theta]}),
+                          (DataError, {"hidden_size": 0})):
+        with pytest.raises(error):
             LstmModel.from_dict({**d, **damage})
 
 
