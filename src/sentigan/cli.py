@@ -23,21 +23,18 @@ from . import gan as gan_mod
 from . import lstm as lstm_mod
 from .config import RunConfig, load_config
 from .data import (
-    CLOSE_COLUMN,
     AlignedDataset,
     csv_rows,
     load_aligned,
     load_ohlcv,
-    make_windows,
     read_utf8,
     repair_missing,
     save_aligned,
-    split_boundary,
     utf8_lines,
     write_atomic,
 )
 from .errors import DataError, DimensionError, SentiganError, UsageError
-from .eval import MODEL_NAMES, ForecastReport, MetricSet, aggregate, evaluate
+from .eval import MODEL_NAMES, ForecastReport, MetricSet, aggregate, evaluate, partition
 from .lstm import LstmModel
 from .sentiment import aggregate_daily, load_lexicon, score_text
 
@@ -152,9 +149,9 @@ def _read_tweets(path: Path) -> tuple[list, list[str]]:
 def _daily_sentiment(cfg, asset, dates):
     """Score the asset's tweet file and aggregate it onto `dates`: each day's
     mean compound, each day's tweet count and the count of tweets dated after
-    the last day. A missing file yields zeros and no counts (a header-only
-    sentiment CSV), with a warning."""
-    if asset.tweets_path is None or not asset.tweets_path.exists():
+    the last day. An asset without one yields zeros and no counts (a
+    header-only sentiment CSV), with a warning."""
+    if asset.tweets_path is None:
         print(f"warning: no tweet file for {asset.symbol}; sentiment set to 0",
               file=sys.stderr)
         return np.zeros(len(dates)), np.zeros(0, dtype=int), 0
@@ -191,29 +188,32 @@ def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
 # ---------------------------------------------------------------- train
 
 
+def _partition(cfg, aligned, model):
+    """`model`'s items of `aligned` and its boundary, by the configured split."""
+    return partition(model, aligned, cfg.split_policies[model], cfg.window_length)
+
+
 def _stamp(cfg, aligned, model) -> str:
     """The SHA-256 of what training `model` on `aligned` reads: the model name,
     its split policy and config section, a windowed model's seed and window
     length, and the dates, features and sentiment of its train rows."""
     policy = cfg.split_policies[model]
-    length = 0 if model == "arima" else cfg.window_length  # window i reads rows i to i + length
     settings = cfg.arima if model == "arima" else {
         **asdict(getattr(cfg, model)), "seed": cfg.seed, "window_length": cfg.window_length}
-    rows = length + split_boundary(len(aligned.dates) - length, policy)
+    items, boundary = _partition(cfg, aligned, model)
+    rows = len(aligned.dates) - len(items) + boundary  # train window i reads rows i to i + L
     text = json.dumps([model, policy, settings, aligned.dates[:rows]], sort_keys=True, default=str)
     return hashlib.sha256(text.encode() + aligned.features[:rows].tobytes()
                           + aligned.sentiment[:rows].tobytes()).hexdigest()
 
 
 def _train_arima(cfg, aligned):
-    closes = aligned.features[:, CLOSE_COLUMN]
-    boundary = split_boundary(len(closes), cfg.split_policies["arima"])
+    closes, boundary = _partition(cfg, aligned, "arima")
     return arima_mod.select_order(closes[:boundary], **cfg.arima), None
 
 
 def _train_lstm(cfg, aligned):
-    windows = make_windows(aligned, cfg.window_length)
-    boundary = split_boundary(len(windows), cfg.split_policies["lstm"])
+    windows, boundary = _partition(cfg, aligned, "lstm")
     model, log = lstm_mod.train(windows[:boundary], cfg.lstm, seed=cfg.seed)
     return model, _csv("epoch,train_loss,val_loss,lr", (r.values() for r in log))
 
@@ -260,9 +260,8 @@ def _gan_groups(cfg, datasets):
     groups = {}
     for symbol, aligned in datasets.items():
         with _cell([symbol], "gan"):
-            windows = make_windows(aligned, cfg.window_length)
-            windows = windows[:split_boundary(len(windows), cfg.split_policies["gan"])]
-        groups.setdefault(len(windows), {})[symbol] = windows
+            windows, boundary = _partition(cfg, aligned, "gan")
+        groups.setdefault(boundary, {})[symbol] = windows[:boundary]
     return list(groups.values())
 
 
@@ -432,6 +431,8 @@ def cmd_plot(cfg: RunConfig, asset_symbol, model) -> int:
     path = _report_path(cfg, asset_symbol, model)
     report = _load_or_die(path, "report",
                           lambda p: ForecastReport.from_dict(json.loads(read_utf8(p))))
+    if (report.symbol, report.model) != (asset_symbol, model):
+        raise DataError(f"{path}: holds the report of {report.symbol!r}/{report.model!r}")
     if not report.dates:
         raise DataError(f"report {path} has no rows to plot")
     base = cfg.output_dir / "plots" / f"{asset_symbol}_{model}"

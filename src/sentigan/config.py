@@ -101,8 +101,8 @@ _RULES = {
 }
 
 
-# every key a file may set at its top level; `workers` is retired and ignored
-TOP_LEVEL_KEYS = {"assets", "lexicon", "output_dir", "workers", *_RULES[None], *_RULES} - {None}
+# every key a file may set at its top level
+TOP_LEVEL_KEYS = {"assets", "lexicon", "output_dir", *_RULES[None], *_RULES} - {None}
 
 
 def _checked(path, section, values: dict) -> dict:

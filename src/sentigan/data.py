@@ -248,15 +248,18 @@ def utf8_lines(path):
 def write_atomic(path, text: str):
     """Write text to a temporary file next to `path` (creating its directory),
     then rename it over `path`: readers see the old or the new content, never
-    a part of it."""
+    a part of it. A path that cannot be written is a DataError naming it."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
+    except OSError as e:
+        raise DataError(f"{path}: cannot write ({e.strerror or e})") from None
     finally:
-        tmp.unlink(missing_ok=True)
+        if tmp.exists():  # unlink(missing_ok=True) raises if a file stands in for a directory
+            tmp.unlink()
 
 
 def finite_floats(values, what) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Forecast metrics, per-asset evaluation, cross-asset aggregation.
 
 Metrics are the standard regression measures (MAE, MSE, RMSE, MAPE as a
-fraction). Evaluation runs a trained artifact over the held-out partition
-of an aligned dataset. Whether the artifact was trained on that dataset's
-train partition is checked by the command line, from the artifact's stamp.
+fraction). `partition` is the one train/holdout split: of training, of the
+stamp the command line checks an artifact by, and of evaluation, which
+scores a trained artifact on the held-out items.
 Aggregation produces mean/median RMSE and win counts per model across assets.
 """
 
@@ -50,10 +50,6 @@ class ForecastReport:
     predicted: np.ndarray  # (N,) closes
     actual: np.ndarray  # (N,) closes
     metrics: MetricSet
-
-    def __post_init__(self):
-        if self.model not in MODEL_NAMES:
-            raise UsageError(f"unknown model name {self.model!r}")
 
     def to_dict(self):
         return {
@@ -113,35 +109,33 @@ def metrics(predicted, actual) -> MetricSet:
     return MetricSet(mae, mse, rmse, mape=mape)
 
 
-def _evaluate_arima(model, aligned, policy):
-    closes = aligned.features[:, CLOSE_COLUMN]
-    boundary = split_boundary(len(closes), policy)
-    p, d, q = model.order.p, model.order.d, model.order.q
-    # a partition too short to forecast from could not have been fitted on
-    if boundary < p + d + max(q, 1):
-        raise DataError("arima: artifact was not trained on this train partition")
-    return (aligned.dates[boundary:], arima_mod.rolling_forecasts(model, closes, boundary),
-            closes[boundary:])
-
-
-def _evaluate_windowed(name, artifact, aligned, policy, window_length):
-    windows = make_windows(aligned, window_length)
-    holdout = windows[split_boundary(len(windows), policy):]
-    predict = {"lstm": lstm_mod.predict, "gan": gan_mod.predict}[name]
-    return holdout.dates, predict(artifact, holdout), holdout.targets[:, CLOSE_COLUMN]
+def partition(model_name: str, aligned: AlignedDataset, policy: str, window_length: int):
+    """What `model_name` reads of `aligned` and the index of its first held-out
+    item: the (T,) closes for ARIMA, the T - L windows of length L otherwise.
+    Held-out item 0 is the target of row T - len(items) + boundary."""
+    items = (aligned.features[:, CLOSE_COLUMN] if model_name == "arima"
+             else make_windows(aligned, window_length))
+    return items, split_boundary(len(items), policy)
 
 
 def evaluate(model_name: str, artifact, aligned: AlignedDataset, policy: str,
-             window_length: int | None = None) -> ForecastReport:
-    """One-step forecasts over the held-out partition; everything before the
-    boundary is training-side context only."""
+             window_length: int) -> ForecastReport:
+    """One-step forecasts of the held-out items of `partition`; the items
+    before the boundary are training-side context only."""
     if model_name not in MODEL_NAMES:
         raise UsageError(f"unknown model name {model_name!r}")
-    if model_name != "arima" and window_length is None:
-        raise UsageError(f"{model_name} evaluation needs a window_length")
-    dates, predicted, actual = (
-        _evaluate_arima(artifact, aligned, policy) if model_name == "arima"
-        else _evaluate_windowed(model_name, artifact, aligned, policy, window_length))
+    items, boundary = partition(model_name, aligned, policy, window_length)
+    if model_name == "arima":
+        p, d, q = artifact.order.p, artifact.order.d, artifact.order.q
+        # a partition too short to forecast from could not have been fitted on
+        if boundary < p + d + max(q, 1):
+            raise DataError("arima: artifact was not trained on this train partition")
+        predicted = arima_mod.rolling_forecasts(artifact, items, boundary)
+    else:
+        predict = lstm_mod.predict if model_name == "lstm" else gan_mod.predict
+        predicted = predict(artifact, items[boundary:])
+    first = len(aligned.dates) - len(items) + boundary  # the first held-out target's row
+    dates, actual = aligned.dates[first:], aligned.features[first:, CLOSE_COLUMN]
     scores = metrics(predicted, actual)
     if not np.isfinite(np.append(predicted, scores.mse)).all():
         raise DataError(f"{model_name}: forecasts or their squared errors are not finite")

@@ -185,7 +185,8 @@ def test_deeply_nested_config_value_is_data_error_naming_file(pipeline, capsys, 
     ("split_policies", {"prophet": "fraction_90_10"}),
     ("lstm", {1: 2, "dropout": 0.5}),  # keys of two types, which do not sort
     (None, {"windw_length": 5}),  # a typo, which would run with the default of 20
-], ids=["split_policies", "lstm", "top_level"])
+    (None, {"workers": 4}),  # retired: assets are always processed one after another
+], ids=["split_policies", "lstm", "top_level", "retired_workers"])
 def test_unknown_key_is_usage_error_naming_it(pipeline, capsys, section, keys):
     raw = yaml.safe_load(pipeline.read_text())
     (raw if section is None else raw.setdefault(section, {})).update(keys)
@@ -302,6 +303,35 @@ def test_ingest_writes_aligned_and_sentiment(pipeline, tmp_path, capsys):
     assert all(v == 0.0 for v in bbb["sentiment"])
     aaa = json.loads((out / "aligned" / "AAA.json").read_text())
     assert any(v != 0.0 for v in aaa["sentiment"])
+
+
+def test_missing_tweet_file_is_data_error_naming_it(pipeline, tmp_path, capsys):
+    # a named tweet file that is not there (a typo, say) is refused, not read
+    # as a day-by-day sentiment of zero, which would drop the model's input
+    pipeline.write_text(pipeline.read_text().replace("AAA_tweets.csv", "AAA_tweetz.csv"))
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(pipeline)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'AAA_tweetz.csv'}: cannot read" in err
+    assert not (tmp_path / "out" / "aligned" / "AAA.json").exists()
+
+
+@pytest.mark.parametrize("where", ["output_dir", "aligned_file"])
+def test_unwritable_output_path_is_data_error_naming_it(pipeline, tmp_path, capsys, where):
+    # a regular file where the output directory should be, or a directory
+    # where an aligned file should go
+    if where == "output_dir":
+        blocker = tmp_path / "out"
+        blocker.write_text("not a directory\n")
+        path = blocker / "aligned" / "AAA.json"
+    else:
+        path = blocker = tmp_path / "out" / "aligned" / "AAA.json"
+        blocker.mkdir(parents=True)
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(pipeline)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{path}: cannot write" in err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_ingest_aligns_sentiment_on_the_ohlcv_dates_and_counts_late_tweets(
@@ -1149,13 +1179,22 @@ def test_plot_truncated_report_names_file(pipeline, tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
-# ---------------------------------------------------------------- workers
-
-
-def test_legacy_workers_key_is_ignored(pipeline, tmp_path):
-    assert cli.main(["ingest", "--config", str(pipeline)]) == 0
-    before = (tmp_path / "out" / "aligned" / "AAA.json").read_bytes()
-    legacy_cfg = tmp_path / "config_workers.yaml"
-    legacy_cfg.write_text(pipeline.read_text() + "workers: 4\n")
-    assert cli.main(["ingest", "--config", str(legacy_cfg)]) == 0
-    assert (tmp_path / "out" / "aligned" / "AAA.json").read_bytes() == before
+@pytest.mark.parametrize("symbol, model", [("BBB", "gan"), ("AAA", "lstm"), ("AAA", "prophet")],
+                         ids=["other_symbol", "other_model", "prophet"])
+def test_plot_of_another_report_is_data_error_naming_it(pipeline, tmp_path, capsys,
+                                                         symbol, model):
+    # a report copied over AAA_gan.json is not plotted under AAA gan
+    run_mini_pipeline(pipeline)
+    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
+                     "--model", "gan"]) == 0
+    plots = sorted((tmp_path / "out" / "plots").iterdir())
+    before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in plots]
+    path = tmp_path / "out" / "reports" / "AAA_gan.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "symbol": symbol,
+                                "model": model}))
+    capsys.readouterr()
+    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
+                     "--model", "gan"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err and repr(symbol) in err and repr(model) in err
+    assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in plots] == before

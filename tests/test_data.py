@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -307,7 +308,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, failure):
         text += "\udc80"  # a lone surrogate cannot be encoded: fails partway through
     else:
         monkeypatch.setattr(D.os, "replace", refuse_replace)
-    with pytest.raises((UnicodeEncodeError, OSError)):
+    with pytest.raises({"encode": UnicodeEncodeError, "replace": DataError}[failure]):
         D.write_atomic(path, text)
     assert path.read_text() == "old\n"
     assert [p.name for p in path.parent.iterdir()] == ["report.json"]
@@ -318,7 +319,7 @@ def test_save_aligned_failure_keeps_previous_file(tmp_path, monkeypatch):
     D.save_aligned(make_aligned(15), path)
     before = path.read_bytes()
     monkeypatch.setattr(D.os, "replace", refuse_replace)
-    with pytest.raises(OSError):
+    with pytest.raises(DataError, match=re.escape(f"{path}: cannot write")):
         D.save_aligned(make_aligned(10), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["aligned.json"]

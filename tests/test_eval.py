@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import aligned_from_close, holdout_split
 from sentigan import arima, eval as ev, gan, lstm
 from sentigan.arima import ArimaOrder
-from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
+from sentigan.data import CLOSE_COLUMN, SPLIT_POLICIES, make_windows, split_boundary
 from sentigan.errors import DataError, DimensionError, UsageError
 from sentigan.eval import AggregateReport, ForecastReport, MetricSet
 from sentigan.gan import GanSchedule
@@ -91,6 +91,20 @@ def ar1_aligned(seed=0, n=120, base=50.0):
     return aligned_from_close(base + z, sentiment=rng.uniform(-1, 1, size=n))
 
 
+@pytest.mark.parametrize("policy", SPLIT_POLICIES)
+@pytest.mark.parametrize("model", ev.MODEL_NAMES)
+def test_partition_holds_out_the_rows_after_the_stamped_ones(model, policy):
+    aligned, length = ar1_aligned(), 8
+    rows = len(aligned.dates)
+    items, boundary = ev.partition(model, aligned, policy, length)
+    assert len(items) == (rows if model == "arima" else rows - length)
+    assert boundary == split_boundary(len(items), policy)
+    # the first held-out target is the first row the artifact's stamp does not hash
+    first = rows - len(items) + boundary
+    target_dates = aligned.dates if model == "arima" else items.dates
+    assert target_dates[boundary - 1:boundary + 1] == aligned.dates[first - 1:first + 1]
+
+
 def test_evaluate_arima_row_counts():
     aligned = ar1_aligned()
     closes = aligned.features[:, CLOSE_COLUMN]
@@ -99,7 +113,7 @@ def test_evaluate_arima_row_counts():
     ]:
         boundary = split_boundary(len(closes), policy)
         model = arima.fit(closes[:boundary], ArimaOrder(1, 0, 0))
-        report = ev.evaluate("arima", model, aligned, policy)
+        report = ev.evaluate("arima", model, aligned, policy, 20)
         assert len(report.dates) == len(report.predicted) == len(report.actual) == expected
         assert report.model == "arima"
         assert report.metrics.rmse > 0
@@ -111,7 +125,7 @@ def test_evaluate_arima_partition_mismatch_errors():
     aligned = ar1_aligned()
     model = arima.ArimaModel(ArimaOrder(100, 1, 10), 0.0, np.zeros(100), np.zeros(10))
     with pytest.raises(DataError, match="not trained on this train partition"):
-        ev.evaluate("arima", model, aligned, "holdout_last_20")
+        ev.evaluate("arima", model, aligned, "holdout_last_20", 20)
 
 
 def test_evaluate_lstm_report():
@@ -136,15 +150,9 @@ def test_evaluate_gan_report():
     assert np.isfinite(report.predicted).all()
 
 
-def test_evaluate_windowed_needs_window_length():
-    aligned = ar1_aligned(4)
-    with pytest.raises(UsageError):
-        ev.evaluate("lstm", None, aligned, "holdout_last_20")
-
-
 def test_evaluate_rejects_unknown_model():
     with pytest.raises(UsageError):
-        ev.evaluate("prophet", None, ar1_aligned(), "holdout_last_20")
+        ev.evaluate("prophet", None, ar1_aligned(), "holdout_last_20", 20)
 
 
 def test_evaluate_rerun_identical():
@@ -152,8 +160,8 @@ def test_evaluate_rerun_identical():
     closes = aligned.features[:, CLOSE_COLUMN]
     boundary = split_boundary(len(closes), "fraction_90_10")
     model = arima.fit(closes[:boundary], ArimaOrder(1, 0, 1))
-    a = ev.evaluate("arima", model, aligned, "fraction_90_10")
-    b = ev.evaluate("arima", model, aligned, "fraction_90_10")
+    a = ev.evaluate("arima", model, aligned, "fraction_90_10", 20)
+    b = ev.evaluate("arima", model, aligned, "fraction_90_10", 20)
     assert a.to_dict() == b.to_dict()
 
 
@@ -162,7 +170,7 @@ def test_report_json_round_trip():
     closes = aligned.features[:, CLOSE_COLUMN]
     boundary = split_boundary(len(closes), "holdout_last_20")
     model = arima.fit(closes[:boundary], ArimaOrder(1, 0, 0))
-    report = ev.evaluate("arima", model, aligned, "holdout_last_20")
+    report = ev.evaluate("arima", model, aligned, "holdout_last_20", 20)
     restored = ForecastReport.from_dict(report.to_dict())
     assert restored.to_dict() == report.to_dict()
     nested = report.to_dict()
@@ -251,8 +259,3 @@ def test_aggregate_csv_format():
     assert lines[0] == "model,mean_rmse,median_rmse,wins"
     assert len(lines) == 4
     assert lines[1].startswith("arima,") and lines[1].endswith(",0")
-
-
-def test_report_rejects_unknown_model_name():
-    with pytest.raises(UsageError):
-        stub_report("X", "prophet", 1.0)
