@@ -34,7 +34,8 @@ from .data import (
     write_atomic,
 )
 from .errors import DataError, DimensionError, SentiganError, UsageError
-from .eval import MODEL_NAMES, ForecastReport, MetricSet, aggregate, evaluate, partition
+from .eval import (MODEL_NAMES, SPLIT_POLICIES, ForecastReport, MetricSet, aggregate, evaluate,
+                   partition)
 from .lstm import LstmModel
 from .sentiment import aggregate_daily, load_lexicon, score_text
 
@@ -155,8 +156,6 @@ def _daily_sentiment(cfg, asset, dates):
         print(f"warning: no tweet file for {asset.symbol}; sentiment set to 0",
               file=sys.stderr)
         return np.zeros(len(dates)), np.zeros(0, dtype=int), 0
-    if cfg.lexicon_path is None:
-        raise UsageError("config has tweet files but no lexicon path")
     lexicon = load_lexicon(read_utf8(cfg.lexicon_path).splitlines(), cfg.lexicon_path)
     days, texts = _read_tweets(asset.tweets_path)
     return aggregate_daily(days, [score_text(lexicon, t) for t in texts], dates)
@@ -188,32 +187,27 @@ def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
 # ---------------------------------------------------------------- train
 
 
-def _partition(cfg, aligned, model):
-    """`model`'s items of `aligned` and its boundary, by the configured split."""
-    return partition(model, aligned, cfg.split_policies[model], cfg.window_length)
-
-
 def _stamp(cfg, aligned, model) -> str:
     """The SHA-256 of what training `model` on `aligned` reads: the model name,
     its split policy and config section, a windowed model's seed and window
     length, and the dates, features and sentiment of its train rows."""
-    policy = cfg.split_policies[model]
     settings = cfg.arima if model == "arima" else {
         **asdict(getattr(cfg, model)), "seed": cfg.seed, "window_length": cfg.window_length}
-    items, boundary = _partition(cfg, aligned, model)
+    items, boundary = partition(model, aligned, cfg.window_length)
     rows = len(aligned.dates) - len(items) + boundary  # train window i reads rows i to i + L
-    text = json.dumps([model, policy, settings, aligned.dates[:rows]], sort_keys=True, default=str)
+    text = json.dumps([model, SPLIT_POLICIES[model], settings, aligned.dates[:rows]],
+                      sort_keys=True, default=str)
     return hashlib.sha256(text.encode() + aligned.features[:rows].tobytes()
                           + aligned.sentiment[:rows].tobytes()).hexdigest()
 
 
 def _train_arima(cfg, aligned):
-    closes, boundary = _partition(cfg, aligned, "arima")
+    closes, boundary = partition("arima", aligned, cfg.window_length)
     return arima_mod.select_order(closes[:boundary], **cfg.arima), None
 
 
 def _train_lstm(cfg, aligned):
-    windows, boundary = _partition(cfg, aligned, "lstm")
+    windows, boundary = partition("lstm", aligned, cfg.window_length)
     model, log = lstm_mod.train(windows[:boundary], cfg.lstm, seed=cfg.seed)
     return model, _csv("epoch,train_loss,val_loss,lr", (r.values() for r in log))
 
@@ -260,7 +254,7 @@ def _gan_groups(cfg, datasets):
     groups = {}
     for symbol, aligned in datasets.items():
         with _cell([symbol], "gan"):
-            windows, boundary = _partition(cfg, aligned, "gan")
+            windows, boundary = partition("gan", aligned, cfg.window_length)
         groups.setdefault(boundary, {})[symbol] = windows[:boundary]
     return list(groups.values())
 
@@ -350,8 +344,7 @@ def cmd_evaluate(cfg: RunConfig, asset_symbol=None) -> int:
         artifacts = {model: _load_artifact(cfg, aligned, model) for model in MODEL_NAMES}
         for model, artifact in artifacts.items():
             with _on_aligned(cfg, asset.symbol, model):
-                report = evaluate(model, artifact, aligned, cfg.split_policies[model],
-                                  window_length=cfg.window_length)
+                report = evaluate(model, artifact, aligned, cfg.window_length)
             write_atomic(_report_path(cfg, asset.symbol, model),
                          json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
             reports.append(report)

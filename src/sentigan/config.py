@@ -1,5 +1,5 @@
-"""Declarative run configuration: assets, paths, split policies and model
-hyperparameters, loaded from a YAML file.
+"""Declarative run configuration: assets, paths and model hyperparameters,
+loaded from a YAML file.
 
 Each setting has one default: the fields of `lstm.TrainSchedule` and
 `gan.GanSchedule`, the keywords of `arima.select_order`, and `load_config`
@@ -13,20 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from inspect import signature
 from pathlib import Path
 
 import yaml
 
-from .data import SPLIT_POLICIES, read_utf8
+from .arima import select_order
+from .data import read_utf8
 from .errors import DataError, UsageError
 from .gan import GanSchedule
 from .lstm import TrainSchedule
-
-DEFAULT_SPLITS = {
-    "arima": "fraction_90_10",
-    "lstm": "fraction_70_30",
-    "gan": "holdout_last_20",
-}
 
 
 @dataclass
@@ -43,8 +39,7 @@ class RunConfig:
     output_dir: Path
     lexicon_path: Path | None
     window_length: int
-    split_policies: dict
-    arima: dict  # the keywords of arima.select_order that the file sets
+    arima: dict  # the keywords of arima.select_order: its defaults, then the file's values
     lstm: TrainSchedule
     gan: GanSchedule
 
@@ -73,12 +68,10 @@ def _int_from(low):
 _RATE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
 _WIDTHS = (lambda v: isinstance(v, (list, tuple)) and all(_is_int(w) and w >= 1 for w in v),
            "a list of integers >= 1")
-_POLICY = (lambda v: v in SPLIT_POLICIES, f"one of {', '.join(SPLIT_POLICIES)}")
 
 # what every settable value must be: section -> key -> (test, description)
 _RULES = {
     None: {"seed": _int_from(0), "window_length": _int_from(1)},
-    "split_policies": {model: _POLICY for model in DEFAULT_SPLITS},
     "arima": {"p_max": _int_from(0), "q_max": _int_from(0)},
     "lstm": {
         "hidden_size": _int_from(1),
@@ -134,8 +127,6 @@ def _section(path, raw, section) -> dict:
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
     try:
         raw = yaml.safe_load(read_utf8(path))
     except (yaml.YAMLError, RecursionError) as e:
@@ -178,6 +169,8 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
             raise DataError(f"asset {symbol}: OHLCV file not found: {ohlcv}")
         assets.append(AssetSpec(symbol, ohlcv, optional("assets.tweets", entry.get("tweets"))))
     lexicon = optional("lexicon", raw.get("lexicon"))
+    if lexicon is None and any(a.tweets_path is not None for a in assets):
+        raise DataError(f"config {path}: lexicon must be set to score the assets' tweets")
     if lexicon is not None and not lexicon.exists():
         raise DataError(f"lexicon file not found: {lexicon}")
     seed_ok, seed_rule = _RULES[None]["seed"]
@@ -195,8 +188,8 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         output_dir=resolve("output_dir", raw.get("output_dir", "out"), Path()),
         lexicon_path=lexicon,
         window_length=top.get("window_length", 20),
-        split_policies={**DEFAULT_SPLITS, **_section(path, raw, "split_policies")},
-        arima=_section(path, raw, "arima"),
+        arima={name: p.default for name, p in signature(select_order).parameters.items()
+               if name in _RULES["arima"]} | _section(path, raw, "arima"),
         lstm=TrainSchedule(**_section(path, raw, "lstm")),
         gan=GanSchedule(**_section(path, raw, "gan")),
     )

@@ -25,7 +25,6 @@ OHLCV_HEADER = ["date", "open", "high", "low", "close", "adj_close", "volume"]
 FEATURE_COLUMNS = ["open", "high", "low", "close", "adj_close", "volume"]
 CLOSE_COLUMN = 3
 
-SPLIT_POLICIES = ("fraction_90_10", "fraction_70_30", "holdout_last_20")
 HOLDOUT_SIZE = 20
 
 

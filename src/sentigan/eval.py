@@ -21,6 +21,8 @@ from .data import CLOSE_COLUMN, AlignedDataset, finite_floats, make_windows, spl
 from .errors import DataError, DimensionError, UsageError
 
 MODEL_NAMES = ("arima", "lstm", "gan")
+# each model's holdout protocol, a policy of data.split_boundary
+SPLIT_POLICIES = {"arima": "fraction_90_10", "lstm": "fraction_70_30", "gan": "holdout_last_20"}
 
 
 @dataclass
@@ -109,22 +111,22 @@ def metrics(predicted, actual) -> MetricSet:
     return MetricSet(mae, mse, rmse, mape=mape)
 
 
-def partition(model_name: str, aligned: AlignedDataset, policy: str, window_length: int):
+def partition(model_name: str, aligned: AlignedDataset, window_length: int):
     """What `model_name` reads of `aligned` and the index of its first held-out
     item: the (T,) closes for ARIMA, the T - L windows of length L otherwise.
     Held-out item 0 is the target of row T - len(items) + boundary."""
     items = (aligned.features[:, CLOSE_COLUMN] if model_name == "arima"
              else make_windows(aligned, window_length))
-    return items, split_boundary(len(items), policy)
+    return items, split_boundary(len(items), SPLIT_POLICIES[model_name])
 
 
-def evaluate(model_name: str, artifact, aligned: AlignedDataset, policy: str,
+def evaluate(model_name: str, artifact, aligned: AlignedDataset,
              window_length: int) -> ForecastReport:
     """One-step forecasts of the held-out items of `partition`; the items
     before the boundary are training-side context only."""
     if model_name not in MODEL_NAMES:
         raise UsageError(f"unknown model name {model_name!r}")
-    items, boundary = partition(model_name, aligned, policy, window_length)
+    items, boundary = partition(model_name, aligned, window_length)
     if model_name == "arima":
         p, d, q = artifact.order.p, artifact.order.d, artifact.order.q
         # a partition too short to forecast from could not have been fitted on

@@ -14,7 +14,7 @@ from sentigan import arima, cli, gan, lstm
 from sentigan.arima import ArimaOrder
 from sentigan.config import load_config
 from sentigan.data import CLOSE_COLUMN, load_aligned, make_windows, split_boundary
-from sentigan.eval import ForecastReport, MetricSet, aggregate
+from sentigan.eval import SPLIT_POLICIES, ForecastReport, MetricSet, aggregate
 from sentigan.gan import GanSchedule, build_discriminator, build_generator
 from sentigan.lstm import LstmModel, TrainSchedule
 from sentigan.nn import build_mlp, forward
@@ -266,7 +266,7 @@ def test_criterion_8_protocol_audits(tmp_path, monkeypatch):
         report = json.loads(path.read_text())
         dates = load_aligned(tmp_path / "out" / "aligned" / f"{report['symbol']}.json").dates
         skip = 0 if report["model"] == "arima" else cfg.window_length
-        start = skip + split_boundary(len(dates) - skip, cfg.split_policies[report["model"]])
+        start = skip + split_boundary(len(dates) - skip, SPLIT_POLICIES[report["model"]])
         assert [r["date"] for r in report["rows"]] == [d.isoformat() for d in dates[start:]]
 
 

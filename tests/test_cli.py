@@ -20,6 +20,7 @@ from sentigan import arima, cli, config
 from sentigan.config import RunConfig, load_config
 from sentigan.data import CLOSE_COLUMN, load_aligned, make_windows, split_boundary
 from sentigan.errors import DataError, UsageError
+from sentigan.eval import SPLIT_POLICIES
 from sentigan.gan import GanSchedule
 from sentigan.lstm import LstmModel, TrainSchedule
 
@@ -96,9 +97,7 @@ def test_load_fleet_config_defaults():
     assert len(cfg.assets) == 7
     assert cfg.seed == 7
     assert cfg.window_length == 20
-    assert cfg.split_policies == {
-        "arima": "fraction_90_10", "lstm": "fraction_70_30", "gan": "holdout_last_20",
-    }
+    assert cfg.arima == {"p_max": 3, "q_max": 3}  # select_order's defaults
     assert cfg.lstm.learning_rate == 0.001
     assert cfg.lstm.max_epochs == 60  # file override on top of defaults
     assert cfg.gan.learning_rate == 0.0002
@@ -134,8 +133,6 @@ def test_config_rejects_unknown_hyperparameter(tmp_path):
     (None, "output_dir", None),
     ("assets", "ohlcv", None),
     ("assets", "ohlcv", "AAA\0.csv"),
-    ("split_policies", "lstm", 5),
-    ("split_policies", "lstm", "bogus"),
     ("gan", "batch_size", "5"),
     ("gan", "epochs", 1.5),
     ("gan", "gen_hidden", 5),
@@ -182,11 +179,11 @@ def test_deeply_nested_config_value_is_data_error_naming_file(pipeline, capsys, 
 
 
 @pytest.mark.parametrize("section, keys", [
-    ("split_policies", {"prophet": "fraction_90_10"}),
     ("lstm", {1: 2, "dropout": 0.5}),  # keys of two types, which do not sort
     (None, {"windw_length": 5}),  # a typo, which would run with the default of 20
     (None, {"workers": 4}),  # retired: assets are always processed one after another
-], ids=["split_policies", "lstm", "top_level", "retired_workers"])
+    (None, {"split_policies": {"lstm": "fraction_70_30"}}),  # retired: each model's is fixed
+], ids=["lstm", "top_level", "retired_workers", "retired_split_policies"])
 def test_unknown_key_is_usage_error_naming_it(pipeline, capsys, section, keys):
     raw = yaml.safe_load(pipeline.read_text())
     (raw if section is None else raw.setdefault(section, {})).update(keys)
@@ -197,24 +194,39 @@ def test_unknown_key_is_usage_error_naming_it(pipeline, capsys, section, keys):
     assert str(pipeline) in err and all(str(key) in err for key in keys)
 
 
+def setting_defaults():
+    """section -> key -> the default of every setting of a config section."""
+    return {
+        "lstm": {f.name: f.default for f in fields(TrainSchedule)},
+        "gan": {f.name: f.default for f in fields(GanSchedule)},
+        "arima": {name: p.default for name, p in
+                  inspect.signature(arima.select_order).parameters.items()
+                  if p.default is not p.empty},
+    }
+
+
 def test_rule_table_matches_the_settings_and_their_defaults():
     # a setting without a rule would be refused as an unknown key (exit 64),
     # a rule without a setting would fail as a TypeError (exit 70)
-    arima_keywords = {name: p.default for name, p in
-                      inspect.signature(arima.select_order).parameters.items()
-                      if p.default is not p.empty}
-    sections = {
-        "lstm": {f.name: f.default for f in fields(TrainSchedule)},
-        "gan": {f.name: f.default for f in fields(GanSchedule)},
-        "arima": arima_keywords,
-        "split_policies": config.DEFAULT_SPLITS,
-    }
-    assert set(sections["split_policies"]) == set(cli.MODEL_NAMES)
-    for section, defaults in sections.items():
+    for section, defaults in setting_defaults().items():
         assert set(config._RULES[section]) == set(defaults), section
         for key, default in defaults.items():
             test, _ = config._RULES[section][key]
             assert test(default), (section, key, default)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("arima", "p_max"), ("lstm", "learning_rate"), ("gan", "learning_rate")])
+def test_config_that_writes_out_a_default_evaluates(pipeline, section, key):
+    # a setting written out at its default is the same config, so the
+    # artifacts trained without it are current
+    raw = yaml.safe_load(pipeline.read_text())
+    raw[section].pop(key, None)
+    pipeline.write_text(yaml.safe_dump(raw))
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    raw[section][key] = setting_defaults()[section][key]
+    pipeline.write_text(yaml.safe_dump(raw))
+    assert cli.main(["evaluate", "--config", str(pipeline)]) == 0
 
 
 @pytest.mark.parametrize("symbol",
@@ -253,6 +265,14 @@ def test_config_missing_data_file_is_data_error(tmp_path):
     assert cli.main(["ingest", "--config", str(config)]) == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("command", ["ingest", "train"])
+def test_tweets_without_a_lexicon_are_refused_naming_the_config(pipeline, capsys, command):
+    pipeline.write_text(pipeline.read_text().replace(f"lexicon: {LEXICON}\n", ""))
+    assert cli.main([command, "--config", str(pipeline)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(pipeline) in err and "lexicon" in err
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -264,8 +284,10 @@ def test_missing_config_flag_is_usage_error():
     assert cli.main(["train"]) == cli.EXIT_USAGE
 
 
-def test_nonexistent_config_is_data_error(tmp_path):
-    assert cli.main(["ingest", "--config", str(tmp_path / "nope.yaml")]) == cli.EXIT_DATA
+def test_nonexistent_config_is_data_error(tmp_path, capsys):
+    path = tmp_path / "nope.yaml"
+    assert cli.main(["ingest", "--config", str(path)]) == cli.EXIT_DATA
+    assert f"{path}: cannot read" in capsys.readouterr().err
 
 
 def test_unknown_model_is_usage_error(pipeline):
@@ -572,7 +594,7 @@ def test_stale_artifact_names_artifact_and_aligned_dataset(
     cfg = load_config(pipeline)
     path = tmp_path / "out" / "aligned" / "AAA.json"
     aligned = load_aligned(path)
-    policy = cfg.split_policies[model]
+    policy = SPLIT_POLICIES[model]
     if model == "arima":
         last = split_boundary(len(aligned.dates), policy) - 1
     else:  # the target row of the last train window

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentigan import data as D
+from sentigan.eval import SPLIT_POLICIES
 from sentigan.errors import DataError
 
 
@@ -234,7 +235,7 @@ def test_split_sizes(total, policy, train_size):
 @settings(max_examples=60)
 @given(
     total=st.integers(min_value=2, max_value=500),
-    policy=st.sampled_from(D.SPLIT_POLICIES),
+    policy=st.sampled_from(list(SPLIT_POLICIES.values())),
 )
 def test_split_partitions_disjoint_exhaustive_causal(total, policy):
     items = list(range(total))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import aligned_from_close, holdout_split
 from sentigan import arima, eval as ev, gan, lstm
 from sentigan.arima import ArimaOrder
-from sentigan.data import CLOSE_COLUMN, SPLIT_POLICIES, make_windows, split_boundary
+from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
 from sentigan.errors import DataError, DimensionError, UsageError
 from sentigan.eval import AggregateReport, ForecastReport, MetricSet
 from sentigan.gan import GanSchedule
@@ -91,12 +91,11 @@ def ar1_aligned(seed=0, n=120, base=50.0):
     return aligned_from_close(base + z, sentiment=rng.uniform(-1, 1, size=n))
 
 
-@pytest.mark.parametrize("policy", SPLIT_POLICIES)
-@pytest.mark.parametrize("model", ev.MODEL_NAMES)
+@pytest.mark.parametrize("model, policy", ev.SPLIT_POLICIES.items())
 def test_partition_holds_out_the_rows_after_the_stamped_ones(model, policy):
     aligned, length = ar1_aligned(), 8
     rows = len(aligned.dates)
-    items, boundary = ev.partition(model, aligned, policy, length)
+    items, boundary = ev.partition(model, aligned, length)
     assert len(items) == (rows if model == "arima" else rows - length)
     assert boundary == split_boundary(len(items), policy)
     # the first held-out target is the first row the artifact's stamp does not hash
@@ -108,34 +107,30 @@ def test_partition_holds_out_the_rows_after_the_stamped_ones(model, policy):
 def test_evaluate_arima_row_counts():
     aligned = ar1_aligned()
     closes = aligned.features[:, CLOSE_COLUMN]
-    for policy, expected in [
-        ("fraction_90_10", 12), ("fraction_70_30", 36), ("holdout_last_20", 20),
-    ]:
-        boundary = split_boundary(len(closes), policy)
-        model = arima.fit(closes[:boundary], ArimaOrder(1, 0, 0))
-        report = ev.evaluate("arima", model, aligned, policy, 20)
-        assert len(report.dates) == len(report.predicted) == len(report.actual) == expected
-        assert report.model == "arima"
-        assert report.metrics.rmse > 0
+    boundary = split_boundary(len(closes), "fraction_90_10")
+    model = arima.fit(closes[:boundary], ArimaOrder(1, 0, 0))
+    report = ev.evaluate("arima", model, aligned, 20)
+    assert len(report.dates) == len(report.predicted) == len(report.actual) == 12
+    assert report.model == "arima"
+    assert report.metrics.rmse > 0
 
 
 def test_evaluate_arima_partition_mismatch_errors():
     # a (100, 1, 10) forecast needs 111 values, more than the train
-    # partition's 100, so no fit on this partition wrote the model
+    # partition's 108, so no fit on this partition wrote the model
     aligned = ar1_aligned()
     model = arima.ArimaModel(ArimaOrder(100, 1, 10), 0.0, np.zeros(100), np.zeros(10))
     with pytest.raises(DataError, match="not trained on this train partition"):
-        ev.evaluate("arima", model, aligned, "holdout_last_20", 20)
+        ev.evaluate("arima", model, aligned, 20)
 
 
 def test_evaluate_lstm_report():
     aligned = ar1_aligned(1)
-    windows = make_windows(aligned, 8)
-    train_part, test_part = holdout_split(windows)
-    model, _ = lstm.train(train_part, TrainSchedule(hidden_size=8, max_epochs=2), seed=0)
-    report = ev.evaluate("lstm", model, aligned, "holdout_last_20", window_length=8)
-    assert len(report.predicted) == 20
-    assert report.dates == aligned.dates[-20:]
+    windows, boundary = ev.partition("lstm", aligned, 8)
+    model, _ = lstm.train(windows[:boundary], TrainSchedule(hidden_size=8, max_epochs=2), seed=0)
+    report = ev.evaluate("lstm", model, aligned, window_length=8)
+    assert len(report.predicted) == 34
+    assert report.dates == aligned.dates[-34:]
     assert report.metrics.mape is not None
 
 
@@ -145,14 +140,14 @@ def test_evaluate_gan_report():
     train_part, _ = holdout_split(windows)
     schedule = GanSchedule(epochs=1, gen_hidden=(8,), disc_hidden=(8,))
     [(g, _)] = gan.train([train_part], schedule, seed=0)
-    report = ev.evaluate("gan", g, aligned, "holdout_last_20", window_length=6)
+    report = ev.evaluate("gan", g, aligned, window_length=6)
     assert len(report.predicted) == 20
     assert np.isfinite(report.predicted).all()
 
 
 def test_evaluate_rejects_unknown_model():
     with pytest.raises(UsageError):
-        ev.evaluate("prophet", None, ar1_aligned(), "holdout_last_20", 20)
+        ev.evaluate("prophet", None, ar1_aligned(), 20)
 
 
 def test_evaluate_rerun_identical():
@@ -160,17 +155,17 @@ def test_evaluate_rerun_identical():
     closes = aligned.features[:, CLOSE_COLUMN]
     boundary = split_boundary(len(closes), "fraction_90_10")
     model = arima.fit(closes[:boundary], ArimaOrder(1, 0, 1))
-    a = ev.evaluate("arima", model, aligned, "fraction_90_10", 20)
-    b = ev.evaluate("arima", model, aligned, "fraction_90_10", 20)
+    a = ev.evaluate("arima", model, aligned, 20)
+    b = ev.evaluate("arima", model, aligned, 20)
     assert a.to_dict() == b.to_dict()
 
 
 def test_report_json_round_trip():
     aligned = ar1_aligned(7)
     closes = aligned.features[:, CLOSE_COLUMN]
-    boundary = split_boundary(len(closes), "holdout_last_20")
+    boundary = split_boundary(len(closes), "fraction_90_10")
     model = arima.fit(closes[:boundary], ArimaOrder(1, 0, 0))
-    report = ev.evaluate("arima", model, aligned, "holdout_last_20", 20)
+    report = ev.evaluate("arima", model, aligned, 20)
     restored = ForecastReport.from_dict(report.to_dict())
     assert restored.to_dict() == report.to_dict()
     nested = report.to_dict()

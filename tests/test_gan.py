@@ -510,7 +510,7 @@ def test_forecast_holdout_emits_20_causal_rows():
     windows = make_windows(aligned, 6)
     train_part, _ = holdout_split(windows)
     [(g, _)] = gan.train([train_part], GanSchedule(epochs=1, **SMALL), seed=1)
-    report = evaluate("gan", g, aligned, "holdout_last_20", window_length=6)
+    report = evaluate("gan", g, aligned, window_length=6)
     assert len(report.predicted) == 20
     assert report.dates == aligned.dates[-20:]
     closes = dict(zip(aligned.dates, aligned.features[:, CLOSE_COLUMN]))

@@ -261,7 +261,7 @@ def test_sentiment_column_does_not_reach_the_lstm():
         windows = make_windows(aligned, 5)
         boundary = split_boundary(len(windows), "fraction_70_30")
         model, _ = lstm.train(windows[:boundary], schedule, seed=6)
-        report = evaluate("lstm", model, aligned, "fraction_70_30", window_length=5)
+        report = evaluate("lstm", model, aligned, window_length=5)
         results.append((model.to_dict(), report.to_dict()))
     assert results[0] == results[1]
 
