@@ -384,13 +384,15 @@ def render_plot_svg(report: ForecastReport) -> str:
 
     first = report.dates[0].isoformat()
     last = report.dates[-1].isoformat()
+    # the symbol is the one free text in the chart
+    title = report.symbol.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
         f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
         f'<text x="{SVG_WIDTH // 2}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">'
-        f"{report.symbol} {report.model}: predicted vs actual close</text>",
+        f"{title} {report.model}: predicted vs actual close</text>",
         f'<line x1="{SVG_MARGIN}" y1="{SVG_HEIGHT - SVG_MARGIN}" '
         f'x2="{SVG_WIDTH - SVG_MARGIN}" y2="{SVG_HEIGHT - SVG_MARGIN}" stroke="black"/>',
         f'<line x1="{SVG_MARGIN}" y1="{SVG_MARGIN}" x2="{SVG_MARGIN}" '

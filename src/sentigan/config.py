@@ -155,7 +155,10 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         if not isinstance(entry, dict) or "symbol" not in entry or "ohlcv" not in entry:
             raise DataError(f"config {path}: asset entries need 'symbol' and 'ohlcv' keys, "
                             f"got {entry!r}")
-        symbol = str(entry["symbol"])
+        symbol = entry["symbol"]
+        if not isinstance(symbol, str):
+            raise DataError(f"config {path}: assets.symbol must be a string, got {symbol!r}; "
+                            "quote it")
         # the symbol names the asset's output files, so it must be one plain
         # path component: anything else could write outside output_dir or,
         # unprintable (a lone surrogate), fail to encode as a file name

@@ -25,8 +25,6 @@ OHLCV_HEADER = ["date", "open", "high", "low", "close", "adj_close", "volume"]
 FEATURE_COLUMNS = ["open", "high", "low", "close", "adj_close", "volume"]
 CLOSE_COLUMN = 3
 
-HOLDOUT_SIZE = 20
-
 
 @dataclass
 class AlignedDataset:
@@ -208,15 +206,16 @@ def make_windows(aligned: AlignedDataset, window_length: int) -> Windows:
                    dates=aligned.dates[window_length:])
 
 
+# each split policy's rule: the index of the first held-out of `total` items
+_SPLIT_RULES = {
+    "fraction_90_10": lambda total: int(np.floor(0.9 * total)),
+    "fraction_70_30": lambda total: int(np.floor(0.7 * total)),
+    "holdout_last_20": lambda total: total - 20,
+}
+
+
 def split_boundary(total: int, policy: str) -> int:
-    if policy == "fraction_90_10":
-        boundary = int(np.floor(0.9 * total))
-    elif policy == "fraction_70_30":
-        boundary = int(np.floor(0.7 * total))
-    elif policy == "holdout_last_20":
-        boundary = total - HOLDOUT_SIZE
-    else:
-        raise DataError(f"unknown split policy {policy!r}")
+    boundary = _SPLIT_RULES[policy](total)
     if boundary <= 0 or boundary >= total:
         raise DataError(f"split {policy} on {total} items leaves an empty partition")
     return boundary

@@ -1,4 +1,4 @@
-"""Sentiment-conditioned GAN over signed-scaled windows.
+"""Sentiment-conditioned GAN over windows scaled to [-1, 1], its tanh range.
 
 The generator maps a flattened L-day window plus the day's sentiment score
 to the next-day six-attribute observation; the discriminator scores
@@ -28,11 +28,9 @@ from .data import CLOSE_COLUMN, Windows, flat_floats, positive_ints
 from .errors import DataError, DimensionError, SentiganError, TrainingError, UsageError
 from .nn import Dense, backward, build_mlp, forward
 from .optim import AdamState, adam_step
-from .scaling import ScalerParams, scaler_fit_windows, scaler_inverse, scaler_transform
+from .scaling import ScalerParams, close_inverse, scaler_fit_windows, scaler_transform
 
 N_FEATURES = 6
-# the GAN reads its windows min-max scaled to [-1, 1], the range of its tanh output
-SCALER_MODE = "signed"
 SCALE_TOLERANCE = 1e-9
 LOG_EPS = 1e-12
 # the generator's hidden and output activations
@@ -60,7 +58,7 @@ class Generator(Dense):
         return cls([window_length * N_FEATURES + 1, *hidden, N_FEATURES],
                    [GEN_ACTIVATIONS[0]] * len(hidden) + [GEN_ACTIVATIONS[1]],
                    flat_floats(d["theta"], "generator theta"),
-                   ScalerParams.from_dict(d["scaler"], SCALER_MODE))
+                   ScalerParams.from_dict(d["scaler"]))
 
 
 @dataclass
@@ -81,6 +79,12 @@ def build_generator(rng, window_length: int, hidden) -> Dense:
 def build_discriminator(rng, window_length: int, hidden) -> Dense:
     in_size = N_FEATURES + window_length * N_FEATURES + 1
     return build_mlp(rng, in_size, hidden, 1, "leaky_relu", "sigmoid")
+
+
+def _to_tanh_range(unit):
+    """Min-max scaled [0, 1] values mapped to [-1, 1], the range of the
+    generator's tanh output."""
+    return 2.0 * unit - 1.0
 
 
 def _check_scaled(values, what):
@@ -164,10 +168,10 @@ def train_step(gen, disc, gen_in, targets, gen_adam, disc_adam):
 def _member_inputs(windows: Windows):
     """A member's scaler, fitted on its windows, and its scaled conditioning
     rows (N, L*6 + 1) and targets (N, 6), range-checked once."""
-    scaler = scaler_fit_windows(windows.histories, windows.targets, SCALER_MODE)
-    gen_in = _gen_inputs(scaler_transform(scaler, windows.histories),
+    scaler = scaler_fit_windows(windows.histories, windows.targets)
+    gen_in = _gen_inputs(_to_tanh_range(scaler_transform(scaler, windows.histories)),
                          np.clip(windows.sentiments, -1.0, 1.0))
-    targets = scaler_transform(scaler, windows.targets)
+    targets = _to_tanh_range(scaler_transform(scaler, windows.targets))
     _check_scaled(targets, "target observation")
     return scaler, gen_in, targets
 
@@ -238,7 +242,8 @@ def predict(gen: Generator, windows: Windows) -> np.ndarray:
     (unscaled) window of `windows`, from one batched generator pass."""
     # holdout context can drift past the train-fitted range; saturate at the
     # scale boundary instead of refusing to forecast
-    histories = np.clip(scaler_transform(gen.scaler, windows.histories), -1.0, 1.0)
+    histories = np.clip(_to_tanh_range(scaler_transform(gen.scaler, windows.histories)),
+                        -1.0, 1.0)
     x = _gen_inputs(histories, np.clip(windows.sentiments, -1.0, 1.0))
     out, _ = forward(gen, x)
-    return scaler_inverse(gen.scaler, out)[:, CLOSE_COLUMN]
+    return close_inverse(gen.scaler, (out[:, CLOSE_COLUMN] + 1.0) / 2.0)

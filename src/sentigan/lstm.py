@@ -29,11 +29,9 @@ from .data import CLOSE_COLUMN, FEATURE_COLUMNS, Windows, flat_floats, positive_
 from .errors import TrainingError
 from .nn import carve
 from .optim import AdamState, adam_step
-from .scaling import ScalerParams, scaler_fit_windows, scaler_transform
+from .scaling import ScalerParams, close_inverse, scaler_fit_windows, scaler_transform
 
 GATES = ("input", "forget", "output", "candidate")
-# the LSTM reads its windows min-max scaled to [0, 1]
-SCALER_MODE = "unit"
 # the sign each gate's block takes in _signed_weights: -1 for the sigmoids
 _SIGNS = np.array([-1.0, -1.0, -1.0, 1.0])[:, None, None]
 
@@ -83,7 +81,7 @@ class LstmModel:
     def from_dict(cls, d):
         [h] = positive_ints([d["hidden_size"]], "LSTM hidden_size")
         return cls(h, len(FEATURE_COLUMNS), flat_floats(d["theta"], "LSTM theta"),
-                   ScalerParams.from_dict(d["scaler"], SCALER_MODE))
+                   ScalerParams.from_dict(d["scaler"]))
 
 
 @dataclass
@@ -247,7 +245,7 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
     rng = np.random.default_rng(seed)
     histories, targets = windows.histories, windows.targets
     # the scaler draws nothing from rng, so the seed's weights do not depend on it
-    scaler = scaler_fit_windows(histories, targets, SCALER_MODE)
+    scaler = scaler_fit_windows(histories, targets)
     model = LstmModel.initialize(rng, schedule.hidden_size, histories.shape[-1], scaler)
     log: list[dict] = []
     if schedule.max_epochs == 0:
@@ -312,6 +310,4 @@ def predict(model: LstmModel, windows: Windows) -> np.ndarray:
     """One-step close forecasts (N,) on the original price scale, one per
     window, from one batched forward pass."""
     out = _forward_sequence(model, scaler_transform(model.scaler, windows.histories))
-    lo = model.scaler.per_feature_min[CLOSE_COLUMN]
-    hi = model.scaler.per_feature_max[CLOSE_COLUMN]
-    return lo + out * (hi - lo)
+    return close_inverse(model.scaler, out)

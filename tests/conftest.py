@@ -28,9 +28,9 @@ def aligned_from_close(close, symbol="SYN", sentiment=None):
     return AlignedDataset(symbol, dates, features, np.asarray(sentiment, dtype=float))
 
 
-def scaler_over(width=6, mode="unit"):
+def scaler_over(width=6):
     """A scaler of `width` features, each over [0, 1], for a model built by hand."""
-    return ScalerParams(mode, np.zeros(width), np.ones(width))
+    return ScalerParams(np.zeros(width), np.ones(width))
 
 
 def holdout_split(windows):

@@ -241,11 +241,11 @@ def test_criterion_8_protocol_audits(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     aligned = aligned_from_close(100 + np.cumsum(rng.normal(0, 1, 150)))
     train_part, test_part = holdout_split(make_windows(aligned, 10))
-    before = scaler_fit(train_part.histories, "unit")
+    before = scaler_fit(train_part.histories)
     aligned.features = aligned.features * np.where(np.arange(150) >= 130, 100.0, 1.0)[:, None]
     train_part, test_part = holdout_split(make_windows(aligned, 10))
     assert np.all(test_part.targets[:, CLOSE_COLUMN] > 1000.0)
-    after = scaler_fit(train_part.histories, "unit")
+    after = scaler_fit(train_part.histories)
     assert np.array_equal(before.per_feature_min, after.per_feature_min)
     assert np.array_equal(before.per_feature_max, after.per_feature_max)
 

@@ -7,7 +7,9 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import fields
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from sentigan import arima, cli, config
 from sentigan.config import RunConfig, load_config
 from sentigan.data import CLOSE_COLUMN, load_aligned, make_windows, split_boundary
 from sentigan.errors import DataError, UsageError
-from sentigan.eval import SPLIT_POLICIES
+from sentigan.eval import SPLIT_POLICIES, ForecastReport, MetricSet
 from sentigan.gan import GanSchedule
 from sentigan.lstm import LstmModel, TrainSchedule
 
@@ -241,6 +243,22 @@ def test_symbol_that_is_not_a_plain_file_name_is_refused(pipeline, tmp_path, cap
     err = capsys.readouterr().err
     assert str(pipeline) in err and "assets.symbol" in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("text", ["0700", "", "yes", "0x1A"],
+                         ids=["octal", "empty", "boolean", "hex"])
+def test_symbol_that_yaml_does_not_read_as_a_string_is_refused(pipeline, capsys, text):
+    # unquoted, these would load as the asset 448, None, True and 26
+    pipeline.write_text(pipeline.read_text().replace("symbol: AAA,", f"symbol: {text},"))
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(pipeline)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(pipeline) in err and "assets.symbol" in err and "quote it" in err
+
+
+def test_quoted_numeric_symbol_loads_as_written(pipeline):
+    pipeline.write_text(pipeline.read_text().replace("symbol: AAA,", 'symbol: "0700",'))
+    assert load_config(pipeline).assets[0].symbol == "0700"
 
 
 def test_negative_seed_override_is_usage_error(pipeline):
@@ -644,26 +662,20 @@ def test_arima_artifact_of_a_too_short_train_partition_is_stale(pipeline, tmp_pa
     stale_in_evaluate(pipeline, tmp_path, capsys, "arima")
 
 
-@pytest.mark.parametrize("model, mode", [
-    ("lstm", None), ("gan", None), ("lstm", "bogus"), ("gan", "unit"),
-], ids=["lstm_null", "gan_null", "lstm_bogus_mode", "gan_unit_mode"])
+@pytest.mark.parametrize("model", ["lstm", "gan"], ids=["lstm_null", "gan_null"])
 def test_windowed_artifact_without_its_scaler_is_refused_naming_it(
-        pipeline, tmp_path, capsys, model, mode):
-    # a missing scaler or one of another mode is a corrupt artifact, not a
-    # stale one
+        pipeline, tmp_path, capsys, model):
+    # a missing scaler is a corrupt artifact, not a stale one
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     path = tmp_path / "out" / "models" / f"AAA_{model}.json"
     payload = json.loads(path.read_text())
-    if mode is None:
-        payload["artifact"]["scaler"] = None
-    else:
-        payload["artifact"]["scaler"]["mode"] = mode
+    payload["artifact"]["scaler"] = None
     path.write_text(json.dumps(payload))
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", str(pipeline)]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert str(path) in err
-    assert ("no fitted scaler" if mode is None else f"got {mode!r}") in err
+    assert "no fitted scaler" in err
     assert "not trained on this train partition" not in err
 
 
@@ -1188,6 +1200,15 @@ def test_plot_outputs(pipeline, tmp_path):
     assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
                      "--model", "gan"]) == 0
     assert svg_path.read_bytes() == first
+
+
+def test_plot_title_escapes_markup_in_the_symbol():
+    days = [date(2021, 1, 4), date(2021, 1, 5), date(2021, 1, 6)]
+    report = ForecastReport("AT&T<1>", "gan", days, np.array([1.0, 2.0, 3.0]),
+                            np.array([1.5, 2.5, 2.0]), MetricSet(0.5, 0.25, 0.5, 0.3))
+    root = ET.fromstring(cli.render_plot_svg(report))
+    title = root.find("{http://www.w3.org/2000/svg}text").text
+    assert title == "AT&T<1> gan: predicted vs actual close"
 
 
 def test_plot_truncated_report_names_file(pipeline, tmp_path, capsys):

@@ -64,7 +64,7 @@ def test_every_layer_array_is_a_view_of_theta():
     rng = np.random.default_rng(0)
     g = build_generator(rng, 4, hidden=(8, 5))
     d = build_discriminator(rng, 4, hidden=(6,))
-    trained = Generator(g.sizes, g.activations, g.theta, scaler_over(mode="signed"))
+    trained = Generator(g.sizes, g.activations, g.theta, scaler_over())
     nets = [g, d, Generator.from_dict(trained.to_dict())]
     for net in nets:
         arrays = [*net.weights, *net.biases]
@@ -519,22 +519,36 @@ def test_forecast_holdout_emits_20_causal_rows():
 
 
 def test_scaler_round_trip_on_actuals():
-    from sentigan.scaling import scaler_inverse, scaler_transform
+    from sentigan.scaling import close_inverse, scaler_transform
 
     aligned = jumpy_aligned(6, n=120)
     windows = make_windows(aligned, 6)
     train_part, _ = holdout_split(windows)
     [(g, _)] = gan.train([train_part], GanSchedule(epochs=1, **SMALL), seed=1)
-    rows = aligned.features[:100]
-    assert np.allclose(scaler_inverse(g.scaler, scaler_transform(g.scaler, rows)), rows,
-                       atol=1e-9)
+    closes = aligned.features[:100, CLOSE_COLUMN]
+    unit = scaler_transform(g.scaler, aligned.features[:100])[:, CLOSE_COLUMN]
+    assert np.allclose(close_inverse(g.scaler, unit), closes, atol=1e-9)
+
+
+def test_predict_maps_the_tanh_output_back_to_the_close_range():
+    # with zero weights every output unit is tanh(b) of its bias b, which
+    # the GAN maps from [-1, 1] onto the fitted close range
+    net = zero_net(build_generator(np.random.default_rng(13), 4, hidden=(8,)))
+    net.biases[-1][...] = np.linspace(-0.9, 0.6, 6)
+    scaler = scaler_over()
+    scaler.per_feature_min[CLOSE_COLUMN], scaler.per_feature_max[CLOSE_COLUMN] = 90.0, 130.0
+    g = Generator(net.sizes, net.activations, net.theta, scaler)
+    lo, hi, b = 90.0, 130.0, net.biases[-1][CLOSE_COLUMN]
+    expected = lo + (np.tanh(b) + 1.0) / 2.0 * (hi - lo)
+    windows = scaled_windows(np.random.default_rng(14), length=4, count=3)
+    assert np.array_equal(gan.predict(g, windows), np.full(3, expected))
 
 
 def test_building_a_generator_without_a_scaler_is_refused():
     net = build_generator(np.random.default_rng(12), 4, hidden=(8,))
     with pytest.raises(TypeError, match="scaler"):
         Generator(net.sizes, net.activations, net.theta)
-    g = Generator(net.sizes, net.activations, net.theta, scaler_over(mode="signed"))
+    g = Generator(net.sizes, net.activations, net.theta, scaler_over())
     with pytest.raises(DataError, match="no fitted scaler"):
         Generator.from_dict({**g.to_dict(), "scaler": None})
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentigan.errors import DataError, DimensionError
-from sentigan.scaling import ScalerParams, scaler_fit, scaler_inverse, scaler_transform
+from sentigan.data import CLOSE_COLUMN
+from sentigan.scaling import ScalerParams, close_inverse, scaler_fit, scaler_transform
 
 
 def column(*values):
@@ -13,33 +14,26 @@ def column(*values):
 
 
 def test_fit_records_min_max():
-    params = scaler_fit(column(2.0, 4.0, 6.0), "unit")
+    params = scaler_fit(column(2.0, 4.0, 6.0))
     assert params.per_feature_min[0] == 2.0
     assert params.per_feature_max[0] == 6.0
 
 
 def test_unit_maps_extremes():
-    params = scaler_fit(column(2.0, 4.0, 6.0), "unit")
+    params = scaler_fit(column(2.0, 4.0, 6.0))
     out = scaler_transform(params, column(2.0, 6.0))
     assert np.allclose(out, column(0.0, 1.0))
 
 
-def test_signed_midpoint_is_zero():
-    params = scaler_fit(column(2.0, 6.0), "signed")
-    assert scaler_transform(params, column(4.0))[0, 0] == pytest.approx(0.0)
-
-
 def test_constant_column_maps_to_midpoint():
-    params_u = scaler_fit(column(5.0, 5.0, 5.0), "unit")
-    params_s = scaler_fit(column(5.0, 5.0, 5.0), "signed")
-    assert scaler_transform(params_u, column(5.0))[0, 0] == 0.5
-    assert scaler_transform(params_s, column(5.0))[0, 0] == 0.0
+    params = scaler_fit(np.full((3, 6), 5.0))
+    assert np.all(scaler_transform(params, np.full((1, 6), 5.0)) == 0.5)
     # inverse restores the constant
-    assert scaler_inverse(params_u, column(0.5))[0, 0] == 5.0
+    assert close_inverse(params, 0.5) == 5.0
 
 
 def test_out_of_range_value_extrapolates_not_clips():
-    params = scaler_fit(column(2.0, 6.0), "unit")
+    params = scaler_fit(column(2.0, 6.0))
     assert scaler_transform(params, column(8.0))[0, 0] > 1.0
 
 
@@ -54,13 +48,13 @@ def test_column_mismatch_errors():
         scaler_transform(params, np.ones((2, 2)))
 
 
-@pytest.mark.parametrize("mode", ["unit", "signed"])
-def test_round_trip_random_matrix(mode):
+def test_round_trip_random_matrix():
     rng = np.random.default_rng(11)
     data = rng.normal(size=(50, 6)) * 100
-    params = scaler_fit(data, mode)
-    back = scaler_inverse(params, scaler_transform(params, data))
-    assert np.max(np.abs(back - data)) < 1e-12 * max(1.0, np.max(np.abs(data)))
+    params = scaler_fit(data)
+    back = close_inverse(params, scaler_transform(params, data)[:, CLOSE_COLUMN])
+    close = data[:, CLOSE_COLUMN]
+    assert np.max(np.abs(back - close)) < 1e-12 * max(1.0, np.max(np.abs(close)))
 
 
 @settings(max_examples=50)
@@ -68,52 +62,51 @@ def test_round_trip_random_matrix(mode):
     vals=st.lists(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=40
     ),
-    mode=st.sampled_from(["unit", "signed"]),
 )
-def test_round_trip_property(vals, mode):
-    data = column(*vals)
-    params = scaler_fit(data, mode)
-    back = scaler_inverse(params, scaler_transform(params, data))
-    scale = max(1.0, float(np.max(np.abs(data))))
-    assert np.max(np.abs(back - data)) <= 1e-9 * scale
+def test_round_trip_property(vals):
+    # the values are the close column of a 6-feature matrix
+    data = np.zeros((len(vals), 6))
+    data[:, CLOSE_COLUMN] = vals
+    params = scaler_fit(data)
+    back = close_inverse(params, scaler_transform(params, data)[:, CLOSE_COLUMN])
+    close = data[:, CLOSE_COLUMN]
+    scale = max(1.0, float(np.max(np.abs(close))))
+    assert np.max(np.abs(back - close)) <= 1e-9 * scale
 
 
 def test_leakage_freedom_params_ignore_test_rows():
     rng = np.random.default_rng(5)
     full = rng.normal(size=(100, 6))
     train = full[:90]
-    params_a = scaler_fit(train, "unit")
+    params_a = scaler_fit(train)
     # mutate "test" rows arbitrarily; fit again on the same train slice
     full[90:] += 1e9
-    params_b = scaler_fit(full[:90], "unit")
+    params_b = scaler_fit(full[:90])
     assert np.array_equal(params_a.per_feature_min, params_b.per_feature_min)
     assert np.array_equal(params_a.per_feature_max, params_b.per_feature_max)
 
 
 def test_serialization_round_trip():
-    params = scaler_fit(np.arange(12.0).reshape(2, 6), "signed")
-    restored = ScalerParams.from_dict(params.to_dict(), "signed")
-    assert restored.mode == "signed"
+    params = scaler_fit(np.arange(12.0).reshape(2, 6))
+    restored = ScalerParams.from_dict(params.to_dict())
     assert np.array_equal(restored.per_feature_min, params.per_feature_min)
+    assert np.array_equal(restored.per_feature_max, params.per_feature_max)
 
 
-def ranges(width=6, mode="unit"):
-    return {"mode": mode, "per_feature_min": [0.0] * width, "per_feature_max": [1.0] * width}
+def ranges(width=6):
+    return {"per_feature_min": [0.0] * width, "per_feature_max": [1.0] * width}
 
 
 @pytest.mark.parametrize("stored, why", [
     (None, "no fitted scaler"),
-    (ranges(mode="signed"), "scaler mode must be 'unit', got 'signed'"),
-    (ranges(mode="bogus"), "scaler mode must be 'unit', got 'bogus'"),
     (ranges(width=5), "scaler spans 5 features, not 6"),
-], ids=["null", "other_mode", "unknown_mode", "five_features"])
+], ids=["null", "five_features"])
 def test_from_dict_refuses_a_scaler_the_model_cannot_use(stored, why):
     with pytest.raises(DataError, match=why):
-        ScalerParams.from_dict(stored, "unit")
+        ScalerParams.from_dict(stored)
 
 
 @pytest.mark.parametrize("lo, hi", [([0.0, 1.0], [2.0]), ([[0.0]], [[1.0]]), (0.0, 1.0)])
 def test_from_dict_rejects_ragged_or_non_list_ranges(lo, hi):
     with pytest.raises(DimensionError):
-        ScalerParams.from_dict({"mode": "unit", "per_feature_min": lo, "per_feature_max": hi},
-                               "unit")
+        ScalerParams.from_dict({"per_feature_min": lo, "per_feature_max": hi})
