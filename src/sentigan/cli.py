@@ -317,40 +317,36 @@ def _metrics_cell(m: MetricSet) -> str:
     return f"mae {m.mae:10.4f}  mse {m.mse:12.4f}  rmse {m.rmse:10.4f}  mape {mape}"
 
 
-def _print_summary(reports, agg):
-    by_symbol = {}
-    for r in reports:
-        by_symbol.setdefault(r.symbol, {})[r.model] = r
+def _print_summary(grid, agg):
     print("Per-asset holdout metrics")
-    for symbol in sorted(by_symbol):
-        for model in MODEL_NAMES:
-            if model in by_symbol[symbol]:
-                print(f"  {symbol:<8} {model:<6} "
-                      f"{_metrics_cell(by_symbol[symbol][model].metrics)}")
+    for row in grid:
+        for r in row:
+            print(f"  {r.symbol:<8} {r.model:<6} {_metrics_cell(r.metrics)}")
     print("Aggregate")
     for model in MODEL_NAMES:
-        if model in agg.mean_rmse:
-            print(f"  {model:<6} mean_rmse {agg.mean_rmse[model]:10.4f}  "
-                  f"median_rmse {agg.median_rmse[model]:10.4f}  wins {agg.wins[model]}")
+        print(f"  {model:<6} mean_rmse {agg.mean_rmse[model]:10.4f}  "
+              f"median_rmse {agg.median_rmse[model]:10.4f}  wins {agg.wins[model]}")
     for symbol, tied in agg.ties:
         print(f"  tie on {symbol}: {', '.join(tied)}")
 
 
 def cmd_evaluate(cfg: RunConfig, asset_symbol=None) -> int:
-    reports = []
+    grid = []  # a row per asset: its reports in MODEL_NAMES order
     for asset in _select_assets(cfg, asset_symbol):
         aligned = _load_aligned_or_die(cfg, asset.symbol)
         # every artifact of the asset is read and checked before any report
         artifacts = {model: _load_artifact(cfg, aligned, model) for model in MODEL_NAMES}
+        grid.append([])
         for model, artifact in artifacts.items():
             with _on_aligned(cfg, asset.symbol, model):
                 report = evaluate(model, artifact, aligned, cfg.window_length)
             write_atomic(_report_path(cfg, asset.symbol, model),
                          json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-            reports.append(report)
-    agg = aggregate(reports)
+            grid[-1].append(report)
+    grid.sort(key=lambda row: row[0].symbol)
+    agg = aggregate(grid)
     write_atomic(cfg.output_dir / "aggregate.csv", agg.to_csv())
-    _print_summary(reports, agg)
+    _print_summary(grid, agg)
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ Aggregation produces mean/median RMSE and win counts per model across assets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 
 import numpy as np
@@ -30,18 +30,17 @@ class MetricSet:
     mae: float
     mse: float
     rmse: float
-    mape: float | None
-    mape_omitted: bool = False
+    mape: float | None  # None where an actual close is 0
 
     def to_dict(self):
         return {"mae": self.mae, "mse": self.mse, "rmse": self.rmse,
-                "mape": self.mape, "mape_omitted": self.mape_omitted}
+                "mape": self.mape, "mape_omitted": self.mape is None}
 
     @classmethod
     def from_dict(cls, d):
         values = [d["mae"], d["mse"], d["rmse"], d["mape"]]
         finite_floats(values if values[-1] is not None else values[:-1], "metrics")
-        return cls(*values, d.get("mape_omitted", False))
+        return cls(*values)
 
 
 @dataclass
@@ -80,16 +79,12 @@ class AggregateReport:
     mean_rmse: dict  # model -> real
     median_rmse: dict
     wins: dict
-    ties: list = field(default_factory=list)  # (symbol, [tied models])
+    ties: list  # (symbol, [tied models])
 
     def to_csv(self) -> str:
         lines = ["model,mean_rmse,median_rmse,wins"]
-        for model in MODEL_NAMES:
-            if model in self.mean_rmse:
-                lines.append(
-                    f"{model},{self.mean_rmse[model]:.6g},"
-                    f"{self.median_rmse[model]:.6g},{self.wins[model]}"
-                )
+        lines += [f"{m},{self.mean_rmse[m]:.6g},{self.median_rmse[m]:.6g},{self.wins[m]}"
+                  for m in MODEL_NAMES]
         return "\n".join(lines) + "\n"
 
 
@@ -105,7 +100,7 @@ def metrics(predicted, actual) -> MetricSet:
     mse = float(np.mean(err * err))
     rmse = float(np.sqrt(mse))
     if np.any(actual == 0.0):
-        return MetricSet(mae, mse, rmse, mape=None, mape_omitted=True)
+        return MetricSet(mae, mse, rmse, mape=None)
     with np.errstate(over="ignore"):
         mape = float(np.mean(np.abs(err / actual)))
     return MetricSet(mae, mse, rmse, mape=mape)
@@ -144,32 +139,16 @@ def evaluate(model_name: str, artifact, aligned: AlignedDataset,
     return ForecastReport(aligned.symbol, model_name, dates, predicted, actual, scores)
 
 
-def aggregate(reports: list[ForecastReport]) -> AggregateReport:
-    """Mean/median RMSE and win counts per model; exact RMSE ties credit
-    every tied model and are logged."""
-    by_cell = {}
-    for r in reports:
-        key = (r.symbol, r.model)
-        if key in by_cell:
-            raise DataError(f"duplicate report for asset {r.symbol!r} model {r.model!r}")
-        by_cell[key] = r
-    symbols = sorted({s for s, _ in by_cell})
-    models = [m for m in MODEL_NAMES if any(k[1] == m for k in by_cell)]
-    for s in symbols:
-        for m in models:
-            if (s, m) not in by_cell:
-                raise DataError(f"missing report for asset {s!r} model {m!r}")
-    mean_rmse, median_rmse, wins = {}, {}, {m: 0 for m in models}
-    for m in models:
-        rmses = np.array([by_cell[(s, m)].metrics.rmse for s in symbols])
-        mean_rmse[m] = float(np.mean(rmses))
-        median_rmse[m] = float(np.median(rmses))
-    ties = []
-    for s in symbols:
-        best = min(by_cell[(s, m)].metrics.rmse for m in models)
-        winners = [m for m in models if by_cell[(s, m)].metrics.rmse == best]
-        for m in winners:
-            wins[m] += 1
-        if len(winners) > 1:
-            ties.append((s, winners))
-    return AggregateReport(mean_rmse, median_rmse, wins, ties)
+def aggregate(grid: list[list[ForecastReport]]) -> AggregateReport:
+    """Mean/median RMSE and win counts per model over `grid`, a row per asset
+    of its reports in MODEL_NAMES order; an exact RMSE tie credits every tied
+    model and is logged."""
+    # (models, assets); each model's mean is np.mean of its 1-D row, whose
+    # pairwise sum an axis-0 mean of the (assets, models) array would not match
+    rmse = np.array([[r.metrics.rmse for r in row] for row in grid]).T
+    won = rmse == rmse.min(axis=0)
+    ties = [(row[0].symbol, [m for m, w in zip(MODEL_NAMES, col) if w])
+            for row, col in zip(grid, won.T) if col.sum() > 1]
+    return AggregateReport({m: float(np.mean(v)) for m, v in zip(MODEL_NAMES, rmse)},
+                           {m: float(np.median(v)) for m, v in zip(MODEL_NAMES, rmse)},
+                           {m: int(n) for m, n in zip(MODEL_NAMES, won.sum(axis=1))}, ties)

@@ -445,6 +445,25 @@ def test_full_artifact_grid_and_reports(pipeline, tmp_path):
     assert len(agg) == 4
 
 
+def test_evaluate_output_does_not_depend_on_the_order_of_assets(pipeline, tmp_path, capsys):
+    assert cli.main(["ingest", "--config", str(pipeline)]) == 0
+    assert cli.main(["train", "--config", str(pipeline)]) == 0
+
+    def evaluate():
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(pipeline)]) == 0
+        return capsys.readouterr().out, (tmp_path / "out" / "aggregate.csv").read_bytes()
+
+    first = evaluate()
+    # the stamp does not hash the order of assets: the artifacts stay current
+    aaa = "  - {symbol: AAA, ohlcv: AAA.csv, tweets: AAA_tweets.csv}\n"
+    bbb = "  - {symbol: BBB, ohlcv: BBB.csv}\n"
+    text = pipeline.read_text()
+    assert aaa + bbb in text
+    pipeline.write_text(text.replace(aaa + bbb, bbb + aaa))
+    assert evaluate() == first
+
+
 def test_lockstep_gan_outputs_equal_per_asset_training(pipeline, tmp_path):
     # AAA and BBB share a length and train in one lockstep group; CCC is
     # shorter and trains alone. Each matches training that asset by itself.
