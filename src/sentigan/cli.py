@@ -345,7 +345,9 @@ def cmd_evaluate(cfg: RunConfig, asset_symbol=None) -> int:
             grid[-1].append(report)
     grid.sort(key=lambda row: row[0].symbol)
     agg = aggregate(grid)
-    write_atomic(cfg.output_dir / "aggregate.csv", agg.to_csv())
+    # aggregate.csv covers every configured asset; evaluating fewer leaves it as it is
+    if len(grid) == len(cfg.assets):
+        write_atomic(cfg.output_dir / "aggregate.csv", agg.to_csv())
     _print_summary(grid, agg)
     return EXIT_OK
 

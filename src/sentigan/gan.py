@@ -16,6 +16,11 @@ networks carry a leading member axis, so a step is one pass per job for all
 members.
 Every member starts from the same seeded weights and sees the same batch
 order, so each result equals training that member alone.
+
+`train` runs in float32 (DTYPE): _setup rounds the seeded float64 weights,
+the conditioning rows and the targets to it once, and nn and optim keep the
+dtype of theta, so a trained generator, and one loaded from its artifact,
+predicts in float32. build_generator and build_discriminator stay float64.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from .scaling import ScalerParams, close_inverse, scaler_fit_windows, scaler_tra
 N_FEATURES = 6
 SCALE_TOLERANCE = 1e-9
 LOG_EPS = 1e-12
+# the dtype gan.train trains in and a loaded generator predicts in
+DTYPE = np.float32
 # the generator's hidden and output activations
 GEN_ACTIVATIONS = ("relu", "tanh")
 
@@ -57,7 +64,7 @@ class Generator(Dense):
                                                "generator window_length and hidden widths")
         return cls([window_length * N_FEATURES + 1, *hidden, N_FEATURES],
                    [GEN_ACTIVATIONS[0]] * len(hidden) + [GEN_ACTIVATIONS[1]],
-                   flat_floats(d["theta"], "generator theta"),
+                   flat_floats(d["theta"], "generator theta").astype(DTYPE),
                    ScalerParams.from_dict(d["scaler"]))
 
 
@@ -110,17 +117,23 @@ def _batch_mean(x):
     return np.mean(x, axis=(-2, -1))
 
 
+def _clip_scores(scores):
+    """Scores clipped to [LOG_EPS, 1 - LOG_EPS], or below 1 by the dtype's
+    spacing where 1 - LOG_EPS rounds to 1 (float32), so that log(s),
+    log(1 - s), 1/s and 1/(1 - s) stay finite."""
+    return np.clip(scores, LOG_EPS, 1.0 - max(LOG_EPS, np.finfo(scores.dtype).epsneg))
+
+
 def d_loss_value(real_scores, fake_scores):
     """-E[log D(real)] - E[log(1 - D(fake))] of (..., B, 1) scores."""
-    r = np.clip(real_scores, LOG_EPS, 1.0 - LOG_EPS)
-    f = np.clip(fake_scores, LOG_EPS, 1.0 - LOG_EPS)
+    r = _clip_scores(real_scores)
+    f = _clip_scores(fake_scores)
     return -_batch_mean(np.log(r)) - _batch_mean(np.log(1.0 - f))
 
 
 def g_loss_value(fake_scores):
     """-E[log D(fake)] of (..., B, 1) scores."""
-    f = np.clip(fake_scores, LOG_EPS, 1.0 - LOG_EPS)
-    return -_batch_mean(np.log(f))
+    return -_batch_mean(np.log(_clip_scores(fake_scores)))
 
 
 def _discriminator_grads(disc, real_in, fake_in):
@@ -129,7 +142,7 @@ def _discriminator_grads(disc, real_in, fake_in):
     its gradient w.r.t. disc.theta lands in disc.grad."""
     b = real_in.shape[-2]
     out, caches = forward(disc, np.concatenate([real_in, fake_in], axis=-2))
-    s = np.clip(out, LOG_EPS, 1.0 - LOG_EPS)
+    s = _clip_scores(out)
     grad_out = np.concatenate([-1.0 / (b * s[..., :b, :]), 1.0 / (b * (1.0 - s[..., b:, :]))],
                               axis=-2)
     backward(disc, caches, grad_out, disc.grads)
@@ -143,7 +156,7 @@ def _generator_grads(gen, disc, fake_in, gen_caches):
     parameters and gradient are left untouched."""
     b = fake_in.shape[-2]
     score, disc_caches = forward(disc, fake_in)
-    s = np.clip(score, LOG_EPS, 1.0 - LOG_EPS)
+    s = _clip_scores(score)
     grad_fake = backward(disc, disc_caches, -1.0 / (b * s))[..., :N_FEATURES]
     backward(gen, gen_caches, grad_fake, gen.grads)
     return g_loss_value(score)
@@ -177,8 +190,9 @@ def _member_inputs(windows: Windows):
 
 
 def _setup(members, rng, schedule: GanSchedule):
-    """The seeded (generator, discriminator) pair, and each member's scaler,
-    conditioning rows and targets, the last two stacked (K, N, ...)."""
+    """The seeded (generator, discriminator) pair stacked K times, and each
+    member's scaler, conditioning rows and targets, the last two stacked
+    (K, N, ...); networks, rows and targets rounded to DTYPE."""
     inputs = []
     for k, windows in enumerate(members):
         if not windows:
@@ -199,7 +213,9 @@ def _setup(members, rng, schedule: GanSchedule):
     if not inputs:
         raise UsageError("gan.train needs at least one member")
     scalers, gen_ins, targets = zip(*inputs)
-    return gen, disc, scalers, np.stack(gen_ins), np.stack(targets)
+    gen, disc = (Dense(net.sizes, net.activations, net.theta.astype(DTYPE)).stacked(len(inputs))
+                 for net in (gen, disc))
+    return gen, disc, scalers, np.stack(gen_ins).astype(DTYPE), np.stack(targets).astype(DTYPE)
 
 
 def _fit(gen, disc, gen_in, targets, schedule: GanSchedule, rng):
@@ -231,7 +247,6 @@ def train(members, schedule: GanSchedule, seed: int):
     carries its index as `member`."""
     rng = np.random.default_rng(seed)
     gen, disc, scalers, gen_in, targets = _setup(members, rng, schedule)
-    gen, disc = gen.stacked(len(scalers)), disc.stacked(len(scalers))
     losses = _fit(gen, disc, gen_in, targets, schedule, rng)
     return [(Generator(gen.sizes, gen.activations, gen.theta[k].copy(), scaler), losses[..., k])
             for k, scaler in enumerate(scalers)]

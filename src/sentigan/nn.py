@@ -1,8 +1,10 @@
 """Dense-network numerical core: layers, activations, reverse-mode gradients.
 
-Everything is float64 numpy. A network (`Dense`) is its flat parameter
-vector `theta`; `carve` lays out the layers' weight and bias views of it,
-and of the flat gradient backward() fills, once. The forward pass returns
+Everything is numpy in the dtype of the network's `theta`: forward() and
+backward() cast their inputs to it and every pass keeps it, so a float32
+network runs in float32. A network (`Dense`) is its flat parameter vector
+`theta`; `carve` lays out the layers' weight and bias views of it, and of
+the flat gradient backward() fills, once. The forward pass returns
 the caches the backward pass needs, so there is no hidden state.
 
 A stack of K networks of one shape ("members", trained in lockstep) has a
@@ -30,7 +32,9 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return np.tanh(z)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        # 1 / (1 + exp(-z)) as exp(-log(1 + exp(-z))): logaddexp cannot
+        # overflow, where exp(-z) does below z = -88.7 in float32
+        return np.exp(-np.logaddexp(0.0, -z))
     if name == "identity":
         return z
     raise UsageError(f"unknown activation {name!r}")
@@ -39,14 +43,14 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
 def activate_grad(name: str, z: np.ndarray) -> np.ndarray:
     """d activation / d z, evaluated at pre-activation z."""
     if name == "relu":
-        return (z > 0.0).astype(float)
+        return (z > 0.0).astype(z.dtype)
     if name == "leaky_relu":
-        return np.where(z >= 0.0, 1.0, LEAKY_SLOPE)
+        return np.where(z >= 0.0, 1.0, LEAKY_SLOPE).astype(z.dtype, copy=False)
     if name == "tanh":
         t = np.tanh(z)
         return 1.0 - t * t
     if name == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-z))
+        s = activate(name, z)
         return s * (1.0 - s)
     if name == "identity":
         return np.ones_like(z)
@@ -107,7 +111,7 @@ def forward(net, x):
     network, a (K, batch, in) stack.
 
     Returns (output, caches); caches feed backward()."""
-    a = np.asarray(x, dtype=float)
+    a = np.asarray(x, dtype=net.theta.dtype)
     caches = []
     for i, (w, b, activation) in enumerate(zip(net.weights, net.biases, net.activations)):
         if a.shape[-1] != w.shape[-1]:
@@ -150,7 +154,7 @@ def backward(net, caches, grad_out, grads=None):
             f"backward called with {len(caches)} caches for {len(net.weights)} layers; "
             "run forward() on the same input first"
         )
-    g = np.asarray(grad_out, dtype=float)
+    g = np.asarray(grad_out, dtype=net.theta.dtype)
     for i in reversed(range(len(caches))):
         x_in, z = caches[i]
         gz = g * activate_grad(net.activations[i], z)

@@ -5,7 +5,9 @@ The moments are kept unnormalized, m = b1 m + g and v = b2 v + g g, and the
 factors (1 - b1), sqrt(1 - b2) and both bias corrections are folded into one
 step size and one epsilon per call (Kingma & Ba 2015, section 2). After the
 finiteness check the update makes ten passes over theta's size and equals
-the textbook one up to rounding.
+the textbook one up to rounding. The update runs in theta's dtype: the
+gradient is cast to it and the moments are allocated in it, so a float32
+theta is updated in float32.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def adam_step(state: AdamState, theta: np.ndarray, grad):
     shape afterwards; the update itself allocates nothing. grad is consumed:
     it serves as the update's work array and holds no gradient afterwards.
     """
-    grad = np.asarray(grad, dtype=float)
+    grad = np.asarray(grad, dtype=theta.dtype)
     if grad.shape != theta.shape:
         raise DimensionError("adam_step gradient shape", theta.shape, grad.shape)
     if not np.isfinite(grad).all():

@@ -464,6 +464,20 @@ def test_evaluate_output_does_not_depend_on_the_order_of_assets(pipeline, tmp_pa
     assert evaluate() == first
 
 
+def test_evaluate_of_one_asset_leaves_the_fleet_table(pipeline, tmp_path, capsys):
+    assert cli.main(["run", "--config", str(pipeline)]) == 0
+    out = tmp_path / "out"
+    table = (out / "aggregate.csv").read_bytes()
+    report = out / "reports" / "AAA_gan.json"
+    report.unlink()
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(pipeline), "--asset", "AAA"]) == 0
+    printed = capsys.readouterr().out
+    assert "AAA" in printed and "BBB" not in printed
+    assert report.exists()
+    assert (out / "aggregate.csv").read_bytes() == table
+
+
 def test_lockstep_gan_outputs_equal_per_asset_training(pipeline, tmp_path):
     # AAA and BBB share a length and train in one lockstep group; CCC is
     # shorter and trains alone. Each matches training that asset by itself.

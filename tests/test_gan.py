@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from datetime import date
 
@@ -64,7 +65,8 @@ def test_every_layer_array_is_a_view_of_theta():
     rng = np.random.default_rng(0)
     g = build_generator(rng, 4, hidden=(8, 5))
     d = build_discriminator(rng, 4, hidden=(6,))
-    trained = Generator(g.sizes, g.activations, g.theta, scaler_over())
+    # a trained generator holds a float32 theta, as gan.train returns it
+    trained = Generator(g.sizes, g.activations, g.theta.astype(gan.DTYPE), scaler_over())
     nets = [g, d, Generator.from_dict(trained.to_dict())]
     for net in nets:
         arrays = [*net.weights, *net.biases]
@@ -72,7 +74,7 @@ def test_every_layer_array_is_a_view_of_theta():
         assert net.theta.size == sum(a.size for a in arrays)
         for a in arrays:
             assert np.shares_memory(net.theta, a)
-    assert np.array_equal(nets[2].theta, g.theta)
+    assert np.array_equal(nets[2].theta, trained.theta)
 
 
 # ---------------------------------------------------------------- generator
@@ -171,6 +173,21 @@ def test_perfect_discriminator_loss_limits():
     fake = np.array([[1e-6], [1e-6]])
     assert d_loss_value(real, fake) == pytest.approx(0.0, abs=1e-4)
     assert g_loss_value(fake) > 10.0
+
+
+def test_saturated_float32_discriminator_gives_finite_gradients():
+    # a discriminator that scores every row exactly 1.0 in float32, where
+    # 1 - LOG_EPS rounds to 1.0 and a float64 clip bound would divide by zero
+    g, d, batch = make_step_fixture()
+    g, d = (nn.Dense(net.sizes, net.activations, net.theta.astype(np.float32)) for net in (g, d))
+    d.weights[-1][...] = 0.0
+    d.biases[-1][...] = 50.0
+    gen_in, real_in, fake, gen_caches, fake_in = step_inputs(g, batch)
+    assert np.all(forward(d, fake_in)[0] == np.float32(1.0))
+    d_loss = gan._discriminator_grads(d, real_in.astype(np.float32), fake_in)
+    assert np.isfinite(d_loss) and np.isfinite(d.grad).all()
+    g_loss = gan._generator_grads(g, d, fake_in, gen_caches)
+    assert np.isfinite(g_loss) and np.isfinite(g.grad).all()
 
 
 def test_adversarial_gradients_match_finite_differences():
@@ -407,6 +424,7 @@ def test_train_determinism():
     schedule = GanSchedule(epochs=2, **SMALL)
     [(g1, log1)] = gan.train([windows], schedule, seed=3)
     [(g2, log2)] = gan.train([windows], schedule, seed=3)
+    assert g1.theta.dtype == np.float32
     assert np.array_equal(g1.theta, g2.theta)
     assert np.array_equal(log1, log2)
 
@@ -562,12 +580,16 @@ def trained_generator(seed=9):
 
 
 def test_batched_predict_equals_one_window_calls():
-    # batched products may round differently from one-row ones, in the last bit
-    g, holdout = trained_generator()
-    batched = gan.predict(g, holdout)
-    alone = np.array([gan.predict(g, holdout[i : i + 1])[0] for i in range(len(holdout))])
-    assert batched.shape == (20,)
-    assert np.max(np.abs(batched - alone) / np.abs(alone)) <= 1e-15
+    # batched products may round differently from one-row ones, in the last
+    # bit of the generator's dtype: float32 as trained, float64 as built
+    trained, holdout = trained_generator()
+    for dtype, tolerance in ((np.float32, np.finfo(np.float32).eps), (np.float64, 1e-15)):
+        g = Generator(trained.sizes, trained.activations, trained.theta.astype(dtype),
+                      trained.scaler)
+        batched = gan.predict(g, holdout)
+        alone = np.array([gan.predict(g, holdout[i : i + 1])[0] for i in range(len(holdout))])
+        assert batched.shape == (20,)
+        assert np.max(np.abs(batched - alone) / np.abs(alone)) <= tolerance
 
 
 def test_predict_saturates_context_outside_the_fitted_range():
@@ -593,8 +615,10 @@ def test_generator_json_round_trip():
     aligned = jumpy_aligned(7, n=100)
     windows = make_windows(aligned, 5)
     [(g, _)] = gan.train([windows[:-5]], GanSchedule(epochs=1, **SMALL), seed=2)
-    g2 = Generator.from_dict(g.to_dict())
+    # float32 values are exact as JSON floats and load back as float32
+    g2 = Generator.from_dict(json.loads(json.dumps(g.to_dict())))
     assert np.array_equal(gan.predict(g2, windows[-5:]), gan.predict(g, windows[-5:]))
+    assert g.theta.dtype == g2.theta.dtype == np.float32
     assert np.array_equal(g2.theta, g.theta)
     assert (g2.sizes, g2.activations) == (g.sizes, g.activations)
 

@@ -4,6 +4,7 @@ import pytest
 from gradcheck import finite_difference_check, numerical_gradient, relative_error
 from sentigan import nn
 from sentigan.errors import DimensionError, UsageError
+from sentigan.optim import AdamState, adam_step
 
 
 def one_layer(weights, activation="identity"):
@@ -231,3 +232,37 @@ def test_numerical_gradient_of_quadratic():
     w = np.array([2.0, -1.0])
     g = numerical_gradient(lambda: float(np.sum(w**2)), w)
     assert np.allclose(g, [4.0, -2.0], atol=1e-6)
+
+
+@pytest.mark.parametrize("acts", [("relu", "identity"), ("leaky_relu", "sigmoid"),
+                                  ("tanh", "tanh")])
+def test_float32_network_keeps_float32_through_forward_backward_and_adam(acts):
+    rng = np.random.default_rng(5)
+    built = nn.build_mlp(rng, 4, [6], 3, *acts)
+    net = nn.Dense(built.sizes, built.activations, built.theta.astype(np.float32))
+    # float64 input and output gradient, as a caller may hand them in
+    out, caches = nn.forward(net, rng.normal(size=(5, 4)))
+    grad_out = rng.normal(size=out.shape)
+    assert out.dtype == np.float32
+    assert all(a.dtype == z.dtype == np.float32 for a, z in caches)
+    assert nn.backward(net, caches, grad_out).dtype == np.float32
+    assert nn.backward(net, caches, grad_out, net.grads) is None
+    assert net.grad.dtype == np.float32 and net.grad.any()
+    state = AdamState(learning_rate=0.01)
+    gradient = net.grad.copy()
+    adam_step(state, net.theta, net.grad)
+    for array in (net.theta, net.grad, state.first_moment, state.second_moment):
+        assert array.dtype == np.float32
+    # the step ran inside the float32 gradient, not in a float64 copy of it
+    assert not np.array_equal(net.grad, gradient)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("logit", [-100.0, 100.0])
+def test_float32_sigmoid_of_a_large_logit_neither_overflows_nor_leaves_0_1(logit):
+    net = nn.Dense([1, 1], ["sigmoid"], np.array([logit, 0.0], dtype=np.float32))
+    out, caches = nn.forward(net, [[1.0]])
+    assert out.dtype == np.float32 and 0.0 <= out[0, 0] <= 1.0
+    grad_in = nn.backward(net, caches, np.ones_like(out))
+    assert nn.backward(net, caches, np.ones_like(out), net.grads) is None
+    assert np.isfinite(grad_in).all() and np.isfinite(net.grad).all()
