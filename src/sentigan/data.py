@@ -272,12 +272,17 @@ def finite_floats(values, what) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def flat_floats(values, what) -> np.ndarray:
+def flat_floats(values, what, dtype=np.float64) -> np.ndarray:
     """A stored flat parameter vector: finite_floats on one axis, so that a
-    (K, P) list cannot load as K stacked networks."""
+    (K, P) list cannot load as K stacked networks, cast to `dtype`. A value
+    that the cast overflows (1e39 in float32) is a DataError too."""
     arr = finite_floats(values, what)
     if arr.ndim != 1:
         raise DataError(f"{what} must be a flat list of numbers")
+    with np.errstate(over="ignore"):
+        arr = arr.astype(dtype, copy=False)
+    if not np.isfinite(arr).all():
+        raise DataError(f"{what} must be finite in {arr.dtype}")
     return arr
 
 

@@ -64,7 +64,7 @@ class Generator(Dense):
                                                "generator window_length and hidden widths")
         return cls([window_length * N_FEATURES + 1, *hidden, N_FEATURES],
                    [GEN_ACTIVATIONS[0]] * len(hidden) + [GEN_ACTIVATIONS[1]],
-                   flat_floats(d["theta"], "generator theta").astype(DTYPE),
+                   flat_floats(d["theta"], "generator theta", DTYPE),
                    ScalerParams.from_dict(d["scaler"]))
 
 

@@ -17,6 +17,12 @@ each over all L·B rows. Validation and `predict` keep one step of state.
 Trained by truncated backpropagation through time with Adam, chronological
 validation split, early stopping and plateau learning-rate decay.
 Everything is seeded and deterministic.
+
+The kernel, its Workspace and Adam run in the dtype of `theta`. `train`
+draws the seeded weights in float64 and builds the model in float32
+(DTYPE), rounding them once, with the scaled windows and targets, so a
+trained model, and one loaded from its artifact, predicts in float32.
+`initialize` builds float64 by default, as the gradient checks need.
 """
 
 from __future__ import annotations
@@ -32,8 +38,11 @@ from .optim import AdamState, adam_step
 from .scaling import ScalerParams, close_inverse, scaler_fit_windows, scaler_transform
 
 GATES = ("input", "forget", "output", "candidate")
-# the sign each gate's block takes in _signed_weights: -1 for the sigmoids
-_SIGNS = np.array([-1.0, -1.0, -1.0, 1.0])[:, None, None]
+# the dtype train trains in and a loaded model predicts in
+DTYPE = np.float32
+# the sign each gate's block takes in _signed_weights: -1 for the sigmoids;
+# float32, so that a product keeps theta's dtype, float32 or float64
+_SIGNS = np.array([-1.0, -1.0, -1.0, 1.0], dtype=np.float32)[:, None, None]
 
 
 class LstmModel:
@@ -58,13 +67,16 @@ class LstmModel:
 
     @classmethod
     def initialize(cls, rng, hidden_size: int, input_size: int,
-                   scaler: ScalerParams) -> "LstmModel":
+                   scaler: ScalerParams, dtype=np.float64) -> "LstmModel":
+        """Glorot-uniform weights and zero biases in `dtype`, drawn in
+        float64: writing into a float32 theta rounds them as a cast would."""
         def glorot(w):
             bound = np.sqrt(6.0 / sum(w.shape))
             w[...] = rng.uniform(-bound, bound, size=w.shape)
 
         h = hidden_size
-        model = cls(h, input_size, np.zeros(4 * h * (input_size + h + 1) + h + 1), scaler)
+        theta = np.zeros(4 * h * (input_size + h + 1) + h + 1, dtype=dtype)
+        model = cls(h, input_size, theta, scaler)
         # this draw order (per gate in GATES order: w, then u; then the
         # head) fixes a seed's initial values
         for w, u in zip(np.split(model.w, len(GATES)), np.split(model.u, len(GATES))):
@@ -80,7 +92,7 @@ class LstmModel:
     @classmethod
     def from_dict(cls, d):
         [h] = positive_ints([d["hidden_size"]], "LSTM hidden_size")
-        return cls(h, len(FEATURE_COLUMNS), flat_floats(d["theta"], "LSTM theta"),
+        return cls(h, len(FEATURE_COLUMNS), flat_floats(d["theta"], "LSTM theta", DTYPE),
                    ScalerParams.from_dict(d["scaler"]))
 
 
@@ -135,33 +147,37 @@ def _step(weights, x, h, c, z, gates, c_out, tanh_c, h_out):
 
 class Workspace:
     """The training forward's record of one batch shape, reused by every
-    batch of that shape. Each gate is one contiguous block: gates
-    (4, L, B, H) in GATES order; c and h (L+1, B, H), whose index 0 is the
-    zero initial state; tanh c (L, B, H); `z`, one step's (4, B, H)
-    pre-activation scratch. The backward turns `dz`
-    (4, L, B, H) and `dc_factor` (L, B, H) from the recurrence-free parts of
-    the gate derivatives into dL/d(pre-activations), in place."""
+    batch of that shape, in the dtype of the model it serves. Each gate is
+    one contiguous block: gates (4, L, B, H) in GATES order; c and h
+    (L+1, B, H), whose index 0 is the zero initial state; tanh c (L, B, H);
+    `z`, one step's (4, B, H) pre-activation scratch. The backward turns
+    `dz` (4, L, B, H) and `dc_factor` (L, B, H) from the recurrence-free
+    parts of the gate derivatives into dL/d(pre-activations), in place, and
+    copies each step's dz batch-major into `dz_rows` (B, 4, H) for one
+    product with u."""
 
-    def __init__(self, batch: int, length: int, hidden: int):
-        self.z = np.empty((4, batch, hidden))
-        self.gates = np.empty((4, length, batch, hidden))
-        self.c = np.zeros((length + 1, batch, hidden))
-        self.h = np.zeros((length + 1, batch, hidden))
-        self.tanh_c = np.empty((length, batch, hidden))
-        self.dz = np.empty((4, length, batch, hidden))
-        self.dc_factor = np.empty((length, batch, hidden))
+    def __init__(self, batch: int, length: int, hidden: int, dtype=np.float64):
+        self.z = np.empty((4, batch, hidden), dtype)
+        self.gates = np.empty((4, length, batch, hidden), dtype)
+        self.c = np.zeros((length + 1, batch, hidden), dtype)
+        self.h = np.zeros((length + 1, batch, hidden), dtype)
+        self.tanh_c = np.empty((length, batch, hidden), dtype)
+        self.dz = np.empty((4, length, batch, hidden), dtype)
+        self.dc_factor = np.empty((length, batch, hidden), dtype)
+        self.dz_rows = np.empty((batch, 4, hidden), dtype)
 
 
 def _forward_sequence(model, xs, ws=None):
     """xs: (B, L, D). Returns the head output (B,). Every step is kept in
     the Workspace `ws` if one is given, for _backward_sequence; otherwise
     only one step's state is. Both run the same _step arithmetic, so their outputs
-    are bitwise equal."""
+    are bitwise equal. xs is cast to the dtype of model.theta."""
+    xs = np.asarray(xs, dtype=model.theta.dtype)
     b, length, _ = xs.shape
     weights = _signed_weights(model)
     if ws is None:
-        z = np.empty((4, b, model.hidden_size))
-        h, c, tanh_c = (np.zeros((b, model.hidden_size)) for _ in range(3))
+        z = np.empty((4, b, model.hidden_size), xs.dtype)
+        h, c, tanh_c = (np.zeros((b, model.hidden_size), xs.dtype) for _ in range(3))
         for t in range(length):
             _step(weights, xs[:, t], h, c, z, z, c, tanh_c, h)
     else:
@@ -177,14 +193,16 @@ def _forward_sequence(model, xs, ws=None):
 def _backward_sequence(model, xs, ws, grad_out):
     """BPTT through the sequence that _forward_sequence kept in the
     Workspace `ws` for the input xs (B, L, D); grad_out is dL/d(head
-    output), (B,).
+    output), (B,). Both are cast to the dtype of model.theta.
 
     Writes every element of dL/d(theta) into model.grads and returns
     model.grad, the flat vector they view."""
+    dtype = model.theta.dtype
+    xs, grad_out = np.asarray(xs, dtype), np.asarray(grad_out, dtype)
     length, b, hs = ws.tanh_c.shape
     dw, du, db, d_head_w, d_head_b = model.grads
     i, f, o, cand = ws.gates
-    dz, dc_factor = ws.dz, ws.dc_factor
+    dz, dc_factor, dz_rows = ws.dz, ws.dc_factor, ws.dz_rows
     # dz first holds the recurrence-free factors of dL/dz, made in bulk; the
     # time loop multiplies them in place by (dc, dc, dh, dc) in GATES order
     np.subtract(1.0, ws.gates[:3], out=dz[:3])
@@ -204,7 +222,6 @@ def _backward_sequence(model, xs, ws, grad_out):
     dh = grad_out[:, None] * model.head_weights  # (B, H)
     dc = np.zeros_like(dh)
     scratch = np.empty_like(dh)
-    dz_rows = np.empty((b, 4, hs))  # dz_t batch-major, for one product with u
     for t in range(length - 1, -1, -1):
         np.multiply(dh, dc_factor[t], out=scratch)
         dc += scratch
@@ -221,15 +238,15 @@ def _backward_sequence(model, xs, ws, grad_out):
     np.matmul(rows.transpose(0, 2, 1), ws.h[:-1].reshape(length * b, hs),
               out=du.reshape(4, hs, hs))
     # a product with ones: numpy's sum over the middle axis is several times slower
-    np.matmul(np.ones(length * b), rows, out=db.reshape(4, hs))
+    np.matmul(np.ones(length * b, dtype), rows, out=db.reshape(4, hs))
     return model.grad
 
 
 def sequence_loss(model, xs, targets, workspace=None):
-    """MSE of the head output against scaled close targets, and the error.
-    A caller that backpropagates passes a Workspace for the forward to keep
-    every step in."""
-    err = _forward_sequence(model, xs, workspace) - targets
+    """MSE of the head output against scaled close targets, and the error,
+    in the dtype of model.theta. A caller that backpropagates passes a
+    Workspace for the forward to keep every step in."""
+    err = _forward_sequence(model, xs, workspace) - np.asarray(targets, model.theta.dtype)
     return float(np.mean(err * err)), err
 
 
@@ -246,7 +263,7 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
     histories, targets = windows.histories, windows.targets
     # the scaler draws nothing from rng, so the seed's weights do not depend on it
     scaler = scaler_fit_windows(histories, targets)
-    model = LstmModel.initialize(rng, schedule.hidden_size, histories.shape[-1], scaler)
+    model = LstmModel.initialize(rng, schedule.hidden_size, histories.shape[-1], scaler, DTYPE)
     log: list[dict] = []
     if schedule.max_epochs == 0:
         return model, log
@@ -257,8 +274,8 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
             f"the validation split takes {n_val} of {len(windows)} windows, "
             "leaving none to train on"
         )
-    xs = scaler_transform(model.scaler, histories)
-    ys = scaler_transform(model.scaler, targets)[:, CLOSE_COLUMN]
+    xs = scaler_transform(model.scaler, histories).astype(DTYPE)
+    ys = scaler_transform(model.scaler, targets)[:, CLOSE_COLUMN].astype(DTYPE)
     xs_train, y_train = xs[:-n_val], ys[:-n_val]
     xs_val, y_val = xs[-n_val:], ys[-n_val:]
 
@@ -277,10 +294,11 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
             yb = y_train[start : start + schedule.batch_size]
             ws = workspaces.get(len(xb))
             if ws is None:
-                ws = workspaces[len(xb)] = Workspace(len(xb), xb.shape[1], model.hidden_size)
+                ws = workspaces[len(xb)] = Workspace(len(xb), xb.shape[1], model.hidden_size,
+                                                     DTYPE)
             loss, err = sequence_loss(model, xb, yb, ws)
             if not np.isfinite(loss):
-                raise TrainingError(f"training diverged (NaN loss) at epoch {epoch}")
+                raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
             adam_step(adam, model.theta, _backward_sequence(model, xb, ws, 2.0 * err / len(yb)))
             batch_losses.append(loss)
         val_loss = sequence_loss(model, xs_val, y_val)[0]

@@ -536,6 +536,19 @@ def test_validation_split_leaving_no_training_window_is_named(pipeline, capsys):
     assert not (pipeline.parent / "out" / "models" / "AAA_lstm.json").exists()
 
 
+def test_diverging_lstm_is_named_and_writes_no_artifact(pipeline, capsys):
+    # measured on this pipeline: the float32 LSTM trains at a learning rate
+    # of 1e16 and its loss overflows at 1e18; a float64 one trained at 1e38
+    pipeline.write_text(pipeline.read_text().replace(
+        "lstm:\n", "lstm:\n  learning_rate: 1.0e+30\n"))
+    assert cli.main(["ingest", "--config", str(pipeline)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(pipeline), "--model", "lstm"]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "AAA/lstm: training diverged (non-finite loss) at epoch 0" in err
+    assert not (pipeline.parent / "out" / "models" / "AAA_lstm.json").exists()
+
+
 def test_gan_artifact_has_no_discriminator_and_old_ones_still_load(pipeline, tmp_path):
     from sentigan import gan
 
@@ -714,15 +727,17 @@ def test_windowed_artifact_without_its_scaler_is_refused_naming_it(
 
 @pytest.mark.parametrize("model", ["lstm", "gan"])
 def test_non_finite_forecasts_are_refused_before_the_report(pipeline, tmp_path, capsys, model):
-    # finite weights of 1e308 pass the artifact's checks, but the forecasts
-    # they make overflow. evaluate runs in this process, where numpy's
-    # warnings are errors, and as the command, where they are warnings. One
-    # check, on the forecasts, refuses both models alike.
+    # weights of float32's largest magnitude, the dtype both networks load
+    # in, pass the artifact's checks, but the forecasts they make overflow.
+    # evaluate runs in this process, where numpy's warnings are errors, and
+    # as the command, where they are warnings. One check, on the forecasts,
+    # refuses both models alike.
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     path = tmp_path / "out" / "models" / f"AAA_{model}.json"
     payload = json.loads(path.read_text())
     # of both signs, so that sums of overflowed terms are NaN
-    payload["artifact"]["theta"] = [(-1) ** i * 1e308
+    largest = float(np.finfo(np.float32).max)
+    payload["artifact"]["theta"] = [(-1) ** i * largest
                                     for i in range(len(payload["artifact"]["theta"]))]
     path.write_text(json.dumps(payload))
     report = tmp_path / "out" / "reports" / f"AAA_{model}.json"
@@ -853,10 +868,14 @@ def nested_format(model, artifact):
     ("evaluate", "models/AAA_lstm.json", ("artifact", "theta", -(4 * 8 + 1)), False),
     ("plot", "reports/AAA_gan.json", ("rows", 0, "predicted"), True),
     ("plot", "reports/AAA_gan.json", ("rows", 0, "predicted"), "101.5"),
+    # finite as read, but past float32's range, the dtype both networks load in
+    ("evaluate", "models/AAA_gan.json", ("artifact", "theta", -1), 1e39),
+    ("evaluate", "models/AAA_lstm.json", ("artifact", "theta", -1), 1e39),
 ], ids=["aligned_nan_close", "train_aligned_nan_close", "arima_nan_intercept",
         "lstm_inf_head_bias", "gan_nan_weight", "report_nan_prediction",
         "arima_p_past_its_coefficients", "arima_d5", "aligned_true_sentiment",
-        "lstm_false_gate_bias", "report_true_prediction", "report_string_prediction"])
+        "lstm_false_gate_bias", "report_true_prediction", "report_string_prediction",
+        "gan_float32_overflow_bias", "lstm_float32_overflow_head_bias"])
 def test_read_back_value_that_cannot_be_used_names_file(
         pipeline, tmp_path, capsys, command, relpath, keys, value):
     # json.loads reads NaN and Infinity; the order's p must match the AR

@@ -288,6 +288,17 @@ def test_finite_floats_refuses_anything_but_finite_numbers(values):
         D.finite_floats(values, "sentiment")
 
 
+def test_flat_floats_refuses_a_value_that_overflows_its_dtype():
+    # 1e39 is finite as read and past float32's range; the cast warns
+    # nothing (warnings are errors here), and the value is refused
+    assert D.flat_floats([1.0, 1e39], "theta").dtype == np.float64
+    with pytest.raises(DataError, match="theta must be finite in float32"):
+        D.flat_floats([1.0, 1e39], "theta", np.float32)
+    largest = float(np.finfo(np.float32).max)
+    assert np.array_equal(D.flat_floats([-largest, 1e-50], "theta", np.float32),
+                          np.array([-largest, 0.0], dtype=np.float32))
+
+
 def test_aligned_dates_must_increase_strictly():
     aligned = make_aligned(5)
     for dates in ([*aligned.dates[:2], aligned.dates[3], aligned.dates[2], aligned.dates[4]],

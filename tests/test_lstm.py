@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from sentigan.errors import DataError, DimensionError, TrainingError
 from sentigan.eval import evaluate
 from sentigan.lstm import LstmModel, TrainSchedule, Workspace
 from sentigan.nn import carve
+from sentigan.optim import AdamState, adam_step
 from sentigan.scaling import scaler_transform
 
 
@@ -88,12 +90,14 @@ def reference_loss_and_gradient(model, xs, targets):
 def test_every_parameter_array_is_a_view_of_theta():
     rng = np.random.default_rng(0)
     model = LstmModel.initialize(rng, 3, 6, scaler_over())
-    restored = LstmModel.from_dict(model.to_dict())
+    # a trained model holds a float32 theta, as lstm.train returns it
+    trained = LstmModel(3, 6, model.theta.astype(lstm.DTYPE), model.scaler)
+    restored = LstmModel.from_dict(trained.to_dict())
     for m in (model, restored):
         assert m.theta.shape == (4 * (3 * 6 + 3 * 3 + 3) + 3 + 1,)
         for a in model_arrays(m):
             assert np.shares_memory(m.theta, a)
-    assert np.array_equal(restored.theta, model.theta)
+    assert np.array_equal(restored.theta, trained.theta)
 
 
 def artifact_with_biases(hidden=3, **biases):
@@ -214,6 +218,56 @@ def test_reused_workspace_equals_a_fresh_one():
         assert np.array_equal(grad, fresh_grad)
 
 
+def test_float32_model_keeps_float32_through_forward_backward_and_adam():
+    rng = np.random.default_rng(3)
+    model = LstmModel.initialize(rng, 5, 6, scaler_over(), np.float32)
+    model.b[...] = rng.normal(size=model.b.shape)
+    xs = rng.uniform(-1.0, 1.0, size=(4, 7, 6))
+    targets = rng.uniform(-1.0, 1.0, size=4)
+    workspace = Workspace(4, 7, 5, model.theta.dtype)
+    assert all(w.dtype == np.float32 for w in lstm._signed_weights(model))
+    # windows, targets and output gradients in float64, as a caller may hand
+    # them in, are cast to theta's dtype: they give the bits that their
+    # float32 roundings give
+    passes = []
+    for dtype in (np.float64, np.float32):
+        loss, err = lstm.sequence_loss(model, xs.astype(dtype), targets.astype(dtype), workspace)
+        out = lstm._forward_sequence(model, xs.astype(dtype))
+        grad_out = (2.0 * err / len(err)).astype(dtype)
+        grad = lstm._backward_sequence(model, xs.astype(dtype), workspace, grad_out)
+        assert grad is model.grad
+        assert err.dtype == out.dtype == grad.dtype == np.float32
+        passes.append((loss, err, out, grad.copy()))
+    for wide, narrow in zip(*passes):
+        assert np.array_equal(wide, narrow)
+    assert model.grad.all()
+    for name, buffer in vars(workspace).items():
+        assert buffer.dtype == np.float32, name
+    state = AdamState(learning_rate=0.01)
+    gradient = model.grad.copy()
+    adam_step(state, model.theta, model.grad)
+    for array in (model.theta, model.grad, state.first_moment, state.second_moment):
+        assert array.dtype == np.float32
+    # the step ran inside the float32 gradient, not in a float64 copy of it
+    assert not np.array_equal(model.grad, gradient)
+
+
+def test_float32_model_matches_its_float64_copy_to_float32_rounding():
+    rng = np.random.default_rng(4)
+    wide = LstmModel.initialize(rng, 6, 6, scaler_over())
+    wide.theta[...] = wide.theta.astype(np.float32)
+    narrow = LstmModel(6, 6, wide.theta.astype(np.float32), wide.scaler)
+    xs = rng.uniform(-1.0, 1.0, size=(8, 10, 6))
+    targets = rng.uniform(-1.0, 1.0, size=8)
+    loss32, grad32 = loss_and_gradient(narrow, xs, targets,
+                                       Workspace(8, 10, 6, narrow.theta.dtype))
+    loss64, grad64 = loss_and_gradient(wide, xs, targets)
+    # float32 rounds each of the forward's and BPTT's steps: allow 100 of its eps
+    tolerance = 100 * np.finfo(np.float32).eps
+    assert abs(loss32 - loss64) <= tolerance * loss64
+    assert np.max(np.abs(grad32 - grad64)) <= tolerance * np.max(np.abs(grad64))
+
+
 # ---------------------------------------------------------------- training
 
 
@@ -245,6 +299,7 @@ def test_train_determinism():
     schedule = TrainSchedule(max_epochs=3)
     m1, log1 = lstm.train(windows, schedule, seed=11)
     m2, log2 = lstm.train(windows, schedule, seed=11)
+    assert m1.theta.dtype == np.float32
     assert np.array_equal(m1.theta, m2.theta)
     assert log1 == log2
 
@@ -325,7 +380,8 @@ def test_early_stopping_returns_best_validation_weights():
     assert log, "expected a non-empty training log"
     n_val = max(1, int(round(schedule.validation_fraction * len(windows))))
     xs_val, y_val = scaled_windows(model, windows[-n_val:])
-    final_val = lstm.sequence_loss(model, xs_val, y_val, Workspace(*xs_val.shape[:2], model.hidden_size))[0]
+    workspace = Workspace(*xs_val.shape[:2], model.hidden_size, model.theta.dtype)
+    final_val = lstm.sequence_loss(model, xs_val, y_val, workspace)[0]
     # the logged losses keep one step of state; the training forward is bitwise equal
     assert final_val == min(row["val_loss"] for row in log)
 
@@ -340,7 +396,7 @@ def test_forward_only_pass_equals_training_forward():
     windows = line_windows(60, 6)
     model, _ = lstm.train(windows, TrainSchedule(hidden_size=5, max_epochs=0), seed=4)
     xs, ys = scaled_windows(model, windows)
-    workspace = Workspace(len(xs), 6, 5)
+    workspace = Workspace(len(xs), 6, 5, model.theta.dtype)
     kept = lstm.sequence_loss(model, xs, ys, workspace)
     assert np.isfinite(workspace.gates).all()
     alone = lstm.sequence_loss(model, xs, ys)
@@ -386,14 +442,18 @@ def test_predict_deterministic_and_finite():
 
 
 def test_batched_predict_equals_one_window_calls():
-    # batched products may round differently from one-row ones, in the last bit
+    # batched products may round differently from one-row ones, in the last
+    # bit of the model's dtype: float32 as trained, float64 as built
     close = 100.0 + np.cumsum(np.random.default_rng(8).normal(0.0, 1.0, 140))
     windows = make_windows(aligned_from_close(close), 20)
-    model, _ = lstm.train(windows[:100], TrainSchedule(max_epochs=3), seed=1)
-    batched = lstm.predict(model, windows[100:])
-    alone = np.array([lstm.predict(model, windows[i : i + 1])[0] for i in range(100, 120)])
-    assert batched.shape == (20,)
-    assert np.max(np.abs(batched - alone) / np.abs(alone)) <= 1e-15
+    trained, _ = lstm.train(windows[:100], TrainSchedule(max_epochs=3), seed=1)
+    for dtype, tolerance in ((np.float32, np.finfo(np.float32).eps), (np.float64, 1e-15)):
+        model = LstmModel(trained.hidden_size, trained.input_size,
+                          trained.theta.astype(dtype), trained.scaler)
+        batched = lstm.predict(model, windows[100:])
+        alone = np.array([lstm.predict(model, windows[i : i + 1])[0] for i in range(100, 120)])
+        assert batched.shape == (20,)
+        assert np.max(np.abs(batched - alone) / np.abs(alone)) <= tolerance
 
 
 def test_building_a_model_without_a_scaler_is_refused():
@@ -409,5 +469,8 @@ def test_building_a_model_without_a_scaler_is_refused():
 def test_model_json_round_trip():
     windows = line_windows(120)
     model, _ = lstm.train(windows, TrainSchedule(max_epochs=2), seed=2)
-    restored = LstmModel.from_dict(model.to_dict())
+    # float32 values are exact as JSON floats and load back as float32
+    restored = LstmModel.from_dict(json.loads(json.dumps(model.to_dict())))
     assert np.array_equal(lstm.predict(restored, windows[-5:]), lstm.predict(model, windows[-5:]))
+    assert model.theta.dtype == restored.theta.dtype == np.float32
+    assert np.array_equal(restored.theta, model.theta)
