@@ -154,7 +154,7 @@ def fit(train, order: ArimaOrder) -> ArimaModel:
     p, d, q = order.p, order.d, order.q
     if len(y) <= p + q + d + 10:
         raise DataError(f"train length {len(y)} too short for order ({p},{d},{q})")
-    w = np.diff(y, n=d) if d else y.copy()
+    w = np.diff(y, n=d)
     if p == 0 and q == 0:
         # null model has a closed form: intercept = mean of differenced series
         params = np.array([np.mean(w)])
@@ -198,7 +198,7 @@ def _admissible(ar, ma) -> bool:
 def select_differencing(train) -> int:
     y = np.asarray(train, dtype=float)
     for d in range(3):
-        if adf_statistic(np.diff(y, n=d) if d else y) < ADF_CRITICAL_5PCT:
+        if adf_statistic(np.diff(y, n=d)) < ADF_CRITICAL_5PCT:
             return d
     raise TrainingError("no differencing order in 0..2 achieves stationarity")
 
@@ -211,7 +211,7 @@ def select_order(train, p_max: int = 3, q_max: int = 3) -> ArimaModel:
     if len(y) < 50:
         raise DataError(f"select_order needs at least 50 observations, got {len(y)}")
     d = select_differencing(y)
-    w = np.diff(y, n=d) if d else y
+    w = np.diff(y, n=d)
     candidates = {}  # (aic, p + q, p, q) -> fitted model
     for p in range(p_max + 1):
         for q in range(q_max + 1):
@@ -250,7 +250,7 @@ def rolling_forecasts(model: ArimaModel, full_series, test_start: int) -> np.nda
     p, d, q = model.order.p, model.order.d, model.order.q
     if test_start < p + d + max(q, 1):
         raise UsageError(f"history length {test_start} < required {p + d + max(q, 1)}")
-    w = np.diff(y[:-1], n=d) if d else y[:-1]
+    w = np.diff(y[:-1], n=d)
     e = _css_residuals(w, model.intercept, model.ar_coeffs, model.ma_coeffs)
     at = np.arange(test_start, len(y)) - d  # the length of each target's w
     fw = np.full(len(at), model.intercept)

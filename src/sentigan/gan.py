@@ -7,7 +7,9 @@ and generator Adam updates on the standard minimax objective, with the
 non-saturating generator form. A step runs the generator forward once and
 scores real and fake rows in one stacked discriminator pass. There is no
 latent noise input, so the trained generator is a deterministic conditional
-forecaster. Each network's parameters live in one flat vector `theta`, of
+forecaster. One function, _conditioning, builds the generator's rows for
+training and for forecasting: scaled histories clipped to [-1, 1], then
+sentiment. Each network's parameters live in one flat vector `theta`, of
 which its layers' weights and biases are views, and its gradient in `grad`,
 laid out alike; backward() fills `grad` through views carved once.
 
@@ -178,42 +180,42 @@ def train_step(gen, disc, gen_in, targets, gen_adam, disc_adam):
     return d_loss, g_loss
 
 
-def _member_inputs(windows: Windows):
-    """A member's scaler, fitted on its windows, and its scaled conditioning
-    rows (N, L*6 + 1) and targets (N, 6), range-checked once."""
-    scaler = scaler_fit_windows(windows.histories, windows.targets)
-    gen_in = _gen_inputs(_to_tanh_range(scaler_transform(scaler, windows.histories)),
-                         np.clip(windows.sentiments, -1.0, 1.0))
-    targets = _to_tanh_range(scaler_transform(scaler, windows.targets))
-    _check_scaled(targets, "target observation")
-    return scaler, gen_in, targets
+def _conditioning(scaler: ScalerParams, windows: Windows):
+    """The generator's rows (N, L*6 + 1) of raw windows: histories scaled by
+    `scaler` and mapped to the tanh range, then sentiment. Training rows lie
+    in the range already; forecast windows can drift past the train-fitted
+    range, and saturate at its boundary instead of being refused."""
+    histories = np.clip(_to_tanh_range(scaler_transform(scaler, windows.histories)), -1.0, 1.0)
+    return _gen_inputs(histories, np.clip(windows.sentiments, -1.0, 1.0))
 
 
 def _setup(members, rng, schedule: GanSchedule):
     """The seeded (generator, discriminator) pair stacked K times, and each
     member's scaler, conditioning rows and targets, the last two stacked
     (K, N, ...); networks, rows and targets rounded to DTYPE."""
-    inputs = []
+    members = list(members)
+    if not members:
+        raise UsageError("gan.train needs at least one member")
+    n, window_length = members[0].histories.shape[:2]
+    scalers, gen_ins, targets = [], [], []
     for k, windows in enumerate(members):
         if not windows:
             raise TrainingError("cannot train a GAN on an empty sample list", member=k)
-        if not inputs:
-            n = len(windows)
-            window_length = windows.histories.shape[1]
-            gen = build_generator(rng, window_length, schedule.gen_hidden)
-            disc = build_discriminator(rng, window_length, schedule.disc_hidden)
-        elif windows.histories.shape[:2] != (n, window_length):
+        if windows.histories.shape[:2] != (n, window_length):
             raise UsageError("lockstep members need equal sample counts and window lengths, "
                              f"got {(n, window_length)} and {windows.histories.shape[:2]}")
         try:
-            inputs.append(_member_inputs(windows))
+            scaler = scaler_fit_windows(windows.histories, windows.targets)
+            gen_ins.append(_conditioning(scaler, windows))
+            targets.append(_to_tanh_range(scaler_transform(scaler, windows.targets)))
+            _check_scaled(targets[-1], "target observation")
         except SentiganError as e:
             e.member = k
             raise
-    if not inputs:
-        raise UsageError("gan.train needs at least one member")
-    scalers, gen_ins, targets = zip(*inputs)
-    gen, disc = (Dense(net.sizes, net.activations, net.theta.astype(DTYPE)).stacked(len(inputs))
+        scalers.append(scaler)
+    gen = build_generator(rng, window_length, schedule.gen_hidden)
+    disc = build_discriminator(rng, window_length, schedule.disc_hidden)
+    gen, disc = (Dense(net.sizes, net.activations, net.theta.astype(DTYPE)).stacked(len(members))
                  for net in (gen, disc))
     return gen, disc, scalers, np.stack(gen_ins).astype(DTYPE), np.stack(targets).astype(DTYPE)
 
@@ -226,12 +228,15 @@ def _fit(gen, disc, gen_in, targets, schedule: GanSchedule, rng):
     starts = range(0, gen_in.shape[1], schedule.batch_size)
     losses = np.empty((schedule.epochs * len(starts), 2, len(gen_in)))
     step = 0
-    for _ in range(schedule.epochs):
-        for batch_index in rng.permutation(len(starts)):
-            batch = slice(starts[batch_index], starts[batch_index] + schedule.batch_size)
-            losses[step] = train_step(gen, disc, gen_in[:, batch], targets[:, batch],
-                                      gen_adam, disc_adam)
-            step += 1
+    # a diverging run overflows on its way to the non-finite gradient that
+    # adam_step refuses as a TrainingError naming the member
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(schedule.epochs):
+            for batch_index in rng.permutation(len(starts)):
+                batch = slice(starts[batch_index], starts[batch_index] + schedule.batch_size)
+                losses[step] = train_step(gen, disc, gen_in[:, batch], targets[:, batch],
+                                          gen_adam, disc_adam)
+                step += 1
     return losses
 
 
@@ -255,10 +260,5 @@ def train(members, schedule: GanSchedule, seed: int):
 def predict(gen: Generator, windows: Windows) -> np.ndarray:
     """One-step close forecasts (N,) on the original price scale, one per raw
     (unscaled) window of `windows`, from one batched generator pass."""
-    # holdout context can drift past the train-fitted range; saturate at the
-    # scale boundary instead of refusing to forecast
-    histories = np.clip(_to_tanh_range(scaler_transform(gen.scaler, windows.histories)),
-                        -1.0, 1.0)
-    x = _gen_inputs(histories, np.clip(windows.sentiments, -1.0, 1.0))
-    out, _ = forward(gen, x)
+    out, _ = forward(gen, _conditioning(gen.scaler, windows))
     return close_inverse(gen.scaler, (out[:, CLOSE_COLUMN] + 1.0) / 2.0)

@@ -280,45 +280,42 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
     xs_val, y_val = xs[-n_val:], ys[-n_val:]
 
     adam = AdamState(learning_rate=schedule.learning_rate)
-    lr = schedule.learning_rate
     best_val = np.inf
     best_theta = None
     epochs_since_improvement = 0
-    epochs_since_plateau_reset = 0
     workspaces: dict[int, Workspace] = {}  # one per batch size
-    for epoch in range(schedule.max_epochs):
-        adam.learning_rate = lr
-        batch_losses = []
-        for start in range(0, len(xs_train), schedule.batch_size):
-            xb = xs_train[start : start + schedule.batch_size]
-            yb = y_train[start : start + schedule.batch_size]
-            ws = workspaces.get(len(xb))
-            if ws is None:
-                ws = workspaces[len(xb)] = Workspace(len(xb), xb.shape[1], model.hidden_size,
-                                                     DTYPE)
-            loss, err = sequence_loss(model, xb, yb, ws)
-            if not np.isfinite(loss):
-                raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
-            adam_step(adam, model.theta, _backward_sequence(model, xb, ws, 2.0 * err / len(yb)))
-            batch_losses.append(loss)
-        val_loss = sequence_loss(model, xs_val, y_val)[0]
-        log.append(
-            {"epoch": epoch, "train_loss": float(np.mean(batch_losses)),
-             "val_loss": val_loss, "lr": lr}
-        )
-        if val_loss < best_val:
-            best_val = val_loss
-            best_theta = model.theta.copy()
-            epochs_since_improvement = 0
-            epochs_since_plateau_reset = 0
-        else:
-            epochs_since_improvement += 1
-            epochs_since_plateau_reset += 1
-            if epochs_since_improvement >= schedule.early_stop_patience:
-                break
-            if epochs_since_plateau_reset >= schedule.plateau_patience:
-                lr *= schedule.plateau_factor
-                epochs_since_plateau_reset = 0
+    # a saturating gate overflows np.exp, and a diverging run overflows on its
+    # way to the non-finite loss or gradient that is refused as a TrainingError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(schedule.max_epochs):
+            batch_losses = []
+            for start in range(0, len(xs_train), schedule.batch_size):
+                xb = xs_train[start : start + schedule.batch_size]
+                yb = y_train[start : start + schedule.batch_size]
+                ws = workspaces.get(len(xb))
+                if ws is None:
+                    ws = workspaces[len(xb)] = Workspace(len(xb), xb.shape[1], model.hidden_size,
+                                                         DTYPE)
+                loss, err = sequence_loss(model, xb, yb, ws)
+                if not np.isfinite(loss):
+                    raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
+                adam_step(adam, model.theta, _backward_sequence(model, xb, ws, 2.0 * err / len(yb)))
+                batch_losses.append(loss)
+            val_loss = sequence_loss(model, xs_val, y_val)[0]
+            log.append(
+                {"epoch": epoch, "train_loss": float(np.mean(batch_losses)),
+                 "val_loss": val_loss, "lr": adam.learning_rate}
+            )
+            if val_loss < best_val:
+                best_val = val_loss
+                best_theta = model.theta.copy()
+                epochs_since_improvement = 0
+            else:
+                epochs_since_improvement += 1
+                if epochs_since_improvement >= schedule.early_stop_patience:
+                    break
+                if epochs_since_improvement % schedule.plateau_patience == 0:
+                    adam.learning_rate *= schedule.plateau_factor
     if best_theta is not None:
         model.theta[...] = best_theta
     return model, log

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import aligned_from_close, holdout_split, scaler_over
 from gradcheck import numerical_gradient, relative_error
-from sentigan import gan, nn
+from sentigan import gan, lstm, nn
 from sentigan.data import CLOSE_COLUMN, Windows, make_windows
 from sentigan.errors import DataError, DimensionError, TrainingError, UsageError
 from sentigan.eval import evaluate
@@ -19,6 +19,7 @@ from sentigan.gan import (
     d_loss_value,
     g_loss_value,
 )
+from sentigan.lstm import TrainSchedule
 from sentigan.nn import backward, forward
 from sentigan.optim import AdamState, adam_step
 
@@ -518,6 +519,22 @@ def test_member_with_unscalable_data_is_named():
     with pytest.raises(DataError) as e:
         gan.train([a, b], GanSchedule(epochs=1, **SMALL), seed=0)
     assert e.value.member == 1
+
+
+@pytest.mark.parametrize("model", ["lstm", "gan"])
+def test_divergence_is_a_training_error_under_warnings_as_errors(model):
+    # the suite makes RuntimeWarning an error: an overflow on the way to a
+    # non-finite loss or gradient must not stop training before that check
+    rng = np.random.default_rng(3)
+    windows = make_windows(aligned_from_close(100.0 + np.cumsum(rng.normal(size=120))), 20)
+    with pytest.raises(TrainingError) as e:
+        if model == "lstm":
+            lstm.train(windows, TrainSchedule(hidden_size=8, batch_size=16, learning_rate=1e20),
+                       seed=0)
+        else:
+            gan.train([windows], GanSchedule(learning_rate=1e20, **SMALL), seed=0)
+    if model == "gan":
+        assert e.value.member == 0
 
 
 # ---------------------------------------------------------------- forecasting

@@ -1,11 +1,21 @@
+from datetime import date
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from sentigan import gan
 from sentigan.errors import DataError, DimensionError
-from sentigan.data import CLOSE_COLUMN
-from sentigan.scaling import ScalerParams, close_inverse, scaler_fit, scaler_transform
+from sentigan.data import CLOSE_COLUMN, Windows
+from sentigan.scaling import (
+    ScalerParams,
+    close_inverse,
+    scaler_fit,
+    scaler_fit_windows,
+    scaler_transform,
+)
 
 
 def column(*values):
@@ -72,6 +82,28 @@ def test_round_trip_property(vals):
     close = data[:, CLOSE_COLUMN]
     scale = max(1.0, float(np.max(np.abs(close))))
     assert np.max(np.abs(back - close)) <= 1e-9 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), length=st.integers(1, 5), data=st.data())
+def test_fitted_windows_scale_into_the_unit_range_exactly(n, length, data):
+    # rounding is monotone, so the rows a scaler was fitted on map into
+    # [0, 1] with no value past either end, and the GAN's clip of its
+    # training rows is the identity
+    values = data.draw(arrays(float, (n, length + 1, 6), elements=st.floats(-1e12, 1e12)))
+    constant = data.draw(arrays(bool, 6))
+    values[..., constant] = values[0, 0, constant]
+    histories, targets = values[:, :-1], values[:, -1]
+    sentiments = data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    scaler = scaler_fit_windows(histories, targets)
+    for rows in (histories, targets):
+        unit = scaler_transform(scaler, rows)
+        assert np.all((unit >= 0.0) & (unit <= 1.0))
+    windows = Windows(histories, sentiments, targets, [date(2021, 1, 1)] * n)
+    unclipped = np.concatenate(
+        [gan._to_tanh_range(scaler_transform(scaler, histories)).reshape(n, -1),
+         sentiments[:, None]], axis=1)
+    assert gan._conditioning(scaler, windows).tobytes() == unclipped.tobytes()
 
 
 def test_leakage_freedom_params_ignore_test_rows():
