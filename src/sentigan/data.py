@@ -124,7 +124,7 @@ def csv_rows(source, origin, header: list[str]):
         if got is None or [h.strip().lower() for h in got] != header:
             raise DataError(f"{origin}: expected header {','.join(header)!r}, got {got}")
         for line_no, row in enumerate(reader, start=2):
-            if any(c.strip() for c in row):
+            if "".join(row).strip():
                 yield line_no, row
     except csv.Error as e:
         raise DataError(f"{origin} line {reader.line_num}: {e}") from None
@@ -222,10 +222,11 @@ def split_boundary(total: int, policy: str) -> int:
 
 
 def read_utf8(path) -> str:
-    """A file's UTF-8 text; other bytes, or a path that cannot be read (a
-    directory, say), are a DataError naming the path."""
+    """A file's UTF-8 text without a leading byte-order mark; other bytes, or
+    a path that cannot be read (a directory, say), are a DataError naming the
+    path and, for a bad byte, its offset from the file's first byte."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text (invalid byte at offset {e.start})") from None
     except OSError as e:
@@ -233,10 +234,11 @@ def read_utf8(path) -> str:
 
 
 def utf8_lines(path):
-    """The lines of a UTF-8 file, read as open(path, newline="") reads them,
-    without holding the whole file; errors raise as in read_utf8."""
+    """The lines of a UTF-8 file without a leading byte-order mark, read as
+    open(path, newline="") reads them, without holding the whole file; errors
+    raise as in read_utf8."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             yield from fh
     except (UnicodeDecodeError, OSError):
         read_utf8(path)  # raises the DataError that names the path

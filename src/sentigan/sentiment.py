@@ -84,79 +84,23 @@ def load_lexicon(source, name="lexicon source") -> dict:
     return lexicon
 
 
-def _is_emphasis(token: str) -> bool:
-    return bool(token) and all(ch in "!?" for ch in token)
-
-
 def clean_text(raw: str) -> list[str]:
     """Strip URLs, @handles and $cashtags; split trailing emphasis punctuation
     into its own token; drop other punctuation. Case is preserved."""
-    text = URL_RE.sub(" ", raw)
-    text = HANDLE_RE.sub(" ", text)
-    text = CASHTAG_RE.sub(" ", text)
+    # each pattern needs its literal trigger, so a text without one skips it
+    text = URL_RE.sub(" ", raw) if "http" in raw or "www." in raw else raw
+    if "@" in text:
+        text = HANDLE_RE.sub(" ", text)
+    if "$" in text:
+        text = CASHTAG_RE.sub(" ", text)
     tokens = []
     for tok in text.split():
         core = tok.strip(string.punctuation)
-        emphasis = "".join(ch for ch in tok if ch in "!?")
         if core:
             tokens.append(core)
-        if emphasis:
-            tokens.append(emphasis)
+        if "!" in tok or "?" in tok:
+            tokens.append("".join(ch for ch in tok if ch in "!?"))
     return tokens
-
-
-def _allcaps_differential(words) -> bool:
-    upper = sum(1 for w in words if w.isupper())
-    return 0 < upper < len(words)
-
-
-def _negated(token: str) -> bool:
-    low = token.lower()
-    return low in NEGATIONS or "n't" in low
-
-
-def _booster_scalar(token, valence, is_cap_diff) -> float:
-    scalar = BOOSTERS.get(token.lower(), 0.0)
-    if scalar == 0.0:
-        return 0.0
-    if valence < 0:
-        scalar = -scalar
-    if token.isupper() and is_cap_diff:
-        scalar += CAPS_INCREMENT if valence > 0 else -CAPS_INCREMENT
-    return scalar
-
-
-def _token_valence(lexicon, words, i, is_cap_diff) -> float:
-    item = words[i]
-    valence = lexicon.get(item.lower())
-    if valence is None:
-        return 0.0
-    if item.isupper() and is_cap_diff:
-        valence += CAPS_INCREMENT if valence > 0 else -CAPS_INCREMENT
-    # up to three preceding context words: boosters decay with distance,
-    # negations flip; context words that carry their own valence are skipped
-    for dist, decay in ((1, 1.0), (2, 0.95), (3, 0.9)):
-        if i < dist:
-            break
-        prev = words[i - dist]
-        if prev.lower() in lexicon:
-            continue
-        scalar = _booster_scalar(prev, valence, is_cap_diff)
-        valence += scalar * decay
-        if _negated(prev):
-            valence *= NEGATION_SCALAR
-    return valence
-
-
-def _but_reweight(words, sentiments):
-    lowered = [w.lower() for w in words]
-    if "but" not in lowered:
-        return sentiments
-    bi = lowered.index("but")
-    return [
-        s * 0.5 if i < bi else (s * 1.5 if i > bi else s)
-        for i, s in enumerate(sentiments)
-    ]
 
 
 def normalize_valence_sum(total: float) -> float:
@@ -173,21 +117,48 @@ def normalize_valence_sum(total: float) -> float:
 def score_text(lexicon: dict, raw: str) -> float:
     """Compound sentiment of one text in [-1, 1]; unknown tokens contribute 0."""
     tokens = clean_text(raw)
-    words = [t for t in tokens if not _is_emphasis(t)]
+    # a word is a token that is not an emphasis run: a core never starts
+    # with punctuation
+    words = [t for t in tokens if t[0] not in "!?"]
     if not words:
         return 0.0
-    is_cap_diff = _allcaps_differential(words)
+    lows = [w.lower() for w in words]
+    caps = [w.isupper() for w in words]
+    if not 0 < sum(caps) < len(words):  # ALL-CAPS stands out only among other words
+        caps = [False] * len(words)
+    but = lows.index("but") if "but" in lows else None
     sentiments = []
-    for i, item in enumerate(words):
-        if item.lower() in BOOSTERS:
-            sentiments.append(0.0)
+    for i, low in enumerate(lows):
+        valence = lexicon.get(low)
+        if valence is None or low in BOOSTERS:  # adds nothing to the sum
             continue
-        sentiments.append(_token_valence(lexicon, words, i, is_cap_diff))
-    sentiments = _but_reweight(words, sentiments)
+        if caps[i]:
+            valence += CAPS_INCREMENT if valence > 0 else -CAPS_INCREMENT
+        # up to three preceding context words: boosters decay with distance,
+        # negations flip; context words that carry their own valence are skipped
+        for j, decay in ((i - 1, 1.0), (i - 2, 0.95), (i - 3, 0.9)):
+            if j < 0:
+                break
+            prev = lows[j]
+            if prev in lexicon:
+                continue
+            scalar = BOOSTERS.get(prev)
+            if scalar is not None:
+                if valence < 0:
+                    scalar = -scalar
+                if caps[j]:
+                    scalar += CAPS_INCREMENT if valence > 0 else -CAPS_INCREMENT
+                valence += scalar * decay
+            if prev in NEGATIONS or "n't" in prev:
+                valence *= NEGATION_SCALAR
+        # a "but" halves the words before it and weighs those after by 1.5
+        if but is not None and i != but:
+            valence *= 0.5 if i < but else 1.5
+        sentiments.append(valence)
     total = sum(sentiments)
     if total == 0.0:
         return 0.0
-    exclamations = min(sum(t.count("!") for t in tokens), MAX_EXCLAMATIONS)
+    exclamations = min("".join(tokens).count("!"), MAX_EXCLAMATIONS)
     emphasis = exclamations * EXCLAMATION_INCREMENT
     total += emphasis if total > 0 else -emphasis
     return normalize_valence_sum(total)

@@ -1147,6 +1147,31 @@ def test_non_utf8_input_names_file_and_offset(pipeline, tmp_path, capsys, which)
     assert str(path) in err and "offset 40" in err
 
 
+@pytest.mark.parametrize("which", ["ohlcv", "tweets", "lexicon"])
+def test_an_input_with_a_byte_order_mark_ingests_as_without_one(pipeline, tmp_path, capsys,
+                                                                 which):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_bytes(LEXICON.read_bytes())
+    pipeline.write_text(pipeline.read_text().replace(str(LEXICON), str(lexicon)))
+    tweets = tmp_path / "AAA_tweets.csv"
+    # "good" is the lexicon's first entry, the one a byte-order mark would hide
+    tweets.write_text(tweets.read_text() + "2021-01-06T10:00:00,good call\n")
+    path = {"ohlcv": tmp_path / "AAA.csv", "tweets": tweets, "lexicon": lexicon}[which]
+
+    def ingest():
+        capsys.readouterr()
+        assert cli.main(["ingest", "--config", str(pipeline), "--asset", "AAA"]) == 0
+        out = tmp_path / "out"
+        written = {name: (out / name).read_bytes()
+                   for name in ("aligned/AAA.json", "sentiment/AAA.csv", "repair/AAA.jsonl")}
+        return capsys.readouterr(), written
+
+    plain = ingest()
+    assert json.loads(plain[1]["aligned/AAA.json"])["sentiment"][2] > 0
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert ingest() == plain
+
+
 @pytest.mark.parametrize("which", ["config", "ohlcv", "tweets", "lexicon"])
 def test_directory_input_is_data_error_naming_it(pipeline, tmp_path, capsys, which):
     folder = (tmp_path / "folder").resolve()

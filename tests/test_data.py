@@ -335,3 +335,25 @@ def test_save_aligned_failure_keeps_previous_file(tmp_path, monkeypatch):
         D.save_aligned(make_aligned(10), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["aligned.json"]
+
+
+def test_readers_skip_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"\xef\xbb\xbfdate,open\r\n\xef\xbb\xbf1\n")
+    assert D.read_utf8(path) == "date,open\r\n\ufeff1\n"
+    assert list(D.utf8_lines(path)) == ["date,open\r\n", "\ufeff1\n"]
+
+
+def test_a_bad_byte_after_a_byte_order_mark_counts_from_the_first_byte(tmp_path):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"\xef\xbb\xbfab\xffc\n")
+    message = re.escape(f"{path}: not UTF-8 text (invalid byte at offset 5)")
+    for read in (D.read_utf8, lambda p: list(D.utf8_lines(p))):
+        with pytest.raises(DataError, match=message):
+            read(path)
+
+
+def test_blank_rows_are_skipped_and_keep_their_line_numbers():
+    source = ["date,open\n", "\n", " , \t\n", "2024-01-02,10\n", ",\n", "x,\n"]
+    assert list(D.csv_rows(source, "f", ["date", "open"])) == [
+        (4, ["2024-01-02", "10"]), (6, ["x", ""])]
