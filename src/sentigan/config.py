@@ -79,10 +79,7 @@ _RULES = {
         "batch_size": _int_from(1),
         "max_epochs": _int_from(0),
         "early_stop_patience": _int_from(1),
-        "plateau_factor": (lambda v: _is_finite(v) and 0 < v < 1, "a number in (0, 1)"),
         "plateau_patience": _int_from(1),
-        "validation_fraction": (lambda v: _is_finite(v) and 0 <= v < 1,
-                                "a number in [0, 1)"),
     },
     "gan": {
         "learning_rate": _RATE,

@@ -73,14 +73,12 @@ class Windows:
     histories: np.ndarray  # (N, L, 6)
     sentiments: np.ndarray  # (N,) compound at each window's last history day
     targets: np.ndarray  # (N, 6) next-day observations
-    dates: list[Date]  # (N,) target dates
 
     def __len__(self):
-        return len(self.dates)
+        return len(self.targets)
 
     def __getitem__(self, rows: slice) -> Windows:
-        return Windows(self.histories[rows], self.sentiments[rows], self.targets[rows],
-                       self.dates[rows])
+        return Windows(self.histories[rows], self.sentiments[rows], self.targets[rows])
 
 
 def _parse_field(value, name, at):
@@ -202,8 +200,7 @@ def make_windows(aligned: AlignedDataset, window_length: int) -> Windows:
     histories = sliding_window_view(features[:-1], window_length, axis=0)
     return Windows(histories=histories.transpose(0, 2, 1),
                    sentiments=sentiment[window_length - 1 : -1],
-                   targets=features[window_length:],
-                   dates=aligned.dates[window_length:])
+                   targets=features[window_length:])
 
 
 # each split policy's rule: the index of the first held-out of `total` items

@@ -43,6 +43,10 @@ DTYPE = np.float32
 # the sign each gate's block takes in _signed_weights: -1 for the sigmoids;
 # float32, so that a product keeps theta's dtype, float32 or float64
 _SIGNS = np.array([-1.0, -1.0, -1.0, 1.0], dtype=np.float32)[:, None, None]
+# the trailing share of train's windows held out for validation, and the
+# factor a validation plateau multiplies the learning rate by
+VALIDATION_FRACTION = 0.15
+PLATEAU_FACTOR = 0.5
 
 
 class LstmModel:
@@ -105,9 +109,7 @@ class TrainSchedule:
     batch_size: int = 32
     max_epochs: int = 200
     early_stop_patience: int = 10
-    plateau_factor: float = 0.5
     plateau_patience: int = 5
-    validation_fraction: float = 0.15
 
 
 def _signed_weights(model):
@@ -252,7 +254,7 @@ def sequence_loss(model, xs, targets, workspace=None):
 
 def train(windows: Windows, schedule: TrainSchedule, seed: int):
     """Fit on the chronologically earlier part of `windows`, early-stop on the
-    trailing validation_fraction, return (model, log rows).
+    trailing VALIDATION_FRACTION, return (model, log rows).
 
     Log rows are dicts: epoch, train_loss, val_loss, lr."""
     if schedule.max_epochs > 0 and len(windows) < 2 * schedule.batch_size:
@@ -268,12 +270,8 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
     if schedule.max_epochs == 0:
         return model, log
 
-    n_val = max(1, int(round(schedule.validation_fraction * len(windows))))
-    if len(windows) - n_val < 1:
-        raise TrainingError(
-            f"the validation split takes {n_val} of {len(windows)} windows, "
-            "leaving none to train on"
-        )
+    # at least 2 windows reach here, so at least one is left to train on
+    n_val = max(1, int(round(VALIDATION_FRACTION * len(windows))))
     xs = scaler_transform(model.scaler, histories).astype(DTYPE)
     ys = scaler_transform(model.scaler, targets)[:, CLOSE_COLUMN].astype(DTYPE)
     xs_train, y_train = xs[:-n_val], ys[:-n_val]
@@ -315,7 +313,7 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
                 if epochs_since_improvement >= schedule.early_stop_patience:
                     break
                 if epochs_since_improvement % schedule.plateau_patience == 0:
-                    adam.learning_rate *= schedule.plateau_factor
+                    adam.learning_rate *= PLATEAU_FACTOR
     if best_theta is not None:
         model.theta[...] = best_theta
     return model, log

@@ -56,7 +56,7 @@ BOOSTERS.update(
     }
 )
 
-URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)")
+URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)", re.IGNORECASE)
 HANDLE_RE = re.compile(r"@\w+")
 CASHTAG_RE = re.compile(r"\$[A-Za-z]+\b")
 
@@ -87,8 +87,10 @@ def load_lexicon(source, name="lexicon source") -> dict:
 def clean_text(raw: str) -> list[str]:
     """Strip URLs, @handles and $cashtags; split trailing emphasis punctuation
     into its own token; drop other punctuation. Case is preserved."""
-    # each pattern needs its literal trigger, so a text without one skips it
-    text = URL_RE.sub(" ", raw) if "http" in raw or "www." in raw else raw
+    # each pattern needs its literal trigger, so a text without one skips it;
+    # a URL's trigger may be in any letter case
+    lowered = raw.lower()
+    text = URL_RE.sub(" ", raw) if "http" in lowered or "www." in lowered else raw
     if "@" in text:
         text = HANDLE_RE.sub(" ", text)
     if "$" in text:

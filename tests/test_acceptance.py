@@ -190,7 +190,7 @@ def test_criterion_5_lstm_synthetic_competence():
     assert rmse < 0.25 * rmse_persistence, (rmse, rmse_persistence)
 
     # the returned weights reproduce the minimum validation loss in the log
-    n_val = max(1, int(round(schedule.validation_fraction * len(train_part))))
+    n_val = max(1, int(round(lstm.VALIDATION_FRACTION * len(train_part))))
     val_part = train_part[-n_val:]
     xs_val = scaler_transform(model.scaler, val_part.histories)
     y_val = scaler_transform(model.scaler, val_part.targets)[:, CLOSE_COLUMN]

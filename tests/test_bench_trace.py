@@ -1,9 +1,12 @@
-"""One traced pass of the benchmark yields a number for every per-layer metric."""
+"""One traced pass of the benchmark yields a number for every per-layer metric,
+and every config the benchmark writes loads."""
 
 import math
 from pathlib import Path
 
 import pytest
+
+from sentigan.config import load_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,3 +40,18 @@ def test_traced_pass_gives_every_per_layer_metric_as_a_finite_number(bench, tmp_
            if isinstance(m["value"], bool) or not isinstance(m["value"], (int, float))
            or not math.isfinite(m["value"])}
     assert not bad, bad
+
+
+def test_every_config_the_benchmark_writes_loads(bench, tmp_path):
+    # a key that a workload sets and the program no longer knows would
+    # otherwise fail only in the benchmark, as a failed run
+    run, selftest, workloads = bench
+    for workload in workloads.WORKLOADS:
+        config = workloads.generate(workload, 1, run.ROOT, tmp_path / workload)
+        assert load_config(config).assets, workload
+    # the self-test's cut: the fleet's head with its tiny settings
+    lines = (tmp_path / "fleet" / "config.yaml").read_text().splitlines()
+    tiny = tmp_path / "fleet" / "tiny.yaml"
+    head = lines[: len(lines) - len(workloads.FLEET_SETTINGS)]
+    tiny.write_text("\n".join(head + selftest.TINY_SETTINGS) + "\n")
+    assert load_config(tiny).lstm.max_epochs == 2

@@ -149,9 +149,6 @@ def test_config_rejects_unknown_hyperparameter(tmp_path):
     ("lstm", "max_epochs", -1),
     ("lstm", "learning_rate", 0.0),
     ("lstm", "learning_rate", -1e-3),
-    ("lstm", "validation_fraction", 1.0),
-    ("lstm", "validation_fraction", -0.1),
-    ("lstm", "plateau_factor", 1.5),
     ("arima", "p_max", -1),
     pytest.param("gan", "epochs", 10 ** 400, id="'gan'-'epochs'-10**400"),
     pytest.param("lstm", "hidden_size", 10 ** 400, id="'lstm'-'hidden_size'-10**400"),
@@ -185,7 +182,11 @@ def test_deeply_nested_config_value_is_data_error_naming_file(pipeline, capsys, 
     (None, {"windw_length": 5}),  # a typo, which would run with the default of 20
     (None, {"workers": 4}),  # retired: assets are always processed one after another
     (None, {"split_policies": {"lstm": "fraction_70_30"}}),  # retired: each model's is fixed
-], ids=["lstm", "top_level", "retired_workers", "retired_split_policies"])
+    # retired: the LSTM always validates on 15% and halves its rate on a plateau
+    ("lstm", {"validation_fraction": 0.2}),
+    ("lstm", {"plateau_factor": 0.3}),
+], ids=["lstm", "top_level", "retired_workers", "retired_split_policies",
+        "retired_validation_fraction", "retired_plateau_factor"])
 def test_unknown_key_is_usage_error_naming_it(pipeline, capsys, section, keys):
     raw = yaml.safe_load(pipeline.read_text())
     (raw if section is None else raw.setdefault(section, {})).update(keys)
@@ -524,18 +525,6 @@ def test_diverging_group_member_is_named(pipeline, capsys, monkeypatch):
     assert "BBB/gan: non-finite gradient" in err and "AAA" not in err
 
 
-def test_validation_split_leaving_no_training_window_is_named(pipeline, capsys):
-    pipeline.write_text(pipeline.read_text().replace(
-        "lstm:\n", "lstm:\n  validation_fraction: 0.999\n"))
-    assert cli.main(["ingest", "--config", str(pipeline)]) == 0
-    capsys.readouterr()
-    assert cli.main(["train", "--config", str(pipeline), "--model", "lstm",
-                     "--asset", "AAA"]) == cli.EXIT_INTERNAL
-    err = capsys.readouterr().err
-    assert "AAA/lstm: the validation split takes 77 of 77 windows" in err
-    assert not (pipeline.parent / "out" / "models" / "AAA_lstm.json").exists()
-
-
 def test_diverging_lstm_is_named_and_writes_no_artifact(pipeline, capsys):
     # measured on this pipeline: the float32 LSTM trains at a learning rate
     # of 1e16 and its loss overflows at 1e18; a float64 one trained at 1e38
@@ -661,9 +650,9 @@ def test_stale_artifact_names_artifact_and_aligned_dataset(
     policy = SPLIT_POLICIES[model]
     if model == "arima":
         last = split_boundary(len(aligned.dates), policy) - 1
-    else:  # the target row of the last train window
+    else:  # the target row of the last train window: window i's is row i + L
         windows = make_windows(aligned, cfg.window_length)
-        last = aligned.dates.index(windows.dates[split_boundary(len(windows), policy) - 1])
+        last = split_boundary(len(windows), policy) - 1 + cfg.window_length
 
     def change_value_and_train_the_others(row):
         payload = json.loads(path.read_text())

@@ -174,7 +174,7 @@ def test_window_contents_and_overlap():
     assert np.array_equal(windows.histories[0], aligned.features[0:5])
     assert np.array_equal(windows.targets[0], aligned.features[5])
     assert np.array_equal(windows.histories[1, :-1], windows.histories[0, 1:])
-    assert windows.dates[-1] == aligned.dates[-1]
+    assert np.array_equal(windows.targets[-1], aligned.features[-1])
 
 
 def test_window_sentiment_is_last_history_day():
@@ -194,7 +194,6 @@ def test_window_targets_reconstruct_series():
     aligned = make_aligned(30)
     windows = D.make_windows(aligned, 7)
     assert np.array_equal(windows.targets, aligned.features[7:])
-    assert windows.dates == aligned.dates[7:]
 
 
 def test_windows_are_read_only_views_of_the_aligned_array():
@@ -214,11 +213,10 @@ def test_sliced_windows_equal_the_rows_of_a_fresh_call(rows):
     aligned = make_aligned(12)
     part = D.make_windows(aligned, 5)[rows]
     fresh = D.make_windows(aligned, 5)
-    assert len(part) == len(fresh.dates[rows])
+    assert len(part) == len(fresh.targets[rows])
     assert np.array_equal(part.histories, fresh.histories[rows])
     assert np.array_equal(part.sentiments, fresh.sentiments[rows])
     assert np.array_equal(part.targets, fresh.targets[rows])
-    assert part.dates == fresh.dates[rows]
 
 
 # ---------------------------------------------------------------- split

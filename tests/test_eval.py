@@ -100,8 +100,9 @@ def test_partition_holds_out_the_rows_after_the_stamped_ones(model, policy):
     assert boundary == split_boundary(len(items), policy)
     # the first held-out target is the first row the artifact's stamp does not hash
     first = rows - len(items) + boundary
-    target_dates = aligned.dates if model == "arima" else items.dates
-    assert target_dates[boundary - 1:boundary + 1] == aligned.dates[first - 1:first + 1]
+    targets = items if model == "arima" else items.targets[:, CLOSE_COLUMN]
+    assert np.array_equal(targets[boundary - 1:boundary + 1],
+                          aligned.features[first - 1:first + 1, CLOSE_COLUMN])
 
 
 def test_evaluate_arima_row_counts():

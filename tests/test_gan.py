@@ -1,6 +1,5 @@
 import json
 from dataclasses import replace
-from datetime import date
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ def scaled_windows(rng, length=6, count=1):
     draws = [(rng.uniform(-0.9, 0.9, size=(length, 6)), rng.uniform(-1, 1),
               rng.uniform(-0.9, 0.9, size=6)) for _ in range(count)]
     histories, sentiments, targets = (np.array(a) for a in zip(*draws))
-    return Windows(histories, sentiments, targets, [date(2021, 1, 1)] * count)
+    return Windows(histories, sentiments, targets)
 
 
 def zero_net(net):

@@ -326,16 +326,8 @@ def test_train_too_few_samples():
         lstm.train(line_windows(40, 10), TrainSchedule(batch_size=32), seed=0)
 
 
-def test_validation_split_leaving_no_training_window_errors():
-    windows = line_windows(60, 5)
-    schedule = TrainSchedule(batch_size=4, max_epochs=2, validation_fraction=0.999)
-    with pytest.raises(TrainingError, match="55 of 55 windows"):
-        lstm.train(windows, schedule, seed=0)
-
-
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 0), ("max_epochs", -1), ("learning_rate", 0.0), ("learning_rate", -1e-3),
-    ("validation_fraction", 1.0), ("validation_fraction", -0.1),
 ])
 def test_schedule_rejects_out_of_range_values(tmp_path, field, value):
     # the config's rule table is the one check of a schedule's values
@@ -356,7 +348,7 @@ def test_noiseless_line_beats_persistence():
         plateau_patience=60,
     )
     model, log = lstm.train(windows, schedule, seed=0)
-    n_val = max(1, int(round(schedule.validation_fraction * len(windows))))
+    n_val = max(1, int(round(lstm.VALIDATION_FRACTION * len(windows))))
     test_part = windows[-n_val:]
     preds = lstm.predict(model, test_part)
     actual = test_part.targets[:, CLOSE_COLUMN]
@@ -378,7 +370,7 @@ def test_early_stopping_returns_best_validation_weights():
     schedule = TrainSchedule(max_epochs=40, early_stop_patience=5, plateau_patience=3)
     model, log = lstm.train(windows, schedule, seed=7)
     assert log, "expected a non-empty training log"
-    n_val = max(1, int(round(schedule.validation_fraction * len(windows))))
+    n_val = max(1, int(round(lstm.VALIDATION_FRACTION * len(windows))))
     xs_val, y_val = scaled_windows(model, windows[-n_val:])
     workspace = Workspace(*xs_val.shape[:2], model.hidden_size, model.theta.dtype)
     final_val = lstm.sequence_loss(model, xs_val, y_val, workspace)[0]

@@ -1,5 +1,3 @@
-from datetime import date
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,7 +97,7 @@ def test_fitted_windows_scale_into_the_unit_range_exactly(n, length, data):
     for rows in (histories, targets):
         unit = scaler_transform(scaler, rows)
         assert np.all((unit >= 0.0) & (unit <= 1.0))
-    windows = Windows(histories, sentiments, targets, [date(2021, 1, 1)] * n)
+    windows = Windows(histories, sentiments, targets)
     unclipped = np.concatenate(
         [gan._to_tanh_range(scaler_transform(scaler, histories)).reshape(n, -1),
          sentiments[:, None]], axis=1)

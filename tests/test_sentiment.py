@@ -62,6 +62,15 @@ def test_clean_strips_url_keeps_emphasis():
     ]
 
 
+@pytest.mark.parametrize("text", ["GOOD https://t.co/x", "GOOD HTTPS://t.co/x",
+                                  "GOOD Https://t.co/x", "GOOD WWW.example.com"])
+def test_url_is_stripped_whatever_its_case(lexicon, text):
+    # a link left in as a word would make GOOD an ALL-CAPS word among mixed
+    # case ones, and boost it
+    assert clean_text(text) == ["GOOD"]
+    assert score_text(lexicon, text) == pytest.approx(0.4404, abs=1e-4)
+
+
 def test_clean_strips_handle_and_cashtag():
     assert clean_text("@user $TSLA GREAT day") == ["GREAT", "day"]
 
