@@ -58,8 +58,8 @@ class ArimaModel:
 def adf_statistic(series) -> float:
     """Augmented Dickey-Fuller t-statistic of the unit-root coefficient, in a
     regression with constant and floor(n^(1/3)) lagged differences; NaN where
-    the regression is degenerate, as for a constant series. The series is
-    stationary iff the statistic falls below ADF_CRITICAL_5PCT."""
+    the regression is degenerate, as for a constant series, or overflows. The
+    series is stationary iff the statistic falls below ADF_CRITICAL_5PCT."""
     y = np.asarray(series, dtype=float)
     n = len(y)
     lag = int(np.floor(n ** (1.0 / 3.0)))
@@ -68,6 +68,8 @@ def adf_statistic(series) -> float:
     if np.ptp(y) == 0.0:
         return float("nan")
     dy = np.diff(y)
+    if not np.isfinite(dy).all():  # LAPACK's least squares cannot solve it
+        return float("nan")
     # regress dy[t] on [1, y[t-1], dy[t-1..t-lag]]
     rows = len(dy) - lag
     x = np.empty((rows, 2 + lag))

@@ -147,16 +147,15 @@ def _read_tweets(path: Path) -> tuple[list, list[str]]:
     return days, texts
 
 
-def _daily_sentiment(cfg, asset, dates):
-    """Score the asset's tweet file and aggregate it onto `dates`: each day's
-    mean compound, each day's tweet count and the count of tweets dated after
-    the last day. An asset without one yields zeros and no counts (a
-    header-only sentiment CSV), with a warning."""
+def _daily_sentiment(lexicon, asset, dates):
+    """Score the asset's tweet file with `lexicon` and aggregate it onto
+    `dates`: each day's mean compound, each day's tweet count and the count
+    of tweets dated after the last day. An asset without one yields zeros and
+    no counts (a header-only sentiment CSV), with a warning."""
     if asset.tweets_path is None:
         print(f"warning: no tweet file for {asset.symbol}; sentiment set to 0",
               file=sys.stderr)
         return np.zeros(len(dates)), np.zeros(0, dtype=int), 0
-    lexicon = load_lexicon(read_utf8(cfg.lexicon_path).splitlines(), cfg.lexicon_path)
     days, texts = _read_tweets(asset.tweets_path)
     return aggregate_daily(days, [score_text(lexicon, t) for t in texts], dates)
 
@@ -165,10 +164,13 @@ def _daily_sentiment(cfg, asset, dates):
 
 
 def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
-    for asset in _select_assets(cfg, asset_symbol):
+    assets = _select_assets(cfg, asset_symbol)
+    lexicon = (load_lexicon(read_utf8(cfg.lexicon_path).splitlines(), cfg.lexicon_path)
+               if any(a.tweets_path is not None for a in assets) else None)
+    for asset in assets:
         dates, values, rows = load_ohlcv(utf8_lines(asset.ohlcv_path), asset.ohlcv_path)
         dates, features, repair_log = repair_missing(dates, values)
-        means, counts, dropped = _daily_sentiment(cfg, asset, dates)
+        means, counts, dropped = _daily_sentiment(lexicon, asset, dates)
         save_aligned(AlignedDataset(asset.symbol, dates, features, means),
                      _aligned_path(cfg, asset.symbol))
         write_atomic(

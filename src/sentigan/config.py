@@ -3,7 +3,8 @@ loaded from a YAML file.
 
 Each setting has one default: the fields of `lstm.TrainSchedule` and
 `gan.GanSchedule`, the keywords of `arima.select_order`, and `load_config`
-for the rest. `_RULES` is the one check of each value a file sets.
+for the rest. `_RULES` is the one check of each value a file sets, an integer
+or a list of widths; the learning rates are constants of `lstm` and `gan`.
 
 Paths in the file are resolved relative to the file's own directory, so a
 config can travel with its fixtures.
@@ -11,7 +12,6 @@ config can travel with its fixtures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from inspect import signature
 from pathlib import Path
@@ -48,15 +48,6 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_finite(v) -> bool:
-    """A number that converts to a finite float; an int past the float range
-    does not."""
-    try:
-        return not isinstance(v, bool) and math.isfinite(v)
-    except (TypeError, OverflowError):
-        return False
-
-
 # the largest integer setting; larger ones overflow numpy shapes and float math
 INT_MAX = 2 ** 31 - 1
 
@@ -65,7 +56,6 @@ def _int_from(low):
     return lambda v: _is_int(v) and low <= v <= INT_MAX, f"an integer in [{low}, {INT_MAX}]"
 
 
-_RATE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
 _WIDTHS = (lambda v: isinstance(v, (list, tuple)) and all(_is_int(w) and w >= 1 for w in v),
            "a list of integers >= 1")
 
@@ -75,14 +65,12 @@ _RULES = {
     "arima": {"p_max": _int_from(0), "q_max": _int_from(0)},
     "lstm": {
         "hidden_size": _int_from(1),
-        "learning_rate": _RATE,
         "batch_size": _int_from(1),
         "max_epochs": _int_from(0),
         "early_stop_patience": _int_from(1),
         "plateau_patience": _int_from(1),
     },
     "gan": {
-        "learning_rate": _RATE,
         "batch_size": _int_from(1),
         "epochs": _int_from(0),
         "gen_hidden": _WIDTHS,

@@ -55,12 +55,16 @@ class AlignedDataset:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
+        aligned = cls(
             symbol=d["symbol"],
             dates=[Date.fromisoformat(s) for s in d["dates"]],
             features=finite_floats(d["features"], "features"),
             sentiment=finite_floats(d["sentiment"], "sentiment"),
         )
+        # the signs ingest enforces (prices, then volume); forward-fill can break high/low order
+        if (aligned.features[:, :-1] <= 0).any() or (aligned.features[:, -1] < 0).any():
+            raise DataError("features must hold prices > 0 and volumes >= 0")
+        return aligned
 
 
 @dataclass(frozen=True)

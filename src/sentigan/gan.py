@@ -44,6 +44,8 @@ LOG_EPS = 1e-12
 DTYPE = np.float32
 # the generator's hidden and output activations
 GEN_ACTIVATIONS = ("relu", "tanh")
+# both networks' Adam learning rate, the DCGAN rate (Radford et al. 2016)
+LEARNING_RATE = 0.0002
 
 
 class Generator(Dense):
@@ -74,7 +76,6 @@ class Generator(Dense):
 class GanSchedule:
     """The GAN's settings: the config's `gan` section, checked by config._RULES."""
 
-    learning_rate: float = 0.0002
     batch_size: int = 5
     epochs: int = 300
     gen_hidden: tuple = (128, 64)
@@ -223,8 +224,8 @@ def _setup(members, rng, schedule: GanSchedule):
 def _fit(gen, disc, gen_in, targets, schedule: GanSchedule, rng):
     """Run the epochs on the stacked pair in place; returns the losses
     (steps, 2, K)."""
-    gen_adam = AdamState(learning_rate=schedule.learning_rate)
-    disc_adam = AdamState(learning_rate=schedule.learning_rate)
+    gen_adam = AdamState(learning_rate=LEARNING_RATE)
+    disc_adam = AdamState(learning_rate=LEARNING_RATE)
     starts = range(0, gen_in.shape[1], schedule.batch_size)
     losses = np.empty((schedule.epochs * len(starts), 2, len(gen_in)))
     step = 0

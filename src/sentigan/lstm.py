@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import CLOSE_COLUMN, FEATURE_COLUMNS, Windows, flat_floats, positive_ints
 from .errors import TrainingError
-from .nn import carve
+from .nn import carve, glorot_uniform
 from .optim import AdamState, adam_step
 from .scaling import ScalerParams, close_inverse, scaler_fit_windows, scaler_transform
 
@@ -43,8 +43,10 @@ DTYPE = np.float32
 # the sign each gate's block takes in _signed_weights: -1 for the sigmoids;
 # float32, so that a product keeps theta's dtype, float32 or float64
 _SIGNS = np.array([-1.0, -1.0, -1.0, 1.0], dtype=np.float32)[:, None, None]
-# the trailing share of train's windows held out for validation, and the
-# factor a validation plateau multiplies the learning rate by
+# Adam's learning rate (its default, Kingma & Ba 2015), the trailing share
+# of train's windows held out for validation, and the factor a validation
+# plateau multiplies the learning rate by
+LEARNING_RATE = 0.001
 VALIDATION_FRACTION = 0.15
 PLATEAU_FACTOR = 0.5
 
@@ -74,19 +76,15 @@ class LstmModel:
                    scaler: ScalerParams, dtype=np.float64) -> "LstmModel":
         """Glorot-uniform weights and zero biases in `dtype`, drawn in
         float64: writing into a float32 theta rounds them as a cast would."""
-        def glorot(w):
-            bound = np.sqrt(6.0 / sum(w.shape))
-            w[...] = rng.uniform(-bound, bound, size=w.shape)
-
         h = hidden_size
         theta = np.zeros(4 * h * (input_size + h + 1) + h + 1, dtype=dtype)
         model = cls(h, input_size, theta, scaler)
         # this draw order (per gate in GATES order: w, then u; then the
         # head) fixes a seed's initial values
         for w, u in zip(np.split(model.w, len(GATES)), np.split(model.u, len(GATES))):
-            glorot(w)
-            glorot(u)
-        glorot(model.head_weights)
+            glorot_uniform(rng, w)
+            glorot_uniform(rng, u)
+        glorot_uniform(rng, model.head_weights)
         return model
 
     def to_dict(self):
@@ -105,7 +103,6 @@ class TrainSchedule:
     """The LSTM's settings: the config's `lstm` section, checked by config._RULES."""
 
     hidden_size: int = 32
-    learning_rate: float = 0.001
     batch_size: int = 32
     max_epochs: int = 200
     early_stop_patience: int = 10
@@ -257,7 +254,7 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
     trailing VALIDATION_FRACTION, return (model, log rows).
 
     Log rows are dicts: epoch, train_loss, val_loss, lr."""
-    if schedule.max_epochs > 0 and len(windows) < 2 * schedule.batch_size:
+    if len(windows) < 2 * schedule.batch_size:
         raise TrainingError(
             f"need at least {2 * schedule.batch_size} samples, got {len(windows)}"
         )
@@ -266,9 +263,6 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
     # the scaler draws nothing from rng, so the seed's weights do not depend on it
     scaler = scaler_fit_windows(histories, targets)
     model = LstmModel.initialize(rng, schedule.hidden_size, histories.shape[-1], scaler, DTYPE)
-    log: list[dict] = []
-    if schedule.max_epochs == 0:
-        return model, log
 
     # at least 2 windows reach here, so at least one is left to train on
     n_val = max(1, int(round(VALIDATION_FRACTION * len(windows))))
@@ -277,7 +271,8 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
     xs_train, y_train = xs[:-n_val], ys[:-n_val]
     xs_val, y_val = xs[-n_val:], ys[-n_val:]
 
-    adam = AdamState(learning_rate=schedule.learning_rate)
+    adam = AdamState(learning_rate=LEARNING_RATE)
+    log: list[dict] = []
     best_val = np.inf
     best_theta = None
     epochs_since_improvement = 0

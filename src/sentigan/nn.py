@@ -89,6 +89,12 @@ class Dense:
         return Dense(self.sizes, self.activations, np.repeat(self.theta[None], count, axis=0))
 
 
+def glorot_uniform(rng, w):
+    """Fill w (fan_out, fan_in) in place from U(±sqrt(6 / (fan_in + fan_out)))."""
+    bound = np.sqrt(6.0 / sum(w.shape))
+    w[...] = rng.uniform(-bound, bound, size=w.shape)
+
+
 def build_mlp(rng, in_size, hidden, out_size, hidden_activation, out_activation):
     """Dense network in_size -> hidden[0] -> ... -> out_size, seeded:
     Glorot-uniform weights for saturating/identity units, He-scaled normal
@@ -97,12 +103,10 @@ def build_mlp(rng, in_size, hidden, out_size, hidden_activation, out_activation)
     activations = [hidden_activation] * (len(sizes) - 2) + [out_activation]
     net = Dense(sizes, activations, np.zeros(sum(map(math.prod, param_shapes(sizes)))))
     for w, activation in zip(net.weights, activations):
-        fan_out, fan_in = w.shape
         if activation in ("relu", "leaky_relu"):
-            w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)  # fan_in
         else:
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            glorot_uniform(rng, w)
     return net
 
 

@@ -151,7 +151,7 @@ def sentiment_jump_asset(seed, n=500, phi=0.9, sigma=1.0, jump_scale=3.0):
 
 def test_criterion_4_gan_synthetic_convergence():
     length = 10
-    schedule = GanSchedule(learning_rate=0.0002, batch_size=5, epochs=200,
+    schedule = GanSchedule(batch_size=5, epochs=200,
                            gen_hidden=(64, 32), disc_hidden=(32, 16))
     wins = 0
     sensitivities = []

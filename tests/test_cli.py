@@ -100,9 +100,7 @@ def test_load_fleet_config_defaults():
     assert cfg.seed == 7
     assert cfg.window_length == 20
     assert cfg.arima == {"p_max": 3, "q_max": 3}  # select_order's defaults
-    assert cfg.lstm.learning_rate == 0.001
     assert cfg.lstm.max_epochs == 60  # file override on top of defaults
-    assert cfg.gan.learning_rate == 0.0002
     assert cfg.gan.batch_size == 5
 
 
@@ -139,16 +137,11 @@ def test_config_rejects_unknown_hyperparameter(tmp_path):
     ("gan", "epochs", 1.5),
     ("gan", "gen_hidden", 5),
     ("gan", "gen_hidden", [0]),
-    ("gan", "learning_rate", float("nan")),
-    ("gan", "learning_rate", -0.1),
     ("gan", "batch_size", 0),
-    pytest.param("gan", "learning_rate", 10 ** 400, id="'gan'-'learning_rate'-10**400"),
     ("lstm", "hidden_size", 0),
     ("lstm", "batch_size", 0),
     ("lstm", "max_epochs", True),
     ("lstm", "max_epochs", -1),
-    ("lstm", "learning_rate", 0.0),
-    ("lstm", "learning_rate", -1e-3),
     ("arima", "p_max", -1),
     pytest.param("gan", "epochs", 10 ** 400, id="'gan'-'epochs'-10**400"),
     pytest.param("lstm", "hidden_size", 10 ** 400, id="'lstm'-'hidden_size'-10**400"),
@@ -185,8 +178,12 @@ def test_deeply_nested_config_value_is_data_error_naming_file(pipeline, capsys, 
     # retired: the LSTM always validates on 15% and halves its rate on a plateau
     ("lstm", {"validation_fraction": 0.2}),
     ("lstm", {"plateau_factor": 0.3}),
+    # retired: the LSTM trains at Adam's default rate, the GAN at DCGAN's
+    ("lstm", {"learning_rate": 0.002}),
+    ("gan", {"learning_rate": 0.0001}),
 ], ids=["lstm", "top_level", "retired_workers", "retired_split_policies",
-        "retired_validation_fraction", "retired_plateau_factor"])
+        "retired_validation_fraction", "retired_plateau_factor",
+        "retired_lstm_learning_rate", "retired_gan_learning_rate"])
 def test_unknown_key_is_usage_error_naming_it(pipeline, capsys, section, keys):
     raw = yaml.safe_load(pipeline.read_text())
     (raw if section is None else raw.setdefault(section, {})).update(keys)
@@ -219,7 +216,7 @@ def test_rule_table_matches_the_settings_and_their_defaults():
 
 
 @pytest.mark.parametrize("section, key", [
-    ("arima", "p_max"), ("lstm", "learning_rate"), ("gan", "learning_rate")])
+    ("arima", "p_max"), ("lstm", "plateau_patience"), ("gan", "batch_size")])
 def test_config_that_writes_out_a_default_evaluates(pipeline, section, key):
     # a setting written out at its default is the same config, so the
     # artifacts trained without it are current
@@ -525,17 +522,34 @@ def test_diverging_group_member_is_named(pipeline, capsys, monkeypatch):
     assert "BBB/gan: non-finite gradient" in err and "AAA" not in err
 
 
-def test_diverging_lstm_is_named_and_writes_no_artifact(pipeline, capsys):
+def test_diverging_lstm_is_named_and_writes_no_artifact(pipeline, capsys, monkeypatch):
     # measured on this pipeline: the float32 LSTM trains at a learning rate
     # of 1e16 and its loss overflows at 1e18; a float64 one trained at 1e38
-    pipeline.write_text(pipeline.read_text().replace(
-        "lstm:\n", "lstm:\n  learning_rate: 1.0e+30\n"))
+    from sentigan import lstm
+
+    monkeypatch.setattr(lstm, "LEARNING_RATE", 1e30)
     assert cli.main(["ingest", "--config", str(pipeline)]) == 0
     capsys.readouterr()
     assert cli.main(["train", "--config", str(pipeline), "--model", "lstm"]) == cli.EXIT_INTERNAL
     err = capsys.readouterr().err
     assert "AAA/lstm: training diverged (non-finite loss) at epoch 0" in err
     assert not (pipeline.parent / "out" / "models" / "AAA_lstm.json").exists()
+
+
+def test_overflowing_closes_fail_arima_stationarity_by_name(pipeline, capfd):
+    # one bar at 1.7e308: the ADF regression's differences overflow, and
+    # LAPACK's least squares cannot solve it; the statistic is NaN instead
+    csv_path = pipeline.parent / "AAA.csv"
+    lines = csv_path.read_text().splitlines()
+    day, *_, volume = lines[60].split(",")
+    lines[60] = ",".join([day, *["1.7e308"] * 5, volume])
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["ingest", "--config", str(pipeline)]) == 0
+    capfd.readouterr()
+    assert cli.main(["train", "--config", str(pipeline), "--model", "arima"]) == cli.EXIT_INTERNAL
+    out, err = capfd.readouterr()
+    assert "AAA/arima: no differencing order in 0..2 achieves stationarity" in err
+    assert "LinAlgError" not in err and "DLASCL" not in out
 
 
 def test_gan_artifact_has_no_discriminator_and_old_ones_still_load(pipeline, tmp_path):
@@ -860,11 +874,15 @@ def nested_format(model, artifact):
     # finite as read, but past float32's range, the dtype both networks load in
     ("evaluate", "models/AAA_gan.json", ("artifact", "theta", -1), 1e39),
     ("evaluate", "models/AAA_lstm.json", ("artifact", "theta", -1), 1e39),
+    # a sign ingest refuses: a price <= 0 or a negative volume
+    ("train", "aligned/AAA.json", ("features", 50, 3), -1.0),
+    ("train", "aligned/AAA.json", ("features", 50, 5), -1.0),
 ], ids=["aligned_nan_close", "train_aligned_nan_close", "arima_nan_intercept",
         "lstm_inf_head_bias", "gan_nan_weight", "report_nan_prediction",
         "arima_p_past_its_coefficients", "arima_d5", "aligned_true_sentiment",
         "lstm_false_gate_bias", "report_true_prediction", "report_string_prediction",
-        "gan_float32_overflow_bias", "lstm_float32_overflow_head_bias"])
+        "gan_float32_overflow_bias", "lstm_float32_overflow_head_bias",
+        "aligned_negative_close", "aligned_negative_volume"])
 def test_read_back_value_that_cannot_be_used_names_file(
         pipeline, tmp_path, capsys, command, relpath, keys, value):
     # json.loads reads NaN and Infinity; the order's p must match the AR

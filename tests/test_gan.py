@@ -243,12 +243,12 @@ def step_inputs(g, batch):
     return gen_in, real_in, fake, gen_caches, np.concatenate([fake, gen_in], axis=1)
 
 
-def run_step(g, d, batch, schedule, gen_adam=None, disc_adam=None):
+def run_step(g, d, batch, gen_adam=None, disc_adam=None):
     gen_in = step_inputs(g, batch)[0]
     return gan.train_step(
         g, d, gen_in, batch.targets,
-        gen_adam or AdamState(learning_rate=schedule.learning_rate),
-        disc_adam or AdamState(learning_rate=schedule.learning_rate),
+        gen_adam or AdamState(learning_rate=gan.LEARNING_RATE),
+        disc_adam or AdamState(learning_rate=gan.LEARNING_RATE),
     )
 
 
@@ -293,7 +293,8 @@ def test_generator_update_gradients_are_unchanged_bitwise():
 def test_zero_learning_rate_reports_losses_without_moving():
     g, d, batch = make_step_fixture()
     before = [g.theta.copy(), d.theta.copy()]
-    d_loss, g_loss = run_step(g, d, batch, GanSchedule(learning_rate=0.0))
+    d_loss, g_loss = run_step(g, d, batch, AdamState(learning_rate=0.0),
+                              AdamState(learning_rate=0.0))
     assert np.isfinite(d_loss) and np.isfinite(g_loss)
     assert np.array_equal(g.theta, before[0])
     assert np.array_equal(d.theta, before[1])
@@ -301,10 +302,9 @@ def test_zero_learning_rate_reports_losses_without_moving():
 
 def test_step_count_bookkeeping():
     g, d, batch = make_step_fixture()
-    schedule = GanSchedule()
-    gen_adam = AdamState(learning_rate=schedule.learning_rate)
-    disc_adam = AdamState(learning_rate=schedule.learning_rate)
-    run_step(g, d, batch, schedule, gen_adam, disc_adam)
+    gen_adam = AdamState(learning_rate=gan.LEARNING_RATE)
+    disc_adam = AdamState(learning_rate=gan.LEARNING_RATE)
+    run_step(g, d, batch, gen_adam, disc_adam)
     assert disc_adam.step_count == 1
     assert gen_adam.step_count == 1
 
@@ -320,7 +320,7 @@ def test_train_step_runs_each_network_forward_once_per_job(monkeypatch):
         return forward(layers, x)
 
     monkeypatch.setattr(gan, "forward", counted)
-    run_step(g, d, batch, GanSchedule())
+    run_step(g, d, batch)
     assert calls == [5, 10, 5]
 
 
@@ -521,17 +521,17 @@ def test_member_with_unscalable_data_is_named():
 
 
 @pytest.mark.parametrize("model", ["lstm", "gan"])
-def test_divergence_is_a_training_error_under_warnings_as_errors(model):
+def test_divergence_is_a_training_error_under_warnings_as_errors(model, monkeypatch):
     # the suite makes RuntimeWarning an error: an overflow on the way to a
     # non-finite loss or gradient must not stop training before that check
     rng = np.random.default_rng(3)
     windows = make_windows(aligned_from_close(100.0 + np.cumsum(rng.normal(size=120))), 20)
+    monkeypatch.setattr(lstm if model == "lstm" else gan, "LEARNING_RATE", 1e20)
     with pytest.raises(TrainingError) as e:
         if model == "lstm":
-            lstm.train(windows, TrainSchedule(hidden_size=8, batch_size=16, learning_rate=1e20),
-                       seed=0)
+            lstm.train(windows, TrainSchedule(hidden_size=8, batch_size=16), seed=0)
         else:
-            gan.train([windows], GanSchedule(learning_rate=1e20, **SMALL), seed=0)
+            gan.train([windows], GanSchedule(**SMALL), seed=0)
     if model == "gan":
         assert e.value.member == 0
 

@@ -15,7 +15,7 @@ from sentigan.eval import evaluate
 from sentigan.lstm import LstmModel, TrainSchedule, Workspace
 from sentigan.nn import carve
 from sentigan.optim import AdamState, adam_step
-from sentigan.scaling import scaler_transform
+from sentigan.scaling import scaler_fit_windows, scaler_transform
 
 
 def zero_model(hidden=3, inputs=2):
@@ -327,7 +327,7 @@ def test_train_too_few_samples():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("batch_size", 0), ("max_epochs", -1), ("learning_rate", 0.0), ("learning_rate", -1e-3),
+    ("batch_size", 0), ("max_epochs", -1),
 ])
 def test_schedule_rejects_out_of_range_values(tmp_path, field, value):
     # the config's rule table is the one check of a schedule's values
@@ -344,7 +344,7 @@ def test_noiseless_line_beats_persistence():
     # from every gradient update
     windows = line_windows(200, 20)
     schedule = TrainSchedule(
-        hidden_size=16, learning_rate=0.002, max_epochs=2000, early_stop_patience=150,
+        hidden_size=16, max_epochs=2000, early_stop_patience=150,
         plateau_patience=60,
     )
     model, log = lstm.train(windows, schedule, seed=0)
@@ -386,7 +386,8 @@ def scaled_windows(model, windows):
 
 def test_forward_only_pass_equals_training_forward():
     windows = line_windows(60, 6)
-    model, _ = lstm.train(windows, TrainSchedule(hidden_size=5, max_epochs=0), seed=4)
+    scaler = scaler_fit_windows(windows.histories, windows.targets)
+    model = LstmModel.initialize(np.random.default_rng(4), 5, 6, scaler, lstm.DTYPE)
     xs, ys = scaled_windows(model, windows)
     workspace = Workspace(len(xs), 6, 5, model.theta.dtype)
     kept = lstm.sequence_loss(model, xs, ys, workspace)
