@@ -9,14 +9,17 @@ Run from any directory:
 The inputs are written by perfbench.workloads.generate into a temporary
 directory, `sentigan run` runs on them from this checkout's src/, and one
 `sha256  path` line is printed per file under out/, sorted by path
-relative to out/. The run's own output goes to stderr. The exit code is the
-run's.
+relative to out/. Each models/*.json also gets a `sha256  path without stamp`
+line: the hash of its payload without the "stamp" key, dumped with sorted
+keys, so that a change to the stamp alone leaves those lines equal. The
+run's own output goes to stderr. The exit code is the run's.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -44,6 +47,11 @@ def main(argv=None) -> int:
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(out)}")
+            if path.parent.name == "models" and path.suffix == ".json":
+                payload = json.loads(path.read_bytes())
+                payload.pop("stamp", None)
+                digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+                print(f"{digest}  {path.relative_to(out)} without stamp")
     return code
 
 

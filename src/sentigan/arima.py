@@ -16,6 +16,7 @@ from scipy.optimize import minimize
 
 from .data import flat_floats
 from .errors import DataError, TrainingError, UsageError
+from .nn import carve
 
 ADF_CRITICAL_5PCT = -2.86  # constant-only case
 
@@ -31,45 +32,41 @@ class ArimaOrder:
             raise DataError(f"invalid ARIMA order ({self.p},{self.d},{self.q})")
 
 
-@dataclass
 class ArimaModel:
-    order: ArimaOrder
-    intercept: float
-    ar_coeffs: np.ndarray
-    ma_coeffs: np.ndarray
+    """The order and the vector `params` = [c, φ…, θ…] that `fit` minimizes
+    over. `ar_coeffs` and `ma_coeffs` are views of `params`, and `intercept`
+    its first value, carved once."""
+
+    def __init__(self, order: ArimaOrder, params: np.ndarray):
+        self.order, self.params = order, params
+        (self.intercept,), self.ar_coeffs, self.ma_coeffs = carve(
+            params, [(1,), (order.p,), (order.q,)])
 
     def to_dict(self):
-        """The order and the vector [c, φ…, θ…] that `fit` minimizes over."""
-        return {"order": [self.order.p, self.order.d, self.order.q],
-                "params": np.concatenate(([self.intercept], self.ar_coeffs,
-                                          self.ma_coeffs)).tolist()}
+        return {"order": [self.order.p, self.order.d, self.order.q], "params": self.params.tolist()}
 
     @classmethod
     def from_dict(cls, d):
-        order = ArimaOrder(*d["order"])
-        p, q = order.p, order.q
-        params = flat_floats(d["params"], "ARIMA params")
-        if len(params) != 1 + p + q:
-            raise DataError(f"order ({p},{order.d},{q}) needs 1 + p + q = {1 + p + q} "
-                            f"params, got {len(params)}")
-        return cls(order, float(params[0]), params[1 : 1 + p], params[1 + p :])
+        return cls(ArimaOrder(*d["order"]), flat_floats(d["params"], "ARIMA params"))
 
 
 def adf_statistic(series) -> float:
     """Augmented Dickey-Fuller t-statistic of the unit-root coefficient, in a
     regression with constant and floor(n^(1/3)) lagged differences; NaN where
-    the regression is degenerate, as for a constant series, or overflows. The
-    series is stationary iff the statistic falls below ADF_CRITICAL_5PCT."""
+    the regression is degenerate, as for a constant series, or the differences
+    overflow. The series is stationary iff the statistic falls below
+    ADF_CRITICAL_5PCT."""
     y = np.asarray(series, dtype=float)
     n = len(y)
     lag = int(np.floor(n ** (1.0 / 3.0)))
     if n <= lag + 10:
         raise DataError(f"series too short for ADF with lag {lag}: {n} <= {lag + 10}")
-    if np.ptp(y) == 0.0:
-        return float("nan")
+    if np.ptp(y) == 0.0 or not np.isfinite(np.diff(y)).all():
+        return float("nan")  # constant, or differences LAPACK's lstsq cannot solve
+    # the statistic is invariant to y's shift and scale; on [0, 1] the rank
+    # cutoffs of lstsq and pinv never bite against the constant column
+    y = (y - y.min()) / np.ptp(y)
     dy = np.diff(y)
-    if not np.isfinite(dy).all():  # LAPACK's least squares cannot solve it
-        return float("nan")
     # regress dy[t] on [1, y[t-1], dy[t-1..t-lag]]
     rows = len(dy) - lag
     x = np.empty((rows, 2 + lag))
@@ -170,7 +167,7 @@ def fit(train, order: ArimaOrder) -> ArimaModel:
                 f"|grad| = {np.linalg.norm(result.jac):.3e}"
             )
         params = result.x
-    return ArimaModel(order, float(params[0]), params[1 : 1 + p].copy(), params[1 + p :].copy())
+    return ArimaModel(order, params)
 
 
 def aic(css_value: float, n: int, p: int, q: int) -> float:
@@ -227,7 +224,9 @@ def select_order(train, p_max: int = 3, q_max: int = 3) -> ArimaModel:
             # score every cell on the same residual sample (drop the first
             # p_max - p residuals) so AIC values are comparable across orders
             e = e[p_max - p :]
-            candidates[(aic(float(e @ e), len(e), p, q), p + q, p, q)] = model
+            score = aic(float(e @ e), len(e), p, q)
+            if np.isfinite(score):  # residual squares that overflow are no fit
+                candidates[(score, p + q, p, q)] = model
     if not candidates:
         raise TrainingError("order selection failed on the whole (p, q) grid")
     return candidates[min(candidates)]

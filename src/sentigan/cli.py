@@ -34,8 +34,7 @@ from .data import (
     write_atomic,
 )
 from .errors import DataError, DimensionError, SentiganError, UsageError
-from .eval import (MODEL_NAMES, SPLIT_POLICIES, ForecastReport, MetricSet, aggregate, evaluate,
-                   partition)
+from .eval import MODEL_NAMES, ForecastReport, MetricSet, aggregate, evaluate, partition
 from .lstm import LstmModel
 from .sentiment import aggregate_daily, load_lexicon, score_text
 
@@ -190,15 +189,14 @@ def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
 
 
 def _stamp(cfg, aligned, model) -> str:
-    """The SHA-256 of what training `model` on `aligned` reads: the model name,
-    its split policy and config section, a windowed model's seed and window
-    length, and the dates, features and sentiment of its train rows."""
+    """The SHA-256 of what training `model` on `aligned` reads: the model name
+    and config section, a windowed model's seed and window length, and the
+    dates, features and sentiment of its train rows, which fix its split."""
     settings = cfg.arima if model == "arima" else {
         **asdict(getattr(cfg, model)), "seed": cfg.seed, "window_length": cfg.window_length}
     items, boundary = partition(model, aligned, cfg.window_length)
     rows = len(aligned.dates) - len(items) + boundary  # train window i reads rows i to i + L
-    text = json.dumps([model, SPLIT_POLICIES[model], settings, aligned.dates[:rows]],
-                      sort_keys=True, default=str)
+    text = json.dumps([model, settings, aligned.dates[:rows]], sort_keys=True, default=str)
     return hashlib.sha256(text.encode() + aligned.features[:rows].tobytes()
                           + aligned.sentiment[:rows].tobytes()).hexdigest()
 

@@ -207,21 +207,6 @@ def make_windows(aligned: AlignedDataset, window_length: int) -> Windows:
                    targets=features[window_length:])
 
 
-# each split policy's rule: the index of the first held-out of `total` items
-_SPLIT_RULES = {
-    "fraction_90_10": lambda total: int(np.floor(0.9 * total)),
-    "fraction_70_30": lambda total: int(np.floor(0.7 * total)),
-    "holdout_last_20": lambda total: total - 20,
-}
-
-
-def split_boundary(total: int, policy: str) -> int:
-    boundary = _SPLIT_RULES[policy](total)
-    if boundary <= 0 or boundary >= total:
-        raise DataError(f"split {policy} on {total} items leaves an empty partition")
-    return boundary
-
-
 def read_utf8(path) -> str:
     """A file's UTF-8 text without a leading byte-order mark; other bytes, or
     a path that cannot be read (a directory, say), are a DataError naming the

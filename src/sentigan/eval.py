@@ -1,9 +1,9 @@
 """Forecast metrics, per-asset evaluation, cross-asset aggregation.
 
 Metrics are the standard regression measures (MAE, MSE, RMSE, MAPE as a
-fraction). `partition` is the one train/holdout split: of training, of the
-stamp the command line checks an artifact by, and of evaluation, which
-scores a trained artifact on the held-out items.
+fraction). `partition` applies `SPLITS`, each model's one train/holdout
+split: of training, of the stamp the command line checks an artifact by,
+and of evaluation, which scores a trained artifact on the held-out items.
 Aggregation produces mean/median RMSE and win counts per model across assets.
 """
 
@@ -17,12 +17,14 @@ import numpy as np
 from . import arima as arima_mod
 from . import gan as gan_mod
 from . import lstm as lstm_mod
-from .data import CLOSE_COLUMN, AlignedDataset, finite_floats, make_windows, split_boundary
+from .data import CLOSE_COLUMN, AlignedDataset, finite_floats, make_windows
 from .errors import DataError, DimensionError, UsageError
 
 MODEL_NAMES = ("arima", "lstm", "gan")
-# each model's holdout protocol, a policy of data.split_boundary
-SPLIT_POLICIES = {"arima": "fraction_90_10", "lstm": "fraction_70_30", "gan": "holdout_last_20"}
+# each model's holdout: the index of the first held-out of `total` items
+SPLITS = {"arima": lambda total: int(np.floor(0.9 * total)),
+          "lstm": lambda total: int(np.floor(0.7 * total)),
+          "gan": lambda total: total - 20}
 
 
 @dataclass
@@ -112,7 +114,10 @@ def partition(model_name: str, aligned: AlignedDataset, window_length: int):
     Held-out item 0 is the target of row T - len(items) + boundary."""
     items = (aligned.features[:, CLOSE_COLUMN] if model_name == "arima"
              else make_windows(aligned, window_length))
-    return items, split_boundary(len(items), SPLIT_POLICIES[model_name])
+    boundary = SPLITS[model_name](len(items))
+    if boundary <= 0 or boundary >= len(items):
+        raise DataError(f"the split of {len(items)} items leaves an empty partition")
+    return items, boundary
 
 
 def evaluate(model_name: str, artifact, aligned: AlignedDataset,

@@ -2,7 +2,8 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from sentigan.data import AlignedDataset, split_boundary
+from sentigan.data import AlignedDataset
+from sentigan.eval import SPLITS
 from sentigan.scaling import ScalerParams
 
 
@@ -34,6 +35,6 @@ def scaler_over(width=6):
 
 
 def holdout_split(windows):
-    """The (train, held-out) windows of the holdout_last_20 policy."""
-    boundary = split_boundary(len(windows), "holdout_last_20")
+    """The (train, held-out) windows of the GAN's split."""
+    boundary = SPLITS["gan"](len(windows))
     return windows[:boundary], windows[boundary:]

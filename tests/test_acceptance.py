@@ -13,8 +13,8 @@ from gradcheck import finite_difference_check, numerical_gradient, relative_erro
 from sentigan import arima, cli, gan, lstm
 from sentigan.arima import ArimaOrder
 from sentigan.config import load_config
-from sentigan.data import CLOSE_COLUMN, load_aligned, make_windows, split_boundary
-from sentigan.eval import SPLIT_POLICIES, ForecastReport, MetricSet, aggregate
+from sentigan.data import CLOSE_COLUMN, load_aligned, make_windows
+from sentigan.eval import SPLITS, ForecastReport, MetricSet, aggregate
 from sentigan.gan import GanSchedule, build_discriminator, build_generator
 from sentigan.lstm import LstmModel, TrainSchedule
 from sentigan.nn import build_mlp, forward
@@ -230,9 +230,9 @@ def test_criterion_7_sentiment_oracle_equivalence():
 def test_criterion_8_protocol_audits(tmp_path, monkeypatch):
     # split boundary arithmetic
     for total in (100, 101, 137, 40):
-        assert split_boundary(total, "fraction_90_10") == int(np.floor(0.9 * total))
-        assert split_boundary(total, "fraction_70_30") == int(np.floor(0.7 * total))
-        assert split_boundary(total, "holdout_last_20") == total - 20
+        assert SPLITS["arima"](total) == int(np.floor(0.9 * total))
+        assert SPLITS["lstm"](total) == int(np.floor(0.7 * total))
+        assert SPLITS["gan"](total) == total - 20
 
     # scaler parameters never depend on the test partition
     # (windows are read-only views of the aligned rows, so the rows that only
@@ -265,7 +265,7 @@ def test_criterion_8_protocol_audits(tmp_path, monkeypatch):
         report = json.loads(path.read_text())
         dates = load_aligned(tmp_path / "out" / "aligned" / f"{report['symbol']}.json").dates
         skip = 0 if report["model"] == "arima" else cfg.window_length
-        start = skip + split_boundary(len(dates) - skip, SPLIT_POLICIES[report["model"]])
+        start = skip + SPLITS[report["model"]](len(dates) - skip)
         assert [r["date"] for r in report["rows"]] == [d.isoformat() for d in dates[start:]]
 
 

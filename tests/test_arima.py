@@ -57,6 +57,17 @@ def test_adf_too_short_errors():
         arima.adf_statistic(np.arange(8.0))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_adf_statistic_is_scale_free(seed):
+    # on prices far from 1 the constant column once made the rank cutoffs
+    # bite: these walks read -50.4, -18.1 and -126.6 at 1e5, and NaN at 1e12
+    y = 100.0 + random_walk(216, seed=seed)
+    want, want_d = arima.adf_statistic(y), arima.select_differencing(y)
+    for scale in 10.0 ** np.arange(-9, 201):
+        assert arima.adf_statistic(y * scale) == pytest.approx(want, rel=1e-9), scale
+        assert arima.select_differencing(y * scale) == want_d, scale
+
+
 # ---------------------------------------------------------------- order selection
 
 
@@ -203,10 +214,7 @@ def test_random_walk_forecast_is_last_value_plus_drift():
 
 
 def test_ar1_forecast_recursion():
-    model = arima.ArimaModel(
-        ArimaOrder(1, 0, 0), intercept=0.5, ar_coeffs=np.array([0.7]),
-        ma_coeffs=np.empty(0),
-    )
+    model = arima.ArimaModel(ArimaOrder(1, 0, 0), np.array([0.5, 0.7]))
     history = np.array([1.0, 2.0, 3.0])
     assert arima.forecast_one_step(model, history) == pytest.approx(0.5 + 0.7 * 3.0)
 
@@ -223,19 +231,13 @@ def test_rolling_forecast_deterministic():
 def test_differencing_round_trip_d2():
     # integrating a (0,2,0) forecast reproduces the level recursion exactly
     y = np.cumsum(np.cumsum(np.random.default_rng(3).normal(size=200)))
-    model = arima.ArimaModel(
-        ArimaOrder(0, 2, 0), intercept=0.0, ar_coeffs=np.empty(0),
-        ma_coeffs=np.empty(0),
-    )
+    model = arima.ArimaModel(ArimaOrder(0, 2, 0), np.zeros(1))
     forecast = arima.forecast_one_step(model, y)
     assert forecast == pytest.approx(2 * y[-1] - y[-2])
 
 
 def test_forecast_insufficient_history_errors():
-    model = arima.ArimaModel(
-        ArimaOrder(3, 1, 0), intercept=0.0, ar_coeffs=np.zeros(3),
-        ma_coeffs=np.empty(0),
-    )
+    model = arima.ArimaModel(ArimaOrder(3, 1, 0), np.zeros(4))
     with pytest.raises(UsageError):
         arima.forecast_one_step(model, np.array([1.0, 2.0]))
 
@@ -245,8 +247,7 @@ def test_ma_terms_need_p_plus_d_plus_q_values(length):
     # order (3, 1, 3) conditions on 3 differences, then reads 3 residuals, so
     # it needs 3 + 1 + 3 = 7 values: with 5 the residual index ran past the
     # start, and with 6 it wrapped round to the newest residual
-    model = arima.ArimaModel(ArimaOrder(3, 1, 3), intercept=0.0, ar_coeffs=np.full(3, 0.1),
-                             ma_coeffs=np.full(3, 0.1))
+    model = arima.ArimaModel(ArimaOrder(3, 1, 3), np.append(0.0, np.full(6, 0.1)))
     y = random_walk(8, seed=1)
     with pytest.raises(UsageError):
         arima.forecast_one_step(model, y[:length])

@@ -12,7 +12,8 @@ import pytest
 
 from sentigan import arima
 from sentigan.arima import ArimaModel, ArimaOrder
-from sentigan.data import CLOSE_COLUMN, load_ohlcv, repair_missing, split_boundary, utf8_lines
+from sentigan.data import CLOSE_COLUMN, load_ohlcv, repair_missing, utf8_lines
+from sentigan.eval import SPLITS
 
 FLEET = Path(__file__).parent / "fixtures" / "fleet"
 ORDERS = [(p, d, q) for d in (0, 1, 2) for p in range(4) for q in range(4)]
@@ -56,14 +57,14 @@ def model_of(order, rng):
     """Small random coefficients: the sum of |theta| stays below 0.9, so the
     MA polynomial is invertible."""
     p, d, q = order
-    return ArimaModel(ArimaOrder(p, d, q), float(rng.normal(0.0, 0.1)),
-                      rng.uniform(-0.3, 0.3, p), rng.uniform(-0.3, 0.3, q))
+    return ArimaModel(ArimaOrder(p, d, q), np.concatenate(
+        ([rng.normal(0.0, 0.1)], rng.uniform(-0.3, 0.3, p), rng.uniform(-0.3, 0.3, q))))
 
 
 @pytest.mark.parametrize("name", SERIES)
 def test_one_pass_equals_the_per_prefix_reference_bitwise(name):
     y = series(name)
-    start = split_boundary(len(y), "fraction_90_10")
+    start = SPLITS["arima"](len(y))
     rng = np.random.default_rng(len(y))
     unequal = []
     for order in ORDERS:

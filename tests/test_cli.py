@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from sentigan import arima, cli, config
 from sentigan.config import RunConfig, load_config
-from sentigan.data import CLOSE_COLUMN, load_aligned, make_windows, split_boundary
+from sentigan.data import CLOSE_COLUMN, load_aligned, make_windows
 from sentigan.errors import DataError, UsageError
-from sentigan.eval import SPLIT_POLICIES, ForecastReport, MetricSet
+from sentigan.eval import SPLITS, ForecastReport, MetricSet
 from sentigan.gan import GanSchedule
 from sentigan.lstm import LstmModel, TrainSchedule
 
@@ -537,8 +537,10 @@ def test_diverging_lstm_is_named_and_writes_no_artifact(pipeline, capsys, monkey
 
 
 def test_overflowing_closes_fail_arima_stationarity_by_name(pipeline, capfd):
-    # one bar at 1.7e308: the ADF regression's differences overflow, and
-    # LAPACK's least squares cannot solve it; the statistic is NaN instead
+    # one bar at 1.7e308: the differences of the differenced closes
+    # overflow, and LAPACK's least squares cannot solve them, so d = 1 and
+    # d = 2 have a NaN statistic; the closes themselves, scaled onto [0, 1],
+    # pass at d = 0, but every cell's residual sum of squares overflows
     csv_path = pipeline.parent / "AAA.csv"
     lines = csv_path.read_text().splitlines()
     day, *_, volume = lines[60].split(",")
@@ -548,7 +550,7 @@ def test_overflowing_closes_fail_arima_stationarity_by_name(pipeline, capfd):
     capfd.readouterr()
     assert cli.main(["train", "--config", str(pipeline), "--model", "arima"]) == cli.EXIT_INTERNAL
     out, err = capfd.readouterr()
-    assert "AAA/arima: no differencing order in 0..2 achieves stationarity" in err
+    assert "AAA/arima: order selection failed on the whole (p, q) grid" in err
     assert "LinAlgError" not in err and "DLASCL" not in out
 
 
@@ -599,6 +601,24 @@ def test_train_rerun_byte_identical(pipeline, tmp_path):
     assert cli.main(["train", "--config", str(pipeline), "--model", "lstm",
                      "--asset", "AAA"]) == 0
     assert artifact.read_bytes() == first
+
+
+def test_asset_too_short_for_the_gan_split_is_refused_naming_it(tmp_path, monkeypatch, capsys):
+    # 25 rows at window length 10 are 15 windows: the LSTM holds out the last
+    # 5 of them (and trains on 10, in batches of 4), but the GAN's 20
+    # held-out windows leave none to train on
+    monkeypatch.chdir(tmp_path)
+    config = mini_config(tmp_path, n=25)
+    config.write_text(config.read_text().replace("batch_size: 16", "batch_size: 4"))
+    config = str(config)
+    assert cli.main(["ingest", "--config", config, "--asset", "AAA"]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", config, "--model", "gan",
+                     "--asset", "AAA"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "AAA/gan" in err and "empty partition" in err
+    assert not (tmp_path / "out" / "models" / "AAA_gan.json").exists()
+    assert cli.main(["train", "--config", config, "--model", "lstm", "--asset", "AAA"]) == 0
 
 
 def test_evaluate_missing_artifact_names_cell(pipeline, tmp_path, capsys):
@@ -661,12 +681,11 @@ def test_stale_artifact_names_artifact_and_aligned_dataset(
     cfg = load_config(pipeline)
     path = tmp_path / "out" / "aligned" / "AAA.json"
     aligned = load_aligned(path)
-    policy = SPLIT_POLICIES[model]
     if model == "arima":
-        last = split_boundary(len(aligned.dates), policy) - 1
+        last = SPLITS[model](len(aligned.dates)) - 1
     else:  # the target row of the last train window: window i's is row i + L
         windows = make_windows(aligned, cfg.window_length)
-        last = split_boundary(len(windows), policy) - 1 + cfg.window_length
+        last = SPLITS[model](len(windows)) - 1 + cfg.window_length
 
     def change_value_and_train_the_others(row):
         payload = json.loads(path.read_text())
@@ -704,7 +723,7 @@ def test_arima_artifact_of_a_too_short_train_partition_is_stale(pipeline, tmp_pa
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     cfg = load_config(pipeline)
     aligned = load_aligned(tmp_path / "out" / "aligned" / "AAA.json")
-    model = arima.ArimaModel(arima.ArimaOrder(100, 1, 10), 0.0, np.zeros(100), np.zeros(10))
+    model = arima.ArimaModel(arima.ArimaOrder(100, 1, 10), np.zeros(111))
     (tmp_path / "out" / "models" / "AAA_arima.json").write_text(json.dumps(
         {"model": "arima", "artifact": model.to_dict(),
          "stamp": cli._stamp(cfg, aligned, "arima")}))

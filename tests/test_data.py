@@ -5,11 +5,8 @@ import re
 import numpy as np
 import pytest
 from conftest import aligned_from_close
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sentigan import data as D
-from sentigan.eval import SPLIT_POLICIES
 from sentigan.errors import DataError
 
 
@@ -217,49 +214,6 @@ def test_sliced_windows_equal_the_rows_of_a_fresh_call(rows):
     assert np.array_equal(part.histories, fresh.histories[rows])
     assert np.array_equal(part.sentiments, fresh.sentiments[rows])
     assert np.array_equal(part.targets, fresh.targets[rows])
-
-
-# ---------------------------------------------------------------- split
-
-
-@pytest.mark.parametrize(
-    "total,policy,train_size",
-    [(100, "fraction_90_10", 90), (100, "fraction_70_30", 70), (120, "holdout_last_20", 100)],
-)
-def test_split_sizes(total, policy, train_size):
-    assert D.split_boundary(total, policy) == train_size
-
-
-@settings(max_examples=60)
-@given(
-    total=st.integers(min_value=2, max_value=500),
-    policy=st.sampled_from(list(SPLIT_POLICIES.values())),
-)
-def test_split_partitions_disjoint_exhaustive_causal(total, policy):
-    items = list(range(total))
-    try:
-        boundary = D.split_boundary(total, policy)
-    except DataError:
-        if policy == "holdout_last_20":
-            assert total <= 20
-        return
-    train, test = items[:boundary], items[boundary:]
-    assert train and test
-    assert train + test == items  # order preserved, exhaustive
-    assert max(train) < min(test)  # causality
-    if policy == "fraction_90_10":
-        assert len(train) == int(np.floor(0.9 * total))
-    elif policy == "fraction_70_30":
-        assert len(train) == int(np.floor(0.7 * total))
-    else:
-        assert len(test) == 20
-
-
-def test_split_empty_partition_errors():
-    with pytest.raises(DataError):
-        D.split_boundary(1, "fraction_90_10")
-    with pytest.raises(DataError):
-        D.split_boundary(10, "holdout_last_20")
 
 
 # ---------------------------------------------------------------- serialization

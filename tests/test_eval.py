@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import aligned_from_close, holdout_split
 from sentigan import arima, eval as ev, gan, lstm
 from sentigan.arima import ArimaOrder
-from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
+from sentigan.data import CLOSE_COLUMN, make_windows
 from sentigan.errors import DataError, DimensionError, UsageError
 from sentigan.eval import AggregateReport, ForecastReport, MetricSet
 from sentigan.gan import GanSchedule
@@ -91,13 +91,60 @@ def ar1_aligned(seed=0, n=120, base=50.0):
     return aligned_from_close(base + z, sentiment=rng.uniform(-1, 1, size=n))
 
 
-@pytest.mark.parametrize("model, policy", ev.SPLIT_POLICIES.items())
-def test_partition_holds_out_the_rows_after_the_stamped_ones(model, policy):
+# ---------------------------------------------------------------- split
+
+
+def aligned_of(model, total):
+    """A dataset of which `model`'s partition at window length 1 has `total` items."""
+    return ar1_aligned(n=total if model == "arima" else total + 1)
+
+
+@pytest.mark.parametrize(
+    "total,model,train_size", [(100, "arima", 90), (100, "lstm", 70), (120, "gan", 100)],
+)
+def test_split_sizes(total, model, train_size):
+    items, boundary = ev.partition(model, aligned_of(model, total), 1)
+    assert (len(items), boundary) == (total, train_size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    total=st.integers(min_value=2, max_value=500),
+    model=st.sampled_from(ev.MODEL_NAMES),
+)
+def test_split_partitions_disjoint_exhaustive_causal(total, model):
+    items = list(range(total))
+    try:
+        _, boundary = ev.partition(model, aligned_of(model, total), 1)
+    except DataError:
+        assert model == "gan" and total <= 20
+        return
+    train, test = items[:boundary], items[boundary:]
+    assert train and test
+    assert train + test == items  # order preserved, exhaustive
+    assert max(train) < min(test)  # causality
+    if model == "arima":
+        assert len(train) == int(np.floor(0.9 * total))
+    elif model == "lstm":
+        assert len(train) == int(np.floor(0.7 * total))
+    else:
+        assert len(test) == 20
+
+
+def test_split_empty_partition_errors():
+    with pytest.raises(DataError, match="empty partition"):
+        ev.partition("arima", aligned_of("arima", 1), 1)
+    with pytest.raises(DataError, match="empty partition"):
+        ev.partition("gan", aligned_of("gan", 10), 1)
+
+
+@pytest.mark.parametrize("model", ev.MODEL_NAMES)
+def test_partition_holds_out_the_rows_after_the_stamped_ones(model):
     aligned, length = ar1_aligned(), 8
     rows = len(aligned.dates)
     items, boundary = ev.partition(model, aligned, length)
     assert len(items) == (rows if model == "arima" else rows - length)
-    assert boundary == split_boundary(len(items), policy)
+    assert boundary == ev.SPLITS[model](len(items))
     # the first held-out target is the first row the artifact's stamp does not hash
     first = rows - len(items) + boundary
     targets = items if model == "arima" else items.targets[:, CLOSE_COLUMN]
@@ -108,7 +155,7 @@ def test_partition_holds_out_the_rows_after_the_stamped_ones(model, policy):
 def test_evaluate_arima_row_counts():
     aligned = ar1_aligned()
     closes = aligned.features[:, CLOSE_COLUMN]
-    boundary = split_boundary(len(closes), "fraction_90_10")
+    boundary = ev.SPLITS["arima"](len(closes))
     model = arima.fit(closes[:boundary], ArimaOrder(1, 0, 0))
     report = ev.evaluate("arima", model, aligned, 20)
     assert len(report.dates) == len(report.predicted) == len(report.actual) == 12
@@ -120,7 +167,7 @@ def test_evaluate_arima_partition_mismatch_errors():
     # a (100, 1, 10) forecast needs 111 values, more than the train
     # partition's 108, so no fit on this partition wrote the model
     aligned = ar1_aligned()
-    model = arima.ArimaModel(ArimaOrder(100, 1, 10), 0.0, np.zeros(100), np.zeros(10))
+    model = arima.ArimaModel(ArimaOrder(100, 1, 10), np.zeros(111))
     with pytest.raises(DataError, match="not trained on this train partition"):
         ev.evaluate("arima", model, aligned, 20)
 
@@ -154,7 +201,7 @@ def test_evaluate_rejects_unknown_model():
 def test_evaluate_rerun_identical():
     aligned = ar1_aligned(6)
     closes = aligned.features[:, CLOSE_COLUMN]
-    boundary = split_boundary(len(closes), "fraction_90_10")
+    boundary = ev.SPLITS["arima"](len(closes))
     model = arima.fit(closes[:boundary], ArimaOrder(1, 0, 1))
     a = ev.evaluate("arima", model, aligned, 20)
     b = ev.evaluate("arima", model, aligned, 20)
@@ -164,7 +211,7 @@ def test_evaluate_rerun_identical():
 def test_report_json_round_trip():
     aligned = ar1_aligned(7)
     closes = aligned.features[:, CLOSE_COLUMN]
-    boundary = split_boundary(len(closes), "fraction_90_10")
+    boundary = ev.SPLITS["arima"](len(closes))
     model = arima.fit(closes[:boundary], ArimaOrder(1, 0, 0))
     report = ev.evaluate("arima", model, aligned, 20)
     restored = ForecastReport.from_dict(report.to_dict())

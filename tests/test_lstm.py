@@ -9,9 +9,9 @@ from conftest import aligned_from_close, scaler_over
 from gradcheck import numerical_gradient, relative_error
 from sentigan import lstm
 from sentigan.config import load_config
-from sentigan.data import CLOSE_COLUMN, make_windows, split_boundary
+from sentigan.data import CLOSE_COLUMN, make_windows
 from sentigan.errors import DataError, DimensionError, TrainingError
-from sentigan.eval import evaluate
+from sentigan.eval import SPLITS, evaluate
 from sentigan.lstm import LstmModel, TrainSchedule, Workspace
 from sentigan.nn import carve
 from sentigan.optim import AdamState, adam_step
@@ -314,7 +314,7 @@ def test_sentiment_column_does_not_reach_the_lstm():
     results = []
     for aligned in (flat, moody):
         windows = make_windows(aligned, 5)
-        boundary = split_boundary(len(windows), "fraction_70_30")
+        boundary = SPLITS["lstm"](len(windows))
         model, _ = lstm.train(windows[:boundary], schedule, seed=6)
         report = evaluate("lstm", model, aligned, window_length=5)
         results.append((model.to_dict(), report.to_dict()))
