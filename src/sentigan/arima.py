@@ -61,8 +61,9 @@ def adf_statistic(series) -> float:
     lag = int(np.floor(n ** (1.0 / 3.0)))
     if n <= lag + 10:
         raise DataError(f"series too short for ADF with lag {lag}: {n} <= {lag + 10}")
-    if np.ptp(y) == 0.0 or not np.isfinite(np.diff(y)).all():
-        return float("nan")  # constant, or differences LAPACK's lstsq cannot solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.ptp(y) == 0.0 or not np.isfinite(np.diff(y)).all():
+            return float("nan")  # constant, or differences LAPACK's lstsq cannot solve
     # the statistic is invariant to y's shift and scale; on [0, 1] the rank
     # cutoffs of lstsq and pinv never bite against the constant column
     y = (y - y.min()) / np.ptp(y)

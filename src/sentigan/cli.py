@@ -56,17 +56,13 @@ def build_parser() -> _Parser:
         ("ingest", "validate, repair and align the assets and score their tweets"),
         ("train", "fit model artifacts for the configured assets"),
         ("evaluate", "produce per-asset reports and the aggregate table"),
-        ("plot", "emit an SVG + CSV of predicted vs actual closes"),
+        ("plot", "draw each asset's forecasts and actual close in one SVG"),
         ("run", "full pipeline: ingest, train, evaluate, plot"),
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the YAML run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name == "plot":
-            p.add_argument("--asset", required=True, help="the symbol to plot")
-            p.add_argument("--model", required=True, choices=MODEL_NAMES)
-        else:
-            p.add_argument("--asset", default=None, help="restrict to one symbol")
+        p.add_argument("--asset", default=None, help="restrict to one symbol")
         if name == "train":
             p.add_argument("--model", default="all", choices=("all", *MODEL_NAMES))
     return parser
@@ -357,6 +353,8 @@ def cmd_evaluate(cfg: RunConfig, asset_symbol=None) -> int:
 SVG_WIDTH = 640
 SVG_HEIGHT = 400
 SVG_MARGIN = 50
+# the actual close's, then each model's in MODEL_NAMES order
+SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728")
 
 
 def _polyline(xs, ys, color):
@@ -365,73 +363,81 @@ def _polyline(xs, ys, color):
             f'points="{points}"/>')
 
 
-def render_plot_svg(report: ForecastReport) -> str:
-    """Standalone two-line SVG chart: actual vs predicted close over the
-    held-out dates. Byte-deterministic for a given report."""
-    n = len(report.dates)
-    actual, predicted = report.actual.tolist(), report.predicted.tolist()
-    lo = min(min(actual), min(predicted))
-    hi = max(max(actual), max(predicted))
+def render_plot_svg(reports: list[ForecastReport]) -> str:
+    """Standalone SVG chart of one asset's reports: the actual close over the
+    longest holdout and each model's forecasts over its own held-out dates,
+    which end the longest report's dates, on one date axis and with one
+    legend label each. Byte-deterministic for given reports."""
+    longest = max(reports, key=lambda r: len(r.dates))
+    n = len(longest.dates)
+    series = [("actual", longest.actual.tolist())]
+    series += [(r.model, r.predicted.tolist()) for r in reports]
+    lo = min(min(values) for _, values in series)
+    hi = max(max(values) for _, values in series)
     span = (hi - lo) or 1.0
     inner_w = SVG_WIDTH - 2 * SVG_MARGIN
     inner_h = SVG_HEIGHT - 2 * SVG_MARGIN
-    xs = [SVG_MARGIN + inner_w * (i / max(n - 1, 1)) for i in range(n)]
-
-    def y(v):
-        return SVG_MARGIN + inner_h * (1.0 - (v - lo) / span)
-
-    first = report.dates[0].isoformat()
-    last = report.dates[-1].isoformat()
     # the symbol is the one free text in the chart
-    title = report.symbol.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    title = longest.symbol.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
         f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
         f'<text x="{SVG_WIDTH // 2}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">'
-        f"{title} {report.model}: predicted vs actual close</text>",
+        f"{title}: forecasts vs actual close</text>",
         f'<line x1="{SVG_MARGIN}" y1="{SVG_HEIGHT - SVG_MARGIN}" '
         f'x2="{SVG_WIDTH - SVG_MARGIN}" y2="{SVG_HEIGHT - SVG_MARGIN}" stroke="black"/>',
         f'<line x1="{SVG_MARGIN}" y1="{SVG_MARGIN}" x2="{SVG_MARGIN}" '
         f'y2="{SVG_HEIGHT - SVG_MARGIN}" stroke="black"/>',
-        _polyline(xs, [y(v) for v in actual], "#1f77b4"),
-        _polyline(xs, [y(v) for v in predicted], "#d62728"),
+    ]
+    for k, (name, values) in enumerate(series):
+        # each series ends on the last date
+        xs = [SVG_MARGIN + inner_w * (i / max(n - 1, 1)) for i in range(n - len(values), n)]
+        ys = [SVG_MARGIN + inner_h * (1.0 - (v - lo) / span) for v in values]
+        parts += [_polyline(xs, ys, SVG_COLORS[k]),
+                  f'<text x="{SVG_WIDTH - SVG_MARGIN}" y="{SVG_MARGIN + 16 * k}" '
+                  f'text-anchor="end" font-family="sans-serif" font-size="11" '
+                  f'fill="{SVG_COLORS[k]}">{name}</text>']
+    parts += [
         f'<text x="{SVG_MARGIN}" y="{SVG_HEIGHT - SVG_MARGIN + 20}" '
-        f'font-family="sans-serif" font-size="11">{first}</text>',
-        f'<text x="{SVG_WIDTH - SVG_MARGIN}" y="{SVG_HEIGHT - SVG_MARGIN + 20}" '
-        f'text-anchor="end" font-family="sans-serif" font-size="11">{last}</text>',
+        f'font-family="sans-serif" font-size="11">{longest.dates[0].isoformat()}</text>',
+        f'<text x="{SVG_WIDTH - SVG_MARGIN}" y="{SVG_HEIGHT - SVG_MARGIN + 20}" text-anchor="end" '
+        f'font-family="sans-serif" font-size="11">{longest.dates[-1].isoformat()}</text>',
         f'<text x="{SVG_MARGIN - 6}" y="{SVG_HEIGHT - SVG_MARGIN}" text-anchor="end" '
         f'font-family="sans-serif" font-size="11">{lo:.2f}</text>',
         f'<text x="{SVG_MARGIN - 6}" y="{SVG_MARGIN + 4}" text-anchor="end" '
         f'font-family="sans-serif" font-size="11">{hi:.2f}</text>',
-        f'<text x="{SVG_WIDTH - SVG_MARGIN}" y="{SVG_MARGIN}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11" fill="#1f77b4">actual</text>',
-        f'<text x="{SVG_WIDTH - SVG_MARGIN}" y="{SVG_MARGIN + 16}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11" fill="#d62728">predicted</text>',
         "</svg>",
     ]
     return "\n".join(parts) + "\n"
 
 
-def render_plot_csv(report: ForecastReport) -> str:
-    return _csv("date,actual,predicted", zip([d.isoformat() for d in report.dates],
-                                              report.actual.tolist(), report.predicted.tolist()))
-
-
-def cmd_plot(cfg: RunConfig, asset_symbol, model) -> int:
-    _select_assets(cfg, asset_symbol)
-    path = _report_path(cfg, asset_symbol, model)
+def _load_report(cfg, symbol, model):
+    path = _report_path(cfg, symbol, model)
     report = _load_or_die(path, "report",
                           lambda p: ForecastReport.from_dict(json.loads(read_utf8(p))))
-    if (report.symbol, report.model) != (asset_symbol, model):
+    if (report.symbol, report.model) != (symbol, model):
         raise DataError(f"{path}: holds the report of {report.symbol!r}/{report.model!r}")
     if not report.dates:
         raise DataError(f"report {path} has no rows to plot")
-    base = cfg.output_dir / "plots" / f"{asset_symbol}_{model}"
-    write_atomic(base.with_suffix(".svg"), render_plot_svg(report))
-    write_atomic(base.with_suffix(".csv"), render_plot_csv(report))
-    print(f"wrote {base.with_suffix('.svg')} and {base.with_suffix('.csv')}")
+    return report
+
+
+def cmd_plot(cfg: RunConfig, asset_symbol=None) -> int:
+    """One SVG per asset from its three reports, each read and checked before
+    the asset's plot is written."""
+    for asset in _select_assets(cfg, asset_symbol):
+        reports = [_load_report(cfg, asset.symbol, model) for model in MODEL_NAMES]
+        longest = max(reports, key=lambda r: len(r.dates))
+        for report in reports:
+            if longest.dates[len(longest.dates) - len(report.dates):] != report.dates:
+                raise DataError(
+                    f"{_report_path(cfg, asset.symbol, report.model)}: its dates do not end "
+                    f"those of {_report_path(cfg, asset.symbol, longest.model)}")
+        path = cfg.output_dir / "plots" / f"{asset.symbol}.svg"
+        write_atomic(path, render_plot_svg(reports))
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -442,9 +448,7 @@ def cmd_run(cfg: RunConfig, asset_symbol=None) -> int:
     cmd_ingest(cfg, asset_symbol)
     cmd_train(cfg, "all", asset_symbol)
     cmd_evaluate(cfg, asset_symbol)
-    for asset in _select_assets(cfg, asset_symbol):
-        for model in MODEL_NAMES:
-            cmd_plot(cfg, asset.symbol, model)
+    cmd_plot(cfg, asset_symbol)
     return EXIT_OK
 
 
@@ -460,7 +464,7 @@ def _dispatch(args) -> int:
     if args.command == "evaluate":
         return cmd_evaluate(cfg, args.asset)
     if args.command == "plot":
-        return cmd_plot(cfg, args.asset, args.model)
+        return cmd_plot(cfg, args.asset)
     return cmd_run(cfg, args.asset)
 
 

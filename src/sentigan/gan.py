@@ -32,13 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CLOSE_COLUMN, Windows, flat_floats, positive_ints
-from .errors import DataError, DimensionError, SentiganError, TrainingError, UsageError
+from .errors import DimensionError, SentiganError, TrainingError, UsageError
 from .nn import Dense, backward, build_mlp, forward
 from .optim import AdamState, adam_step
 from .scaling import ScalerParams, close_inverse, scaler_fit_windows, scaler_transform
 
 N_FEATURES = 6
-SCALE_TOLERANCE = 1e-9
 LOG_EPS = 1e-12
 # the dtype gan.train trains in and a loaded generator predicts in
 DTYPE = np.float32
@@ -97,11 +96,6 @@ def _to_tanh_range(unit):
     return 2.0 * unit - 1.0
 
 
-def _check_scaled(values, what):
-    if not np.all(np.abs(values) <= 1.0 + SCALE_TOLERANCE):
-        raise DataError(f"{what} exceeds the (-1, 1) scaled range")
-
-
 def _gen_inputs(histories, sentiments):
     """Flattened conditioning matrix (B, L*6 + 1); inputs scaled. The
     generator's first layer checks L."""
@@ -109,8 +103,6 @@ def _gen_inputs(histories, sentiments):
     sentiments = np.asarray(sentiments, dtype=float)
     if histories.ndim != 3 or histories.shape[2] != N_FEATURES:
         raise DimensionError("generator history shape", ("L", N_FEATURES), histories.shape[1:])
-    _check_scaled(histories, "window history")
-    _check_scaled(sentiments, "sentiment")
     return np.concatenate([histories.reshape(len(histories), -1), sentiments[:, None]],
                           axis=1)
 
@@ -209,7 +201,6 @@ def _setup(members, rng, schedule: GanSchedule):
             scaler = scaler_fit_windows(windows.histories, windows.targets)
             gen_ins.append(_conditioning(scaler, windows))
             targets.append(_to_tanh_range(scaler_transform(scaler, windows.targets)))
-            _check_scaled(targets[-1], "target observation")
         except SentiganError as e:
             e.member = k
             raise

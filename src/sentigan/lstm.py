@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CLOSE_COLUMN, FEATURE_COLUMNS, Windows, flat_floats, positive_ints
-from .errors import TrainingError
+from .errors import DataError, TrainingError
 from .nn import carve, glorot_uniform
 from .optim import AdamState, adam_step
 from .scaling import ScalerParams, close_inverse, scaler_fit_windows, scaler_transform
@@ -255,9 +255,7 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
 
     Log rows are dicts: epoch, train_loss, val_loss, lr."""
     if len(windows) < 2 * schedule.batch_size:
-        raise TrainingError(
-            f"need at least {2 * schedule.batch_size} samples, got {len(windows)}"
-        )
+        raise DataError(f"need at least {2 * schedule.batch_size} samples, got {len(windows)}")
     rng = np.random.default_rng(seed)
     histories, targets = windows.histories, windows.targets
     # the scaler draws nothing from rng, so the seed's weights do not depend on it

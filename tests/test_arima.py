@@ -51,6 +51,15 @@ def test_adf_constant_series_zero_variance_diagnostic():
     assert not is_stationary(np.full(100, 3.0))
 
 
+def test_adf_overflowing_differences_are_nan_without_a_warning():
+    # the first differences of closes with one bar at 1.7e308 hold +-1.7e308,
+    # whose range and differences overflow: NaN, not a RuntimeWarning, which
+    # the test run's warning filter raises
+    closes = 100.0 + random_walk(216, seed=0)
+    closes[60] = 1.7e308
+    assert np.isnan(arima.adf_statistic(np.diff(closes)))
+
+
 def test_adf_too_short_errors():
     # 8 values take floor(8^(1/3)) = 2 lags and need more than 12
     with pytest.raises(DataError):

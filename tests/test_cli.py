@@ -605,14 +605,20 @@ def test_train_rerun_byte_identical(pipeline, tmp_path):
 
 def test_asset_too_short_for_the_gan_split_is_refused_naming_it(tmp_path, monkeypatch, capsys):
     # 25 rows at window length 10 are 15 windows: the LSTM holds out the last
-    # 5 of them (and trains on 10, in batches of 4), but the GAN's 20
-    # held-out windows leave none to train on
+    # 5 of them and trains on 10, fewer than two of the mini config's batches
+    # of 16 but enough for batches of 4, and the GAN's 20 held-out windows
+    # leave none to train on
     monkeypatch.chdir(tmp_path)
-    config = mini_config(tmp_path, n=25)
-    config.write_text(config.read_text().replace("batch_size: 16", "batch_size: 4"))
-    config = str(config)
+    path = mini_config(tmp_path, n=25)
+    config = str(path)
     assert cli.main(["ingest", "--config", config, "--asset", "AAA"]) == 0
     capsys.readouterr()
+    assert cli.main(["train", "--config", config, "--model", "lstm",
+                     "--asset", "AAA"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "AAA/lstm" in err and "need at least 32 samples, got 10" in err
+    assert not (tmp_path / "out" / "models" / "AAA_lstm.json").exists()
+    path.write_text(path.read_text().replace("batch_size: 16", "batch_size: 4"))
     assert cli.main(["train", "--config", config, "--model", "gan",
                      "--asset", "AAA"]) == cli.EXIT_DATA
     err = capsys.readouterr().err
@@ -844,7 +850,7 @@ def test_evaluate_corrupt_json_names_file(pipeline, tmp_path, capsys, relpath, d
         payload.pop("artifact" if "models" in relpath else "features")
         path.write_text(json.dumps(payload))
     capsys.readouterr()
-    command = (["plot", "--asset", "AAA", "--model", "gan"] if relpath.startswith("reports")
+    command = (["plot", "--asset", "AAA"] if relpath.startswith("reports")
                else ["evaluate"])
     assert cli.main([command[0], "--config", str(pipeline), *command[1:]]) == cli.EXIT_DATA
     assert str(path) in capsys.readouterr().err
@@ -918,7 +924,7 @@ def test_read_back_value_that_cannot_be_used_names_file(
     capsys.readouterr()
     command, *args = {"evaluate": ["evaluate"], "train": ["train", "--model", "arima"],
                       "train_gan": ["train", "--model", "gan"],
-                      "plot": ["plot", "--asset", "AAA", "--model", "gan"]}[command]
+                      "plot": ["plot", "--asset", "AAA"]}[command]
     assert cli.main([command, "--config", str(pipeline), *args]) == cli.EXIT_DATA
     assert str(path) in capsys.readouterr().err
 
@@ -955,7 +961,8 @@ def test_aligned_file_of_another_asset_is_refused(pipeline, tmp_path, capsys):
 @pytest.mark.parametrize("command, relpath", [
     (["train"], "aligned/AAA.json"),
     (["evaluate"], "models/AAA_arima.json"),
-    (["plot", "--asset", "AAA", "--model", "gan"], "reports/AAA_gan.json"),
+    # the first of the asset's reports that plot reads
+    (["plot", "--asset", "AAA"], "reports/AAA_arima.json"),
 ], ids=["aligned", "artifact", "report"])
 def test_missing_read_back_file_is_data_error_naming_it(
         pipeline, tmp_path, capsys, command, relpath):
@@ -1260,58 +1267,77 @@ def run_mini_pipeline(config):
 
 
 def test_plot_missing_report_is_data_error(pipeline):
-    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
-                     "--model", "gan"]) == cli.EXIT_DATA
-
-
-@pytest.mark.parametrize("model", ["all", "prophet"])
-def test_plot_of_not_one_model_is_usage_error_listing_them(pipeline, capsys, model):
-    capsys.readouterr()
-    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
-                     "--model", model]) == cli.EXIT_USAGE
-    assert "'arima', 'lstm', 'gan'" in capsys.readouterr().err
+    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA"]) == cli.EXIT_DATA
 
 
 @pytest.mark.parametrize("flags", [["--model", "gan"], ["--asset", "AAA"]])
-def test_plot_without_asset_or_model_is_usage_error(pipeline, flags):
-    assert cli.main(["plot", "--config", str(pipeline), *flags]) == cli.EXIT_USAGE
+def test_plot_without_asset_or_model_is_usage_error(pipeline, tmp_path, flags):
+    # plot draws every model of an asset, so it takes no --model; --asset
+    # restricts it to one asset
+    if flags[0] == "--model":
+        assert cli.main(["plot", "--config", str(pipeline), *flags]) == cli.EXIT_USAGE
+        return
+    run_mini_pipeline(pipeline)
+    assert cli.main(["plot", "--config", str(pipeline), *flags]) == 0
+    assert [p.name for p in (tmp_path / "out" / "plots").iterdir()] == ["AAA.svg"]
+
+
+def polylines(svg_path):
+    return ET.parse(svg_path).getroot().findall("{http://www.w3.org/2000/svg}polyline")
 
 
 def test_plot_outputs(pipeline, tmp_path):
     run_mini_pipeline(pipeline)
-    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
-                     "--model", "gan"]) == 0
-    svg_path = tmp_path / "out" / "plots" / "AAA_gan.svg"
-    svg = svg_path.read_text()
-    assert svg.count("<polyline") == 2
-    report = json.loads((tmp_path / "out" / "reports" / "AAA_gan.json").read_text())
-    n = len(report["rows"])
-    for chunk in svg.split("<polyline")[1:]:
-        points = chunk.split('points="')[1].split('"')[0].split()
-        assert len(points) == n
-
-    with open(tmp_path / "out" / "plots" / "AAA_gan.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["date", "actual", "predicted"]
-    assert len(rows) == n + 1
-    for csv_row, rep_row in zip(rows[1:], report["rows"]):
-        assert csv_row[0] == rep_row["date"]
-        assert float(csv_row[1]) == rep_row["actual"]
-        assert float(csv_row[2]) == rep_row["predicted"]
+    assert cli.main(["plot", "--config", str(pipeline)]) == 0
+    plots = tmp_path / "out" / "plots"
+    assert sorted(p.name for p in plots.iterdir()) == ["AAA.svg", "BBB.svg"]
+    svg_path = plots / "AAA.svg"
+    # the actual close over the longest holdout, then each model's forecasts
+    # over its own, all ending on the last held-out date
+    rows = [len(json.loads((tmp_path / "out" / "reports" / f"AAA_{model}.json").read_text())
+                ["rows"]) for model in cli.MODEL_NAMES]
+    points = [line.get("points").split() for line in polylines(svg_path)]
+    assert [len(p) for p in points] == [max(rows), *rows]
+    assert len({p[-1].split(",")[0] for p in points}) == 1
 
     first = svg_path.read_bytes()
-    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
-                     "--model", "gan"]) == 0
+    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA"]) == 0
     assert svg_path.read_bytes() == first
 
 
 def test_plot_title_escapes_markup_in_the_symbol():
     days = [date(2021, 1, 4), date(2021, 1, 5), date(2021, 1, 6)]
-    report = ForecastReport("AT&T<1>", "gan", days, np.array([1.0, 2.0, 3.0]),
-                            np.array([1.5, 2.5, 2.0]), MetricSet(0.5, 0.25, 0.5, 0.3))
-    root = ET.fromstring(cli.render_plot_svg(report))
+    reports = [ForecastReport("AT&T<1>", model, days[k:], np.array([1.0, 2.0, 3.0][k:]),
+                              np.array([1.5, 2.5, 2.0][k:]), MetricSet(0.5, 0.25, 0.5, 0.3))
+               for k, model in enumerate(cli.MODEL_NAMES)]
+    root = ET.fromstring(cli.render_plot_svg(reports))
     title = root.find("{http://www.w3.org/2000/svg}text").text
-    assert title == "AT&T<1> gan: predicted vs actual close"
+    assert title == "AT&T<1>: forecasts vs actual close"
+
+
+def test_plot_takes_a_report_cut_at_the_front_but_not_one_shifted(pipeline, tmp_path, capsys):
+    run_mini_pipeline(pipeline)
+    reports = tmp_path / "out" / "reports"
+    svg_path = tmp_path / "out" / "plots" / "AAA.svg"
+    # still a tail of the longest report's dates
+    path = reports / "AAA_lstm.json"
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "rows": payload["rows"][5:]}))
+    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA"]) == 0
+    assert len(polylines(svg_path)[2].get("points").split()) == len(payload["rows"]) - 5
+    svg_path.unlink()
+    # each of the GAN's dates one day earlier
+    dates = json.loads((tmp_path / "out" / "aligned" / "AAA.json").read_text())["dates"]
+    path = reports / "AAA_gan.json"
+    payload = json.loads(path.read_text())
+    for row, day in zip(payload["rows"], dates[-len(payload["rows"]) - 1 : -1]):
+        row["date"] = day
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err and "do not end" in err
+    assert not svg_path.exists()
 
 
 def test_plot_truncated_report_names_file(pipeline, tmp_path, capsys):
@@ -1320,8 +1346,7 @@ def test_plot_truncated_report_names_file(pipeline, tmp_path, capsys):
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
     capsys.readouterr()
-    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
-                     "--model", "gan"]) == cli.EXIT_DATA
+    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA"]) == cli.EXIT_DATA
     assert str(path) in capsys.readouterr().err
 
 
@@ -1331,16 +1356,14 @@ def test_plot_of_another_report_is_data_error_naming_it(pipeline, tmp_path, caps
                                                          symbol, model):
     # a report copied over AAA_gan.json is not plotted under AAA gan
     run_mini_pipeline(pipeline)
-    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
-                     "--model", "gan"]) == 0
+    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA"]) == 0
     plots = sorted((tmp_path / "out" / "plots").iterdir())
     before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in plots]
     path = tmp_path / "out" / "reports" / "AAA_gan.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), "symbol": symbol,
                                 "model": model}))
     capsys.readouterr()
-    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA",
-                     "--model", "gan"]) == cli.EXIT_DATA
+    assert cli.main(["plot", "--config", str(pipeline), "--asset", "AAA"]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert str(path) in err and repr(symbol) in err and repr(model) in err
     assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in plots] == before

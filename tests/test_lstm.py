@@ -10,7 +10,7 @@ from gradcheck import numerical_gradient, relative_error
 from sentigan import lstm
 from sentigan.config import load_config
 from sentigan.data import CLOSE_COLUMN, make_windows
-from sentigan.errors import DataError, DimensionError, TrainingError
+from sentigan.errors import DataError, DimensionError
 from sentigan.eval import SPLITS, evaluate
 from sentigan.lstm import LstmModel, TrainSchedule, Workspace
 from sentigan.nn import carve
@@ -322,7 +322,7 @@ def test_sentiment_column_does_not_reach_the_lstm():
 
 
 def test_train_too_few_samples():
-    with pytest.raises(TrainingError):
+    with pytest.raises(DataError):
         lstm.train(line_windows(40, 10), TrainSchedule(batch_size=32), seed=0)
 
 
