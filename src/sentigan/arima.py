@@ -19,6 +19,8 @@ from .errors import DataError, TrainingError, UsageError
 from .nn import carve
 
 ADF_CRITICAL_5PCT = -2.86  # constant-only case
+# the largest AR and MA orders of select_order's (p, q) grid
+P_MAX = Q_MAX = 3
 
 
 @dataclass
@@ -28,7 +30,9 @@ class ArimaOrder:
     q: int
 
     def __post_init__(self):
-        if self.p < 0 or self.q < 0 or self.d not in (0, 1, 2):
+        # a float or a bool passes the range tests, and then fails np.diff
+        if (not all(type(v) is int for v in (self.p, self.d, self.q))
+                or self.p < 0 or self.q < 0 or self.d not in (0, 1, 2)):
             raise DataError(f"invalid ARIMA order ({self.p},{self.d},{self.q})")
 
 
@@ -203,18 +207,18 @@ def select_differencing(train) -> int:
     raise TrainingError("no differencing order in 0..2 achieves stationarity")
 
 
-def select_order(train, p_max: int = 3, q_max: int = 3) -> ArimaModel:
+def select_order(train) -> ArimaModel:
     """The model fitted at the selected order: smallest d passing the
-    stationarity gate, then AIC argmin over the (p, q) grid; ties broken by
-    smaller p+q, then smaller p."""
+    stationarity gate, then AIC argmin over the (p, q) grid up to (P_MAX,
+    Q_MAX); ties broken by smaller p+q, then smaller p."""
     y = np.asarray(train, dtype=float)
     if len(y) < 50:
         raise DataError(f"select_order needs at least 50 observations, got {len(y)}")
     d = select_differencing(y)
     w = np.diff(y, n=d)
     candidates = {}  # (aic, p + q, p, q) -> fitted model
-    for p in range(p_max + 1):
-        for q in range(q_max + 1):
+    for p in range(P_MAX + 1):
+        for q in range(Q_MAX + 1):
             try:
                 model = fit(y, ArimaOrder(p, d, q))
             except (TrainingError, DataError):
@@ -223,8 +227,8 @@ def select_order(train, p_max: int = 3, q_max: int = 3) -> ArimaModel:
                 continue
             e = _css_residuals(w, model.intercept, model.ar_coeffs, model.ma_coeffs)
             # score every cell on the same residual sample (drop the first
-            # p_max - p residuals) so AIC values are comparable across orders
-            e = e[p_max - p :]
+            # P_MAX - p residuals) so AIC values are comparable across orders
+            e = e[P_MAX - p :]
             score = aic(float(e @ e), len(e), p, q)
             if np.isfinite(score):  # residual squares that overflow are no fit
                 candidates[(score, p + q, p, q)] = model

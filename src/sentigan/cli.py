@@ -185,10 +185,10 @@ def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
 
 
 def _stamp(cfg, aligned, model) -> str:
-    """The SHA-256 of what training `model` on `aligned` reads: the model name
-    and config section, a windowed model's seed and window length, and the
-    dates, features and sentiment of its train rows, which fix its split."""
-    settings = cfg.arima if model == "arima" else {
+    """The SHA-256 of what training `model` on `aligned` reads: the model name,
+    a windowed model's config section, seed and window length, and the dates,
+    features and sentiment of its train rows, which fix its split."""
+    settings = {} if model == "arima" else {
         **asdict(getattr(cfg, model)), "seed": cfg.seed, "window_length": cfg.window_length}
     items, boundary = partition(model, aligned, cfg.window_length)
     rows = len(aligned.dates) - len(items) + boundary  # train window i reads rows i to i + L
@@ -199,7 +199,7 @@ def _stamp(cfg, aligned, model) -> str:
 
 def _train_arima(cfg, aligned):
     closes, boundary = partition("arima", aligned, cfg.window_length)
-    return arima_mod.select_order(closes[:boundary], **cfg.arima), None
+    return arima_mod.select_order(closes[:boundary]), None
 
 
 def _train_lstm(cfg, aligned):

@@ -2,9 +2,10 @@
 loaded from a YAML file.
 
 Each setting has one default: the fields of `lstm.TrainSchedule` and
-`gan.GanSchedule`, the keywords of `arima.select_order`, and `load_config`
-for the rest. `_RULES` is the one check of each value a file sets, an integer
-or a list of widths; the learning rates are constants of `lstm` and `gan`.
+`gan.GanSchedule`, and `load_config` for the rest. `_RULES` is the one check
+of each value a file sets, an integer or a list of widths. What no workload
+varies is a constant of its module: ARIMA's order grid, the LSTM's sizes and
+plateau patience, and both learning rates.
 
 Paths in the file are resolved relative to the file's own directory, so a
 config can travel with its fixtures.
@@ -13,12 +14,10 @@ config can travel with its fixtures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from inspect import signature
 from pathlib import Path
 
 import yaml
 
-from .arima import select_order
 from .data import read_utf8
 from .errors import DataError, UsageError
 from .gan import GanSchedule
@@ -39,7 +38,6 @@ class RunConfig:
     output_dir: Path
     lexicon_path: Path | None
     window_length: int
-    arima: dict  # the keywords of arima.select_order: its defaults, then the file's values
     lstm: TrainSchedule
     gan: GanSchedule
 
@@ -62,14 +60,7 @@ _WIDTHS = (lambda v: isinstance(v, (list, tuple)) and all(_is_int(w) and w >= 1 
 # what every settable value must be: section -> key -> (test, description)
 _RULES = {
     None: {"seed": _int_from(0), "window_length": _int_from(1)},
-    "arima": {"p_max": _int_from(0), "q_max": _int_from(0)},
-    "lstm": {
-        "hidden_size": _int_from(1),
-        "batch_size": _int_from(1),
-        "max_epochs": _int_from(0),
-        "early_stop_patience": _int_from(1),
-        "plateau_patience": _int_from(1),
-    },
+    "lstm": {"max_epochs": _int_from(0), "early_stop_patience": _int_from(1)},
     "gan": {
         "batch_size": _int_from(1),
         "epochs": _int_from(0),
@@ -140,6 +131,10 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         if not isinstance(entry, dict) or "symbol" not in entry or "ohlcv" not in entry:
             raise DataError(f"config {path}: asset entries need 'symbol' and 'ohlcv' keys, "
                             f"got {entry!r}")
+        unknown = set(entry) - {"symbol", "ohlcv", "tweets"}
+        if unknown:
+            raise UsageError(f"config {path}: unknown asset entry keys: "
+                             f"{sorted(unknown, key=str)}")
         symbol = entry["symbol"]
         if not isinstance(symbol, str):
             raise DataError(f"config {path}: assets.symbol must be a string, got {symbol!r}; "
@@ -176,8 +171,6 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         output_dir=resolve("output_dir", raw.get("output_dir", "out"), Path()),
         lexicon_path=lexicon,
         window_length=top.get("window_length", 20),
-        arima={name: p.default for name, p in signature(select_order).parameters.items()
-               if name in _RULES["arima"]} | _section(path, raw, "arima"),
         lstm=TrainSchedule(**_section(path, raw, "lstm")),
         gan=GanSchedule(**_section(path, raw, "gan")),
     )

@@ -43,12 +43,16 @@ DTYPE = np.float32
 # the sign each gate's block takes in _signed_weights: -1 for the sigmoids;
 # float32, so that a product keeps theta's dtype, float32 or float64
 _SIGNS = np.array([-1.0, -1.0, -1.0, 1.0], dtype=np.float32)[:, None, None]
-# Adam's learning rate (its default, Kingma & Ba 2015), the trailing share
-# of train's windows held out for validation, and the factor a validation
-# plateau multiplies the learning rate by
+# the hidden state's width and the training batch size; Adam's learning
+# rate (its default, Kingma & Ba 2015), the trailing share of train's
+# windows held out for validation, and the factor a validation plateau of
+# PLATEAU_PATIENCE epochs multiplies the learning rate by
+HIDDEN_SIZE = 32
+BATCH_SIZE = 32
 LEARNING_RATE = 0.001
 VALIDATION_FRACTION = 0.15
 PLATEAU_FACTOR = 0.5
+PLATEAU_PATIENCE = 5
 
 
 class LstmModel:
@@ -102,11 +106,8 @@ class LstmModel:
 class TrainSchedule:
     """The LSTM's settings: the config's `lstm` section, checked by config._RULES."""
 
-    hidden_size: int = 32
-    batch_size: int = 32
     max_epochs: int = 200
     early_stop_patience: int = 10
-    plateau_patience: int = 5
 
 
 def _signed_weights(model):
@@ -254,13 +255,13 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
     trailing VALIDATION_FRACTION, return (model, log rows).
 
     Log rows are dicts: epoch, train_loss, val_loss, lr."""
-    if len(windows) < 2 * schedule.batch_size:
-        raise DataError(f"need at least {2 * schedule.batch_size} samples, got {len(windows)}")
+    if len(windows) < 2 * BATCH_SIZE:
+        raise DataError(f"need at least {2 * BATCH_SIZE} samples, got {len(windows)}")
     rng = np.random.default_rng(seed)
     histories, targets = windows.histories, windows.targets
     # the scaler draws nothing from rng, so the seed's weights do not depend on it
     scaler = scaler_fit_windows(histories, targets)
-    model = LstmModel.initialize(rng, schedule.hidden_size, histories.shape[-1], scaler, DTYPE)
+    model = LstmModel.initialize(rng, HIDDEN_SIZE, histories.shape[-1], scaler, DTYPE)
 
     # at least 2 windows reach here, so at least one is left to train on
     n_val = max(1, int(round(VALIDATION_FRACTION * len(windows))))
@@ -280,9 +281,9 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(schedule.max_epochs):
             batch_losses = []
-            for start in range(0, len(xs_train), schedule.batch_size):
-                xb = xs_train[start : start + schedule.batch_size]
-                yb = y_train[start : start + schedule.batch_size]
+            for start in range(0, len(xs_train), BATCH_SIZE):
+                xb = xs_train[start : start + BATCH_SIZE]
+                yb = y_train[start : start + BATCH_SIZE]
                 ws = workspaces.get(len(xb))
                 if ws is None:
                     ws = workspaces[len(xb)] = Workspace(len(xb), xb.shape[1], model.hidden_size,
@@ -305,7 +306,7 @@ def train(windows: Windows, schedule: TrainSchedule, seed: int):
                 epochs_since_improvement += 1
                 if epochs_since_improvement >= schedule.early_stop_patience:
                     break
-                if epochs_since_improvement % schedule.plateau_patience == 0:
+                if epochs_since_improvement % PLATEAU_PATIENCE == 0:
                     adam.learning_rate *= PLATEAU_FACTOR
     if best_theta is not None:
         model.theta[...] = best_theta

@@ -1,7 +1,9 @@
 from datetime import date, timedelta
 
 import numpy as np
+import pytest
 
+from sentigan import arima, lstm
 from sentigan.data import AlignedDataset
 from sentigan.eval import SPLITS
 from sentigan.scaling import ScalerParams
@@ -38,3 +40,17 @@ def holdout_split(windows):
     """The (train, held-out) windows of the GAN's split."""
     boundary = SPLITS["gan"](len(windows))
     return windows[:boundary], windows[boundary:]
+
+
+def use_mini_sizes(monkeypatch):
+    """Shrink ARIMA's order grid to (1, 1) and the LSTM to hidden size 8 and
+    batches of 16, the sizes that keep the mini pipeline's runs fast."""
+    monkeypatch.setattr(arima, "P_MAX", 1)
+    monkeypatch.setattr(arima, "Q_MAX", 1)
+    monkeypatch.setattr(lstm, "HIDDEN_SIZE", 8)
+    monkeypatch.setattr(lstm, "BATCH_SIZE", 16)
+
+
+@pytest.fixture()
+def mini_sizes(monkeypatch):
+    use_mini_sizes(monkeypatch)

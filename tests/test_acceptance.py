@@ -173,13 +173,14 @@ def test_criterion_4_gan_synthetic_convergence():
     assert np.mean(sensitivities) > 0.0
 
 
-def test_criterion_5_lstm_synthetic_competence():
+def test_criterion_5_lstm_synthetic_competence(monkeypatch):
     t = np.arange(300.0)
     close = 60.0 + 0.05 * t + 8.0 * np.sin(2 * np.pi * t / 25.0)
     windows = make_windows(aligned_from_close(close), 20)
     train_part, test_part = holdout_split(windows)
-    schedule = TrainSchedule(hidden_size=16, max_epochs=400, early_stop_patience=40,
-                             plateau_patience=15)
+    monkeypatch.setattr(lstm, "HIDDEN_SIZE", 16)
+    monkeypatch.setattr(lstm, "PLATEAU_PATIENCE", 15)
+    schedule = TrainSchedule(max_epochs=400, early_stop_patience=40)
     model, log = lstm.train(train_part, schedule, seed=0)
 
     preds = lstm.predict(model, test_part)
@@ -227,7 +228,7 @@ def test_criterion_7_sentiment_oracle_equivalence():
     assert worst < 1e-4, worst
 
 
-def test_criterion_8_protocol_audits(tmp_path, monkeypatch):
+def test_criterion_8_protocol_audits(tmp_path, monkeypatch, mini_sizes):
     # split boundary arithmetic
     for total in (100, 101, 137, 40):
         assert SPLITS["arima"](total) == int(np.floor(0.9 * total))

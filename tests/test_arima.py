@@ -80,10 +80,12 @@ def test_adf_statistic_is_scale_free(seed):
 # ---------------------------------------------------------------- order selection
 
 
-def test_select_order_ar1():
+def test_select_order_ar1(monkeypatch):
+    monkeypatch.setattr(arima, "P_MAX", 3)
+    monkeypatch.setattr(arima, "Q_MAX", 3)
     hits = 0
     for seed in range(10):
-        order = arima.select_order(simulate_ar1(1000, 0.8, seed=seed), p_max=3, q_max=3).order
+        order = arima.select_order(simulate_ar1(1000, 0.8, seed=seed)).order
         if order.p in (1, 2) and order.q <= 1 and order.d == 0:
             hits += 1
     assert hits >= 8
@@ -94,19 +96,23 @@ def test_select_order_random_walk_picks_d1():
     assert hits >= 18
 
 
-def test_select_order_singleton_grid():
-    order = arima.select_order(simulate_ar1(300, 0.5, seed=1), p_max=0, q_max=0).order
+def test_select_order_singleton_grid(monkeypatch):
+    monkeypatch.setattr(arima, "P_MAX", 0)
+    monkeypatch.setattr(arima, "Q_MAX", 0)
+    order = arima.select_order(simulate_ar1(300, 0.5, seed=1)).order
     assert (order.p, order.q) == (0, 0)
 
 
-def test_select_order_prefers_null_on_white_noise():
+def test_select_order_prefers_null_on_white_noise(monkeypatch):
     # in-sample CSS always shrinks with extra orders; the AIC penalty must
     # still favour the null model most of the time
+    monkeypatch.setattr(arima, "P_MAX", 1)
+    monkeypatch.setattr(arima, "Q_MAX", 1)
     hits = 0
     trials = 100
     for seed in range(trials):
         y = np.random.default_rng(seed).normal(size=200)
-        order = arima.select_order(y, p_max=1, q_max=1).order
+        order = arima.select_order(y).order
         if (order.p, order.q) == (0, 0):
             hits += 1
     assert hits >= 0.7 * trials
@@ -120,10 +126,12 @@ def test_select_order_stationarity_gate():
         assert is_stationary(w)
 
 
-def test_select_order_returns_the_fit_at_its_order():
+def test_select_order_returns_the_fit_at_its_order(monkeypatch):
     # the winning cell's fit is the model; refitting it changes nothing
+    monkeypatch.setattr(arima, "P_MAX", 2)
+    monkeypatch.setattr(arima, "Q_MAX", 2)
     y = random_walk(300, seed=4)
-    model = arima.select_order(y, p_max=2, q_max=2)
+    model = arima.select_order(y)
     assert model.to_dict() == arima.fit(y, model.order).to_dict()
 
 

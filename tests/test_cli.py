@@ -1,7 +1,6 @@
 import contextlib
 import copy
 import csv
-import inspect
 import io
 import json
 import os
@@ -18,6 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import use_mini_sizes
 from sentigan import arima, cli, config
 from sentigan.config import RunConfig, load_config
 from sentigan.data import CLOSE_COLUMN, load_aligned, make_windows
@@ -51,7 +51,8 @@ def src_env():
 
 
 def mini_config(tmp_path, n=120):
-    """Two-asset config small enough for fast end-to-end CLI tests."""
+    """Two-asset config small enough for fast end-to-end CLI tests, which
+    run it under the `mini_sizes` fixture."""
     rng = np.random.default_rng(0)
     write_ohlcv(tmp_path / "AAA.csv", 50 + np.cumsum(rng.normal(0.05, 0.5, n)))
     write_ohlcv(tmp_path / "BBB.csv", 80 + np.cumsum(rng.normal(0.0, 0.8, n)))
@@ -72,21 +73,16 @@ def mini_config(tmp_path, n=120):
         f"  - {{symbol: BBB, ohlcv: BBB.csv}}\n"
         "lstm:\n"
         "  max_epochs: 3\n"
-        "  batch_size: 16\n"
-        "  hidden_size: 8\n"
         "gan:\n"
         "  epochs: 3\n"
         "  gen_hidden: [8]\n"
         "  disc_hidden: [8]\n"
-        "arima:\n"
-        "  p_max: 1\n"
-        "  q_max: 1\n"
     )
     return config
 
 
 @pytest.fixture()
-def pipeline(tmp_path, monkeypatch):
+def pipeline(tmp_path, monkeypatch, mini_sizes):
     monkeypatch.chdir(tmp_path)
     return mini_config(tmp_path)
 
@@ -99,12 +95,11 @@ def test_load_fleet_config_defaults():
     assert len(cfg.assets) == 7
     assert cfg.seed == 7
     assert cfg.window_length == 20
-    assert cfg.arima == {"p_max": 3, "q_max": 3}  # select_order's defaults
     assert cfg.lstm.max_epochs == 60  # file override on top of defaults
     assert cfg.gan.batch_size == 5
 
 
-def test_config_requires_seed(tmp_path):
+def test_config_requires_seed(tmp_path, mini_sizes):
     config = mini_config(tmp_path)
     text = config.read_text().replace("seed: 3\n", "")
     config.write_text(text)
@@ -113,7 +108,7 @@ def test_config_requires_seed(tmp_path):
     assert load_config(config, seed_override=9).seed == 9
 
 
-def test_config_rejects_unknown_hyperparameter(tmp_path):
+def test_config_rejects_unknown_hyperparameter(tmp_path, mini_sizes):
     config = mini_config(tmp_path)
     config.write_text(config.read_text() + "  dropout: 0.5\n")
     with pytest.raises(UsageError):
@@ -138,13 +133,9 @@ def test_config_rejects_unknown_hyperparameter(tmp_path):
     ("gan", "gen_hidden", 5),
     ("gan", "gen_hidden", [0]),
     ("gan", "batch_size", 0),
-    ("lstm", "hidden_size", 0),
-    ("lstm", "batch_size", 0),
     ("lstm", "max_epochs", True),
     ("lstm", "max_epochs", -1),
-    ("arima", "p_max", -1),
     pytest.param("gan", "epochs", 10 ** 400, id="'gan'-'epochs'-10**400"),
-    pytest.param("lstm", "hidden_size", 10 ** 400, id="'lstm'-'hidden_size'-10**400"),
 ], ids=lambda v: repr(v))
 def test_malformed_config_value_is_data_error_naming_file_and_key(
         pipeline, capsys, section, key, value):
@@ -181,12 +172,15 @@ def test_deeply_nested_config_value_is_data_error_naming_file(pipeline, capsys, 
     # retired: the LSTM trains at Adam's default rate, the GAN at DCGAN's
     ("lstm", {"learning_rate": 0.002}),
     ("gan", {"learning_rate": 0.0001}),
+    # a typo of `tweets`, which would set the asset's sentiment to zero
+    ("assets", {"tweet": "AAA_tweets.csv"}),
 ], ids=["lstm", "top_level", "retired_workers", "retired_split_policies",
         "retired_validation_fraction", "retired_plateau_factor",
-        "retired_lstm_learning_rate", "retired_gan_learning_rate"])
+        "retired_lstm_learning_rate", "retired_gan_learning_rate", "asset_entry"])
 def test_unknown_key_is_usage_error_naming_it(pipeline, capsys, section, keys):
     raw = yaml.safe_load(pipeline.read_text())
-    (raw if section is None else raw.setdefault(section, {})).update(keys)
+    node = raw if section is None else raw.setdefault(section, {})
+    (node[0] if section == "assets" else node).update(keys)
     pipeline.write_text(yaml.safe_dump(raw, sort_keys=False))
     capsys.readouterr()
     assert cli.main(["ingest", "--config", str(pipeline)]) == cli.EXIT_USAGE
@@ -199,9 +193,6 @@ def setting_defaults():
     return {
         "lstm": {f.name: f.default for f in fields(TrainSchedule)},
         "gan": {f.name: f.default for f in fields(GanSchedule)},
-        "arima": {name: p.default for name, p in
-                  inspect.signature(arima.select_order).parameters.items()
-                  if p.default is not p.empty},
     }
 
 
@@ -216,7 +207,7 @@ def test_rule_table_matches_the_settings_and_their_defaults():
 
 
 @pytest.mark.parametrize("section, key", [
-    ("arima", "p_max"), ("lstm", "plateau_patience"), ("gan", "batch_size")])
+    ("lstm", "early_stop_patience"), ("gan", "batch_size")])
 def test_config_that_writes_out_a_default_evaluates(pipeline, section, key):
     # a setting written out at its default is the same config, so the
     # artifacts trained without it are current
@@ -275,7 +266,7 @@ def test_seed_override_past_the_file_rule_is_usage_error(pipeline, capsys, seed)
     assert load_config(pipeline, seed_override=config.INT_MAX).seed == config.INT_MAX
 
 
-def test_config_missing_data_file_is_data_error(tmp_path):
+def test_config_missing_data_file_is_data_error(tmp_path, mini_sizes):
     config = mini_config(tmp_path)
     (tmp_path / "BBB.csv").unlink()
     assert cli.main(["ingest", "--config", str(config)]) == cli.EXIT_DATA
@@ -603,11 +594,14 @@ def test_train_rerun_byte_identical(pipeline, tmp_path):
     assert artifact.read_bytes() == first
 
 
-def test_asset_too_short_for_the_gan_split_is_refused_naming_it(tmp_path, monkeypatch, capsys):
+def test_asset_too_short_for_the_gan_split_is_refused_naming_it(tmp_path, monkeypatch, capsys,
+                                                                 mini_sizes):
     # 25 rows at window length 10 are 15 windows: the LSTM holds out the last
-    # 5 of them and trains on 10, fewer than two of the mini config's batches
-    # of 16 but enough for batches of 4, and the GAN's 20 held-out windows
-    # leave none to train on
+    # 5 of them and trains on 10, fewer than two of the mini pipeline's
+    # batches of 16 but enough for batches of 4, and the GAN's 20 held-out
+    # windows leave none to train on
+    from sentigan import lstm
+
     monkeypatch.chdir(tmp_path)
     path = mini_config(tmp_path, n=25)
     config = str(path)
@@ -618,7 +612,7 @@ def test_asset_too_short_for_the_gan_split_is_refused_naming_it(tmp_path, monkey
     err = capsys.readouterr().err
     assert "AAA/lstm" in err and "need at least 32 samples, got 10" in err
     assert not (tmp_path / "out" / "models" / "AAA_lstm.json").exists()
-    path.write_text(path.read_text().replace("batch_size: 16", "batch_size: 4"))
+    monkeypatch.setattr(lstm, "BATCH_SIZE", 4)
     assert cli.main(["train", "--config", config, "--model", "gan",
                      "--asset", "AAA"]) == cli.EXIT_DATA
     err = capsys.readouterr().err
@@ -638,13 +632,12 @@ def test_evaluate_missing_artifact_names_cell(pipeline, tmp_path, capsys):
     (None, None, ["--seed", "99"], "lstm"),
     ("  max_epochs: 3\n", "  max_epochs: 1\n", [], "lstm"),
     ("  epochs: 3\n", "  epochs: 1\n", [], "gan"),
-    ("  q_max: 1\n", "  q_max: 0\n", [], "arima"),
     ("window_length: 10\n", "window_length: 8\n", [], "lstm"),
-], ids=["seed", "lstm_max_epochs", "gan_epochs", "arima_q_max", "window_length"])
+], ids=["seed", "lstm_max_epochs", "gan_epochs", "window_length"])
 def test_evaluate_refuses_artifact_of_another_config_before_any_report(
         pipeline, tmp_path, capsys, old, new, flags, model):
     # the first of the asset's artifacts whose training read the changed
-    # setting is refused; ARIMA reads neither the seed nor the window length
+    # setting is refused; ARIMA reads no setting
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     reports = sorted((tmp_path / "out" / "reports").glob("*.json"))
     before = [(path.read_bytes(), path.stat().st_mtime_ns) for path in reports]
@@ -890,6 +883,7 @@ def nested_format(model, artifact):
     ("plot", "reports/AAA_gan.json", ("rows", 0, "predicted"), float("nan")),
     ("evaluate", "models/AAA_arima.json", ("artifact", "order", 0), 3),
     ("evaluate", "models/AAA_arima.json", ("artifact", "order", 1), 5),
+    ("evaluate", "models/AAA_arima.json", ("artifact", "order", 1), 1.0),
     ("train_gan", "aligned/AAA.json", ("sentiment", 0), True),
     # hidden size 8: theta ends in b (4·8), the head's 8 weights and its bias,
     # so the forget gate's block of b starts 4·8 + 1 from the end
@@ -904,15 +898,16 @@ def nested_format(model, artifact):
     ("train", "aligned/AAA.json", ("features", 50, 5), -1.0),
 ], ids=["aligned_nan_close", "train_aligned_nan_close", "arima_nan_intercept",
         "lstm_inf_head_bias", "gan_nan_weight", "report_nan_prediction",
-        "arima_p_past_its_coefficients", "arima_d5", "aligned_true_sentiment",
+        "arima_p_past_its_coefficients", "arima_d5", "arima_float_d", "aligned_true_sentiment",
         "lstm_false_gate_bias", "report_true_prediction", "report_string_prediction",
         "gan_float32_overflow_bias", "lstm_float32_overflow_head_bias",
         "aligned_negative_close", "aligned_negative_volume"])
 def test_read_back_value_that_cannot_be_used_names_file(
         pipeline, tmp_path, capsys, command, relpath, keys, value):
     # json.loads reads NaN and Infinity; the order's p must match the AR
-    # coefficients (p = 3 with fewer of them indexed past their end); numpy
-    # would read a bool among numbers as 0 or 1
+    # coefficients (p = 3 with fewer of them indexed past their end) and its
+    # d must be an integer, as np.diff takes; numpy would read a bool among
+    # numbers as 0 or 1
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     path = tmp_path / "out" / relpath
     payload = json.loads(path.read_text())
@@ -1004,7 +999,9 @@ def tiny_run(tmp_path_factory):
     config = mini_config(root)
     config.write_text(config.read_text().replace("output_dir: out",
                                                  f"output_dir: {root / 'out'}"))
-    with contextlib.redirect_stdout(io.StringIO()):
+    with pytest.MonkeyPatch.context() as monkeypatch, \
+            contextlib.redirect_stdout(io.StringIO()):
+        use_mini_sizes(monkeypatch)
         assert cli.main(["run", "--config", str(config)]) == 0
     paths = sorted((root / "out").glob("aligned/*.json")) + sorted(
         (root / "out").glob("models/*.json"))
@@ -1236,16 +1233,30 @@ def test_oversized_csv_field_names_file_and_line(pipeline, tmp_path, capsys, whi
     assert f"{path} line 3" in err and "field limit" in err
 
 
-@pytest.mark.parametrize("key, value", [("d_steps", 1), ("supervised_weight", 0.0)])
-def test_removed_gan_key_is_refused_as_unknown(pipeline, capsys, key, value):
+@pytest.mark.parametrize("section, key, value", [
+    pytest.param("gan", "d_steps", 1, id="d_steps-1"),
+    pytest.param("gan", "supervised_weight", 0.0, id="supervised_weight-0.0"),
+    ("lstm", "hidden_size", 32),
+    ("lstm", "batch_size", 32),
+    ("lstm", "plateau_patience", 5),
+    pytest.param(None, "arima", {"p_max": 3, "q_max": 3}, id="arima_block-3-3"),
+    ("lstm", "hidden_size", 0),
+    ("lstm", "batch_size", 0),
+    pytest.param("lstm", "hidden_size", 10 ** 400, id="'lstm'-'hidden_size'-10**400"),
+    pytest.param(None, "arima", {"p_max": -1}, id="arima_block-p_max--1"),
+], ids=lambda v: repr(v))
+def test_removed_gan_key_is_refused_as_unknown(pipeline, capsys, section, key, value):
     # the GAN takes one discriminator and one generator update per step, with
-    # no supervised term; a config that still sets either key, even to the
-    # value that was its default, is refused rather than silently ignored
+    # no supervised term; ARIMA's order grid and the LSTM's sizes and plateau
+    # patience are constants. A config that still sets one of these keys,
+    # even to the value that was its default, is refused rather than
+    # silently ignored, and so is a value that was out of its range.
     raw = yaml.safe_load(pipeline.read_text())
-    raw["gan"][key] = value
+    (raw if section is None else raw.setdefault(section, {}))[key] = value
     pipeline.write_text(yaml.safe_dump(raw))
     assert cli.main(["train", "--config", str(pipeline)]) == cli.EXIT_USAGE
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(pipeline) in err and key in err
 
 
 def test_cli_import_leaves_scipy_signal_and_stats_unloaded():

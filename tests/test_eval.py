@@ -172,10 +172,11 @@ def test_evaluate_arima_partition_mismatch_errors():
         ev.evaluate("arima", model, aligned, 20)
 
 
-def test_evaluate_lstm_report():
+def test_evaluate_lstm_report(monkeypatch):
+    monkeypatch.setattr(lstm, "HIDDEN_SIZE", 8)
     aligned = ar1_aligned(1)
     windows, boundary = ev.partition("lstm", aligned, 8)
-    model, _ = lstm.train(windows[:boundary], TrainSchedule(hidden_size=8, max_epochs=2), seed=0)
+    model, _ = lstm.train(windows[:boundary], TrainSchedule(max_epochs=2), seed=0)
     report = ev.evaluate("lstm", model, aligned, window_length=8)
     assert len(report.predicted) == 34
     assert report.dates == aligned.dates[-34:]

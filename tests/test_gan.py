@@ -515,9 +515,11 @@ def test_divergence_is_a_training_error_under_warnings_as_errors(model, monkeypa
     rng = np.random.default_rng(3)
     windows = make_windows(aligned_from_close(100.0 + np.cumsum(rng.normal(size=120))), 20)
     monkeypatch.setattr(lstm if model == "lstm" else gan, "LEARNING_RATE", 1e20)
+    monkeypatch.setattr(lstm, "HIDDEN_SIZE", 8)
+    monkeypatch.setattr(lstm, "BATCH_SIZE", 16)
     with pytest.raises(TrainingError) as e:
         if model == "lstm":
-            lstm.train(windows, TrainSchedule(hidden_size=8, batch_size=16), seed=0)
+            lstm.train(windows, TrainSchedule(), seed=0)
         else:
             gan.train([windows], GanSchedule(**SMALL), seed=0)
     if model == "gan":

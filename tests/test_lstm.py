@@ -304,13 +304,15 @@ def test_train_determinism():
     assert log1 == log2
 
 
-def test_sentiment_column_does_not_reach_the_lstm():
+def test_sentiment_column_does_not_reach_the_lstm(monkeypatch):
     # the LSTM is numeric-only: two datasets that differ only in their
     # sentiment column give the same artifact and the same forecasts
     close = 50.0 + np.cumsum(np.random.default_rng(4).normal(0.0, 1.0, 90))
     flat = aligned_from_close(close)
     moody = aligned_from_close(close, sentiment=np.linspace(-1.0, 1.0, 90))
-    schedule = TrainSchedule(hidden_size=4, max_epochs=3, batch_size=8)
+    monkeypatch.setattr(lstm, "HIDDEN_SIZE", 4)
+    monkeypatch.setattr(lstm, "BATCH_SIZE", 8)
+    schedule = TrainSchedule(max_epochs=3)
     results = []
     for aligned in (flat, moody):
         windows = make_windows(aligned, 5)
@@ -321,13 +323,14 @@ def test_sentiment_column_does_not_reach_the_lstm():
     assert results[0] == results[1]
 
 
-def test_train_too_few_samples():
+def test_train_too_few_samples(monkeypatch):
+    monkeypatch.setattr(lstm, "BATCH_SIZE", 32)
     with pytest.raises(DataError):
-        lstm.train(line_windows(40, 10), TrainSchedule(batch_size=32), seed=0)
+        lstm.train(line_windows(40, 10), TrainSchedule(), seed=0)
 
 
 @pytest.mark.parametrize("field, value", [
-    ("batch_size", 0), ("max_epochs", -1),
+    ("early_stop_patience", 0), ("max_epochs", -1),
 ])
 def test_schedule_rejects_out_of_range_values(tmp_path, field, value):
     # the config's rule table is the one check of a schedule's values
@@ -339,14 +342,13 @@ def test_schedule_rejects_out_of_range_values(tmp_path, field, value):
         load_config(config)
 
 
-def test_noiseless_line_beats_persistence():
+def test_noiseless_line_beats_persistence(monkeypatch):
     # evaluated on the chronological validation tail, which train() holds out
     # from every gradient update
+    monkeypatch.setattr(lstm, "HIDDEN_SIZE", 16)
+    monkeypatch.setattr(lstm, "PLATEAU_PATIENCE", 60)
     windows = line_windows(200, 20)
-    schedule = TrainSchedule(
-        hidden_size=16, max_epochs=2000, early_stop_patience=150,
-        plateau_patience=60,
-    )
+    schedule = TrainSchedule(max_epochs=2000, early_stop_patience=150)
     model, log = lstm.train(windows, schedule, seed=0)
     n_val = max(1, int(round(lstm.VALIDATION_FRACTION * len(windows))))
     test_part = windows[-n_val:]
@@ -365,9 +367,10 @@ def test_constant_price_forecast_within_one_percent():
     assert abs(pred - 42.0) <= 0.42
 
 
-def test_early_stopping_returns_best_validation_weights():
+def test_early_stopping_returns_best_validation_weights(monkeypatch):
+    monkeypatch.setattr(lstm, "PLATEAU_PATIENCE", 3)
     windows = line_windows(150, 10)
-    schedule = TrainSchedule(max_epochs=40, early_stop_patience=5, plateau_patience=3)
+    schedule = TrainSchedule(max_epochs=40, early_stop_patience=5)
     model, log = lstm.train(windows, schedule, seed=7)
     assert log, "expected a non-empty training log"
     n_val = max(1, int(round(lstm.VALIDATION_FRACTION * len(windows))))
@@ -411,12 +414,10 @@ def test_forward_only_pass_keeps_no_sequence_deep_buffer():
     assert peak < length * n * hidden * xs.itemsize
 
 
-def test_lr_schedule_non_increasing():
+def test_lr_schedule_non_increasing(monkeypatch):
+    monkeypatch.setattr(lstm, "PLATEAU_PATIENCE", 2)
     windows = line_windows(150, 10)
-    _, log = lstm.train(
-        windows, TrainSchedule(max_epochs=40, plateau_patience=2, early_stop_patience=15),
-        seed=9,
-    )
+    _, log = lstm.train(windows, TrainSchedule(max_epochs=40, early_stop_patience=15), seed=9)
     lrs = [row["lr"] for row in log]
     assert all(b <= a for a, b in zip(lrs, lrs[1:]))
 
