@@ -255,7 +255,8 @@ def rolling_forecasts(model: ArimaModel, full_series, test_start: int) -> np.nda
     y = np.asarray(full_series, dtype=float)
     p, d, q = model.order.p, model.order.d, model.order.q
     if test_start < p + d + max(q, 1):
-        raise UsageError(f"history length {test_start} < required {p + d + max(q, 1)}")
+        raise DataError(f"order ({p}, {d}, {q}) needs {p + d + max(q, 1)} values before "
+                        f"its first forecast, got {test_start}")
     w = np.diff(y[:-1], n=d)
     e = _css_residuals(w, model.intercept, model.ar_coeffs, model.ma_coeffs)
     at = np.arange(test_start, len(y)) - d  # the length of each target's w

@@ -25,6 +25,7 @@ from .config import RunConfig, load_config
 from .data import (
     AlignedDataset,
     csv_rows,
+    csv_text,
     load_aligned,
     load_ohlcv,
     read_utf8,
@@ -78,14 +79,6 @@ def _select_assets(cfg: RunConfig, symbol):
     if not chosen:
         raise UsageError(f"asset {symbol!r} is not in the config")
     return chosen
-
-
-def _csv(header, rows) -> str:
-    """The header line, then a line per row: a str field as is, a number as
-    its repr. Numbers come through .tolist(): a Python float's repr is its
-    shortest exact decimal, a numpy scalar's is np.float64(...)."""
-    return header + "\n" + "".join(
-        ",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows)
 
 
 def _aligned_path(cfg, symbol) -> Path:
@@ -174,7 +167,7 @@ def cmd_ingest(cfg: RunConfig, asset_symbol=None) -> int:
         )
         # no counts (no tweet file): a header-only file
         write_atomic(cfg.output_dir / "sentiment" / f"{asset.symbol}.csv",
-                     _csv("date,compound,sample_count", zip(
+                     csv_text("date,compound,sample_count", zip(
                          [d.isoformat() for d in dates], means.tolist(), counts.tolist())))
         print(f"{asset.symbol}: {rows} rows, {len(repair_log)} repairs, "
               f"{dropped} tweets dated after the last day")
@@ -197,15 +190,24 @@ def _stamp(cfg, aligned, model) -> str:
                           + aligned.sentiment[:rows].tobytes()).hexdigest()
 
 
-def _train_arima(cfg, aligned):
-    closes, boundary = partition("arima", aligned, cfg.window_length)
-    return arima_mod.select_order(closes[:boundary]), None
+def _train_arima(cfg, group):
+    return [(arima_mod.select_order(closes), None) for closes in group]
 
 
-def _train_lstm(cfg, aligned):
-    windows, boundary = partition("lstm", aligned, cfg.window_length)
-    model, log = lstm_mod.train(windows[:boundary], cfg.lstm, seed=cfg.seed)
-    return model, _csv("epoch,train_loss,val_loss,lr", (r.values() for r in log))
+def _train_lstm(cfg, group):
+    fits = (lstm_mod.train(windows, cfg.lstm, seed=cfg.seed) for windows in group)
+    return [(model, csv_text("epoch,train_loss,val_loss,lr", (r.values() for r in log)))
+            for model, log in fits]
+
+
+def _train_gan(cfg, group):
+    return [(gen, csv_text("step,d_loss,g_loss",
+                           ([step, *losses] for step, losses in enumerate(log.tolist()))))
+            for gen, log in gan_mod.train(group, cfg.gan, seed=cfg.seed)]
+
+
+# model -> trainer of a group's train items, one (artifact, log CSV or None) per member
+_TRAINERS = {"arima": _train_arima, "lstm": _train_lstm, "gan": _train_gan}
 
 
 @contextmanager
@@ -228,51 +230,34 @@ def _write_outputs(cfg, aligned, model, artifact, log_csv):
         write_atomic(cfg.output_dir / "logs" / f"{aligned.symbol}_{model}.csv", log_csv)
 
 
-def _train_gan_group(cfg, datasets, members):
-    """Train the GANs of the assets in `members`, symbol -> GAN training
-    windows of one count, in one lockstep run, and write each one's artifact
-    and log."""
-    symbols = list(members)
-    with _cell(symbols, "gan"):
-        results = gan_mod.train(list(members.values()), cfg.gan, seed=cfg.seed)
-    for symbol, (gen, log) in zip(symbols, results):
-        log_csv = _csv("step,d_loss,g_loss",
-                       ([step, *losses] for step, losses in enumerate(log.tolist())))
-        _write_outputs(cfg, datasets[symbol], "gan", gen, log_csv)
-
-
-_TRAINERS = {"arima": _train_arima, "lstm": _train_lstm}
-
-
-def _gan_groups(cfg, datasets):
-    """Each asset's GAN training windows, grouped by their count: a list of
-    {symbol: windows}, symbols in config order."""
+def _groups(cfg, datasets, model):
+    """`model`'s train items of each asset, as a list of {symbol: items}
+    groups in config order, each trained in one call: the GAN's by their
+    number of training windows, in lockstep; ARIMA's and the LSTM's one
+    asset each."""
     groups = {}
     for symbol, aligned in datasets.items():
-        with _cell([symbol], "gan"):
-            windows, boundary = partition("gan", aligned, cfg.window_length)
-        groups.setdefault(boundary, {})[symbol] = windows[:boundary]
+        with _cell([symbol], model):
+            items, boundary = partition(model, aligned, cfg.window_length)
+        groups.setdefault(boundary if model == "gan" else symbol, {})[symbol] = items[:boundary]
     return list(groups.values())
 
 
 def cmd_train(cfg: RunConfig, model_name="all", asset_symbol=None) -> int:
-    """ARIMA and the LSTM asset by asset; the GANs in one lockstep run per
-    group of assets with equal numbers of GAN training windows, right after
-    the group's last asset. Each aligned file is read once, up front."""
+    """Every model through one path, model by model: each call trains a group
+    of assets (see _groups). Each aligned file is read once, and every
+    partition is checked before any model trains."""
     models = list(MODEL_NAMES) if model_name == "all" else [model_name]
     datasets = {asset.symbol: _load_aligned_or_die(cfg, asset.symbol)
                 for asset in _select_assets(cfg, asset_symbol)}
-    groups = _gan_groups(cfg, datasets) if "gan" in models else []
-    last_of_group = {list(members)[-1]: members for members in groups}
-    for symbol, aligned in datasets.items():
-        for model in models:
-            if model != "gan":
-                with _cell([symbol], model):
-                    artifact, log_csv = _TRAINERS[model](cfg, aligned)
-                _write_outputs(cfg, aligned, model, artifact, log_csv)
-        if symbol in last_of_group:
-            _train_gan_group(cfg, datasets, last_of_group[symbol])
-        print(f"{symbol}: trained {', '.join(models)}")
+    work = [(model, group) for model in models for group in _groups(cfg, datasets, model)]
+    for model, group in work:
+        symbols = list(group)
+        with _cell(symbols, model):
+            results = _TRAINERS[model](cfg, list(group.values()))
+        for symbol, (artifact, log_csv) in zip(symbols, results):
+            _write_outputs(cfg, datasets[symbol], model, artifact, log_csv)
+        print(f"{', '.join(symbols)}: trained {model}")
     return EXIT_OK
 
 

@@ -132,6 +132,14 @@ def csv_rows(source, origin, header: list[str]):
         raise DataError(f"{origin} line {reader.line_num}: {e}") from None
 
 
+def csv_text(header: str, rows) -> str:
+    """The header line, then a line per row: a str field as is, a number as
+    its repr. Numbers come through .tolist(): a Python float's repr is its
+    shortest exact decimal, a numpy scalar's is np.float64(...)."""
+    return header + "\n" + "".join(
+        ",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows)
+
+
 def load_ohlcv(source, origin="OHLCV") -> tuple[list[Date], np.ndarray, int]:
     """Parse and validate OHLCV CSV lines. Returns the sorted unique dates (a
     repeated date keeps its first row), their (T, 6) values in FEATURE_COLUMNS

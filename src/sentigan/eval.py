@@ -17,7 +17,7 @@ import numpy as np
 from . import arima as arima_mod
 from . import gan as gan_mod
 from . import lstm as lstm_mod
-from .data import CLOSE_COLUMN, AlignedDataset, finite_floats, make_windows
+from .data import CLOSE_COLUMN, AlignedDataset, csv_text, finite_floats, make_windows
 from .errors import DataError, DimensionError, UsageError
 
 MODEL_NAMES = ("arima", "lstm", "gan")
@@ -84,10 +84,9 @@ class AggregateReport:
     ties: list  # (symbol, [tied models])
 
     def to_csv(self) -> str:
-        lines = ["model,mean_rmse,median_rmse,wins"]
-        lines += [f"{m},{self.mean_rmse[m]:.6g},{self.median_rmse[m]:.6g},{self.wins[m]}"
-                  for m in MODEL_NAMES]
-        return "\n".join(lines) + "\n"
+        return csv_text("model,mean_rmse,median_rmse,wins",
+                        ([m, f"{self.mean_rmse[m]:.6g}", f"{self.median_rmse[m]:.6g}",
+                          self.wins[m]] for m in MODEL_NAMES))
 
 
 def metrics(predicted, actual) -> MetricSet:
@@ -128,10 +127,6 @@ def evaluate(model_name: str, artifact, aligned: AlignedDataset,
         raise UsageError(f"unknown model name {model_name!r}")
     items, boundary = partition(model_name, aligned, window_length)
     if model_name == "arima":
-        p, d, q = artifact.order.p, artifact.order.d, artifact.order.q
-        # a partition too short to forecast from could not have been fitted on
-        if boundary < p + d + max(q, 1):
-            raise DataError("arima: artifact was not trained on this train partition")
         predicted = arima_mod.rolling_forecasts(artifact, items, boundary)
     else:
         predict = lstm_mod.predict if model_name == "lstm" else gan_mod.predict

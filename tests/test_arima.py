@@ -4,7 +4,7 @@ import pytest
 from gradcheck import numerical_gradient, relative_error
 from sentigan import arima
 from sentigan.arima import ArimaOrder
-from sentigan.errors import DataError, UsageError
+from sentigan.errors import DataError
 
 
 def simulate_ar1(n, phi, sigma=1.0, seed=0, const=0.0):
@@ -255,7 +255,7 @@ def test_differencing_round_trip_d2():
 
 def test_forecast_insufficient_history_errors():
     model = arima.ArimaModel(ArimaOrder(3, 1, 0), np.zeros(4))
-    with pytest.raises(UsageError):
+    with pytest.raises(DataError):
         arima.forecast_one_step(model, np.array([1.0, 2.0]))
 
 
@@ -266,9 +266,9 @@ def test_ma_terms_need_p_plus_d_plus_q_values(length):
     # start, and with 6 it wrapped round to the newest residual
     model = arima.ArimaModel(ArimaOrder(3, 1, 3), np.append(0.0, np.full(6, 0.1)))
     y = random_walk(8, seed=1)
-    with pytest.raises(UsageError):
+    with pytest.raises(DataError):
         arima.forecast_one_step(model, y[:length])
-    with pytest.raises(UsageError):
+    with pytest.raises(DataError):
         arima.rolling_forecasts(model, y, length)
     assert np.isfinite(arima.forecast_one_step(model, y[:7]))
 

@@ -621,6 +621,22 @@ def test_asset_too_short_for_the_gan_split_is_refused_naming_it(tmp_path, monkey
     assert cli.main(["train", "--config", config, "--model", "lstm", "--asset", "AAA"]) == 0
 
 
+def test_every_partition_is_checked_before_any_model_trains(tmp_path, monkeypatch, capsys,
+                                                            mini_sizes):
+    # BBB's 11 rows are one window at window length 10, which leaves the LSTM
+    # no train window; AAA's LSTM comes first in the config but is not trained
+    monkeypatch.chdir(tmp_path)
+    config = str(mini_config(tmp_path))
+    lines = (tmp_path / "BBB.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "BBB.csv").write_text("".join(lines[:12]))
+    assert cli.main(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", config, "--model", "lstm"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "BBB/lstm" in err and "empty partition" in err
+    assert not (tmp_path / "out" / "models" / "AAA_lstm.json").exists()
+
+
 def test_evaluate_missing_artifact_names_cell(pipeline, tmp_path, capsys):
     assert cli.main(["ingest", "--config", str(pipeline)]) == 0
     assert cli.main(["evaluate", "--config", str(pipeline)]) == cli.EXIT_DATA
@@ -653,13 +669,14 @@ def test_evaluate_refuses_artifact_of_another_config_before_any_report(
     assert [(path.read_bytes(), path.stat().st_mtime_ns) for path in reports] == before
 
 
-def stale_in_evaluate(pipeline, tmp_path, capsys, model):
+def stale_in_evaluate(pipeline, tmp_path, capsys, model,
+                      message="not trained on this train partition"):
     """Evaluate AAA, which must fail: `model`'s artifact is stale, named with
     the aligned file."""
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", str(pipeline), "--asset", "AAA"]) == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert "not trained on this train partition" in err
+    assert message in err
     assert str(tmp_path / "out" / "models" / f"AAA_{model}.json") in err
     assert str(tmp_path / "out" / "aligned" / "AAA.json") in err
 
@@ -718,7 +735,7 @@ def test_arima_artifact_longer_than_the_train_partition_is_stale(pipeline, tmp_p
 def test_arima_artifact_of_a_too_short_train_partition_is_stale(pipeline, tmp_path, capsys):
     # a (100, 1, 10) forecast needs 100 + 1 + 10 values, more than the train
     # partition's 108, so no fit on it wrote this artifact; stamped as if one
-    # had, it is refused by the length check
+    # had, it is refused by ARIMA's history check
     assert cli.main(["run", "--config", str(pipeline)]) == 0
     cfg = load_config(pipeline)
     aligned = load_aligned(tmp_path / "out" / "aligned" / "AAA.json")
@@ -726,7 +743,8 @@ def test_arima_artifact_of_a_too_short_train_partition_is_stale(pipeline, tmp_pa
     (tmp_path / "out" / "models" / "AAA_arima.json").write_text(json.dumps(
         {"model": "arima", "artifact": model.to_dict(),
          "stamp": cli._stamp(cfg, aligned, "arima")}))
-    stale_in_evaluate(pipeline, tmp_path, capsys, "arima")
+    stale_in_evaluate(pipeline, tmp_path, capsys, "arima",
+                      "order (100, 1, 10) needs 111 values before its first forecast, got 108")
 
 
 @pytest.mark.parametrize("model", ["lstm", "gan"], ids=["lstm_null", "gan_null"])
