@@ -109,14 +109,18 @@ def _gen_inputs(histories, sentiments):
 
 def _batch_mean(x):
     """Mean over the last two (batch, column) axes, one value per member."""
-    return np.mean(x, axis=(-2, -1))
+    return np.add.reduce(x, axis=(-2, -1)) / (x.shape[-2] * x.shape[-1])
+
+
+# the upper score bound of each dtype: 1 - LOG_EPS, or 1 less the dtype's
+# spacing below 1 where 1 - LOG_EPS rounds to 1 (float32)
+_SCORE_MAX = {np.dtype(t): 1.0 - max(LOG_EPS, np.finfo(t).epsneg) for t in (np.float32, float)}
 
 
 def _clip_scores(scores):
-    """Scores clipped to [LOG_EPS, 1 - LOG_EPS], or below 1 by the dtype's
-    spacing where 1 - LOG_EPS rounds to 1 (float32), so that log(s),
-    log(1 - s), 1/s and 1/(1 - s) stay finite."""
-    return np.clip(scores, LOG_EPS, 1.0 - max(LOG_EPS, np.finfo(scores.dtype).epsneg))
+    """Scores clipped to [LOG_EPS, _SCORE_MAX], so that log(s), log(1 - s),
+    1/s and 1/(1 - s) stay finite."""
+    return np.minimum(np.maximum(scores, LOG_EPS), _SCORE_MAX[scores.dtype])
 
 
 def d_loss_value(real_scores, fake_scores):
@@ -141,7 +145,7 @@ def _discriminator_grads(disc, real_in, fake_in):
     grad_out = np.concatenate([-1.0 / (b * s[..., :b, :]), 1.0 / (b * (1.0 - s[..., b:, :]))],
                               axis=-2)
     backward(disc, caches, grad_out, disc.grads)
-    return d_loss_value(out[..., :b, :], out[..., b:, :])
+    return d_loss_value(s[..., :b, :], s[..., b:, :])
 
 
 def _generator_grads(gen, disc, fake_in, gen_caches):
@@ -154,7 +158,7 @@ def _generator_grads(gen, disc, fake_in, gen_caches):
     s = _clip_scores(score)
     grad_fake = backward(disc, disc_caches, -1.0 / (b * s))[..., :N_FEATURES]
     backward(gen, gen_caches, grad_fake, gen.grads)
-    return g_loss_value(score)
+    return g_loss_value(s)
 
 
 def train_step(gen, disc, gen_in, targets, gen_adam, disc_adam):

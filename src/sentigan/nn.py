@@ -28,7 +28,7 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "leaky_relu":
-        return np.where(z >= 0.0, z, LEAKY_SLOPE * z)
+        return np.maximum(z, LEAKY_SLOPE * z)
     if name == "tanh":
         return np.tanh(z)
     if name == "sigmoid":
@@ -40,18 +40,18 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
     raise UsageError(f"unknown activation {name!r}")
 
 
-def activate_grad(name: str, z: np.ndarray) -> np.ndarray:
-    """d activation / d z, evaluated at pre-activation z."""
+def activate_grad(name: str, z: np.ndarray, a: np.ndarray):
+    """d activation / d z at pre-activation z, whose activation is a: a bool
+    mask for relu, z's dtype otherwise."""
     if name == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return z > 0.0
     if name == "leaky_relu":
-        return np.where(z >= 0.0, 1.0, LEAKY_SLOPE).astype(z.dtype, copy=False)
+        # the mask's 1 where z >= 0, the slope elsewhere
+        return np.maximum(z >= 0.0, z.dtype.type(LEAKY_SLOPE))
     if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
+        return 1.0 - a * a
     if name == "sigmoid":
-        s = activate(name, z)
-        return s * (1.0 - s)
+        return a * (1.0 - a)
     if name == "identity":
         return np.ones_like(z)
     raise UsageError(f"unknown activation {name!r}")
@@ -114,7 +114,8 @@ def forward(net, x):
     """Full network forward over a (batch, in) matrix or, for a stacked
     network, a (K, batch, in) stack.
 
-    Returns (output, caches); caches feed backward()."""
+    Returns (output, caches); caches feed backward(), one (input,
+    pre-activation, output) per layer."""
     a = np.asarray(x, dtype=net.theta.dtype)
     caches = []
     for i, (w, b, activation) in enumerate(zip(net.weights, net.biases, net.activations)):
@@ -122,8 +123,8 @@ def forward(net, x):
             raise DimensionError(f"layer {i} input size", w.shape[-1], a.shape[-1])
         z = a @ w.swapaxes(-1, -2)
         z += b[..., None, :]
-        caches.append((a, z))
-        a = activate(activation, z)
+        x_in, a = a, activate(activation, z)
+        caches.append((x_in, z, a))
     return a, caches
 
 
@@ -160,11 +161,11 @@ def backward(net, caches, grad_out, grads=None):
         )
     g = np.asarray(grad_out, dtype=net.theta.dtype)
     for i in reversed(range(len(caches))):
-        x_in, z = caches[i]
-        gz = g * activate_grad(net.activations[i], z)
+        x_in, z, a = caches[i]
+        gz = g * activate_grad(net.activations[i], z, a)
         if grads is not None:
             np.matmul(gz.swapaxes(-1, -2), x_in, out=grads[2 * i])
-            gz.sum(axis=-2, out=grads[2 * i + 1])
+            np.add.reduce(gz, axis=-2, out=grads[2 * i + 1])
             if i == 0:
                 return None
         g = gz @ net.weights[i]

@@ -244,8 +244,8 @@ def full_backward(net, caches, grad_out, grads):
     the first layer's input product included."""
     g = grad_out
     for i in reversed(range(len(caches))):
-        x_in, z = caches[i]
-        gz = g * nn.activate_grad(net.activations[i], z)
+        x_in, z, a = caches[i]
+        gz = g * nn.activate_grad(net.activations[i], z, a)
         np.matmul(gz.swapaxes(-1, -2), x_in, out=grads[2 * i])
         gz.sum(axis=-2, out=grads[2 * i + 1])
         g = gz @ net.weights[i]

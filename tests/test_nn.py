@@ -90,7 +90,7 @@ def kink_free_check(act, seed):
         x = rng.normal(size=(1, 4))
         target = rng.normal(size=(1, 2))
         _, caches = nn.forward(layers, x)
-        if all(np.min(np.abs(z)) > 1e-3 for _, z in caches):
+        if all(np.min(np.abs(z)) > 1e-3 for _, z, _ in caches):
             break
     return finite_difference_check(layers, x, target)
 
@@ -111,7 +111,7 @@ def test_gradcheck_counts_roundoff_as_matching():
 def test_gradcheck_catches_wrong_gradient(monkeypatch):
     rng = np.random.default_rng(0)
     layers = nn.build_mlp(rng, 4, [5], 2, "tanh", "identity")
-    monkeypatch.setattr(nn, "activate_grad", lambda name, z: np.ones_like(z))
+    monkeypatch.setattr(nn, "activate_grad", lambda name, z, a: np.ones_like(z))
     report = finite_difference_check(layers, rng.normal(size=(1, 4)), rng.normal(size=(1, 2)))
     assert not report.passed
 
@@ -244,7 +244,7 @@ def test_float32_network_keeps_float32_through_forward_backward_and_adam(acts):
     out, caches = nn.forward(net, rng.normal(size=(5, 4)))
     grad_out = rng.normal(size=out.shape)
     assert out.dtype == np.float32
-    assert all(a.dtype == z.dtype == np.float32 for a, z in caches)
+    assert all(a.dtype == z.dtype == np.float32 for a, z, _ in caches)
     assert nn.backward(net, caches, grad_out).dtype == np.float32
     assert nn.backward(net, caches, grad_out, net.grads) is None
     assert net.grad.dtype == np.float32 and net.grad.any()
