@@ -37,7 +37,7 @@ class AlignedDataset:
         self.features = np.asarray(self.features, dtype=float)
         self.sentiment = np.asarray(self.sentiment, dtype=float)
         t = len(self.dates)
-        if self.features.shape != (t, 6) or self.sentiment.shape != (t,):
+        if self.features.shape != (t, len(FEATURE_COLUMNS)) or self.sentiment.shape != (t,):
             raise DataError(
                 f"aligned dataset shape mismatch: {t} dates, "
                 f"features {self.features.shape}, sentiment {self.sentiment.shape}"
@@ -151,13 +151,13 @@ def load_ohlcv(source, origin="OHLCV") -> tuple[list[Date], np.ndarray, int]:
     days, rows = [], []
     for line_no, row in csv_rows(source, origin, OHLCV_HEADER):
         at = f"{origin} line {line_no}"
-        if len(row) != 7:
-            raise DataError(f"{at}: expected 7 columns, got {len(row)}")
+        if len(row) != len(OHLCV_HEADER):
+            raise DataError(f"{at}: expected {len(OHLCV_HEADER)} columns, got {len(row)}")
         try:
             day = Date.fromisoformat(row[0].strip())
         except ValueError:
             raise DataError(f"{at}: bad date {row[0]!r}") from None
-        fields = [_parse_field(row[i + 1], FEATURE_COLUMNS[i], at) for i in range(6)]
+        fields = [_parse_field(value, name, at) for value, name in zip(row[1:], FEATURE_COLUMNS)]
         _validate_row(day, fields, at)
         days.append(day)
         rows.append([math.nan if v is None else v for v in fields])

@@ -5,13 +5,15 @@ to the next-day six-attribute observation; the discriminator scores
 (candidate, window, sentiment) triples. Training alternates discriminator
 and generator Adam updates on the standard minimax objective, with the
 non-saturating generator form. A step runs the generator forward once and
-scores real and fake rows in one stacked discriminator pass. There is no
+scores real and fake rows in one stacked discriminator pass; it clips the
+scores once, and both losses are values of the clipped scores. There is no
 latent noise input, so the trained generator is a deterministic conditional
 forecaster. One function, _conditioning, builds the generator's rows for
-training and for forecasting: scaled histories clipped to [-1, 1], then
-sentiment. Each network's parameters live in one flat vector `theta`, of
-which its layers' weights and biases are views, and its gradient in `grad`,
-laid out alike; backward() fills `grad` through views carved once.
+training and for forecasting in one concatenation: scaled histories clipped
+to [-1, 1], then sentiment. Each network's parameters live in one flat
+vector `theta`, of which its layers' weights and biases are views, and its
+gradient in `grad`, laid out alike; backward() fills `grad` through views
+carved once.
 
 `train` fits K members (one asset's training windows each) in lockstep: the
 networks carry a leading member axis, so a step is one pass per job for all
@@ -31,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLOSE_COLUMN, Windows, flat_floats, positive_ints
-from .errors import DimensionError, SentiganError, TrainingError, UsageError
+from .data import CLOSE_COLUMN, FEATURE_COLUMNS, Windows, flat_floats, positive_ints
+from .errors import TrainingError, UsageError
 from .nn import Dense, backward, build_mlp, forward
 from .optim import AdamState, adam_step
 from .scaling import ScalerParams, close_inverse, scaler_fit_windows, scaler_transform
 
-N_FEATURES = 6
+N_FEATURES = len(FEATURE_COLUMNS)
 LOG_EPS = 1e-12
 # the dtype gan.train trains in and a loaded generator predicts in
 DTYPE = np.float32
@@ -96,17 +98,6 @@ def _to_tanh_range(unit):
     return 2.0 * unit - 1.0
 
 
-def _gen_inputs(histories, sentiments):
-    """Flattened conditioning matrix (B, L*6 + 1); inputs scaled. The
-    generator's first layer checks L."""
-    histories = np.asarray(histories, dtype=float)
-    sentiments = np.asarray(sentiments, dtype=float)
-    if histories.ndim != 3 or histories.shape[2] != N_FEATURES:
-        raise DimensionError("generator history shape", ("L", N_FEATURES), histories.shape[1:])
-    return np.concatenate([histories.reshape(len(histories), -1), sentiments[:, None]],
-                          axis=1)
-
-
 def _batch_mean(x):
     """Mean over the last two (batch, column) axes, one value per member."""
     return np.add.reduce(x, axis=(-2, -1)) / (x.shape[-2] * x.shape[-1])
@@ -124,15 +115,13 @@ def _clip_scores(scores):
 
 
 def d_loss_value(real_scores, fake_scores):
-    """-E[log D(real)] - E[log(1 - D(fake))] of (..., B, 1) scores."""
-    r = _clip_scores(real_scores)
-    f = _clip_scores(fake_scores)
-    return -_batch_mean(np.log(r)) - _batch_mean(np.log(1.0 - f))
+    """-E[log D(real)] - E[log(1 - D(fake))] of (..., B, 1) clipped scores."""
+    return -_batch_mean(np.log(real_scores)) - _batch_mean(np.log(1.0 - fake_scores))
 
 
 def g_loss_value(fake_scores):
-    """-E[log D(fake)] of (..., B, 1) scores."""
-    return -_batch_mean(np.log(_clip_scores(fake_scores)))
+    """-E[log D(fake)] of (..., B, 1) clipped scores."""
+    return -_batch_mean(np.log(fake_scores))
 
 
 def _discriminator_grads(disc, real_in, fake_in):
@@ -183,7 +172,8 @@ def _conditioning(scaler: ScalerParams, windows: Windows):
     in the range already; forecast windows can drift past the train-fitted
     range, and saturate at its boundary instead of being refused."""
     histories = np.clip(_to_tanh_range(scaler_transform(scaler, windows.histories)), -1.0, 1.0)
-    return _gen_inputs(histories, np.clip(windows.sentiments, -1.0, 1.0))
+    return np.concatenate([histories.reshape(len(histories), -1),
+                           np.clip(windows.sentiments, -1.0, 1.0)[:, None]], axis=1)
 
 
 def _setup(members, rng, schedule: GanSchedule):
@@ -201,13 +191,9 @@ def _setup(members, rng, schedule: GanSchedule):
         if windows.histories.shape[:2] != (n, window_length):
             raise UsageError("lockstep members need equal sample counts and window lengths, "
                              f"got {(n, window_length)} and {windows.histories.shape[:2]}")
-        try:
-            scaler = scaler_fit_windows(windows.histories, windows.targets)
-            gen_ins.append(_conditioning(scaler, windows))
-            targets.append(_to_tanh_range(scaler_transform(scaler, windows.targets)))
-        except SentiganError as e:
-            e.member = k
-            raise
+        scaler = scaler_fit_windows(windows.histories, windows.targets)
+        gen_ins.append(_conditioning(scaler, windows))
+        targets.append(_to_tanh_range(scaler_transform(scaler, windows.targets)))
         scalers.append(scaler)
     gen = build_generator(rng, window_length, schedule.gen_hidden)
     disc = build_discriminator(rng, window_length, schedule.disc_hidden)

@@ -5,7 +5,10 @@ backward() cast their inputs to it and every pass keeps it, so a float32
 network runs in float32. A network (`Dense`) is its flat parameter vector
 `theta`; `carve` lays out the layers' weight and bias views of it, and of
 the flat gradient backward() fills, once. The forward pass returns
-the caches the backward pass needs, so there is no hidden state.
+the caches the backward pass needs, so there is no hidden state. Each
+activation is one row of the table `ACTIVATIONS`, the function and its
+derivative, which forward() and backward() index; `Dense` refuses a name
+the table lacks.
 
 A stack of K networks of one shape ("members", trained in lockstep) has a
 leading member axis on every array: a flat vector (K, P), weights
@@ -20,41 +23,20 @@ import numpy as np
 
 from .errors import DimensionError, UsageError
 
-ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid", "identity")
 LEAKY_SLOPE = 0.01
-
-
-def activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "leaky_relu":
-        return np.maximum(z, LEAKY_SLOPE * z)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "sigmoid":
-        # 1 / (1 + exp(-z)) as exp(-log(1 + exp(-z))): logaddexp cannot
-        # overflow, where exp(-z) does below z = -88.7 in float32
-        return np.exp(-np.logaddexp(0.0, -z))
-    if name == "identity":
-        return z
-    raise UsageError(f"unknown activation {name!r}")
-
-
-def activate_grad(name: str, z: np.ndarray, a: np.ndarray):
-    """d activation / d z at pre-activation z, whose activation is a: a bool
-    mask for relu, z's dtype otherwise."""
-    if name == "relu":
-        return z > 0.0
-    if name == "leaky_relu":
-        # the mask's 1 where z >= 0, the slope elsewhere
-        return np.maximum(z >= 0.0, z.dtype.type(LEAKY_SLOPE))
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "identity":
-        return np.ones_like(z)
-    raise UsageError(f"unknown activation {name!r}")
+# name -> (the activation of pre-activation z, its derivative at z whose
+# activation is a): the derivative is a bool mask for relu, z's dtype otherwise
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: z > 0.0),
+    # leaky relu' is the mask's 1 where z >= 0, the slope elsewhere
+    "leaky_relu": (lambda z: np.maximum(z, LEAKY_SLOPE * z),
+                   lambda z, a: np.maximum(z >= 0.0, z.dtype.type(LEAKY_SLOPE))),
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    # 1 / (1 + exp(-z)) as exp(-log(1 + exp(-z))): logaddexp cannot
+    # overflow, where exp(-z) does below z = -88.7 in float32
+    "sigmoid": (lambda z: np.exp(-np.logaddexp(0.0, -z)), lambda z, a: a * (1.0 - a)),
+    "identity": (lambda z: z, lambda z, a: np.ones_like(z)),
+}
 
 
 def param_shapes(sizes):
@@ -123,7 +105,7 @@ def forward(net, x):
             raise DimensionError(f"layer {i} input size", w.shape[-1], a.shape[-1])
         z = a @ w.swapaxes(-1, -2)
         z += b[..., None, :]
-        x_in, a = a, activate(activation, z)
+        x_in, a = a, ACTIVATIONS[activation][0](z)
         caches.append((x_in, z, a))
     return a, caches
 
@@ -162,7 +144,7 @@ def backward(net, caches, grad_out, grads=None):
     g = np.asarray(grad_out, dtype=net.theta.dtype)
     for i in reversed(range(len(caches))):
         x_in, z, a = caches[i]
-        gz = g * activate_grad(net.activations[i], z, a)
+        gz = g * ACTIVATIONS[net.activations[i]][1](z, a)
         if grads is not None:
             np.matmul(gz.swapaxes(-1, -2), x_in, out=grads[2 * i])
             np.add.reduce(gz, axis=-2, out=grads[2 * i + 1])

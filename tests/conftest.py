@@ -36,6 +36,13 @@ def scaler_over(width=6):
     return ScalerParams(np.zeros(width), np.ones(width))
 
 
+def gen_rows(histories, sentiments):
+    """The generator's rows (N, L*6 + 1) of scaled histories (N, L, 6) and
+    sentiments (N,), laid out as gan._conditioning lays them out."""
+    return np.concatenate([np.reshape(histories, (len(histories), -1)),
+                           np.asarray(sentiments)[:, None]], axis=1)
+
+
 def holdout_split(windows):
     """The (train, held-out) windows of the GAN's split."""
     boundary = SPLITS["gan"](len(windows))

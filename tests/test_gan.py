@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import aligned_from_close, holdout_split, scaler_over
+from conftest import aligned_from_close, gen_rows, holdout_split, scaler_over
 from gradcheck import numerical_gradient, relative_error
 from sentigan import gan, lstm, nn
 from sentigan.data import CLOSE_COLUMN, Windows, make_windows
@@ -42,7 +42,7 @@ def zero_net(net):
 def generate(g, windows):
     """The generator's scaled next-day observation (6,) for the first of
     `windows`, scaled."""
-    out, _ = forward(g, gan._gen_inputs(windows.histories, windows.sentiments))
+    out, _ = forward(g, gen_rows(windows.histories, windows.sentiments))
     return out[0]
 
 
@@ -183,7 +183,7 @@ def test_adversarial_gradients_match_finite_differences():
     g = build_generator(rng, length, hidden=(4,))
     d = build_discriminator(rng, length, hidden=(4,))
     batch = scaled_windows(rng, length, count=2)
-    gen_in = gan._gen_inputs(batch.histories, batch.sentiments)
+    gen_in = gen_rows(batch.histories, batch.sentiments)
     real_in = np.concatenate([batch.targets, gen_in], axis=1)
 
     def d_loss():
@@ -224,7 +224,7 @@ def make_step_fixture(seed=11, length=4, batch=5):
 
 def step_inputs(g, batch):
     """(gen_in, real_in, fake, gen_caches, fake_in) as train_step builds them."""
-    gen_in = gan._gen_inputs(batch.histories, batch.sentiments)
+    gen_in = gen_rows(batch.histories, batch.sentiments)
     real_in = np.concatenate([batch.targets, gen_in], axis=1)
     fake, gen_caches = forward(g, gen_in)
     return gen_in, real_in, fake, gen_caches, np.concatenate([fake, gen_in], axis=1)
@@ -245,7 +245,7 @@ def full_backward(net, caches, grad_out, grads):
     g = grad_out
     for i in reversed(range(len(caches))):
         x_in, z, a = caches[i]
-        gz = g * nn.activate_grad(net.activations[i], z, a)
+        gz = g * nn.ACTIVATIONS[net.activations[i]][1](z, a)
         np.matmul(gz.swapaxes(-1, -2), x_in, out=grads[2 * i])
         gz.sum(axis=-2, out=grads[2 * i + 1])
         g = gz @ net.weights[i]
@@ -262,7 +262,7 @@ def test_generator_update_gradients_are_unchanged_bitwise():
     # gradient, and the generator gradient built on it is the same
     g, d, batch = make_step_fixture()
     g, d = g.stacked(2), d.stacked(2)
-    gen_in = gan._gen_inputs(batch.histories, batch.sentiments)
+    gen_in = gen_rows(batch.histories, batch.sentiments)
     gen_in = np.stack([gen_in, gen_in[::-1]])
     fake, gen_caches = forward(g, gen_in)
     fake_in = np.concatenate([fake, gen_in], axis=-1)

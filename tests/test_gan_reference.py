@@ -5,10 +5,12 @@ output, leaky relu as a maximum and its clipping as a minimum of a maximum.
 
 The reference keeps its own copy of every function the leaner step replaced,
 and a forward, backward and training step built on them; it shares
-`gan._setup` and `adam_step`, which the change left alone. Each activation
-in float32 and float64, and `gan.train` on a float32 lockstep group and on
-one member at the default widths, must give the reference's values bit for
-bit (their bytes, so -0.0 against 0.0 and a NaN's sign count)."""
+`gan._setup` and `adam_step`, which the leaner step left alone. Each
+activation in float32 and float64, and `gan.train` on a float32 lockstep
+group and on one member at the default widths, must give the reference's
+values bit for bit (their bytes, so -0.0 against 0.0 and a NaN's sign
+count). `gan`'s losses take scores already clipped, so they are given what
+`gan._clip_scores` makes of the scores the reference's losses clip."""
 
 import numpy as np
 import pytest
@@ -166,9 +168,10 @@ def test_activation_and_its_derivative_equal_the_reference_bitwise(name, dtype):
     g = np.concatenate([[1.0, -1.0, 0.0, -0.0, np.inf, np.nan],
                         rng.normal(size=len(z) - 6)]).astype(dtype)
     with np.errstate(all="ignore"):
-        a = nn.activate(name, z)
+        function, derivative = nn.ACTIVATIONS[name]
+        a = function(z)
         assert same_bytes(a, activate(name, z))
-        assert same_bytes(g * nn.activate_grad(name, z, a), g * activate_grad(name, z))
+        assert same_bytes(g * derivative(z, a), g * activate_grad(name, z))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -180,8 +183,9 @@ def test_losses_equal_the_reference_bitwise(dtype):
     with np.errstate(invalid="ignore"):
         for r, f in ((real, fake), (real[0], fake[0]), (real[1:], fake[1:])):
             assert same_bytes(gan._clip_scores(r), _clip_scores(r))
-            assert same_bytes(gan.d_loss_value(r, f), d_loss_value(r, f))
-            assert same_bytes(gan.g_loss_value(f), g_loss_value(f))
+            clipped_r, clipped_f = gan._clip_scores(r), gan._clip_scores(f)
+            assert same_bytes(gan.d_loss_value(clipped_r, clipped_f), d_loss_value(r, f))
+            assert same_bytes(gan.g_loss_value(clipped_f), g_loss_value(f))
 
 
 def members_of(k, n, window_length, seed):

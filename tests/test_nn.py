@@ -95,9 +95,9 @@ def kink_free_check(act, seed):
     return finite_difference_check(layers, x, target)
 
 
-@pytest.mark.parametrize("act", ["relu", "leaky_relu", "sigmoid", "tanh", "identity"])
+@pytest.mark.parametrize("act", nn.ACTIVATIONS)
 def test_gradients_every_activation(act):
-    report = kink_free_check(act, seed=nn.ACTIVATIONS.index(act))
+    report = kink_free_check(act, seed=list(nn.ACTIVATIONS).index(act))
     assert report.passed, f"{act}: {report.max_rel_err}"
 
 
@@ -111,9 +111,14 @@ def test_gradcheck_counts_roundoff_as_matching():
 def test_gradcheck_catches_wrong_gradient(monkeypatch):
     rng = np.random.default_rng(0)
     layers = nn.build_mlp(rng, 4, [5], 2, "tanh", "identity")
-    monkeypatch.setattr(nn, "activate_grad", lambda name, z, a: np.ones_like(z))
+    monkeypatch.setitem(nn.ACTIVATIONS, "tanh", (np.tanh, lambda z, a: np.ones_like(z)))
     report = finite_difference_check(layers, rng.normal(size=(1, 4)), rng.normal(size=(1, 2)))
     assert not report.passed
+
+
+def test_dense_refuses_an_unknown_activation_naming_it():
+    with pytest.raises(UsageError, match="unknown activation 'swish'"):
+        nn.Dense([2, 1], ["swish"], np.zeros(3))
 
 
 def test_linear_net_gradients_near_exact():
